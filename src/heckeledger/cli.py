@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
 
-from .exactlin import FieldContext, NonCommuting, NotInvariant
+from .exactlin import FieldContext, NonCommuting, NotInvariant, frac_str
 from .ledger import (
     FormatError,
     build_report,
@@ -68,10 +68,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _parse_primes(text: str) -> list[int]:
     try:
         primes = sorted({int(tok) for tok in text.split(",") if tok.strip()})
@@ -80,6 +76,13 @@ def _parse_primes(text: str) -> list[int]:
     if not primes:
         raise UsageError("--primes must list at least one prime")
     return primes
+
+
+def _parse_tscale(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --tscale value {text!r}: {exc}") from exc
 
 
 def _config_from_args(args) -> Config:
@@ -129,7 +132,7 @@ def cmd_modsym(args) -> int:
                     "weight": s.weight,
                     "dim": s.dim,
                     "cuspidal": s.cuspidal,
-                    "eigenvalues": {str(l): _frac_str(v) for l, v in s.eigenvalues.items()},
+                    "eigenvalues": {str(l): frac_str(v) for l, v in s.eigenvalues.items()},
                 }
                 for s in systems
             ],
@@ -216,6 +219,7 @@ def _is_prime_small(n: int) -> bool:
 def cmd_ledger(args) -> int:
     cfg = _config_from_args(args)
     primes = _parse_primes(args.primes)
+    tscale = _parse_tscale(args.tscale) if args.tscale else None
     sl3_data = None
     if cfg.data_paths.get("sl3"):
         with open(cfg.data_paths["sl3"], encoding="utf-8") as fh:
@@ -241,7 +245,6 @@ def cmd_ledger(args) -> int:
                 external = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{args.compare}: {exc}") from exc
-        tscale = Fraction(args.tscale) if args.tscale else None
         summary = compare_external(report, external, tscale=tscale)
         sys.stdout.write(_dump_json(summary))
         return 0

@@ -9,9 +9,10 @@ identical inputs give bit-identical outputs.
 The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (a list of sparse vectors).  On top of those sit
 reduced row echelon form with optional row-operation logging, rank and
-kernel, restriction of an operator to an invariant subspace,
-simultaneous eigenspace splitting of a commuting family, and rational
-reconstruction of field elements.
+kernel, joint kernels of shifted operators (the eigenvectors for a
+known eigenvalue tuple), restriction of an operator to an invariant
+subspace, simultaneous eigenspace splitting of a commuting family, and
+rational reconstruction of field elements.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ __all__ = [
     "NoReconstruction",
     "DEFAULT_PRIME",
     "rank_and_kernel",
+    "joint_kernel",
     "restrict_operator",
     "split_eigenspaces",
     "rational_reconstruct",
+    "frac_str",
     "charpoly",
     "distinct_roots",
     "next_field_prime",
@@ -586,6 +589,35 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     return ech.rank, kernel
 
 
+def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
+                 extra: Sequence[FieldMatrix] = ()) -> Subspace:
+    """Canonical (reduced echelon) basis of the joint eigenvectors.
+
+    The common kernel of every op - value*I and every matrix in
+    `extra`: {v : op v = value v for each pair, m v = 0 for each m}.
+    One echelon of the stacked rows; the family need not commute and
+    no invariant subspace is needed.
+    """
+    if len(ops) != len(values):
+        raise ValueError("need one value per operator")
+    mats = list(ops) + list(extra)
+    if not mats:
+        raise ValueError("need at least one matrix")
+    n = mats[0].ncols
+    field = mats[0].field
+    for m in mats:
+        if m.ncols != n or m.field != field:
+            raise ValueError("matrices must share one column space")
+    rows: list[dict[int, int]] = []
+    for op, lam in zip(ops, values):
+        if op.nrows != n:
+            raise ValueError("operators must be square")
+        rows.extend(op.add_scaled(FieldMatrix.identity(field, n), -lam).rows)
+    for m in extra:
+        rows.extend(m.rows)
+    return rank_and_kernel(FieldMatrix(field, len(rows), n, rows))[1]
+
+
 def solve_in_basis(basis_mat: FieldMatrix, images: FieldMatrix) -> FieldMatrix:
     """Solve basis_mat * X = images, requiring every image in the span.
 
@@ -892,6 +924,11 @@ def rational_reconstruct(x: int, bound: int, field: PrimeField | int) -> Fractio
     if (frac.numerator - x * frac.denominator) % p != 0:
         raise NoReconstruction(f"no rational of height {bound} lifts {x} mod {p}")
     return frac
+
+
+def frac_str(x: Fraction) -> str:
+    """Exact decimal string of a rational: `n`, or `n/d` with d > 1."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------

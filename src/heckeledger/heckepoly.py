@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exactlin import frac_str
+
 __all__ = [
     "HeckePolynomial",
     "LiftClass",
@@ -265,17 +267,13 @@ class LiftClass:
 # -- wire format -------------------------------------------------------------
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def _coeff_parse(s: str) -> Fraction:
     return Fraction(s)
 
 
 def poly_to_json(poly: HeckePolynomial) -> dict:
     """Exact wire form: coefficients as decimal strings."""
-    return {"l": poly.prime_l, "coeffs": [_coeff_str(c) for c in poly.coeffs]}
+    return {"l": poly.prime_l, "coeffs": [frac_str(c) for c in poly.coeffs]}
 
 
 def poly_from_json(obj: dict, n: int | None = None) -> HeckePolynomial:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import heckepoly
-from .exactlin import FieldContext, _is_prime
+from .exactlin import FieldContext, _is_prime, frac_str
 from .heckepoly import HeckePolynomial, LiftClass, SL3Datum, poly_to_json
 from .modsym import (
     EigenSystem,
@@ -125,12 +125,8 @@ class LedgerReport:
 EISENSTEIN_KINDS = ("weight2", "weight4", "sl3")
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _system_id(kind: str, system: EigenSystem) -> str:
-    vals = ",".join(f"a{l}={_frac_str(v)}" for l, v in sorted(system.eigenvalues.items()))
+    vals = ",".join(f"a{l}={frac_str(v)}" for l, v in sorted(system.eigenvalues.items()))
     return f"{kind}-N{system.level}-{vals}"
 
 
@@ -256,7 +252,7 @@ def build_report(
                     "kind": "weight4",
                     "source": _system_id("w4", system),
                     "reason": "nonvanishing central value",
-                    "winding": _frac_str(pairing),
+                    "winding": frac_str(pairing),
                 }
             )
     if cov3.unresolved_dim:
@@ -406,7 +402,7 @@ def compare_external(report: LedgerReport, external: dict, *,
             raise FormatError(f"malformed family entry {entry!r}: {exc}") from exc
         if tscale is not None:
             coeffs = [c * tscale**k for k, c in enumerate(coeffs)]
-        norm = [_frac_str(c) for c in coeffs]
+        norm = [frac_str(c) for c in coeffs]
         mine = ours.get(key)
         if mine is None:
             unknown.append({"key": list(key)})

@@ -41,6 +41,8 @@ from .exactlin import (
     Subspace,
     _is_prime,
     echelonize,
+    frac_str,
+    joint_kernel,
     rank_and_kernel,
     rational_reconstruct,
     restrict_operator,
@@ -772,15 +774,36 @@ def _reconstructed_systems(space, primes, threads, bound):
     """(eigenvalue tuple as Fractions, dim) for each splittable eigenspace."""
     split = _split_cuspidal(space, primes, threads)
     out = []
-    covered = 0
     for eig in split.eigenspaces:
-        covered += eig.space.dim
         try:
             fracs = tuple(rational_reconstruct(v, bound, space.field) for v in eig.values)
         except NoReconstruction:
             continue
         out.append((fracs, eig.space.dim))
-    return out, covered
+    return out
+
+
+def _confirmed_at_partner(space, primes, candidates, threads):
+    """The candidates whose eigenspace has the same dimension at the
+    partner prime.
+
+    There the eigenspace of a rational candidate is one joint kernel:
+    the cuspidal subspace is ker(boundary), so the candidate's vectors
+    are the common kernel of the boundary map and every T_l - a_l.
+    Reconstruction below the bound is unique, so this is the same test
+    as splitting at the partner prime and intersecting the two census
+    lists.
+    """
+    if not candidates:
+        return []
+    twin = space.partner()
+    ops = _hecke_family(twin, primes, threads)
+    extra = (twin.boundary_matrix,)
+    return [
+        (fracs, dim)
+        for fracs, dim in candidates
+        if joint_kernel(ops, [twin.field.elem(f) for f in fracs], extra).dim == dim
+    ]
 
 
 def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int], *,
@@ -790,9 +813,8 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int], *,
     for l in primes:
         if space.level % l == 0:
             raise BadPrime(f"{l} divides the level {space.level}")
-    sys_a, _ = _reconstructed_systems(space, primes, threads, bound)
-    sys_b, _ = _reconstructed_systems(space.partner(), primes, threads, bound)
-    confirmed = sorted(set(sys_a) & set(sys_b))
+    candidates = _reconstructed_systems(space, primes, threads, bound)
+    confirmed = sorted(_confirmed_at_partner(space, primes, candidates, threads))
     systems = [
         EigenSystem(
             level=space.level,
@@ -830,13 +852,12 @@ def _left_eigenbasis(space: ManinBasisSpace, primes: Sequence[int],
                      target: tuple[int, ...], threads: int) -> list[dict[int, int]]:
     """Canonical echelon basis of the left eigenspace with the given values."""
     ops = [m.transpose() for m in _hecke_family(space, primes, threads)]
-    split = split_eigenspaces(ops)
-    for eig in split.eigenspaces:
-        if eig.values == target:
-            return [dict(v) for v in eig.space.basis]
-    raise MultiPrimeMismatch(
-        f"no left eigenspace with eigenvalues {target} mod {space.field.p}"
-    )
+    basis = joint_kernel(ops, target).basis
+    if not basis:
+        raise MultiPrimeMismatch(
+            f"no left eigenspace with eigenvalues {target} mod {space.field.p}"
+        )
+    return list(basis)
 
 
 def _pair(vec_u: dict[int, int], vec_w: dict[int, int], p: int) -> int:
@@ -915,10 +936,6 @@ def space_summary(space: ManinBasisSpace) -> dict:
     }
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def eigensystems_csv(systems: Iterable[EigenSystem]) -> str:
     """CSV export, one row per (system, prime)."""
     buf = io.StringIO()
@@ -926,5 +943,5 @@ def eigensystems_csv(systems: Iterable[EigenSystem]) -> str:
     writer.writerow(["level", "weight", "dim", "prime", "eigenvalue"])
     for sys_ in systems:
         for l in sorted(sys_.eigenvalues):
-            writer.writerow([sys_.level, sys_.weight, sys_.dim, l, _frac_str(sys_.eigenvalues[l])])
+            writer.writerow([sys_.level, sys_.weight, sys_.dim, l, frac_str(sys_.eigenvalues[l])])
     return buf.getvalue()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from heckeledger.cli import main
 
 SL3_TEXT = "level,prime,gamma,gamma_prime\n11,2,0,0\n11,3,1/2,-3\n"
@@ -140,6 +142,22 @@ def test_ledger_compare_roundtrip(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["mismatched"] == []
     assert len(summary["matched"]) == len(families)
+
+
+@pytest.mark.parametrize("tscale", ["abc", "1/0"])
+def test_ledger_bad_tscale_is_usage_error(tmp_path, capsys, monkeypatch, tscale):
+    # Rejected before any report is built.
+    def no_report(*args, **kwargs):
+        raise AssertionError("build_report ran before --tscale was checked")
+
+    monkeypatch.setattr("heckeledger.cli.build_report", no_report)
+    ext = tmp_path / "external.json"
+    ext.write_text(json.dumps({"families": []}), encoding="utf-8")
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2",
+                         "--compare", str(ext), "--tscale", tscale)
+    assert code == 2
+    assert "--tscale" in err
+    assert out == ""
 
 
 def test_ledger_composite_level_rejected(capsys):

@@ -15,6 +15,7 @@ from heckeledger.exactlin import (
     charpoly,
     distinct_roots,
     echelonize,
+    joint_kernel,
     next_field_prime,
     rank_and_kernel,
     rational_reconstruct,
@@ -208,6 +209,17 @@ def test_split_simultaneous_pair():
                 got_vec = op.matvec(v)
                 want = {k: (lam * x) % P for k, x in v.items() if (lam * x) % P}
                 assert got_vec == want
+
+
+def test_joint_kernel_matches_split_and_respects_extra():
+    a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
+    for e in split_eigenspaces([a, b]).eigenspaces:
+        assert joint_kernel([a, b], e.values).basis == e.space.basis
+    assert joint_kernel([a, b], (1, 7)).dim == 0
+    # The extra row x0 = 0 cuts the (1, 5) plane down to a line.
+    cut = dense([[1, 0, 0, 0]])
+    assert joint_kernel([a, b], (1, 5), extra=[cut]).basis == ({1: 1},)
 
 
 def test_split_reports_jordan_block_separately():

@@ -4,14 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from heckeledger.exactlin import FieldMatrix, restrict_operator
+from heckeledger.exactlin import (
+    FieldMatrix,
+    NoReconstruction,
+    rational_reconstruct,
+    restrict_operator,
+    split_eigenspaces,
+)
 from heckeledger.modsym import (
+    RECONSTRUCT_BOUND,
     BadPrime,
     Cusp,
     HomogeneousPoly,
     ModularSymbol,
+    MultiPrimeMismatch,
     ProjectiveLine,
     UnsupportedWeight,
+    _left_eigenbasis,
     build_space,
     cuspidal_coverage,
     determinant,
@@ -461,6 +470,88 @@ def test_two_prime_consistency_is_exercised():
     assert twin.field.p != space.field.p
     assert twin.dim == space.dim
     assert twin.partner() is space
+
+
+def _shift_partner_t2(space):
+    """Replace the partner prime's T_2 by T_2 + I, so the primes disagree."""
+    twin = space.partner()
+    shifted = twin.hecke_matrix(2).add_scaled(FieldMatrix.identity(twin.field, twin.dim), 1)
+    twin._hecke_cache[2] = shifted
+
+
+def test_partner_disagreement_confirms_nothing():
+    space = build_space(11, 1)
+    _shift_partner_t2(space)
+    cov = cuspidal_coverage(space, [2, 3])
+    assert cov.systems == []
+    assert cov.unresolved_dim == cov.cuspidal_dim == 2
+
+
+def test_winding_partner_disagreement_raises():
+    space = build_space(13, 3)
+    (system,) = cuspidal_coverage(space, [2]).systems
+    _shift_partner_t2(space)
+    with pytest.raises(MultiPrimeMismatch):
+        winding_pairing(space, system)
+
+
+# -- reference: the full split at both primes --------------------------------
+#
+# The census splits only at the primary prime and confirms each rational
+# candidate at the partner prime by one joint kernel; the winding pairing
+# takes its left eigenbasis as a joint kernel too.  The references below
+# split everything instead, using public exactlin calls only.
+
+
+def _reference_coverage(space, primes):
+    """Split the cuspidal family at both primes and intersect the censuses."""
+    censuses = []
+    for sp in (space, space.partner()):
+        ops = [restrict_operator(hecke_operator(sp, l), sp.cuspidal_subspace) for l in primes]
+        census = set()
+        for eig in split_eigenspaces(ops).eigenspaces:
+            try:
+                fracs = tuple(
+                    rational_reconstruct(v, RECONSTRUCT_BOUND, sp.field) for v in eig.values
+                )
+            except NoReconstruction:
+                continue
+            census.add((fracs, eig.space.dim))
+        censuses.append(census)
+    return sorted(censuses[0] & censuses[1])
+
+
+def _reference_left_eigenbases(space, primes):
+    """Split the transposed ambient family: eigenvalue tuple -> basis."""
+    ops = [hecke_operator(space, l).transpose() for l in primes]
+    return {
+        eig.values: [dict(v) for v in eig.space.basis]
+        for eig in split_eigenspaces(ops).eigenspaces
+    }
+
+
+@pytest.mark.parametrize("level", [11, 13, 37, 89])
+@pytest.mark.parametrize("k", [1, 3])
+def test_coverage_matches_split_reference(level, k):
+    primes = [2, 3]
+    space = build_space(level, k)
+    cov = cuspidal_coverage(space, primes)
+    got = [(s.tuple_at(primes), s.dim) for s in cov.systems]
+    assert got == _reference_coverage(space, primes)
+    assert cov.unresolved_dim == space.cuspidal_dim - sum(dim for _, dim in got)
+
+
+@pytest.mark.parametrize("level", [13, 89])
+def test_left_eigenbasis_matches_split_reference(level):
+    primes = [2, 3]
+    space = build_space(level, 3)
+    systems = cuspidal_coverage(space, primes).systems
+    assert systems
+    for sp in (space, space.partner()):
+        reference = _reference_left_eigenbases(sp, primes)
+        for system in systems:
+            target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
+            assert _left_eigenbasis(sp, primes, target, 1) == reference[target]
 
 
 # -- winding pairing ---------------------------------------------------------
