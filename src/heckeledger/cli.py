@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
 
-from .exactlin import FieldContext, NonCommuting, NotInvariant, frac_str
+from .exactlin import FieldContext, NonCommuting, NotInvariant, _is_prime, frac_str
 from .ledger import (
     FormatError,
     build_report,
@@ -156,10 +156,12 @@ def cmd_modsym(args) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in text.split(".."))
     except ValueError as exc:
         raise UsageError(f"bad --range value {text!r}, expected like 2..100") from exc
+    if lo > hi:
+        raise UsageError(f"bad --range value {text!r}, its start exceeds its end")
+    return lo, hi
 
 
 def cmd_paramodular(args) -> int:
@@ -172,10 +174,10 @@ def cmd_paramodular(args) -> int:
         ps = [args.prime]
     else:
         lo, hi = _parse_range(args.range)
-        ps = [p for p in range(max(lo, 2), hi + 1) if _is_prime_small(p)]
+        ps = [p for p in range(max(lo, 2), hi + 1) if _is_prime(p)]
     rows = []
     for p in ps:
-        if not _is_prime_small(p):
+        if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
         dims = complement_dims(p, gritsenko.get(p) if gritsenko else None)
         rows.append(dims)
@@ -199,17 +201,6 @@ def cmd_paramodular(args) -> int:
             ng = "" if d.dim_nonGritsenko is None else d.dim_nonGritsenko
             sys.stdout.write(f"{d.p},{d.dim_S3},{g},{ng}\n")
     return 0
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

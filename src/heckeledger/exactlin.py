@@ -8,17 +8,21 @@ identical inputs give bit-identical outputs.
 
 The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (a list of sparse vectors).  On top of those sit
-reduced row echelon form with optional row-operation logging, rank and
-kernel, joint kernels of shifted operators (the eigenvectors for a
-known eigenvalue tuple), restriction of an operator to an invariant
-subspace, simultaneous eigenspace splitting of a commuting family, and
-rational reconstruction of field elements.
+reduced row echelon form, rank and kernel, joint kernels of shifted
+operators (the eigenvectors for a known eigenvalue tuple), restriction
+of an operator to an invariant subspace, simultaneous eigenspace
+splitting of a commuting family, and rational reconstruction of field
+elements.  Matrix products and polynomial arithmetic mod p run on
+packed-integer (Kronecker) kernels: a row or a coefficient list becomes
+one Python int with fixed-width slots, so one big-int product does a
+whole row's worth of multiply-adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -42,7 +46,6 @@ __all__ = [
     "charpoly",
     "distinct_roots",
     "next_field_prime",
-    "replay_log",
     "write_matrix_text",
     "read_matrix_text",
 ]
@@ -159,15 +162,50 @@ class FieldContext:
         return cls(primary, secondary)
 
 
+# ---------------------------------------------------------------------------
+# Packed-integer (Kronecker) kernels.  A vector of field elements becomes
+# one nonnegative int with fixed-width little-endian slots, so a single
+# big-int product or multiply-add does a whole vector's worth of field
+# multiply-adds in C.  Slots are wide enough that no sum carries into
+# the next slot; each slot is reduced mod p once, on unpacking.
+
+
+def _slot_bytes(p: int, terms: int) -> int:
+    """Slot width, in whole bytes, that holds a sum of `terms` products of
+    two elements of [0, p) with a spare bit."""
+    return (2 * p.bit_length() + terms.bit_length() + 1 + 7) // 8
+
+
+def _pack(values: Sequence[int], nb: int) -> int:
+    """Elements of [0, p) as the nb-byte slots of one int, first lowest."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+
+
+def _unpack(x: int, count: int, nb: int, p: int) -> list[int]:
+    """The `count` slots of x, each reduced mod p; x must fit in them."""
+    data = x.to_bytes(count * nb, "little")
+    return [int.from_bytes(data[i:i + nb], "little") % p for i in range(0, count * nb, nb)]
+
+
+def _dense_row(row: dict[int, int], n: int) -> list[int]:
+    out = [0] * n
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
+# Fraction of populated cells beyond which elimination and the right
+# factor of a product switch to a dense working representation.
+DENSE_THRESHOLD = 0.20
+
+
 class FieldMatrix:
     """Sparse matrix over a PrimeField, rows stored as {col: value} dicts.
 
-    No stored value is zero.  `basis_log`, when present, is the list of
-    row operations that turns the matrix this one was derived from into
-    this one; see :func:`replay_log`.
+    No stored value is zero.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "basis_log")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(
         self,
@@ -175,7 +213,6 @@ class FieldMatrix:
         nrows: int,
         ncols: int,
         rows: Optional[list[dict[int, int]]] = None,
-        basis_log: Optional[list[tuple]] = None,
     ):
         self.field = field
         self.nrows = nrows
@@ -183,7 +220,6 @@ class FieldMatrix:
         if rows is None:
             rows = [dict() for _ in range(nrows)]
         self.rows = rows
-        self.basis_log = basis_log
 
     # -- construction -------------------------------------------------
 
@@ -300,16 +336,34 @@ class FieldMatrix:
         return out
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
+        """self * other.
+
+        When `other` is denser than DENSE_THRESHOLD, each of its rows is
+        packed into one int (see :func:`_pack`) and output row i is
+        sum_j a_ij * packed_j, unpacked and reduced: one big-int
+        multiply-add per stored entry of self.  A sparser `other` is
+        multiplied entry by entry, which never touches its empty slots.
+        """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         p = self.field.p
         out_rows: list[dict[int, int]] = []
+        if other.density <= DENSE_THRESHOLD:
+            for row in self.rows:
+                acc: dict[int, int] = {}
+                for j, v in row.items():
+                    for k, w in other.rows[j].items():
+                        acc[k] = acc.get(k, 0) + v * w
+                out_rows.append({k: r for k, w in acc.items() if (r := w % p)})
+            return FieldMatrix(self.field, self.nrows, other.ncols, out_rows)
+        k = other.ncols
+        nb = _slot_bytes(p, max((len(r) for r in self.rows), default=0))
+        packed = [_pack(_dense_row(r, k), nb) if r else 0 for r in other.rows]
         for row in self.rows:
-            acc: dict[int, int] = {}
-            for j, v in row.items():
-                for k, w in other.rows[j].items():
-                    acc[k] = acc.get(k, 0) + v * w
-            out_rows.append({k: r for k, w in acc.items() if (r := w % p)})
+            acc = sum(map(mul, row.values(), map(packed.__getitem__, row)))
+            out_rows.append(
+                {c: r for c, r in enumerate(_unpack(acc, k, nb, p)) if r} if acc else {}
+            )
         return FieldMatrix(self.field, self.nrows, other.ncols, out_rows)
 
     def add_scaled(self, other: "FieldMatrix", c: int) -> "FieldMatrix":
@@ -358,11 +412,6 @@ class FieldMatrix:
         return FieldMatrix(self.field, self.nrows, self.ncols + other.ncols, rows)
 
 
-# Fraction of populated cells beyond which elimination switches to a
-# dense working representation.
-DENSE_THRESHOLD = 0.20
-
-
 @dataclass
 class EchelonForm:
     """Reduced row echelon form plus pivot bookkeeping."""
@@ -375,15 +424,11 @@ class EchelonForm:
         return len(self.pivots)
 
 
-def _echelon_sparse(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
+def _echelon_sparse(m: FieldMatrix) -> EchelonForm:
     p = m.field.p
     rows = [dict(r) for r in m.rows]
     pivot_of_col: dict[int, int] = {}
     free = set(range(m.nrows))
-
-    def record(op):
-        if log is not None:
-            log.append(op)
 
     for col in range(m.ncols):
         # Sparsest candidate row, lowest index on ties: cheap fill-in
@@ -401,7 +446,6 @@ def _echelon_sparse(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
         inv = pow(rows[piv][col], -1, p)
         if inv != 1:
             rows[piv] = {j: v * inv % p for j, v in rows[piv].items()}
-            record(("scale", piv, inv))
         prow = rows[piv]
         for i in range(m.nrows):
             if i == piv:
@@ -417,7 +461,6 @@ def _echelon_sparse(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
                     tgt[j] = x
                 else:
                     tgt.pop(j, None)
-            record(("axpy", i, piv, c))
         pivot_of_col[col] = piv
 
     # Order the pivot rows by pivot column, zero rows last.
@@ -429,20 +472,15 @@ def _echelon_sparse(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
         if k != slot:
             rows[slot], rows[k] = rows[k], rows[slot]
             current[slot], current[k] = current[k], current[slot]
-            record(("swap", slot, k))
-    out = FieldMatrix(m.field, m.nrows, m.ncols, rows, basis_log=log)
+    out = FieldMatrix(m.field, m.nrows, m.ncols, rows)
     return EchelonForm(out, sorted(pivot_of_col))
 
 
-def _echelon_dense(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
+def _echelon_dense(m: FieldMatrix) -> EchelonForm:
     p = m.field.p
     rows = [[r.get(j, 0) for j in range(m.ncols)] for r in m.rows]
     pivots: list[int] = []
     rank = 0
-
-    def record(op):
-        if log is not None:
-            log.append(op)
 
     for col in range(m.ncols):
         piv = None
@@ -454,11 +492,9 @@ def _echelon_dense(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            record(("swap", rank, piv))
         inv = pow(rows[rank][col], -1, p)
         if inv != 1:
             rows[rank] = [v * inv % p for v in rows[rank]]
-            record(("scale", rank, inv))
         prow = rows[rank]
         for i in range(m.nrows):
             if i == rank or not rows[i][col]:
@@ -468,54 +504,25 @@ def _echelon_dense(m: FieldMatrix, log: Optional[list]) -> EchelonForm:
             for j in range(col, m.ncols):
                 if prow[j]:
                     tgt[j] = (tgt[j] + c * prow[j]) % p
-            record(("axpy", i, rank, c))
         pivots.append(col)
         rank += 1
 
     sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-    out = FieldMatrix(m.field, m.nrows, m.ncols, sparse_rows, basis_log=log)
+    out = FieldMatrix(m.field, m.nrows, m.ncols, sparse_rows)
     return EchelonForm(out, pivots)
 
 
-def echelonize(m: FieldMatrix, track: bool = False) -> EchelonForm:
+def echelonize(m: FieldMatrix) -> EchelonForm:
     """Reduced row echelon form of a copy of m.
 
     Pivot columns are the leftmost independent columns, so the pivot
     set depends only on the row space; this keeps quotient bases stable
     when the same integer matrix is reduced modulo two different
-    primes.  With track=True the result carries a basis_log whose
-    replay (see :func:`replay_log`) maps m to the echelon form exactly.
+    primes.
     """
-    log: Optional[list] = [] if track else None
     if m.density > DENSE_THRESHOLD:
-        return _echelon_dense(m, log)
-    return _echelon_sparse(m, log)
-
-
-def replay_log(original: FieldMatrix, log: Sequence[tuple]) -> FieldMatrix:
-    """Re-apply a recorded row-operation log to a fresh copy of original."""
-    p = original.field.p
-    rows = [dict(r) for r in original.rows]
-    for op in log:
-        kind = op[0]
-        if kind == "swap":
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        elif kind == "scale":
-            _, i, c = op
-            rows[i] = {j: v * c % p for j, v in rows[i].items()}
-        elif kind == "axpy":
-            _, i, j, c = op
-            tgt = rows[i]
-            for k, w in rows[j].items():
-                x = (tgt.get(k, 0) + c * w) % p
-                if x:
-                    tgt[k] = x
-                else:
-                    tgt.pop(k, None)
-        else:
-            raise ValueError(f"unknown row operation {op!r}")
-    return FieldMatrix(original.field, original.nrows, original.ncols, rows)
+        return _echelon_dense(m)
+    return _echelon_sparse(m)
 
 
 @dataclass(frozen=True)
@@ -657,15 +664,12 @@ def poly_trim(f: list[int]) -> list[int]:
 
 
 def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
+    """f * g mod p by Kronecker substitution: one packed product."""
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return poly_trim(out)
+    nb = _slot_bytes(p, min(len(f), len(g)))
+    prod = _pack([a % p for a in f], nb) * _pack([b % p for b in g], nb)
+    return poly_trim(_unpack(prod, len(f) + len(g) - 1, nb, p))
 
 
 def poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
@@ -703,14 +707,56 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return f
 
 
+def _series_inverse(h: list[int], n: int, p: int) -> list[int]:
+    """h^-1 mod x^n, for h[0] invertible mod p."""
+    inv0 = pow(h[0], -1, p)
+    g = [inv0] if n > 0 else []
+    for i in range(1, n):
+        g.append(-sum(map(mul, h[1:i + 1], g[::-1])) * inv0 % p)
+    return g
+
+
 def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = poly_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(poly_mul(result, base, p), mod, p)[1]
-        base = poly_divmod(poly_mul(base, base, p), mod, p)[1]
-        e >>= 1
+    """base**e modulo the polynomial `mod`, coefficients mod p.
+
+    Left-to-right square-and-multiply with division-free reduction (von
+    zur Gathen and Gerhard, Modern Computer Algebra, 9.1).  With
+    d = deg mod and inv = rev(mod)^-1 mod x^(d-1), computed once, a
+    product a of degree m < 2d-1 has the quotient
+    q = rev(rev(a) * inv mod x^(m-d+1)), so each step is three packed
+    products: a itself, q, and q * mod.  For a linear base, the usual
+    case, the multiply step's products are all short.
+    """
+    if e == 0:
+        return [1]
+    mod = poly_trim([c % p for c in mod])
+    base = poly_divmod(poly_trim([c % p for c in base]), mod, p)[1]
+    d = len(mod) - 1
+    nb = _slot_bytes(p, max(d, 1))
+    inv = _pack(_series_inverse(mod[::-1], d - 1, p), nb)
+    low = _pack(mod[:d], nb)
+    rmask = (1 << (8 * nb * d)) - 1
+
+    def reduce(x: int, n: int) -> list[int]:
+        """The remainder mod `mod` of the packed product x with n slots."""
+        c = _unpack(x, n, nb, p)
+        if n <= d:
+            return poly_trim(c)
+        k = n - d  # quotient length
+        top = _pack(c[:d - 1:-1], nb)  # rev(a) mod x^k: c[n-1], ..., c[d]
+        q = _unpack(top * inv & ((1 << (8 * nb * k)) - 1), k, nb, p)[::-1]
+        t = _unpack(_pack(q, nb) * low & rmask, d, nb, p)
+        return poly_trim([(a - b) % p for a, b in zip(c, t)])
+
+    packed_base = _pack(base, nb)
+    result = base
+    for bit in bin(e)[3:]:
+        if not result:
+            break
+        packed = _pack(result, nb)
+        result = reduce(packed * packed, 2 * len(result) - 1)
+        if bit == "1" and result:
+            result = reduce(_pack(result, nb) * packed_base, len(result) + len(base) - 1)
     return result
 
 
@@ -718,7 +764,8 @@ def charpoly(m: FieldMatrix) -> list[int]:
     """Characteristic polynomial det(xI - m), low degree first, monic.
 
     Reduces to Hessenberg form by similarity transforms, then expands
-    along the last column of each leading block.  O(n^3) field ops.
+    along the last column of each leading block.  O(n^3) field ops,
+    done as whole-row list operations and packed multiply-adds.
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -726,32 +773,39 @@ def charpoly(m: FieldMatrix) -> list[int]:
     p = m.field.p
     if n == 0:
         return [1]
-    h = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    h = [_dense_row(row, n) for row in m.rows]
     for col in range(n - 2):
-        piv = None
-        for i in range(col + 1, n):
-            if h[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(col + 1, n) if h[i][col]), None)
         if piv is None:
             continue
         if piv != col + 1:
             h[col + 1], h[piv] = h[piv], h[col + 1]
-            for i in range(n):
-                h[i][col + 1], h[i][piv] = h[i][piv], h[i][col + 1]
-        inv = pow(h[col + 1][col], -1, p)
-        for i in range(col + 2, n):
-            f = h[i][col] * inv % p
-            if not f:
-                continue
-            for j in range(col, n):
-                h[i][j] = (h[i][j] - f * h[col + 1][j]) % p
-            for j in range(n):
-                h[j][col + 1] = (h[j][col + 1] + f * h[j][i]) % p
-    # charpoly of the leading k x k Hessenberg blocks by recurrence
-    polys: list[list[int]] = [[1]]
+            for row in h:
+                row[col + 1], row[piv] = row[piv], row[col + 1]
+        prow = h[col + 1]
+        inv = pow(prow[col], -1, p)
+        tail = prow[col:]
+        factors = []
+        for row in h[col + 2:]:
+            f = row[col] * inv % p
+            factors.append(f)
+            if f:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        # The elimination's inverse on the right: column col+1 gains
+        # f_i times column i.  The row operations share the pivot row
+        # col+1, which none of them changes, so they commute and can all
+        # go first.
+        if any(factors):
+            for row in h:
+                row[col + 1] = (row[col + 1] + sum(map(mul, factors, row[col + 2:]))) % p
+    # charpoly of the leading k x k Hessenberg blocks by recurrence, each
+    # kept packed so that the sum along the last column is one big-int
+    # multiply-add per term
+    nb = _slot_bytes(p, n + 1)
+    packed = [1]
     for k in range(1, n + 1):
-        term = poly_mul(polys[k - 1], [(-h[k - 1][k - 1]) % p, 1], p)
+        prev = packed[k - 1]
+        acc = (prev << (8 * nb)) + (-h[k - 1][k - 1]) % p * prev
         run = 1
         for i in range(k - 2, -1, -1):
             run = run * h[i + 1][i] % p
@@ -759,9 +813,10 @@ def charpoly(m: FieldMatrix) -> list[int]:
                 break
             c = h[i][k - 1] * run % p
             if c:
-                term = poly_sub(term, [x * c % p for x in polys[i]], p)
-        polys.append(term)
-    return polys[n]
+                acc += (p - c) * packed[i]
+        coeffs = _unpack(acc, k + 1, nb, p)
+        packed.append(_pack(coeffs, nb))
+    return coeffs
 
 
 def distinct_roots(f: list[int], p: int) -> list[int]:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .exactlin import _is_prime
+
 __all__ = [
     "KroneckerSymbol",
     "ParamodularDims",
@@ -64,20 +66,9 @@ def kronecker_reciprocity(a: int, p: int) -> int:
         a, b = b, a
 
 
-def _small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def kronecker(a: int, p: int) -> int:
     """The Kronecker symbol (a/p) for an odd prime p."""
-    if p == 2 or not _small_prime(p):
+    if p == 2 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return kronecker_euler(a, p)
 
@@ -116,7 +107,7 @@ def dim_S3(p: int) -> int:
     integer; NonIntegralResult flags the implementation bug (or a
     misread formula) if they ever do not.
     """
-    if not _small_prime(p):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p in (2, 3):
         return 0
@@ -182,7 +173,7 @@ def load_gritsenko_csv(text: str) -> dict[int, int]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected `p,dim_gritsenko`, got {raw!r}")
         p, g = int(parts[0]), int(parts[1])
-        if not _small_prime(p):
+        if not _is_prime(p):
             raise ValueError(f"line {lineno}: {p} is not prime")
         complement_dims(p, g)  # raises GritsenkoExceedsTotal on bad data
         out[p] = g

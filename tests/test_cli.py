@@ -90,6 +90,14 @@ def test_paramodular_range_sweep(capsys):
     assert again == out
 
 
+@pytest.mark.parametrize("text", ["10..2", "3..2", "2..x", "2..5..7"])
+def test_paramodular_bad_range_is_usage_error(capsys, text):
+    code, out, err = run(capsys, "paramodular", "--range", text)
+    assert code == 2
+    assert "--range" in err
+    assert out == ""
+
+
 def test_paramodular_rejects_composite(capsys):
     code, out, err = run(capsys, "paramodular", "--prime", "4")
     assert code == 2

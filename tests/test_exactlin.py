@@ -1,8 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from heckeledger import exactlin
 from heckeledger.exactlin import (
     DEFAULT_PRIME,
     FieldContext,
@@ -20,7 +22,6 @@ from heckeledger.exactlin import (
     rank_and_kernel,
     rational_reconstruct,
     read_matrix_text,
-    replay_log,
     restrict_operator,
     split_eigenspaces,
     write_matrix_text,
@@ -132,21 +133,9 @@ def test_dense_and_sparse_paths_agree():
     # Force the sparse path on the same matrix by calling the internals.
     from heckeledger.exactlin import _echelon_sparse
 
-    sparse_ech = _echelon_sparse(m, None)
+    sparse_ech = _echelon_sparse(m)
     assert dense_ech.matrix == sparse_ech.matrix
     assert dense_ech.pivots == sparse_ech.pivots
-
-
-def test_basis_log_replays_exactly():
-    rng = random.Random(5)
-    for nnz in (12, 40):  # below and above the dense threshold
-        m = FieldMatrix.zero(F, 8, 11)
-        for _ in range(nnz):
-            m.add_at(rng.randrange(8), rng.randrange(11), rng.randrange(P))
-        ech = echelonize(m, track=True)
-        assert ech.matrix.basis_log is not None
-        replayed = replay_log(m, ech.matrix.basis_log)
-        assert replayed.rows == ech.matrix.rows
 
 
 # -- restriction ------------------------------------------------------------
@@ -301,6 +290,215 @@ def test_charpoly_cayley_hamilton():
             acc = acc.add_scaled(power, c)
             power = power.matmul(m)
         assert acc.is_zero()
+
+
+# -- packed kernels against schoolbook references ---------------------------
+#
+# The package multiplies matrices and polynomials through packed-integer
+# (Kronecker) kernels whose slot width depends on p.  The references
+# below are schoolbook: entry-by-entry matrix products, convolution one
+# coefficient at a time, long division, and the Hessenberg routine that
+# updates one entry at a time.  They run at the default prime, its
+# partner and a prime above 2**89, whose elements do not fit in 64 bits.
+
+KERNEL_PRIMES = (
+    DEFAULT_PRIME,
+    FieldContext.default().secondary.p,
+    next_field_prime(2**89),
+)
+
+
+def ref_matmul(a, b):
+    p = a.field.p
+    rows = []
+    for row in a.rows:
+        acc = {}
+        for j, v in row.items():
+            for k, w in b.rows[j].items():
+                acc[k] = acc.get(k, 0) + v * w
+        rows.append({k: r for k, x in acc.items() if (r := x % p)})
+    return rows
+
+
+def ref_trim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def ref_poly_mul(f, g, p):
+    """Schoolbook product: coefficient k is sum_i f[i] * g[k - i]."""
+    if not f or not g:
+        return []
+    rg = g[::-1]
+    out = []
+    for k in range(len(f) + len(g) - 1):
+        lo = max(0, k - len(g) + 1)
+        out.append(sum(map(operator.mul, f[lo:k + 1], rg[len(g) - 1 - k + lo:])) % p)
+    return ref_trim(out)
+
+
+def ref_poly_rem(f, g, p):
+    """Long division, leading term first, reducing mod p only the
+    coefficient each step divides by."""
+    f = list(f)
+    n = len(g)
+    inv = pow(g[-1], -1, p)
+    for d in range(len(f) - n, -1, -1):
+        c = f[d + n - 1] % p * inv % p
+        f[d:d + n] = [a - c * b for a, b in zip(f[d:d + n], g)]
+    return ref_trim([c % p for c in f[:n - 1]])
+
+
+def ref_poly_powmod(base, e, mod, p):
+    """Square-and-multiply from the top bit.  A product, of degree at
+    most 2d - 2 for d = deg mod, is reduced through a table of
+    x^i mod `mod` for d <= i <= 2d - 2, each row one long-division step
+    from the row before."""
+    d = len(mod) - 1
+    table = [ref_poly_rem([0] * d + [1], mod, p)]
+    while len(table) < d - 1:
+        table.append(ref_poly_rem([0] + table[-1], mod, p))
+    cols = [[row[j] if j < len(row) else 0 for row in table] for j in range(d)]
+
+    def rem(a):
+        if len(a) <= d:
+            return ref_trim(a)
+        hi = a[d:]
+        return ref_trim([(a[j] + sum(map(operator.mul, hi, cols[j]))) % p for j in range(d)])
+
+    base = ref_poly_rem(base, mod, p)
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = rem(ref_poly_mul(result, result, p))
+        if bit == "1":
+            result = rem(ref_poly_mul(result, base, p))
+    return result
+
+
+def ref_charpoly(m):
+    """The per-entry Hessenberg reduction and expansion."""
+    n, p = m.nrows, m.field.p
+    if n == 0:
+        return [1]
+    h = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    for col in range(n - 2):
+        piv = None
+        for i in range(col + 1, n):
+            if h[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != col + 1:
+            h[col + 1], h[piv] = h[piv], h[col + 1]
+            for i in range(n):
+                h[i][col + 1], h[i][piv] = h[i][piv], h[i][col + 1]
+        inv = pow(h[col + 1][col], -1, p)
+        for i in range(col + 2, n):
+            f = h[i][col] * inv % p
+            if not f:
+                continue
+            for j in range(col, n):
+                h[i][j] = (h[i][j] - f * h[col + 1][j]) % p
+            for j in range(n):
+                h[j][col + 1] = (h[j][col + 1] + f * h[j][i]) % p
+    polys = [[1]]
+    for k in range(1, n + 1):
+        term = ref_poly_mul(polys[k - 1], [(-h[k - 1][k - 1]) % p, 1], p)
+        run = 1
+        for i in range(k - 2, -1, -1):
+            run = run * h[i + 1][i] % p
+            if not run:
+                break
+            c = h[i][k - 1] * run % p
+            if c:
+                sub = [x * c % p for x in polys[i]]
+                sub += [0] * (len(term) - len(sub))
+                term = ref_trim([(a - b) % p for a, b in zip(term, sub)])
+        polys.append(term)
+    return polys[n]
+
+
+def random_matrix(fld, rng, nrows, ncols, density):
+    return FieldMatrix.from_entries(
+        fld, nrows, ncols,
+        [(i, j, rng.randrange(fld.p)) for i in range(nrows) for j in range(ncols)
+         if rng.random() < density],
+    )
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_matmul_matches_reference(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 1000)
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1),
+              (4, 7, 3), (7, 4, 9), (12, 12, 12), (30, 25, 40)]
+    for density in (0.0, 0.1, 0.5, 1.0):
+        for n, m, k in shapes:
+            a = random_matrix(fld, rng, n, m, density)
+            b = random_matrix(fld, rng, m, k, density)
+            if n:
+                a.rows[0] = {}  # an empty row among full ones
+            got = a.matmul(b)
+            assert (got.nrows, got.ncols) == (n, k)
+            assert got.rows == ref_matmul(a, b)
+    # The largest possible entries, in every slot of a long full row.
+    top = FieldMatrix.from_dense(fld, [[p - 1] * 50 for _ in range(50)])
+    assert top.matmul(top).rows == ref_matmul(top, top)
+    with pytest.raises(ValueError):
+        top.matmul(FieldMatrix.zero(fld, 49, 2))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_poly_mul_matches_reference(p):
+    rng = random.Random(p % 997)
+    cases = [([], []), ([], [1, 2]), ([3], []), ([5], [7]), ([p - 1], [p - 1, 0, 2]),
+             ([p - 1] * 40, [p - 1] * 33)]
+    for la, lb in ((1, 9), (9, 1), (17, 64), (120, 119)):
+        cases.append(([rng.randrange(p) for _ in range(la)],
+                      [rng.randrange(p) for _ in range(lb)]))
+    for f, g in cases:
+        assert exactlin.poly_mul(f, g, p) == ref_poly_mul(f, g, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_poly_powmod_matches_reference(p):
+    rng = random.Random(p % 991)
+    for degree in (1, 2, 30, 120):
+        mod = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+        x, x_plus_t = [0, 1], [rng.randrange(p), 1]
+        long_base = [rng.randrange(p) for _ in range(degree + 3)]
+        cases = [(base, e) for base in (x, x_plus_t, long_base) for e in (0, 1, 2)]
+        # The root finder's calls: x^p and (x + t)^((p-1)/2).  A long
+        # base at the large exponents too, except at degree 120 where
+        # the reference takes seconds.
+        cases += [(x, p), (x_plus_t, (p - 1) // 2)]
+        if degree < 120:
+            cases += [(long_base, p), (long_base, (p - 1) // 2)]
+        for base, e in cases:
+            got = exactlin.poly_powmod(base, e, mod, p)
+            assert got == ref_poly_powmod(base, e, mod, p), (degree, base, e)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_charpoly_matches_reference(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 983)
+    mats = [FieldMatrix.zero(fld, 0, 0), FieldMatrix.zero(fld, 5, 5),
+            FieldMatrix.identity(fld, 6),
+            FieldMatrix.from_dense(fld, [[p - 1] * 30 for _ in range(30)])]
+    for n in (1, 2, 3, 8, 25, 40):
+        for density in (0.15, 0.5, 1.0):
+            mats.append(random_matrix(fld, rng, n, n, density))
+    # Zero first column below the diagonal, then a pivot two rows down:
+    # the reduction must skip a column and swap.
+    mats.append(FieldMatrix.from_dense(
+        fld, [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
+    mats.append(FieldMatrix.from_dense(
+        fld, [[1, 2, 3, 4], [5, 0, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
+    for m in mats:
+        assert charpoly(m) == ref_charpoly(m)
 
 
 # -- rational reconstruction ------------------------------------------------
