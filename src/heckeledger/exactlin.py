@@ -664,11 +664,13 @@ def poly_trim(f: list[int]) -> list[int]:
 
 
 def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    """f * g mod p by Kronecker substitution: one packed product."""
+    """f * g mod p by Kronecker substitution: one packed product, a
+    squaring when f is g."""
     if not f or not g:
         return []
     nb = _slot_bytes(p, min(len(f), len(g)))
-    prod = _pack([a % p for a in f], nb) * _pack([b % p for b in g], nb)
+    pf = _pack([a % p for a in f], nb)
+    prod = pf * pf if f is g else pf * _pack([b % p for b in g], nb)
     return poly_trim(_unpack(prod, len(f) + len(g) - 1, nb, p))
 
 
@@ -724,39 +726,35 @@ def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     d = deg mod and inv = rev(mod)^-1 mod x^(d-1), computed once, a
     product a of degree m < 2d-1 has the quotient
     q = rev(rev(a) * inv mod x^(m-d+1)), so each step is three packed
-    products: a itself, q, and q * mod.  For a linear base, the usual
-    case, the multiply step's products are all short.
+    products: a itself (:func:`poly_mul`), q, and q * mod.  For a linear
+    base, the usual case, the multiply step's products are all short.
     """
     if e == 0:
         return [1]
     mod = poly_trim([c % p for c in mod])
     base = poly_divmod(poly_trim([c % p for c in base]), mod, p)[1]
     d = len(mod) - 1
-    nb = _slot_bytes(p, max(d, 1))
+    nb = _slot_bytes(p, d)
     inv = _pack(_series_inverse(mod[::-1], d - 1, p), nb)
     low = _pack(mod[:d], nb)
     rmask = (1 << (8 * nb * d)) - 1
 
-    def reduce(x: int, n: int) -> list[int]:
-        """The remainder mod `mod` of the packed product x with n slots."""
-        c = _unpack(x, n, nb, p)
+    def reduce(c: list[int]) -> list[int]:
+        """c mod `mod`, for c reduced mod p and of degree < 2d - 1."""
+        n = len(c)
         if n <= d:
-            return poly_trim(c)
+            return c
         k = n - d  # quotient length
-        top = _pack(c[:d - 1:-1], nb)  # rev(a) mod x^k: c[n-1], ..., c[d]
+        top = _pack(c[:d - 1:-1], nb)  # rev(c) mod x^k: c[n-1], ..., c[d]
         q = _unpack(top * inv & ((1 << (8 * nb * k)) - 1), k, nb, p)[::-1]
         t = _unpack(_pack(q, nb) * low & rmask, d, nb, p)
         return poly_trim([(a - b) % p for a, b in zip(c, t)])
 
-    packed_base = _pack(base, nb)
     result = base
     for bit in bin(e)[3:]:
-        if not result:
-            break
-        packed = _pack(result, nb)
-        result = reduce(packed * packed, 2 * len(result) - 1)
-        if bit == "1" and result:
-            result = reduce(_pack(result, nb) * packed_base, len(result) + len(base) - 1)
+        result = reduce(poly_mul(result, result, p))
+        if bit == "1":
+            result = reduce(poly_mul(result, base, p))
     return result
 
 
