@@ -636,12 +636,10 @@ def solve_in_basis(basis_mat: FieldMatrix, images: FieldMatrix) -> FieldMatrix:
     for c in ech.pivots:
         if c >= d:
             raise NotInvariant("image leaves the span of the subspace basis")
-    x = FieldMatrix.zero(basis_mat.field, d, images.ncols)
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
     for r, c in enumerate(ech.pivots):
-        for j, v in ech.matrix.rows[r].items():
-            if j >= d:
-                x.add_at(c, j - d, v)
-    return x
+        rows[c] = {j - d: v for j, v in ech.matrix.rows[r].items() if j >= d}
+    return FieldMatrix(basis_mat.field, d, images.ncols, rows)
 
 
 def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
@@ -684,9 +682,11 @@ def poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q g + r and deg r < deg g, both reduced mod p and trimmed."""
+    f = poly_trim([a % p for a in f])
+    g = poly_trim([b % p for b in g])
     if not g:
         raise ZeroDivisionError("poly division by zero")
-    f = list(f)
     q = [0] * max(0, len(f) - len(g) + 1)
     ginv = pow(g[-1], -1, p)
     while len(f) >= len(g) and f:
@@ -700,7 +700,8 @@ def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int
 
 
 def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = list(f), list(g)
+    f = poly_trim([a % p for a in f])
+    g = poly_trim([b % p for b in g])
     while g:
         f, g = g, poly_divmod(f, g, p)[1]
     if f:
@@ -732,7 +733,7 @@ def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     if e == 0:
         return [1]
     mod = poly_trim([c % p for c in mod])
-    base = poly_divmod(poly_trim([c % p for c in base]), mod, p)[1]
+    base = poly_divmod(base, mod, p)[1]
     d = len(mod) - 1
     nb = _slot_bytes(p, d)
     inv = _pack(_series_inverse(mod[::-1], d - 1, p), nb)

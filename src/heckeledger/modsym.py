@@ -3,9 +3,14 @@
 The cohomology H^1(Gamma0(N); E_k) is presented on Manin generators
 indexed by P^1(Z/N) x {monomials X^i Y^(k-1-i)}, modulo the orientation
 relation (from the order-4 element S) and the triangle relation (from
-the order-3 element).  Everything is computed over a large prime field;
-eigenvalues are lifted back to Q by rational reconstruction and are
-only reported when two independent primes agree.
+the order-3 element sigma).  The presentation is the two-term quotient
+first (each S pair of generators collapses to one representative, or
+to zero) followed by one set of three-term relations per sigma-orbit
+of P^1(Z/N), echelonized on the representatives; its free generators
+and their expressions are those of the full relation matrix.
+Everything is computed over a large prime field; eigenvalues are lifted
+back to Q by rational reconstruction and are only reported when two
+independent primes agree.
 
 Conventions, fixed once and used everywhere:
 
@@ -38,7 +43,6 @@ from .exactlin import (
     FieldMatrix,
     NoReconstruction,
     PrimeField,
-    Subspace,
     _is_prime,
     echelonize,
     frac_str,
@@ -375,11 +379,12 @@ class ProjectiveLine:
         elif _is_prime(level):
             pts = [(0, 1)] + [(1, d) for d in range(level)]
         else:
-            seen = set()
-            for c in range(level):
-                for d in range(level):
-                    if gcd(gcd(c, d), level) == 1:
-                        seen.add(self.reduce(c, d))
+            # Every point reduces to (g, v) with g = gcd(c, N) a proper
+            # divisor, and a canonical point is its own reduction.
+            seen = {(0, 1)}
+            for g in range(1, level):
+                if level % g == 0:
+                    seen.update(self.reduce(g, d) for d in range(level) if gcd(g, d) == 1)
             pts = list(seen)
         self.points: list[tuple[int, int]] = sorted(pts)
         self._index = {pt: i for i, pt in enumerate(self.points)}
@@ -505,24 +510,8 @@ class ManinBasisSpace:
             (i, j) for i in range(k) for j in range(npts)
         ]
 
-        self.relation_matrix = self._build_relations()
-        ech = echelonize(self.relation_matrix)
-        ngens = len(self.generators)
-        pivset = set(ech.pivots)
-        self.free_columns: list[int] = [j for j in range(ngens) if j not in pivset]
+        self.free_columns, self._pivot_expr = self._present()
         self._free_pos = {c: t for t, c in enumerate(self.free_columns)}
-        # pivot generator -> its expression on the free generators
-        expr: dict[int, dict[int, int]] = {}
-        p = field.p
-        for r, c in enumerate(ech.pivots):
-            row = ech.matrix.rows[r]
-            expr[c] = {
-                self._free_pos[j]: (p - v) % p for j, v in row.items() if j != c
-            }
-        self._pivot_expr = expr
-        self.quotient_basis = Subspace.from_vectors(
-            field, ngens, [{c: 1} for c in self.free_columns]
-        )
 
         self.cusp_classes: list[Cusp] = []
         self.boundary_matrix = self._build_boundary()
@@ -545,34 +534,96 @@ class ManinBasisSpace:
     def eisenstein_dim(self) -> int:
         return self.dim - self.cuspidal_dim
 
-    def _build_relations(self) -> FieldMatrix:
+    def _present(self) -> tuple[list[int], dict[int, dict[int, int]]]:
+        """Free generators, and every other generator on the free ones.
+
+        The S relation x_g + c x_h = 0 pairs the generator g = (i, j)
+        with h = (k-1-i, S.j), c = +-1.  The larger of g and h represents
+        both; a generator paired with itself survives only when c = -1,
+        and a pair whose two S rows differ (only at even k) is killed.
+        The triangle relations are then echelonized on the representatives,
+        k rows for one point j of each sigma-orbit {j, sigma.j, sigma^2.j}
+        of P^1, since the rows at the three points span the same space.
+        Reduced echelon form depends only on the row space and every
+        non-representative has a partner of larger index, so the free
+        generators and the expressions are those of the full relation
+        matrix: the greedy basis taken from the right.
+        """
         k = self.module.k
-        npts = len(self.p1)
+        p = self.field.p
+        p1 = self.p1
+        npts = len(p1)
         ngens = len(self.generators)
-        rel = FieldMatrix.zero(self.field, 2 * ngens, ngens)
         monos = self.module.monomials()
         s_img = [m.subst(0, -1, 1, 0) for m in monos]       # P(-Y, X)
         u_img = [m.subst(-1, -1, 1, 0) for m in monos]      # P(-X-Y, X)
         u2_img = [m.subst(0, 1, -1, -1) for m in monos]     # P(Y, -X-Y)
-        for j, (c, d) in enumerate(self.p1.points):
-            j_s = self.p1.index(d, -c)
-            j_u = self.p1.index(d - c, -c)
-            j_u2 = self.p1.index(-d, c - d)
+
+        # Two-term quotient: generator -> (representative, sign); the
+        # killed generators are absent.
+        s_pair: list[tuple[int, int]] = []
+        for i in range(k):
+            (m, cm), = [(m, cm) for m, cm in enumerate(s_img[i].coeffs) if cm]
+            for c, d in p1.points:
+                s_pair.append((m * npts + p1.index(d, -c), cm))
+        rep: dict[int, tuple[int, int]] = {}
+        for g, (h, c) in enumerate(s_pair):
+            if h > g and c * s_pair[h][1] == 1:
+                rep[g] = (h, -c % p)
+                rep[h] = (h, 1)
+            elif h == g and c == -1:
+                rep[g] = (g, 1)
+        reps = sorted({r for r, _ in rep.values()})
+        col_of = {r: t for t, r in enumerate(reps)}
+
+        # Triangle relations on representative columns, one orbit at a time.
+        rows: list[dict[int, int]] = []
+        seen = [False] * npts
+        for j, (c, d) in enumerate(p1.points):
+            if seen[j]:
+                continue
+            j_u = p1.index(d - c, -c)
+            j_u2 = p1.index(-d, c - d)
+            seen[j] = seen[j_u] = seen[j_u2] = True
             for i in range(k):
-                row = i * npts + j
-                rel.add_at(row, i * npts + j, 1)
-                for m, cm in enumerate(s_img[i].coeffs):
-                    if cm:
-                        rel.add_at(row, m * npts + j_s, cm)
-                row2 = ngens + row
-                rel.add_at(row2, i * npts + j, 1)
-                for m, cm in enumerate(u_img[i].coeffs):
-                    if cm:
-                        rel.add_at(row2, m * npts + j_u, cm)
-                for m, cm in enumerate(u2_img[i].coeffs):
-                    if cm:
-                        rel.add_at(row2, m * npts + j_u2, cm)
-        return rel
+                terms = [(i * npts + j, 1)]
+                terms += [(m * npts + j_u, cm) for m, cm in enumerate(u_img[i].coeffs) if cm]
+                terms += [(m * npts + j_u2, cm) for m, cm in enumerate(u2_img[i].coeffs) if cm]
+                row: dict[int, int] = {}
+                for g, v in terms:
+                    r = rep.get(g)
+                    if r is None:
+                        continue
+                    col = col_of[r[0]]
+                    row[col] = (row.get(col, 0) + v * r[1]) % p
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    rows.append(row)
+        ech = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
+
+        # Expansion to every generator.
+        pivset = set(ech.pivots)
+        free = [r for t, r in enumerate(reps) if t not in pivset]
+        free_pos = {g: t for t, g in enumerate(free)}
+        rep_expr = {g: {t: 1} for g, t in free_pos.items()}
+        for r, t in enumerate(ech.pivots):
+            rep_expr[reps[t]] = {
+                free_pos[reps[col]]: (p - v) % p
+                for col, v in ech.matrix.rows[r].items() if col != t
+            }
+        expr: dict[int, dict[int, int]] = {}
+        for g in range(ngens):
+            if g in free_pos:
+                continue
+            if g not in rep:
+                expr[g] = {}
+                continue
+            h, sign = rep[g]
+            if sign == 1:
+                expr[g] = rep_expr[h]
+            else:
+                expr[g] = {pos: v * sign % p for pos, v in rep_expr[h].items()}
+        return free, expr
 
     def _cusp_class(self, cusp: Cusp) -> int:
         for idx, rep in enumerate(self.cusp_classes):

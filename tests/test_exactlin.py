@@ -482,6 +482,24 @@ def test_poly_powmod_matches_reference(p):
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_poly_divmod_and_gcd_normalize_inputs(p):
+    # A zero or unreduced dividend below the divisor's degree comes back
+    # reduced and trimmed; a divisor with a zero leading entry is trimmed
+    # before its leading coefficient is inverted.
+    assert exactlin.poly_divmod([0], [0, 1], p) == ([], [])
+    assert exactlin.poly_divmod([p + 5], [0, 1], p) == ([], [5])
+    assert exactlin.poly_divmod([1, 2, 3], [1, 0], p) == ([1, 2, 3], [])
+    assert exactlin.poly_gcd([0, 1], [0], p) == [0, 1]
+    with pytest.raises(ZeroDivisionError):
+        exactlin.poly_divmod([1, 2], [0, p], p)
+    f, g = [p + 1, -3, 2 * p + 4, 7], [-1, 2, p]
+    q, r = exactlin.poly_divmod(f, g, p)  # g trims to degree 1
+    assert len(r) <= 1
+    qg_plus_r = [(x + (r[i] if i < len(r) else 0)) % p for i, x in enumerate(ref_poly_mul(q, g, p))]
+    assert ref_trim(qg_plus_r) == ref_trim([a % p for a in f])
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_charpoly_matches_reference(p):
     fld = PrimeField(p)
     rng = random.Random(p % 983)

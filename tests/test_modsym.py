@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from heckeledger.exactlin import (
+    FieldContext,
     FieldMatrix,
+    echelonize,
     NoReconstruction,
     rational_reconstruct,
     restrict_operator,
@@ -212,6 +214,77 @@ def test_projective_line_lifts():
             a, b, cc, dd = pl.lift_to_sl2(idx)
             assert a * dd - b * cc == 1
             assert pl.reduce(cc, dd) == (c, d)
+
+
+def test_projective_line_points_match_brute_force():
+    for n in range(4, 61):
+        if n in primes_upto(60):
+            continue
+        pl = ProjectiveLine(n)
+        pairs = [(c, d) for c in range(n) for d in range(n) if math.gcd(math.gcd(c, d), n) == 1]
+        assert pl.points == sorted({pl.reduce(c, d) for c, d in pairs}), n
+        # Independently of reduce: the classes are the orbits of the
+        # units, each holds exactly one listed point, and index finds it.
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        listed = set(pl.points)
+        classes = {}
+        for c, d in pairs:
+            if (c, d) not in classes:
+                orbit = {(u * c % n, u * d % n) for u in units}
+                (point,) = orbit & listed
+                for pt in orbit:
+                    classes[pt] = point
+            assert pl.index(c, d) == pl.points.index(classes[(c, d)]), (n, c, d)
+        assert len(set(classes.values())) == len(pl), n
+
+
+def reference_presentation(space):
+    """Free generators and pivot expressions from the full relation matrix.
+
+    Every generator (i, j) = X^i Y^(k-1-i) at the j-th point contributes
+    its S row, x + (S.x) = 0, and its triangle row,
+    x + (sigma.x) + (sigma^2.x) = 0, and all 2 k |P^1| rows are
+    echelonized in one piece.
+    """
+    p1, k, fld = space.p1, space.module.k, space.field
+    npts = len(p1)
+    entries = []
+    nrows = 0
+    for j, (c, d) in enumerate(p1.points):
+        s_pt = p1.index(d, -c)
+        u_pt = p1.index(d - c, -c)
+        u2_pt = p1.index(-d, c - d)
+        for i in range(k):
+            mono = HomogeneousPoly.monomial(k, i)
+            for images in ([(mono.subst(0, -1, 1, 0), s_pt)],
+                           [(mono.subst(-1, -1, 1, 0), u_pt), (mono.subst(0, 1, -1, -1), u2_pt)]):
+                entries.append((nrows, i * npts + j, 1))
+                for img, pt in images:
+                    entries += [(nrows, m * npts + pt, cm) for m, cm in enumerate(img.coeffs) if cm]
+                nrows += 1
+    ech = echelonize(FieldMatrix.from_entries(fld, nrows, k * npts, entries))
+    pivots = set(ech.pivots)
+    free = [g for g in range(k * npts) if g not in pivots]
+    free_pos = {g: t for t, g in enumerate(free)}
+    expr = {
+        c: {free_pos[g]: (fld.p - v) % fld.p for g, v in ech.matrix.rows[r].items() if g != c}
+        for r, c in enumerate(ech.pivots)
+    }
+    return free, expr
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_presentation_matches_full_relation_echelon(k):
+    # Prime levels with and without fixed points of S (p = 1 mod 4) and
+    # of sigma (p = 1 mod 3), prime powers and products.
+    levels = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 19, 25, 27, 30, 36, 37, 40]
+    ctx = FieldContext.default()
+    for fld in (ctx.primary, ctx.secondary):
+        for n in levels:
+            space = build_space(n, k, field=fld)
+            free, expr = reference_presentation(space)
+            assert space.free_columns == free, (n, k, fld.p)
+            assert space._pivot_expr == expr, (n, k, fld.p)
 
 
 # -- space dimensions (Eichler-Shimura cross-check) --------------------------
