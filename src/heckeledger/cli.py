@@ -51,7 +51,6 @@ class Config:
 
     field_prime: Optional[int] = None
     output_format: str = "text"
-    threads: int = 1
     data_paths: dict = dataclass_field(default_factory=dict)
 
     def context(self) -> Optional[FieldContext]:
@@ -95,7 +94,6 @@ def _config_from_args(args) -> Config:
     cfg = Config(
         field_prime=prime,
         output_format=getattr(args, "format", "text"),
-        threads=getattr(args, "threads", 1),
     )
     if getattr(args, "sl3", None):
         cfg.data_paths["sl3"] = args.sl3
@@ -122,7 +120,7 @@ def cmd_modsym(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     summary = space_summary(space)
-    systems = eigensystems(space, primes, threads=cfg.threads) if primes else []
+    systems = eigensystems(space, primes) if primes else []
     if cfg.output_format == "json":
         obj = {
             "summary": summary,
@@ -164,12 +162,21 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _load_gritsenko(cfg: Config) -> Optional[dict[int, int]]:
+    path = cfg.data_paths.get("gritsenko")
+    if not path:
+        return None
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return load_gritsenko_csv(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_paramodular(args) -> int:
     cfg = _config_from_args(args)
-    gritsenko = None
-    if cfg.data_paths.get("gritsenko"):
-        with open(cfg.data_paths["gritsenko"], encoding="utf-8") as fh:
-            gritsenko = load_gritsenko_csv(fh.read())
+    gritsenko = _load_gritsenko(cfg)
     if args.prime is not None:
         ps = [args.prime]
     else:
@@ -215,10 +222,7 @@ def cmd_ledger(args) -> int:
     if cfg.data_paths.get("sl3"):
         with open(cfg.data_paths["sl3"], encoding="utf-8") as fh:
             sl3_data = load_sl3_csv(fh.read())
-    gritsenko = None
-    if cfg.data_paths.get("gritsenko"):
-        with open(cfg.data_paths["gritsenko"], encoding="utf-8") as fh:
-            gritsenko = load_gritsenko_csv(fh.read())
+    gritsenko = _load_gritsenko(cfg)
     try:
         report = build_report(
             args.level,
@@ -226,7 +230,6 @@ def cmd_ledger(args) -> int:
             sl3_data=sl3_data,
             gritsenko=gritsenko,
             context=cfg.context(),
-            threads=cfg.threads,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -260,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default text)")
         p.add_argument("--field-prime", type=int, default=None,
                        help=f"override the working field prime (or ${ENV_FIELD_PRIME})")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent Hecke operators")
 
     p_mod = sub.add_parser("modsym", help="modular symbol space and Hecke eigensystems")
     p_mod.add_argument("--level", type=int, required=True, help="the level N")

@@ -190,7 +190,6 @@ def build_report(
     gritsenko: Optional[dict[int, int]] = None,
     *,
     context: Optional[FieldContext] = None,
-    threads: int = 1,
 ) -> LedgerReport:
     """Run the full pipeline at weight 2 and weight 4 and compose the report.
 
@@ -213,20 +212,10 @@ def build_report(
 
     def analyze(k: int):
         space = build_space(level, k, context=context)
-        coverage = cuspidal_coverage(space, primes, threads=threads)
-        return space, coverage
+        return space, cuspidal_coverage(space, primes)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut1 = pool.submit(analyze, 1)
-            fut3 = pool.submit(analyze, 3)
-            space1, cov1 = fut1.result()
-            space3, cov3 = fut3.result()
-    else:
-        space1, cov1 = analyze(1)
-        space3, cov3 = analyze(3)
+    space1, cov1 = analyze(1)
+    space3, cov3 = analyze(3)
 
     for system in cov1.systems:
         constituents.append(_weight2_constituent(system, primes))
@@ -243,7 +232,7 @@ def build_report(
         )
 
     for system in cov3.systems:
-        pairing = winding_pairing(space3, system, threads=threads)
+        pairing = winding_pairing(space3, system)
         if pairing == 0:
             constituents.append(_weight4_constituent(system, primes))
         else:

@@ -8,6 +8,9 @@ first (each S pair of generators collapses to one representative, or
 to zero) followed by one set of three-term relations per sigma-orbit
 of P^1(Z/N), echelonized on the representatives; its free generators
 and their expressions are those of the full relation matrix.
+Hecke operators act on Manin symbols directly through Merel's
+Heilbronn matrices; continued fractions are used only to write an
+arbitrary symbol on the Manin generators (`project_symbol`).
 Everything is computed over a large prime field; eigenvalues are lifted
 back to Q by rational reconstruction and are only reported when two
 independent primes agree.
@@ -456,6 +459,21 @@ class ProjectiveLine:
 #   sigma^2 = [[0,1],[-1,-1]]    (c,d) -> (-d,c-d)  P -> P(Y, -X-Y)
 
 
+def _heilbronn(n: int) -> list[tuple[int, int, int, int]]:
+    """Merel's set X_n: all (a, b, e, f) with a > b >= 0, f > e >= 0 and
+    af - be = n.  Since be <= (a-1)(f-1), a + f <= n + 1."""
+    out = []
+    for a in range(1, n + 1):
+        for f in range(-(-n // a), n + 2 - a):
+            m = a * f - n
+            if m == 0:
+                out += [(a, 0, e, f) for e in range(f)]
+                out += [(a, b, 0, f) for b in range(1, a)]
+            else:
+                out += [(a, b, m // b, f) for b in range(1, a) if m % b == 0 and m // b < f]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The Manin basis space
 
@@ -493,8 +511,7 @@ class CuspidalSplit:
 class ManinBasisSpace:
     """The quotient presentation of H^1(Gamma0(N); E_k) over one prime field.
 
-    Immutable after construction; share freely between threads.  Hecke
-    matrices are cached per operator index.
+    Hecke matrices are cached per operator index.
     """
 
     def __init__(self, level: int, module: CoefficientModule, field: PrimeField,
@@ -704,51 +721,70 @@ class ManinBasisSpace:
 
     # -- Hecke action -----------------------------------------------------
 
-    def _hecke_cosets(self, n: int) -> list[tuple[int, int, int, int]]:
-        cosets = []
-        for a in range(1, n + 1):
-            if n % a:
-                continue
-            d = n // a
-            for b in range(d):
-                cosets.append((a, b, 0, d))
-        return cosets
-
     def hecke_matrix(self, n: int) -> FieldMatrix:
         """Matrix of T_n on the quotient basis, n coprime to the level.
 
-        Follows the symbol-level action: each coset matrix moves the
-        endpoints and transports the coefficient, then the image is
-        re-expressed on the Manin basis through the continued-fraction
-        reduction.
+        Merel's formula acts on Manin symbols directly, with no
+        continued fractions:
+
+            T_n (P, (c:d)) = sum over h = [[a, b], [e, f]] in X_n of
+                             (P(aX + bY, eX + fY), (ca + de : cb + df)),
+
+        where X_n = {a > b >= 0, f > e >= 0, af - be = n} (Merel,
+        LNM 1585, 1994; Stein, Modular Forms, Section 8.3).  The image
+        of each free generator is accumulated as integers on Manin
+        generators, and each distinct generator is then projected onto
+        the free ones once.
         """
         if gcd(n, self.level) != 1:
             raise BadPrime(f"T_{n} undefined: {n} shares a factor with level {self.level}")
         cached = self._hecke_cache.get(n)
         if cached is not None:
             return cached
-        npts = len(self.p1)
-        cosets = self._hecke_cosets(n)
-        mat = FieldMatrix.zero(self.field, self.dim, self.dim)
+        p = self.field.p
+        half = p // 2
+        p1 = self.p1
+        npts = len(p1)
+        heil = _heilbronn(n)
+        # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under heil[t]
+        images = [
+            [[(m, cm) for m, cm in enumerate(mono.subst(*h).coeffs) if cm] for h in heil]
+            for mono in self.module.monomials()
+        ]
+        dim = self.dim
+        free_pos, pivot_expr = self._free_pos, self._pivot_expr
+        targets: dict[int, list[int]] = {}
+        rows: list[dict[int, int]] = [{} for _ in range(dim)]
         for pos, col in enumerate(self.free_columns):
             i, j = self.generators[col]
-            mono = HomogeneousPoly.monomial(self.module.k, i)
-            g = self.p1.lift_to_sl2(j)
-            vec: dict[int, int] = {}
-            for (ca, cb, cc, cd) in cosets:
-                # h0 = coset * lift; the image symbol is
-                #   (mono o adj(h0)) tensor [h0.0, h0.oo]
-                h11 = ca * g[0] + cb * g[2]
-                h12 = ca * g[1] + cb * g[3]
-                h21 = cc * g[0] + cd * g[2]
-                h22 = cc * g[1] + cd * g[3]
-                poly = mono.subst(*_adj(h11, h12, h21, h22))
-                q1 = Cusp(h12, h22)
-                q2 = Cusp(h11, h21)
-                self._accumulate_manin(vec, q1, q2, poly, 1)
-            for r, v in vec.items():
+            pts = targets.get(j)
+            if pts is None:
+                c, d = p1.points[j]
+                pts = targets[j] = [p1.index(c * a + d * e, c * b + d * f) for a, b, e, f in heil]
+            acc: dict[int, int] = {}
+            for img, t in zip(images[i], pts):
+                for m, cm in img:
+                    g = m * npts + t
+                    acc[g] = acc.get(g, 0) + cm
+            out = [0] * dim
+            for g, v in acc.items():
+                v %= p
+                if not v:
+                    continue
+                if v > half:
+                    v -= p  # a small signed residue keeps v * w short
+                r = free_pos.get(g)
+                if r is not None:
+                    out[r] += v
+                    continue
+                for r, w in pivot_expr[g].items():
+                    out[r] += v * w
+            for r, v in enumerate(out):
                 if v:
-                    mat.add_at(r, pos, v)
+                    v %= p
+                    if v:
+                        rows[r][pos] = v
+        mat = FieldMatrix(self.field, dim, dim, rows)
         self._hecke_cache[n] = mat
         return mat
 
@@ -804,26 +840,19 @@ def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
 # Eigensystems, two-prime confirmation, winding pairing
 
 
-def _split_cuspidal(space: ManinBasisSpace, primes: Sequence[int], threads: int = 1):
-    ops = _hecke_family(space, primes, threads)
+def _split_cuspidal(space: ManinBasisSpace, primes: Sequence[int]):
+    ops = _hecke_family(space, primes)
     restricted = [restrict_operator(op, space.cuspidal_subspace) for op in ops]
     return split_eigenspaces(restricted)
 
 
-def _hecke_family(space: ManinBasisSpace, primes: Sequence[int], threads: int = 1):
-    """Hecke matrices for several primes; independent, so parallel is safe."""
-    todo = [l for l in primes if l not in space._hecke_cache]
-    if threads > 1 and len(todo) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda l: hecke_operator(space, l), todo))
+def _hecke_family(space: ManinBasisSpace, primes: Sequence[int]):
     return [hecke_operator(space, l) for l in primes]
 
 
-def _reconstructed_systems(space, primes, threads, bound):
+def _reconstructed_systems(space, primes, bound):
     """(eigenvalue tuple as Fractions, dim) for each splittable eigenspace."""
-    split = _split_cuspidal(space, primes, threads)
+    split = _split_cuspidal(space, primes)
     out = []
     for eig in split.eigenspaces:
         try:
@@ -834,7 +863,7 @@ def _reconstructed_systems(space, primes, threads, bound):
     return out
 
 
-def _confirmed_at_partner(space, primes, candidates, threads):
+def _confirmed_at_partner(space, primes, candidates):
     """The candidates whose eigenspace has the same dimension at the
     partner prime.
 
@@ -848,7 +877,7 @@ def _confirmed_at_partner(space, primes, candidates, threads):
     if not candidates:
         return []
     twin = space.partner()
-    ops = _hecke_family(twin, primes, threads)
+    ops = _hecke_family(twin, primes)
     extra = (twin.boundary_matrix,)
     return [
         (fracs, dim)
@@ -858,14 +887,14 @@ def _confirmed_at_partner(space, primes, candidates, threads):
 
 
 def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int], *,
-                      threads: int = 1, bound: int = RECONSTRUCT_BOUND) -> CuspidalSplit:
+                      bound: int = RECONSTRUCT_BOUND) -> CuspidalSplit:
     """Two-prime-confirmed eigensystems plus the dimension left unresolved."""
     primes = sorted(set(primes))
     for l in primes:
         if space.level % l == 0:
             raise BadPrime(f"{l} divides the level {space.level}")
-    candidates = _reconstructed_systems(space, primes, threads, bound)
-    confirmed = sorted(_confirmed_at_partner(space, primes, candidates, threads))
+    candidates = _reconstructed_systems(space, primes, bound)
+    confirmed = sorted(_confirmed_at_partner(space, primes, candidates))
     systems = [
         EigenSystem(
             level=space.level,
@@ -886,10 +915,10 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int], *,
 
 
 def eigensystems(space: ManinBasisSpace, primes: Sequence[int], *,
-                 threads: int = 1, bound: int = RECONSTRUCT_BOUND) -> list[EigenSystem]:
+                 bound: int = RECONSTRUCT_BOUND) -> list[EigenSystem]:
     """One EigenSystem per simultaneous eigenspace of the T_l on the
     cuspidal subspace, reconstructed and confirmed at the second prime."""
-    return cuspidal_coverage(space, primes, threads=threads, bound=bound).systems
+    return cuspidal_coverage(space, primes, bound=bound).systems
 
 
 def _winding_vector(space: ManinBasisSpace) -> dict[int, int]:
@@ -900,9 +929,9 @@ def _winding_vector(space: ManinBasisSpace) -> dict[int, int]:
 
 
 def _left_eigenbasis(space: ManinBasisSpace, primes: Sequence[int],
-                     target: tuple[int, ...], threads: int) -> list[dict[int, int]]:
+                     target: tuple[int, ...]) -> list[dict[int, int]]:
     """Canonical echelon basis of the left eigenspace with the given values."""
-    ops = [m.transpose() for m in _hecke_family(space, primes, threads)]
+    ops = [m.transpose() for m in _hecke_family(space, primes)]
     basis = joint_kernel(ops, target).basis
     if not basis:
         raise MultiPrimeMismatch(
@@ -916,8 +945,7 @@ def _pair(vec_u: dict[int, int], vec_w: dict[int, int], p: int) -> int:
     return sum(v * big.get(i, 0) for i, v in small.items()) % p
 
 
-def winding_pairing(space: ManinBasisSpace, system: EigenSystem, *,
-                    threads: int = 1) -> Fraction:
+def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     """Pairing of the eigensystem against the winding symbol [0, oo] X^m Y^m.
 
     Returns an exact rational that vanishes if and only if the
@@ -938,7 +966,7 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem, *,
     for sp in (space, space.partner()):
         p = sp.field.p
         target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
-        basis = _left_eigenbasis(sp, primes, target, threads)
+        basis = _left_eigenbasis(sp, primes, target)
         w = _winding_vector(sp)
         values.append([_pair(u, w, p) for u in basis])
         moduli.append(p)

@@ -172,9 +172,15 @@ def load_gritsenko_csv(text: str) -> dict[int, int]:
         parts = [s.strip() for s in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected `p,dim_gritsenko`, got {raw!r}")
-        p, g = int(parts[0]), int(parts[1])
+        try:
+            p, g = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         if not _is_prime(p):
             raise ValueError(f"line {lineno}: {p} is not prime")
-        complement_dims(p, g)  # raises GritsenkoExceedsTotal on bad data
+        try:
+            complement_dims(p, g)
+        except GritsenkoExceedsTotal as exc:
+            raise GritsenkoExceedsTotal(f"line {lineno}: {exc}") from exc
         out[p] = g
     return out

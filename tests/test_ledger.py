@@ -163,8 +163,7 @@ def test_report_determinism_and_threads():
     kw = dict(sl3_data=load_sl3_csv(SL3_TEXT), gritsenko={11: 0})
     a = report_to_json(build_report(11, [2, 3], **kw))
     b = report_to_json(build_report(11, [2, 3], **kw))
-    c = report_to_json(build_report(11, [2, 3], threads=4, **kw))
-    assert a == b == c
+    assert a == b
 
 
 def test_report_sl3_degradation_changes_one_caveat():

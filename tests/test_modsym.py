@@ -22,6 +22,7 @@ from heckeledger.modsym import (
     MultiPrimeMismatch,
     ProjectiveLine,
     UnsupportedWeight,
+    _heilbronn,
     _left_eigenbasis,
     build_space,
     cuspidal_coverage,
@@ -329,6 +330,60 @@ def test_hecke_identity_coset():
     assert space.hecke_matrix(1) == FieldMatrix.identity(space.field, space.dim)
 
 
+def test_heilbronn_matches_brute_force():
+    # a > b >= 0, f > e >= 0 and af - be = n, searched well past a, f <= n.
+    brute = {n: [] for n in range(1, 31)}
+    for a in range(1, 40):
+        for f in range(1, 40):
+            for b in range(a):
+                for e in range(f):
+                    if 0 < a * f - b * e <= 30:
+                        brute[a * f - b * e].append((a, b, e, f))
+    assert [len(_heilbronn(n)) for n in range(1, 6)] == [1, 4, 7, 13, 15]
+    for n in range(1, 31):
+        got = _heilbronn(n)
+        assert len(set(got)) == len(got), n
+        assert sorted(got) == sorted(brute[n]), n
+
+
+def reference_hecke_matrix(space, n):
+    """T_n by the symbol-level action and continued-fraction reduction.
+
+    The free generator (X^i Y^(k-1-i), g) goes to the sum over the cosets
+    [[a, b], [0, d]] (ad = n, 0 <= b < d) of h0 = coset * g acting on
+    X^i Y^(k-1-i) tensor [0, oo], each image projected by project_symbol.
+    """
+    cosets = [(a, b, 0, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(n // a)]
+    columns = []
+    for col in space.free_columns:
+        i, j = space.generators[col]
+        mono = HomogeneousPoly.monomial(space.module.k, i)
+        g11, g12, g21, g22 = space.p1.lift_to_sl2(j)
+        column = {}
+        for ca, cb, cc, cd in cosets:
+            h11, h12 = ca * g11 + cb * g21, ca * g12 + cb * g22
+            h21, h22 = cc * g11 + cd * g21, cc * g12 + cd * g22
+            image = ModularSymbol(Cusp(h12, h22), Cusp(h11, h21),
+                                  mono.subst(h22, -h12, -h21, h11))
+            for r, v in space.project_symbol(image).items():
+                column[r] = (column.get(r, 0) + v) % space.field.p
+        columns.append({r: v for r, v in column.items() if v})
+    return FieldMatrix.from_columns(space.field, space.dim, columns)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_hecke_matches_continued_fraction_reference(k):
+    levels = [1, 2, 5, 6, 9, 11, 13, 16, 25, 30, 35, 37, 40] if k < 5 else [1, 2, 7, 11, 15]
+    ctx = FieldContext.default()
+    for fld in (ctx.primary, ctx.secondary):
+        for level in levels:
+            space = build_space(level, k, field=fld)
+            for n in (1, 2, 3, 4, 5, 6, 7, 9):
+                if math.gcd(n, level) == 1:
+                    assert space.hecke_matrix(n) == reference_hecke_matrix(space, n), \
+                        (level, k, n, fld.p)
+
+
 def test_bad_prime_rejected():
     space = build_space(11, 1)
     with pytest.raises(BadPrime):
@@ -624,7 +679,7 @@ def test_left_eigenbasis_matches_split_reference(level):
         reference = _reference_left_eigenbases(sp, primes)
         for system in systems:
             target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
-            assert _left_eigenbasis(sp, primes, target, 1) == reference[target]
+            assert _left_eigenbasis(sp, primes, target) == reference[target]
 
 
 # -- winding pairing ---------------------------------------------------------
