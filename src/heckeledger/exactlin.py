@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over a large word-sized prime field.
 
 All arithmetic happens on plain Python integers reduced modulo a fixed
-word-sized prime (default 2**61 - 1), large enough that eigenvalues of
-moderate height can be recovered exactly by rational reconstruction.
+word-sized prime (default 2**61 - 1).  Integer eigenvalues come back to
+Z as signed residues; other values of moderate height are recovered
+exactly by rational reconstruction.
 Nothing here is floating point and nothing here is randomized:
 identical inputs give bit-identical outputs.
 
@@ -11,11 +12,11 @@ and :class:`Subspace` (a list of sparse vectors).  On top of those sit
 reduced row echelon form, rank and kernel, joint kernels of shifted
 operators (the eigenvectors for a known eigenvalue tuple), restriction
 of an operator to an invariant subspace, simultaneous eigenspace
-splitting of a commuting family, and rational reconstruction of field
-elements.  Matrix products and polynomial arithmetic mod p run on
-packed-integer (Kronecker) kernels: a row or a coefficient list becomes
-one Python int with fixed-width slots, so one big-int product does a
-whole row's worth of multiply-adds.
+splitting of a commuting family at bounded integer eigenvalues, and
+rational reconstruction of field elements.  Matrix products and
+polynomial arithmetic mod p run on packed-integer (Kronecker) kernels:
+a row or a coefficient list becomes one Python int with fixed-width
+slots, so one big-int product does a whole row's worth of multiply-adds.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "restrict_operator",
     "split_eigenspaces",
     "rational_reconstruct",
+    "signed_lift",
     "frac_str",
     "charpoly",
     "distinct_roots",
@@ -63,9 +65,15 @@ class NoReconstruction(Exception):
     """No rational of the requested height lifts the field element."""
 
 
-# Fixed Mersenne prime; large enough that reconstruction of eigenvalues
-# with numerator and denominator below 2**30 is unambiguous.
+# Fixed Mersenne prime, the default primary working prime.
 DEFAULT_PRIME = (1 << 61) - 1
+
+# Every field prime must exceed this floor.  The lifts back to Q need it:
+# the winding pairing reconstructs rationals of height 10**6 at each prime
+# (2 * 10**12 < p) and otherwise CRT-combines both primes and reconstructs
+# at height 2**59 (2**119 < p1 * p2).  The census's signed integer lifts
+# need no floor of their own; a wrong one fails the second-prime check.
+FIELD_PRIME_FLOOR = 1 << 60
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -97,7 +105,7 @@ def _is_prime(n: int) -> bool:
 
 def next_field_prime(start: int) -> int:
     """Smallest prime >= start that satisfies the PrimeField invariants."""
-    n = max(start, (1 << 31) + 1)
+    n = max(start, FIELD_PRIME_FLOOR + 1)
     if n % 2 == 0:
         n += 1
     while not _is_prime(n):
@@ -106,7 +114,7 @@ def next_field_prime(start: int) -> int:
 
 
 class PrimeField:
-    """The field Z/p for a word-sized prime p > 2**31.
+    """The field Z/p for a word-sized prime p > FIELD_PRIME_FLOOR = 2**60.
 
     Elements are plain ints in [0, p).  Primality is checked at
     construction so a typo in a configured modulus fails loudly.
@@ -117,8 +125,8 @@ class PrimeField:
     def __init__(self, modulus: int):
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not prime")
-        if modulus <= (1 << 31):
-            raise ValueError(f"modulus {modulus} too small, need > 2**31")
+        if modulus <= FIELD_PRIME_FLOOR:
+            raise ValueError(f"modulus {modulus} too small, need > 2**60")
         self.p = modulus
 
     def __eq__(self, other) -> bool:
@@ -148,7 +156,7 @@ class FieldContext:
     """The pair of working primes for the multi-prime protocol.
 
     Every eigenvalue the package reports has been computed modulo both
-    primes and reconstructed to the same rational.
+    primes and lifts to the same integer at both.
     """
 
     primary: PrimeField
@@ -879,7 +887,8 @@ class SplitResult:
     Directions that are generalized eigenvectors without being
     eigenvectors are tallied in `defective` (eigenvalue prefix, lost
     dimension); directions whose characteristic factor has no root in
-    the field are tallied in `unsplit_dim`.
+    the field, or only roots whose signed lift exceeds the operator's
+    bound, are tallied in `unsplit_dim`.
     """
 
     eigenspaces: list[Eigenspace]
@@ -904,15 +913,28 @@ def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
     return out.echelonized() if lifted else out
 
 
-def split_eigenspaces(ops: Sequence[FieldMatrix]) -> SplitResult:
-    """Common eigenspace decomposition of a commuting family.
+def signed_lift(x: int, p: int) -> int:
+    """The integer of least absolute value congruent to x mod p."""
+    x %= p
+    return x - p if 2 * x > p else x
 
-    Refines the full space one operator at a time.  Eigenvalue tuples
-    come out in ascending lexicographic order of their field
-    representatives, so the result is deterministic.
+
+def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int]) -> SplitResult:
+    """Common eigenspace decomposition of a commuting family at bounded
+    integer eigenvalues.
+
+    Refines the full space one operator at a time.  A root of an
+    operator's characteristic polynomial gets a kernel, a multiplicity
+    and a place in the refinement only when its `signed_lift` a has
+    |a| <= that operator's entry of `bounds`; every other root is
+    counted in `unsplit_dim`.  A bound of p // 2 keeps every root.
+    Eigenvalue tuples come out in ascending lexicographic order of their
+    field representatives, so the result is deterministic.
     """
     if not ops:
         raise ValueError("need at least one operator")
+    if len(bounds) != len(ops):
+        raise ValueError("need one bound per operator")
     n = ops[0].nrows
     field = ops[0].field
     for op in ops:
@@ -926,7 +948,7 @@ def split_eigenspaces(ops: Sequence[FieldMatrix]) -> SplitResult:
     p = field.p
     result = SplitResult(eigenspaces=[])
     current: list[tuple[tuple[int, ...], Subspace]] = [((), Subspace.full(field, n))]
-    for op in ops:
+    for op, bound in zip(ops, bounds):
         refined: list[tuple[tuple[int, ...], Subspace]] = []
         for prefix, s in current:
             if s.dim == 0:
@@ -935,6 +957,8 @@ def split_eigenspaces(ops: Sequence[FieldMatrix]) -> SplitResult:
             f = charpoly(m)
             covered = 0
             for lam in distinct_roots(f, p):
+                if abs(signed_lift(lam, p)) > bound:
+                    continue
                 shifted = m.add_scaled(FieldMatrix.identity(field, s.dim), -lam)
                 _, ker = rank_and_kernel(shifted)
                 geo = ker.dim

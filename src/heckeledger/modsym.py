@@ -11,8 +11,10 @@ and their expressions are those of the full relation matrix.
 Hecke operators act on Manin symbols directly through Merel's
 Heilbronn matrices; continued fractions are used only to write an
 arbitrary symbol on the Manin generators (`project_symbol`).
-Everything is computed over a large prime field; eigenvalues are lifted
-back to Q by rational reconstruction and are only reported when two
+Everything is computed over a large prime field.  A rational Hecke
+eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
+(Deligne), so only roots whose signed lift meets that bound are split
+off; they are lifted back to Z directly and only reported when two
 independent primes agree.
 
 Conventions, fixed once and used everywhere:
@@ -38,7 +40,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
@@ -53,6 +55,7 @@ from .exactlin import (
     rank_and_kernel,
     rational_reconstruct,
     restrict_operator,
+    signed_lift,
     split_eigenspaces,
 )
 
@@ -99,8 +102,8 @@ class MultiPrimeMismatch(Exception):
     """The two working primes disagree; the result cannot be certified."""
 
 
-# Default bound for lifting eigenvalues back to Q.  Far above every
-# Ramanujan bound met at desk scale, far below sqrt(p/2).
+# Height bound for lifting winding pairings back to Q; only the winding
+# pairing uses it.  Far below sqrt(p/2) for every accepted field prime.
 RECONSTRUCT_BOUND = 10**6
 
 _DEFAULT_CONTEXT: Optional[FieldContext] = None
@@ -498,14 +501,23 @@ class CuspidalSplit:
 
     `systems` carry eigenvalues confirmed at both working primes.
     `unresolved_dim` counts the cuspidal dimension not covered by any
-    confirmed system (irrational eigensystems, or disagreement between
-    the primes); nothing is ever silently dropped.
+    confirmed system; nothing is ever silently dropped.  `unresolved`
+    splits it by cause, and its values sum to `unresolved_dim`:
+
+    * `no_bounded_integer_root`: no integer eigenvalue within Deligne's
+      bound at the primary prime (irrational eigensystems);
+    * `defective`: generalized eigenvectors that are not eigenvectors
+      at the primary prime (T_l is semisimple, so a bug or an unlucky
+      prime);
+    * `prime_disagreement`: eigenspaces of the primary prime that the
+      second prime did not confirm.
     """
 
     systems: list[EigenSystem]
     cuspidal_dim: int
     unresolved_dim: int
     primes: list[int]
+    unresolved: dict[str, int]
 
 
 class ManinBasisSpace:
@@ -841,26 +853,28 @@ def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
 
 
 def _split_cuspidal(space: ManinBasisSpace, primes: Sequence[int]):
+    """Split the cuspidal T_l at the integers within Deligne's bound."""
     ops = _hecke_family(space, primes)
     restricted = [restrict_operator(op, space.cuspidal_subspace) for op in ops]
-    return split_eigenspaces(restricted)
+    w = space.module.weight
+    return split_eigenspaces(restricted, [isqrt(4 * l ** (w - 1)) for l in primes])
 
 
 def _hecke_family(space: ManinBasisSpace, primes: Sequence[int]):
     return [hecke_operator(space, l) for l in primes]
 
 
-def _reconstructed_systems(space, primes, bound):
-    """(eigenvalue tuple as Fractions, dim) for each splittable eigenspace."""
+def _reconstructed_systems(space, primes):
+    """(eigenvalue tuple as Fractions, dim) for each eigenspace of the
+    split, plus the split's dimensions without a bounded integer root
+    and its defective dimensions."""
     split = _split_cuspidal(space, primes)
-    out = []
-    for eig in split.eigenspaces:
-        try:
-            fracs = tuple(rational_reconstruct(v, bound, space.field) for v in eig.values)
-        except NoReconstruction:
-            continue
-        out.append((fracs, eig.space.dim))
-    return out
+    p = space.field.p
+    candidates = [
+        (tuple(Fraction(signed_lift(v, p)) for v in eig.values), eig.space.dim)
+        for eig in split.eigenspaces
+    ]
+    return candidates, split.unsplit_dim, sum(dim for _, dim in split.defective)
 
 
 def _confirmed_at_partner(space, primes, candidates):
@@ -870,9 +884,10 @@ def _confirmed_at_partner(space, primes, candidates):
     There the eigenspace of a rational candidate is one joint kernel:
     the cuspidal subspace is ker(boundary), so the candidate's vectors
     are the common kernel of the boundary map and every T_l - a_l.
-    Reconstruction below the bound is unique, so this is the same test
-    as splitting at the partner prime and intersecting the two census
-    lists.
+    An integer tuple has one residue tuple at the partner prime, so this
+    is the same test as splitting there and intersecting the two census
+    lists.  A signed lift that is wrong (possible only when twice the
+    bound reaches p) fails it.
     """
     if not candidates:
         return []
@@ -886,14 +901,18 @@ def _confirmed_at_partner(space, primes, candidates):
     ]
 
 
-def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int], *,
-                      bound: int = RECONSTRUCT_BOUND) -> CuspidalSplit:
-    """Two-prime-confirmed eigensystems plus the dimension left unresolved."""
+def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
+    """Two-prime-confirmed eigensystems plus the dimension left unresolved.
+
+    Eigenvalues are integers of any size within Deligne's bound
+    |a_l| <= 2 l^((w-1)/2); the unresolved dimension is broken down by
+    cause in `CuspidalSplit.unresolved`.
+    """
     primes = sorted(set(primes))
     for l in primes:
         if space.level % l == 0:
             raise BadPrime(f"{l} divides the level {space.level}")
-    candidates = _reconstructed_systems(space, primes, bound)
+    candidates, unsplit, defective = _reconstructed_systems(space, primes)
     confirmed = sorted(_confirmed_at_partner(space, primes, candidates))
     systems = [
         EigenSystem(
@@ -911,14 +930,19 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int], *,
         cuspidal_dim=space.cuspidal_dim,
         unresolved_dim=space.cuspidal_dim - covered,
         primes=list(primes),
+        unresolved={
+            "no_bounded_integer_root": unsplit,
+            "defective": defective,
+            "prime_disagreement": sum(dim for _, dim in candidates) - covered,
+        },
     )
 
 
-def eigensystems(space: ManinBasisSpace, primes: Sequence[int], *,
-                 bound: int = RECONSTRUCT_BOUND) -> list[EigenSystem]:
+def eigensystems(space: ManinBasisSpace, primes: Sequence[int]) -> list[EigenSystem]:
     """One EigenSystem per simultaneous eigenspace of the T_l on the
-    cuspidal subspace, reconstructed and confirmed at the second prime."""
-    return cuspidal_coverage(space, primes, bound=bound).systems
+    cuspidal subspace with integer eigenvalues within Deligne's bound,
+    confirmed at the second prime."""
+    return cuspidal_coverage(space, primes).systems
 
 
 def _winding_vector(space: ManinBasisSpace) -> dict[int, int]:

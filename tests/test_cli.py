@@ -209,6 +209,27 @@ def test_field_prime_flag_rejects_composite(capsys):
     assert code in (1, 2)  # surfaced, not swallowed
 
 
+# A prime above the old 2**31 floor and below the 2**60 one.
+SMALL_FIELD_PRIME = "2147483659"
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("argv", [
+    ["modsym", "--level", "11", "--weight", "2", "--primes", "2,3"],
+    ["ledger", "--level", "5", "--primes", "2,3"],
+], ids=["modsym", "ledger"])
+def test_field_prime_below_floor_is_usage_error(capsys, monkeypatch, argv, via):
+    if via == "flag":
+        argv = argv + ["--field-prime", SMALL_FIELD_PRIME]
+    else:
+        monkeypatch.setenv("HECKE_FIELD_PRIME", SMALL_FIELD_PRIME)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "2**60" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_threads_flag_same_output(capsys):
     _, out1, _ = run(capsys, "modsym", "--level", "11", "--weight", "2",
                      "--primes", "2,3", "--format", "json")

@@ -165,7 +165,7 @@ def test_restrict_raises_not_invariant():
 
 
 def test_split_identity():
-    res = split_eigenspaces([FieldMatrix.identity(F, 3)])
+    res = split_eigenspaces([FieldMatrix.identity(F, 3)], [P // 2])
     assert len(res.eigenspaces) == 1
     assert res.eigenspaces[0].values == (1,)
     assert res.eigenspaces[0].space.dim == 3
@@ -174,7 +174,7 @@ def test_split_identity():
 
 
 def test_split_diag_1_2():
-    res = split_eigenspaces([dense([[1, 0], [0, 2]])])
+    res = split_eigenspaces([dense([[1, 0], [0, 2]])], [P // 2])
     assert [(e.values, e.space.dim) for e in res.eigenspaces] == [((1,), 1), ((2,), 1)]
 
 
@@ -182,14 +182,14 @@ def test_split_rejects_noncommuting():
     a = dense([[0, 1], [0, 0]])
     b = dense([[1, 0], [0, 2]])
     with pytest.raises(NonCommuting):
-        split_eigenspaces([a, b])
+        split_eigenspaces([a, b], [P // 2] * 2)
 
 
 def test_split_simultaneous_pair():
     # Block diag: eigenvalues (1,5) on a 2-dim block and (2,5), (3,7) lines.
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
-    res = split_eigenspaces([a, b])
+    res = split_eigenspaces([a, b], [P // 2] * 2)
     got = [(e.values, e.space.dim) for e in res.eigenspaces]
     assert got == [((1, 5), 2), ((2, 5), 1), ((3, 7), 1)]
     for e in res.eigenspaces:
@@ -203,7 +203,7 @@ def test_split_simultaneous_pair():
 def test_joint_kernel_matches_split_and_respects_extra():
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
-    for e in split_eigenspaces([a, b]).eigenspaces:
+    for e in split_eigenspaces([a, b], [P // 2] * 2).eigenspaces:
         assert joint_kernel([a, b], e.values).basis == e.space.basis
     assert joint_kernel([a, b], (1, 7)).dim == 0
     # The extra row x0 = 0 cuts the (1, 5) plane down to a line.
@@ -213,7 +213,7 @@ def test_joint_kernel_matches_split_and_respects_extra():
 
 def test_split_reports_jordan_block_separately():
     m = dense([[2, 1], [0, 2]])
-    res = split_eigenspaces([m])
+    res = split_eigenspaces([m], [P // 2])
     assert len(res.eigenspaces) == 1
     assert res.eigenspaces[0].values == (2,)
     assert res.eigenspaces[0].space.dim == 1
@@ -224,16 +224,25 @@ def test_split_counts_unsplit_quadratic_factor():
     # Rotation-like matrix: x^2 + 1 has no root mod p when p = 3 mod 4.
     assert P % 4 == 3
     m = dense([[0, P - 1], [1, 0]])
-    res = split_eigenspaces([m])
+    res = split_eigenspaces([m], [P // 2])
     assert res.eigenspaces == []
     assert res.unsplit_dim == 2
+
+
+def test_split_skips_roots_beyond_bound():
+    # Signed lifts 1, 7 and -2: only 7 exceeds the bound 2.
+    m = dense([[1, 0, 0], [0, 7, 0], [0, 0, P - 2]])
+    res = split_eigenspaces([m], [2])
+    assert [(e.values, e.space.dim) for e in res.eigenspaces] == [((1,), 1), ((P - 2,), 1)]
+    assert res.unsplit_dim == 1
+    assert res.defective == []
 
 
 def test_split_dims_bounded_by_ambient():
     rng = random.Random(13)
     d = dense([[rng.randrange(5) for _ in range(4)] for _ in range(4)])
     sym = d.add_scaled(d.transpose(), 1)
-    res = split_eigenspaces([sym])
+    res = split_eigenspaces([sym], [P // 2])
     assert res.total_dim() + res.unsplit_dim + sum(x for _, x in res.defective) == 4
 
 
@@ -244,7 +253,7 @@ def test_multi_prime_pipeline_reconstructs_identically():
     answers = []
     for fld in (ctx.primary, ctx.secondary):
         m = FieldMatrix.from_dense(fld, ints)
-        res = split_eigenspaces([m])
+        res = split_eigenspaces([m], [fld.p // 2])
         vals = sorted(
             rational_reconstruct(e.values[0], 10**6, fld) for e in res.eigenspaces
         )

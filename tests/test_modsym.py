@@ -582,6 +582,35 @@ def test_discriminant_form_tau_values():
     assert t4 == t2.matmul(t2).sub(shift)
 
 
+def _delta_coefficients(n):
+    """[tau(1), ..., tau(n)] from the q-expansion of q prod (1 - q^m)^24."""
+    eta24 = [1] + [0] * (n - 1)  # prod (1 - q^m)^24 up to q^(n-1)
+    for m in range(1, n):
+        for _ in range(24):
+            for i in range(n - 1, m - 1, -1):
+                eta24[i] -= eta24[i - m]
+    return eta24
+
+
+def test_discriminant_form_tau_beyond_reconstruction_height():
+    # tau(97) is far above 10**6 and within Deligne's bound 2 * 97**5.5.
+    tau = _delta_coefficients(97)
+    assert (tau[1], tau[96]) == (-24, 75013568546)
+    cov = cuspidal_coverage(build_space(1, 11), [2, 97])
+    got = [(s.tuple_at([2, 97]), s.dim) for s in cov.systems]
+    assert got == [((Fraction(tau[1]), Fraction(tau[96])), 2)]
+    assert cov.unresolved_dim == 0
+
+
+def test_level17_weight12_discriminant_oldform():
+    # Delta(z) and Delta(17z) span the old space; T_31 acts on both by tau(31).
+    tau = _delta_coefficients(31)
+    assert tau[30] == -52843168
+    systems = eigensystems(build_space(17, 11), [31])
+    old = [s for s in systems if s.eigenvalues[31] == tau[30]]
+    assert [s.dim for s in old] == [4]
+
+
 def test_weight6_level5():
     space = build_space(5, 5)
     assert (space.dim, space.cuspidal_dim) == (4, 2)
@@ -615,6 +644,24 @@ def test_partner_disagreement_confirms_nothing():
     assert cov.unresolved_dim == cov.cuspidal_dim == 2
 
 
+def test_unresolved_causes():
+    # Level 199: T_2 has no integer eigenvalue in [-2, 2] on the cusp forms.
+    cov = cuspidal_coverage(build_space(199, 1), [2, 3])
+    assert cov.unresolved == {
+        "no_bounded_integer_root": cov.cuspidal_dim,
+        "defective": 0,
+        "prime_disagreement": 0,
+    }
+    space = build_space(11, 1)
+    _shift_partner_t2(space)
+    cov = cuspidal_coverage(space, [2, 3])
+    assert cov.unresolved == {
+        "no_bounded_integer_root": 0,
+        "defective": 0,
+        "prime_disagreement": 2,
+    }
+
+
 def test_winding_partner_disagreement_raises():
     space = build_space(13, 3)
     (system,) = cuspidal_coverage(space, [2]).systems
@@ -637,7 +684,7 @@ def _reference_coverage(space, primes):
     for sp in (space, space.partner()):
         ops = [restrict_operator(hecke_operator(sp, l), sp.cuspidal_subspace) for l in primes]
         census = set()
-        for eig in split_eigenspaces(ops).eigenspaces:
+        for eig in split_eigenspaces(ops, [sp.field.p // 2] * len(ops)).eigenspaces:
             try:
                 fracs = tuple(
                     rational_reconstruct(v, RECONSTRUCT_BOUND, sp.field) for v in eig.values
@@ -654,12 +701,15 @@ def _reference_left_eigenbases(space, primes):
     ops = [hecke_operator(space, l).transpose() for l in primes]
     return {
         eig.values: [dict(v) for v in eig.space.basis]
-        for eig in split_eigenspaces(ops).eigenspaces
+        for eig in split_eigenspaces(ops, [space.field.p // 2] * len(ops)).eigenspaces
     }
 
 
-@pytest.mark.parametrize("level", [11, 13, 37, 89])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize(
+    "k, level",
+    [(k, level) for k in (1, 3) for level in (11, 13, 37, 89, 35, 55)]
+    + [(5, 11), (5, 13)],
+)
 def test_coverage_matches_split_reference(level, k):
     primes = [2, 3]
     space = build_space(level, k)
@@ -667,6 +717,7 @@ def test_coverage_matches_split_reference(level, k):
     got = [(s.tuple_at(primes), s.dim) for s in cov.systems]
     assert got == _reference_coverage(space, primes)
     assert cov.unresolved_dim == space.cuspidal_dim - sum(dim for _, dim in got)
+    assert sum(cov.unresolved.values()) == cov.unresolved_dim
 
 
 @pytest.mark.parametrize("level", [13, 89])
