@@ -9,7 +9,8 @@ identical inputs give bit-identical outputs.
 
 The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (a list of sparse vectors).  On top of those sit
-reduced row echelon form, rank and kernel, joint kernels of shifted
+one row-insertion reduced row echelon form for every matrix, sparse or
+dense, rank and kernel, joint kernels of shifted
 operators (the eigenvectors for a known eigenvalue tuple), restriction
 of an operator to an invariant subspace, simultaneous eigenspace
 splitting of a commuting family at bounded integer eigenvalues, and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -202,8 +204,8 @@ def _dense_row(row: dict[int, int], n: int) -> list[int]:
     return out
 
 
-# Fraction of populated cells beyond which elimination and the right
-# factor of a product switch to a dense working representation.
+# Fraction of populated cells beyond which the right factor of a
+# product is packed into dense rows (see FieldMatrix.matmul).
 DENSE_THRESHOLD = 0.20
 
 
@@ -432,105 +434,63 @@ class EchelonForm:
         return len(self.pivots)
 
 
-def _echelon_sparse(m: FieldMatrix) -> EchelonForm:
-    p = m.field.p
-    rows = [dict(r) for r in m.rows]
-    pivot_of_col: dict[int, int] = {}
-    free = set(range(m.nrows))
+def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[int, int]],
+             p: int) -> dict[int, int]:
+    """row with the pivot columns on the heap cleared, as a new dict.
 
-    for col in range(m.ncols):
-        # Sparsest candidate row, lowest index on ties: cheap fill-in
-        # control while keeping the pivot column set canonical.
-        best = None
-        for i in free:
-            if col in rows[i]:
-                key = (len(rows[i]), i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+    Columns go smallest-first.  A pivot row has no entry left of its
+    pivot, so a subtraction only adds columns to the right of the one
+    it clears, and each pivot column it adds joins the heap.  Entries
+    are reduced mod p once, at the end.
+    """
+    acc = dict(row)
+    heapify(heap)
+    while heap:
+        col = heappop(heap)
+        v = acc[col] % p
+        if not v:
             continue
-        piv = best[1]
-        free.discard(piv)
-        inv = pow(rows[piv][col], -1, p)
-        if inv != 1:
-            rows[piv] = {j: v * inv % p for j, v in rows[piv].items()}
-        prow = rows[piv]
-        for i in range(m.nrows):
-            if i == piv:
-                continue
-            v = rows[i].get(col)
-            if not v:
-                continue
-            c = p - v
-            tgt = rows[i]
-            for j, w in prow.items():
-                x = (tgt.get(j, 0) + c * w) % p
-                if x:
-                    tgt[j] = x
-                else:
-                    tgt.pop(j, None)
-        pivot_of_col[col] = piv
-
-    # Order the pivot rows by pivot column, zero rows last.
-    order = [pivot_of_col[c] for c in sorted(pivot_of_col)]
-    order += sorted(free)
-    current = list(range(m.nrows))
-    for slot in range(m.nrows):
-        k = current.index(order[slot])
-        if k != slot:
-            rows[slot], rows[k] = rows[k], rows[slot]
-            current[slot], current[k] = current[k], current[slot]
-    out = FieldMatrix(m.field, m.nrows, m.ncols, rows)
-    return EchelonForm(out, sorted(pivot_of_col))
-
-
-def _echelon_dense(m: FieldMatrix) -> EchelonForm:
-    p = m.field.p
-    rows = [[r.get(j, 0) for j in range(m.ncols)] for r in m.rows]
-    pivots: list[int] = []
-    rank = 0
-
-    for col in range(m.ncols):
-        piv = None
-        for i in range(rank, m.nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        if inv != 1:
-            rows[rank] = [v * inv % p for v in rows[rank]]
-        prow = rows[rank]
-        for i in range(m.nrows):
-            if i == rank or not rows[i][col]:
-                continue
-            c = p - rows[i][col]
-            tgt = rows[i]
-            for j in range(col, m.ncols):
-                if prow[j]:
-                    tgt[j] = (tgt[j] + c * prow[j]) % p
-        pivots.append(col)
-        rank += 1
-
-    sparse_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-    out = FieldMatrix(m.field, m.nrows, m.ncols, sparse_rows)
-    return EchelonForm(out, pivots)
+        c = p - v
+        for j, w in pivot_rows[col].items():
+            x = acc.get(j)
+            if x is None:
+                acc[j] = c * w
+                if j in pivot_rows:
+                    heappush(heap, j)
+            else:
+                acc[j] = x + c * w
+    return {j: x for j, v in acc.items() if (x := v % p)}
 
 
 def echelonize(m: FieldMatrix) -> EchelonForm:
-    """Reduced row echelon form of a copy of m.
+    """Reduced row echelon form of m, which is left unmodified.
 
-    Pivot columns are the leftmost independent columns, so the pivot
-    set depends only on the row space; this keeps quotient bases stable
-    when the same integer matrix is reduced modulo two different
-    primes.
+    One row-insertion elimination for every matrix, sparse or dense.
+    Rows go in one at a time; each is reduced against the pivot rows
+    found so far, and its leftmost surviving column becomes a new pivot
+    with entry 1.  Back-substitution, right to left, then clears every
+    pivot column from the rows above its pivot.  The pivot columns are
+    the leftmost independent columns, and a reduced echelon form
+    depends only on the row space, never on the elimination order; this
+    keeps quotient bases stable when the same integer matrix is reduced
+    modulo two different primes.  The result has m.nrows rows: the
+    pivot rows by pivot column, then zero rows.
     """
-    if m.density > DENSE_THRESHOLD:
-        return _echelon_dense(m)
-    return _echelon_sparse(m)
+    p = m.field.p
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for src in m.rows:
+        row = _reduced(src, [j for j in src if j in pivot_rows], pivot_rows, p)
+        if row:
+            lead = min(row)
+            inv = pow(row[lead], -1, p)
+            pivot_rows[lead] = {j: v * inv % p for j, v in row.items()} if inv != 1 else row
+    pivots = sorted(pivot_rows)
+    for col in reversed(pivots):
+        row = pivot_rows[col]
+        pivot_rows[col] = _reduced(row, [j for j in row if j != col and j in pivot_rows],
+                                   pivot_rows, p)
+    rows = [pivot_rows[c] for c in pivots] + [{} for _ in range(m.nrows - len(pivots))]
+    return EchelonForm(FieldMatrix(m.field, m.nrows, m.ncols, rows), pivots)
 
 
 @dataclass(frozen=True)
@@ -543,9 +503,7 @@ class Subspace:
 
     def __post_init__(self):
         if self.basis:
-            stacked = FieldMatrix(
-                self.field, len(self.basis), self.ambient_dim, [dict(v) for v in self.basis]
-            )
+            stacked = FieldMatrix(self.field, len(self.basis), self.ambient_dim, list(self.basis))
             if echelonize(stacked).rank != len(self.basis):
                 raise ValueError("basis vectors are linearly dependent")
 
@@ -563,23 +521,26 @@ class Subspace:
     ) -> "Subspace":
         return cls(n, tuple(dict(v) for v in vectors), field)
 
+    @classmethod
+    def canonical(
+        cls, field: PrimeField, n: int, vectors: Sequence[dict[int, int]]
+    ) -> "Subspace":
+        """The span of independent vectors, with its canonical basis.
+
+        One echelon both checks that the vectors are independent
+        (ValueError if not) and gives the reduced-echelon basis.
+        Canonical means: it depends only on the subspace, not on the
+        vectors it was handed; this is what makes bases comparable when
+        the same computation is repeated modulo a second prime.
+        """
+        ech = echelonize(FieldMatrix(field, len(vectors), n, list(vectors)))
+        if ech.rank != len(vectors):
+            raise ValueError("basis vectors are linearly dependent")
+        return cls(n, tuple(ech.matrix.rows[:ech.rank]), field)
+
     def basis_matrix(self) -> FieldMatrix:
         """Basis vectors as the columns of an ambient_dim x dim matrix."""
         return FieldMatrix.from_columns(self.field, self.ambient_dim, list(self.basis))
-
-    def echelonized(self) -> "Subspace":
-        """The same subspace with its canonical reduced-echelon basis.
-
-        Canonical means: depends only on the subspace, not on the basis
-        it was handed; this is what makes bases comparable when the
-        same computation is repeated modulo a second prime.
-        """
-        stacked = FieldMatrix(
-            self.field, len(self.basis), self.ambient_dim, [dict(v) for v in self.basis]
-        )
-        ech = echelonize(stacked)
-        rows = [r for r in ech.matrix.rows if r]
-        return Subspace(self.ambient_dim, tuple(rows), self.field)
 
 
 def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
@@ -598,10 +559,7 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
             if v:
                 vec[c] = (-v) % m.field.p
         basis.append(vec)
-    kernel = Subspace(m.ncols, tuple(basis), m.field)
-    if basis:
-        kernel = kernel.echelonized()
-    return ech.rank, kernel
+    return ech.rank, Subspace.canonical(m.field, m.ncols, basis)
 
 
 def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
@@ -909,8 +867,7 @@ def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
             for j, w in s.basis[idx].items():
                 acc[j] = (acc.get(j, 0) + c * w) % p
         lifted.append({j: v for j, v in acc.items() if v})
-    out = Subspace(s.ambient_dim, tuple(lifted), s.field)
-    return out.echelonized() if lifted else out
+    return Subspace.canonical(s.field, s.ambient_dim, lifted)
 
 
 def signed_lift(x: int, p: int) -> int:

@@ -23,6 +23,7 @@ from . import heckepoly
 from .exactlin import FieldContext, _is_prime, frac_str
 from .heckepoly import HeckePolynomial, LiftClass, SL3Datum, poly_to_json
 from .modsym import (
+    CuspidalSplit,
     EigenSystem,
     build_space,
     cuspidal_coverage,
@@ -183,6 +184,25 @@ def _sl3_constituent(datum: SL3Datum, primes: Sequence[int], index: int,
     )
 
 
+def _other_causes(weight: int, cov: CuspidalSplit) -> list[str]:
+    """One caveat naming the unresolved cuspidal dimensions of `cov` that
+    are not explained by irrational eigensystems, or none."""
+    causes = [
+        f"{cov.unresolved[key]} {what}"
+        for key, what in (
+            ("defective", "defective at the primary prime"),
+            ("prime_disagreement", "not confirmed at the second prime"),
+        )
+        if cov.unresolved[key]
+    ]
+    if not causes:
+        return []
+    return [
+        f"weight {weight}: of {cov.cuspidal_dim} cuspidal dimensions, "
+        f"{' and '.join(causes)}; these carry no constituent entry"
+    ]
+
+
 def build_report(
     level: int,
     primes: Sequence[int],
@@ -224,12 +244,13 @@ def build_report(
                 f"weight-2 system {_system_id('w2', system)} has eigenspace dim "
                 f"{system.dim}; multiplicity counted as {2 * max(1, system.dim // 2)}"
             )
-    if cov1.unresolved_dim:
+    if cov1.unresolved["no_bounded_integer_root"]:
         caveats.append(
-            f"weight 2: {cov1.unresolved_dim} of {cov1.cuspidal_dim} cuspidal "
-            "dimensions belong to non-rational eigensystems and carry no "
-            "constituent entry"
+            f"weight 2: {cov1.unresolved['no_bounded_integer_root']} of "
+            f"{cov1.cuspidal_dim} cuspidal dimensions belong to non-rational "
+            "eigensystems and carry no constituent entry"
         )
+    caveats += _other_causes(2, cov1)
 
     for system in cov3.systems:
         pairing = winding_pairing(space3, system)
@@ -244,12 +265,13 @@ def build_report(
                     "winding": frac_str(pairing),
                 }
             )
-    if cov3.unresolved_dim:
+    if cov3.unresolved["no_bounded_integer_root"]:
         caveats.append(
-            f"weight 4: {cov3.unresolved_dim} of {cov3.cuspidal_dim} cuspidal "
-            "dimensions belong to non-rational eigensystems; their winding "
-            "analysis is not available"
+            f"weight 4: {cov3.unresolved['no_bounded_integer_root']} of "
+            f"{cov3.cuspidal_dim} cuspidal dimensions belong to non-rational "
+            "eigensystems; their winding analysis is not available"
         )
+    caveats += _other_causes(4, cov3)
 
     if sl3_data is None:
         caveats.append("no sl3 data supplied; sl3 constituents omitted")

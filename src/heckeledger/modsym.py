@@ -758,11 +758,13 @@ class ManinBasisSpace:
         p1 = self.p1
         npts = len(p1)
         heil = _heilbronn(n)
-        # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under heil[t]
-        images = [
-            [[(m, cm) for m, cm in enumerate(mono.subst(*h).coeffs) if cm] for h in heil]
-            for mono in self.module.monomials()
-        ]
+        # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under
+        # heil[t], for the monomials i of the free generators only
+        monos = self.module.monomials()
+        images = {
+            i: [[(m, cm) for m, cm in enumerate(monos[i].subst(*h).coeffs) if cm] for h in heil]
+            for i in {self.generators[col][0] for col in self.free_columns}
+        }
         dim = self.dim
         free_pos, pivot_expr = self._free_pos, self._pivot_expr
         targets: dict[int, list[int]] = {}

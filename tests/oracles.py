@@ -3,7 +3,9 @@
 Nothing here imports the package under test.  Dimensions of modular
 form spaces come from the classical index/elliptic-point/cusp counts
 for X_0(N); eigenvalues of the level-11 weight-2 form come from point
-counts on a stored Weierstrass equation.
+counts on a stored Weierstrass equation; traces of Hecke operators come
+from the Eichler-Selberg trace formula, with class numbers counted from
+reduced binary quadratic forms.
 """
 
 from fractions import Fraction
@@ -140,3 +142,84 @@ def curve11_ap(l: int) -> int:
 
 def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
+
+
+# -- Eichler-Selberg trace formula -------------------------------------------
+# In H. Cohen's form, "Trace des operateurs de Hecke sur Gamma0(N)",
+# Seminaire de Theorie des Nombres de Bordeaux (1976-77); also W. Stein,
+# Modular Forms: A Computational Approach (2007), Section 10.
+
+
+def class_number_weighted(d: int) -> Fraction:
+    """h(d) / (w(d) / 2) for a negative discriminant d, by counting the
+    reduced primitive forms (a, b, c), b^2 - 4ac = d; the forms
+    a(x^2 + y^2) and a(x^2 + xy + y^2) count 1/2 and 1/3."""
+    assert d < 0 and d % 4 in (0, 1)
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a + 1, a + 1):
+            if (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            if c < a or (c == a and b < 0) or gcd(gcd(a, b), c) != 1:
+                continue
+            if a == b == c:
+                total += Fraction(1, 3)
+            elif b == 0 and a == c:
+                total += Fraction(1, 2)
+            else:
+                total += 1
+        a += 1
+    return total
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def hecke_trace(n: int, level: int, weight: int) -> int:
+    """tr T_n on S_weight(Gamma0(level)) with trivial character, for
+    even weight >= 2 and gcd(n, level) = 1: A1 + A2 + A3 + A4."""
+    assert weight >= 2 and weight % 2 == 0 and gcd(n, level) == 1
+    big_n, k = level, weight
+    psi = index_gamma0(big_n)
+    r = isqrt(n)
+    # A1: the identity term, only for square n.
+    a1 = Fraction(n ** (k // 2 - 1) * (k - 1) * psi, 12) if r * r == n else Fraction(0)
+    # A2: elliptic terms, t^2 < 4n.
+    a2 = Fraction(0)
+    for t in range(-isqrt(4 * n), isqrt(4 * n) + 1):
+        disc = t * t - 4 * n
+        if disc >= 0:
+            continue
+        u0, u1 = 0, 1  # (rho^(k-1) - rhobar^(k-1)) / (rho - rhobar) by recurrence
+        for _ in range(k - 2):
+            u0, u1 = u1, t * u1 - n * u0
+        inner = Fraction(0)
+        for f in range(1, isqrt(-disc) + 1):
+            if disc % (f * f) or (disc // (f * f)) % 4 not in (0, 1):
+                continue
+            n_f = gcd(big_n, f)
+            roots = sum(1 for x in range(big_n) if (x * x - t * x + n) % (big_n * n_f) == 0)
+            mu = Fraction(psi, index_gamma0(big_n // n_f)) * roots
+            inner += class_number_weighted(disc // (f * f)) * mu
+        a2 -= Fraction(u1) * inner / 2
+    # A3: hyperbolic terms, one per divisor pair d <= n/d; the divisor
+    # d = sqrt(n) is counted half.
+    a3 = Fraction(0)
+    for d in _divisors(n):
+        e = n // d
+        if d > e:
+            continue
+        cusps = sum(
+            euler_phi(gcd(tau, big_n // tau))
+            for tau in _divisors(big_n)
+            if (e - d) % gcd(tau, big_n // tau) == 0
+        )
+        a3 -= Fraction(d ** (k - 1) * cusps, 2 if d == e else 1)
+    # A4: weight 2 only.
+    a4 = sum(_divisors(n)) if k == 2 else 0
+    total = a1 + a2 + a3 + a4
+    assert total.denominator == 1
+    return int(total)

@@ -123,19 +123,32 @@ def test_rank_invariant_under_permutation():
         assert echelonize(perm).rank == base_rank
 
 
-def test_dense_and_sparse_paths_agree():
-    rng = random.Random(11)
-    data = [[rng.randrange(P) if rng.random() < 0.6 else 0 for _ in range(9)] for _ in range(7)]
-    m = dense(data)
-    assert m.density > 0.2
-    dense_ech = echelonize(m)
-    sparse_ech = None
-    # Force the sparse path on the same matrix by calling the internals.
-    from heckeledger.exactlin import _echelon_sparse
-
-    sparse_ech = _echelon_sparse(m)
-    assert dense_ech.matrix == sparse_ech.matrix
-    assert dense_ech.pivots == sparse_ech.pivots
+def test_canonical_subspace():
+    rng = random.Random(5)
+    vecs = [{j: rng.randrange(1, P) for j in rng.sample(range(12), 5)} for _ in range(4)]
+    s = Subspace.canonical(F, 12, vecs)
+    assert s.dim == 4
+    # Reduced echelon: leading entries 1, in increasing columns, alone
+    # in their columns.
+    leads = [min(v) for v in s.basis]
+    assert leads == sorted(set(leads))
+    for i, v in enumerate(s.basis):
+        assert v[leads[i]] == 1
+        assert all(leads[i] not in w for t, w in enumerate(s.basis) if t != i)
+    # Any other basis of the same span gives the same canonical basis.
+    mixed = [dict(v) for v in vecs]
+    for j, v in vecs[1].items():
+        mixed[0][j] = (mixed[0].get(j, 0) + 3 * v) % P
+    mixed[0] = {j: v for j, v in mixed[0].items() if v}
+    for _ in range(3):
+        other = [{j: v * c % P for j, v in vec.items()}
+                 for vec, c in zip(rng.sample(mixed, 4), (2, P - 1, 12345, 7))]
+        assert Subspace.canonical(F, 12, other) == s
+    assert Subspace.canonical(F, 12, []).dim == 0
+    with pytest.raises(ValueError):
+        Subspace.canonical(F, 12, vecs + [mixed[0]])
+    with pytest.raises(ValueError):
+        Subspace.canonical(F, 12, [vecs[0], {j: 5 * v % P for j, v in vecs[0].items()}])
 
 
 # -- restriction ------------------------------------------------------------
@@ -526,6 +539,80 @@ def test_charpoly_matches_reference(p):
         fld, [[1, 2, 3, 4], [5, 0, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
     for m in mats:
         assert charpoly(m) == ref_charpoly(m)
+
+
+# -- reduced echelon form against textbook Gauss-Jordan ----------------------
+
+
+def ref_rref(rows, ncols, p):
+    """(pivot columns, reduced rows) by Gauss-Jordan on dense lists."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return pivots, a
+
+
+def ref_dense_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def commuting_stack(fld, rng, n):
+    """[A - lam I; B - mu I] for A = S D S^-1, B = S E S^-1 with diagonal
+    D, E: rank n - 2, since D = lam and E = mu together at two places."""
+    p = fld.p
+    nil = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = [[(x + y) % p for x, y in zip(r, e)] for r, e in zip(nil, eye)]
+    s_inv, power = eye, eye
+    for _ in range(n - 1):  # (I + N)^-1 = sum of (-N)^k, N nilpotent
+        power = ref_dense_mul(power, [[-x % p for x in r] for r in nil], p)
+        s_inv = [[(x + y) % p for x, y in zip(r, t)] for r, t in zip(s_inv, power)]
+    lam, mu = 3, p - 4
+    d = [lam, lam, lam, 2, 5, 7, 11, 13][:n]
+    e = [mu, mu, 9, mu, mu, 6, 8, 10][:n]
+    rows = []
+    for diag, shift in ((d, lam), (e, mu)):
+        a = ref_dense_mul(ref_dense_mul(s, [[x * diag[j] for j, x in enumerate(r)] for r in eye], p),
+                          s_inv, p)
+        rows += [[(x - shift * (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(a)]
+    return FieldMatrix.from_dense(fld, rows)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_echelonize_matches_reference(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 991)
+    cases = []
+    for density in (0.0, 0.1, 0.5, 1.0):
+        for nrows, ncols in ((0, 5), (5, 0), (1, 1), (6, 20), (25, 8)):
+            cases.append(random_matrix(fld, rng, nrows, ncols, density))
+        # tall, every row repeated several times
+        base = random_matrix(fld, rng, 5, 9, density)
+        cases.append(FieldMatrix(fld, 20, 9, [dict(base.rows[rng.randrange(5)]) for _ in range(20)]))
+    stack = commuting_stack(fld, rng, 8)
+    cases.append(stack)
+    for m in cases:
+        before = [dict(r) for r in m.rows]
+        ech = echelonize(m)
+        pivots, ref = ref_rref([[r.get(j, 0) for j in range(m.ncols)] for r in m.rows], m.ncols, p)
+        assert ech.pivots == pivots
+        assert (ech.matrix.nrows, ech.matrix.ncols) == (m.nrows, m.ncols)
+        # pivot rows by column, then zero rows
+        assert ech.matrix.rows == [{j: v for j, v in enumerate(r) if v} for r in ref]
+        assert m.rows == before
+    assert echelonize(stack).rank == 6
 
 
 # -- rational reconstruction ------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from heckeledger import ledger
+from heckeledger.exactlin import FieldMatrix
 from heckeledger.heckepoly import sl3_lifts, weight2_lifts
 from heckeledger.ledger import (
     CuspRangeUnknown,
@@ -81,6 +83,32 @@ def test_report_weight4_handling():
     report = small_report(sl3_data=load_sl3_csv(SL3_TEXT), gritsenko={11: 0})
     assert [c for c in report.constituents if c.kind == "weight4"] == []
     assert any("weight 4" in c and "non-rational" in c for c in report.caveats)
+
+
+def test_report_caveat_names_prime_disagreement(monkeypatch):
+    # Shift the partner prime's T_2 by the identity: the rational 11a
+    # system is then found at the primary prime but not confirmed at the
+    # second one, and the caveat must say so instead of calling it
+    # non-rational.
+    real_build_space = ledger.build_space
+
+    def shifted_build_space(level, k, **kw):
+        space = real_build_space(level, k, **kw)
+        twin = space.partner()
+        t2 = twin.hecke_matrix(2)
+        twin._hecke_cache[2] = t2.add_scaled(FieldMatrix.identity(twin.field, twin.dim), 1)
+        return space
+
+    monkeypatch.setattr(ledger, "build_space", shifted_build_space)
+    report = small_report(sl3_data=[], gritsenko={11: 0})
+    assert [c for c in report.constituents if c.kind == "weight2"] == []
+    weight2 = [c for c in report.caveats if c.startswith("weight 2:")]
+    assert weight2 == [
+        "weight 2: of 2 cuspidal dimensions, 2 not confirmed at the second prime; "
+        "these carry no constituent entry"
+    ]
+    # The irrational weight-4 orbit keeps its own caveat.
+    assert any(c.startswith("weight 4: 4 of 4") and "non-rational" in c for c in report.caveats)
 
 
 def test_report_weight4_excluded_nonvanishing():

@@ -37,7 +37,7 @@ from heckeledger.modsym import (
     winding_pairing,
 )
 
-from oracles import curve11_ap, dim_cusp_forms, dim_eisenstein, primes_upto
+from oracles import curve11_ap, dim_cusp_forms, dim_eisenstein, hecke_trace, primes_upto
 
 ONE = HomogeneousPoly((1,))
 
@@ -430,6 +430,32 @@ def test_cuspidal_subspace_hecke_stable():
         for l in (2, 3):
             # would raise NotInvariant on failure
             restrict_operator(hecke_operator(space, l), space.cuspidal_subspace)
+
+
+@pytest.mark.parametrize(
+    "weight, levels",
+    [
+        (2, range(1, 41)),
+        (4, range(1, 41)),
+        (2, [n for n in primes_upto(100) if n > 40]),
+        (6, range(1, 21)),
+        (12, [1]),
+    ],
+    ids=["w2-N<=40", "w4-N<=40", "w2-prime-N<=100", "w6-N<=20", "w12-N=1"],
+)
+def test_hecke_trace_matches_eichler_selberg(weight, levels):
+    # The cuspidal part of H^1 is S_w twice over (plus and minus
+    # symbols), so tr T_l there is twice the Eichler-Selberg trace; the
+    # trace formula shares no code with Merel's Hecke matrices.
+    for level in levels:
+        space = build_space(level, weight - 1)
+        p = space.field.p
+        for l in (2, 3, 5, 7):
+            if level % l == 0:
+                continue
+            t = restrict_operator(hecke_operator(space, l), space.cuspidal_subspace)
+            got = sum(t.entry(i, i) for i in range(t.nrows)) % p
+            assert got == 2 * hecke_trace(l, level, weight) % p, (level, weight, l)
 
 
 def test_eisenstein_boundary_eigenvalue():
