@@ -67,6 +67,17 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable one is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _parse_primes(text: str) -> list[int]:
     try:
         primes = sorted({int(tok) for tok in text.split(",") if tok.strip()})
@@ -166,8 +177,7 @@ def _load_gritsenko(cfg: Config) -> Optional[dict[int, int]]:
     path = cfg.data_paths.get("gritsenko")
     if not path:
         return None
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return load_gritsenko_csv(text)
     except ValueError as exc:
@@ -220,8 +230,7 @@ def cmd_ledger(args) -> int:
     tscale = _parse_tscale(args.tscale) if args.tscale else None
     sl3_data = None
     if cfg.data_paths.get("sl3"):
-        with open(cfg.data_paths["sl3"], encoding="utf-8") as fh:
-            sl3_data = load_sl3_csv(fh.read())
+        sl3_data = load_sl3_csv(_read_text(cfg.data_paths["sl3"]))
     gritsenko = _load_gritsenko(cfg)
     try:
         report = build_report(
@@ -234,11 +243,10 @@ def cmd_ledger(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.compare:
-        with open(args.compare, encoding="utf-8") as fh:
-            try:
-                external = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{args.compare}: {exc}") from exc
+        try:
+            external = json.loads(_read_text(args.compare))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{args.compare}: {exc}") from exc
         summary = compare_external(report, external, tscale=tscale)
         sys.stdout.write(_dump_json(summary))
         return 0
@@ -305,7 +313,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (UsageError, UnsupportedWeight, BadPrime, GritsenkoExceedsTotal,
-            FormatError, FileNotFoundError) as exc:
+            FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NonIntegralResult, MultiPrimeMismatch, NotInvariant, NonCommuting,

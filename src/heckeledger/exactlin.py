@@ -14,10 +14,14 @@ dense, rank and kernel, joint kernels of shifted
 operators (the eigenvectors for a known eigenvalue tuple), restriction
 of an operator to an invariant subspace, simultaneous eigenspace
 splitting of a commuting family at bounded integer eigenvalues, and
-rational reconstruction of field elements.  Matrix products and
-polynomial arithmetic mod p run on packed-integer (Kronecker) kernels:
-a row or a coefficient list becomes one Python int with fixed-width
-slots, so one big-int product does a whole row's worth of multiply-adds.
+rational reconstruction of field elements.  Matrix products, the
+charpoly expansion and the squarings of modular powers run on
+packed-integer (Kronecker) kernels: a row or a coefficient list becomes
+one Python int with fixed-width slots, so one big-int product does a
+whole row's worth of multiply-adds.  Roots are found modulo the
+squarefree part of a polynomial, by gcd with x^p - x and then
+equal-degree splitting; a modular power packs and unpacks twice per
+squaring and multiplies by its (usually linear) base term by term.
 """
 
 from __future__ import annotations
@@ -194,7 +198,8 @@ def _pack(values: Sequence[int], nb: int) -> int:
 def _unpack(x: int, count: int, nb: int, p: int) -> list[int]:
     """The `count` slots of x, each reduced mod p; x must fit in them."""
     data = x.to_bytes(count * nb, "little")
-    return [int.from_bytes(data[i:i + nb], "little") % p for i in range(0, count * nb, nb)]
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + nb], "little") % p for i in range(0, count * nb, nb)]
 
 
 def _dense_row(row: dict[int, int], n: int) -> list[int]:
@@ -516,12 +521,6 @@ class Subspace:
         return cls(n, tuple({i: 1} for i in range(n)), field)
 
     @classmethod
-    def from_vectors(
-        cls, field: PrimeField, n: int, vectors: Sequence[dict[int, int]]
-    ) -> "Subspace":
-        return cls(n, tuple(dict(v) for v in vectors), field)
-
-    @classmethod
     def canonical(
         cls, field: PrimeField, n: int, vectors: Sequence[dict[int, int]]
     ) -> "Subspace":
@@ -627,17 +626,6 @@ def poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    """f * g mod p by Kronecker substitution: one packed product, a
-    squaring when f is g."""
-    if not f or not g:
-        return []
-    nb = _slot_bytes(p, min(len(f), len(g)))
-    pf = _pack([a % p for a in f], nb)
-    prod = pf * pf if f is g else pf * _pack([b % p for b in g], nb)
-    return poly_trim(_unpack(prod, len(f) + len(g) - 1, nb, p))
-
-
 def poly_sub(f: list[int], g: list[int], p: int) -> list[int]:
     out = [0] * max(len(f), len(g))
     for i, a in enumerate(f):
@@ -688,40 +676,48 @@ def _series_inverse(h: list[int], n: int, p: int) -> list[int]:
 def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """base**e modulo the polynomial `mod`, coefficients mod p.
 
-    Left-to-right square-and-multiply with division-free reduction (von
-    zur Gathen and Gerhard, Modern Computer Algebra, 9.1).  With
-    d = deg mod and inv = rev(mod)^-1 mod x^(d-1), computed once, a
-    product a of degree m < 2d-1 has the quotient
-    q = rev(rev(a) * inv mod x^(m-d+1)), so each step is three packed
-    products: a itself (:func:`poly_mul`), q, and q * mod.  For a linear
-    base, the usual case, the multiply step's products are all short.
+    Left-to-right square-and-multiply against mod made monic, of degree
+    d.  A squaring is two packed stages with division-free reduction
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1).  With
+    inv = rev(mod)^-1 mod x^(d-1), computed once, the top d - 1 slots of
+    s = r^2 times inv reversed, shifted down by d - 1 slots, are the
+    quotient q; the low d slots of s + q * (x^d - mod) are the
+    remainder.  Slots of 3 bitlen(p) + 2 bitlen(d) + 1 bits hold the
+    quotient's unreduced sums, below d^2 p^3, so a squaring packs and
+    unpacks twice.  The multiply step is a schoolbook product with the
+    base and one long-division step per coefficient above degree d - 1:
+    O(d) for the linear bases of the root finder.
     """
     if e == 0:
         return [1]
     mod = poly_trim([c % p for c in mod])
     base = poly_divmod(base, mod, p)[1]
+    if not base:
+        return []
+    lead = pow(mod[-1], -1, p)
     d = len(mod) - 1
-    nb = _slot_bytes(p, d)
-    inv = _pack(_series_inverse(mod[::-1], d - 1, p), nb)
-    low = _pack(mod[:d], nb)
-    rmask = (1 << (8 * nb * d)) - 1
-
-    def reduce(c: list[int]) -> list[int]:
-        """c mod `mod`, for c reduced mod p and of degree < 2d - 1."""
-        n = len(c)
-        if n <= d:
-            return c
-        k = n - d  # quotient length
-        top = _pack(c[:d - 1:-1], nb)  # rev(c) mod x^k: c[n-1], ..., c[d]
-        q = _unpack(top * inv & ((1 << (8 * nb * k)) - 1), k, nb, p)[::-1]
-        t = _unpack(_pack(q, nb) * low & rmask, d, nb, p)
-        return poly_trim([(a - b) % p for a, b in zip(c, t)])
-
+    neg = [(-c) * lead % p for c in mod[:d]]  # x^d = neg(x) modulo mod
+    nb = (3 * p.bit_length() + 2 * d.bit_length() + 1 + 7) // 8
+    width = 8 * nb
+    # Leading zero slot: the quotient sits in the top d - 1 slots of a
+    # d-slot shift, for every d >= 1.
+    inv = _pack([0] + _series_inverse([c * lead % p for c in mod[::-1]], d - 1, p)[::-1], nb)
+    pneg = _pack(neg, nb)
+    low = (1 << (width * d)) - 1
     result = base
     for bit in bin(e)[3:]:
-        result = reduce(poly_mul(result, result, p))
+        s = _pack(result, nb) ** 2
+        q = _unpack((s >> (width * d)) * inv >> (width * (d - 1)), d - 1, nb, p)
+        result = poly_trim(_unpack((s & low) + _pack(q, nb) * pneg & low, d, nb, p))
         if bit == "1":
-            result = reduce(poly_mul(result, base, p))
+            n = len(result)
+            c = [0] * (n + len(base) - 1)
+            for i, b in enumerate(base):
+                c[i:i + n] = [x + b * a for x, a in zip(c[i:i + n], result)]
+            for k in range(len(c) - 1, d - 1, -1):
+                t = c[k] % p
+                c[k - d:k] = [x + t * a for x, a in zip(c[k - d:k], neg)]
+            result = poly_trim([x % p for x in c[:d]])
     return result
 
 
@@ -787,13 +783,21 @@ def charpoly(m: FieldMatrix) -> list[int]:
 def distinct_roots(f: list[int], p: int) -> list[int]:
     """All roots of f in Z/p, each once, sorted ascending.
 
-    gcd with x^p - x isolates the linear part; the splitting uses
-    quadratic-residue filters (x + t)^((p-1)/2) - 1 with t = 0, 1, 2,
-    ... in order, so the computation is deterministic.
+    f is first replaced by its squarefree part f / gcd(f, f'), which has
+    the same roots at half the degree or less when every root is
+    repeated (von zur Gathen and Gerhard, 14.3); this needs p > deg f,
+    and a smaller p raises ValueError.  Then gcd with x^p - x isolates
+    the linear part, and the splitting uses quadratic-residue filters
+    (x + t)^((p-1)/2) - 1 with t = 0, 1, 2, ... in order, so the
+    computation is deterministic.
     """
-    f = poly_trim(list(f))
+    f = poly_trim([c % p for c in f])
+    if len(f) > p:
+        raise ValueError(f"degree {len(f) - 1} is not below the prime {p}")
     if len(f) <= 1:
         return []
+    df = [i * c % p for i, c in enumerate(f)][1:]
+    f = poly_divmod(f, poly_gcd(f, df, p), p)[0]
     xp = poly_powmod([0, 1], p, f, p)
     g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
     roots: list[int] = []

@@ -223,6 +223,8 @@ def build_report(
     if not primes:
         raise ValueError("need at least one Hecke prime")
     for l in primes:
+        if not _is_prime(l):
+            raise ValueError(f"{l} is not prime")
         if level % l == 0:
             raise ValueError(f"Hecke prime {l} divides the level")
 

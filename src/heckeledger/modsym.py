@@ -371,27 +371,43 @@ def unimodularize(s: ModularSymbol) -> list[ModularSymbol]:
 class ProjectiveLine:
     """Canonical representatives and index lookup for P^1(Z/N).
 
-    The reduction follows the standard algorithm (Stein, Algorithm
-    8.29): scale by a unit so the first coordinate becomes gcd(c, N),
-    then minimize the second coordinate over the residual stabilizer.
+    The canonical point is that of the standard algorithm (Stein,
+    Algorithm 8.29): scale by a unit so the first coordinate becomes
+    g = gcd(c, N), then minimize the second coordinate over the units
+    t = 1 mod N/g, which fix g.  Both steps are tabulated once per
+    level, so a reduction is two list lookups and one product mod N.
     """
 
     def __init__(self, level: int):
         if level < 1:
             raise ValueError("level must be positive")
-        self.level = level
-        if level == 1:
-            pts = [(0, 1)]
-        elif _is_prime(level):
-            pts = [(0, 1)] + [(1, d) for d in range(level)]
-        else:
-            # Every point reduces to (g, v) with g = gcd(c, N) a proper
-            # divisor, and a canonical point is its own reduction.
-            seen = {(0, 1)}
-            for g in range(1, level):
-                if level % g == 0:
-                    seen.update(self.reduce(g, d) for d in range(level) if gcd(g, d) == 1)
-            pts = list(seen)
+        self.level = n = level
+        # For each divisor g, the canonical second coordinate of every v,
+        # or None when gcd(g, v) != 1; the orbit of v under the units
+        # t = 1 mod N/g is filled from its smallest element.  (c : d)
+        # with c = 0 is (0 : 1).
+        canon: dict[int, list] = {n: [1 if gcd(v, n) == 1 else None for v in range(n)]}
+        pts = [(0, 1)]
+        for g in range(1, n):
+            if n % g:
+                continue
+            units = [t for t in range(1, n, n // g) if gcd(t, n) == 1]
+            table: list = [None] * n
+            for v in range(n):
+                if table[v] is None and gcd(g, v) == 1:
+                    pts.append((g, v))
+                    for t in units:
+                        table[v * t % n] = v
+            canon[g] = table
+        # For each residue c: the first coordinate, a unit s with
+        # s c = g (mod N), and the table for g = gcd(c, N).
+        self._scale: list[tuple[int, int, list]] = [(0, 1, canon[n])]
+        for c in range(1, n):
+            g = gcd(c, n)
+            s = pow(c // g, -1, n // g)
+            while gcd(s, n) != 1:
+                s += n // g
+            self._scale.append((g, s, canon[g]))
         self.points: list[tuple[int, int]] = sorted(pts)
         self._index = {pt: i for i, pt in enumerate(self.points)}
         self._lift_cache: dict[int, tuple[int, int, int, int]] = {}
@@ -401,23 +417,10 @@ class ProjectiveLine:
 
     def reduce(self, c: int, d: int) -> tuple[int, int]:
         n = self.level
-        if n == 1:
-            return (0, 1)
-        c %= n
-        d %= n
-        if gcd(gcd(c, d), n) != 1:
-            raise ValueError(f"({c}:{d}) is not a point of P^1(Z/{n})")
-        if c == 0:
-            return (0, 1)
-        g = gcd(c, n)
-        n0 = n // g
-        s = pow(c // g, -1, n0)
-        while gcd(s, n) != 1:
-            s += n0
-        v = s * d % n
-        if g == 1:
-            return (1, v)
-        v = min(v * t % n for t in range(1, n, n0) if gcd(t, n) == 1)
+        g, s, table = self._scale[c % n]
+        v = table[s * d % n]
+        if v is None:
+            raise ValueError(f"({c % n}:{d % n}) is not a point of P^1(Z/{n})")
         return (g, v)
 
     def index(self, c: int, d: int) -> int:
@@ -590,11 +593,11 @@ class ManinBasisSpace:
 
         # Two-term quotient: generator -> (representative, sign); the
         # killed generators are absent.
+        s_pt = [p1.index(d, -c) for c, d in p1.points]
         s_pair: list[tuple[int, int]] = []
         for i in range(k):
             (m, cm), = [(m, cm) for m, cm in enumerate(s_img[i].coeffs) if cm]
-            for c, d in p1.points:
-                s_pair.append((m * npts + p1.index(d, -c), cm))
+            s_pair += [(m * npts + j, cm) for j in s_pt]
         rep: dict[int, tuple[int, int]] = {}
         for g, (h, c) in enumerate(s_pair):
             if h > g and c * s_pair[h][1] == 1:
@@ -912,6 +915,8 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     """
     primes = sorted(set(primes))
     for l in primes:
+        if not _is_prime(l):
+            raise BadPrime(f"{l} is not prime")
         if space.level % l == 0:
             raise BadPrime(f"{l} divides the level {space.level}")
     candidates, unsplit, defective = _reconstructed_systems(space, primes)

@@ -192,6 +192,28 @@ def test_ledger_missing_file_rejected(capsys):
     assert code == 2
 
 
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe")
+    for path in (str(tmp_path), str(bad)):
+        for argv in (["ledger", "--level", "11", "--primes", "2", "--sl3", path],
+                     ["ledger", "--level", "11", "--primes", "2", "--gritsenko", path],
+                     ["paramodular", "--prime", "5", "--gritsenko", path],
+                     ["ledger", "--level", "11", "--primes", "2", "--compare", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith("error:"), (argv, err)
+
+
+def test_non_prime_hecke_index_is_usage_error(capsys):
+    for l in ("0", "1"):
+        for argv in (["modsym", "--level", "11", "--weight", "2", "--primes", l],
+                     ["ledger", "--level", "11", "--primes", f"{l},2"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert "is not prime" in err, (argv, err)
+
+
 # -- config ------------------------------------------------------------------
 
 

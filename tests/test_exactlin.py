@@ -155,21 +155,21 @@ def test_canonical_subspace():
 
 
 def test_restrict_identity():
-    s = Subspace.from_vectors(F, 4, [{0: 1, 2: 3}, {1: 5}])
+    s = Subspace(4, ({0: 1, 2: 3}, {1: 5}), F)
     r = restrict_operator(FieldMatrix.identity(F, 4), s)
     assert r == FieldMatrix.identity(F, 2)
 
 
 def test_restrict_diagonal_to_eigenplane():
     op = dense([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
-    plane = Subspace.from_vectors(F, 3, [{1: 1}, {2: 1}])
+    plane = Subspace(3, ({1: 1}, {2: 1}), F)
     r = restrict_operator(op, plane)
     assert r == FieldMatrix.identity(F, 2).scale(3)
 
 
 def test_restrict_raises_not_invariant():
     op = dense([[0, 1], [1, 0]])
-    line = Subspace.from_vectors(F, 2, [{0: 1}])
+    line = Subspace(2, ({0: 1},), F)
     with pytest.raises(NotInvariant):
         restrict_operator(op, line)
 
@@ -473,18 +473,6 @@ def test_matmul_matches_reference(p):
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_poly_mul_matches_reference(p):
-    rng = random.Random(p % 997)
-    cases = [([], []), ([], [1, 2]), ([3], []), ([5], [7]), ([p - 1], [p - 1, 0, 2]),
-             ([p - 1] * 40, [p - 1] * 33)]
-    for la, lb in ((1, 9), (9, 1), (17, 64), (120, 119)):
-        cases.append(([rng.randrange(p) for _ in range(la)],
-                      [rng.randrange(p) for _ in range(lb)]))
-    for f, g in cases:
-        assert exactlin.poly_mul(f, g, p) == ref_poly_mul(f, g, p)
-
-
-@pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_poly_powmod_matches_reference(p):
     rng = random.Random(p % 991)
     for degree in (1, 2, 30, 120):
@@ -501,6 +489,46 @@ def test_poly_powmod_matches_reference(p):
         for base, e in cases:
             got = exactlin.poly_powmod(base, e, mod, p)
             assert got == ref_poly_powmod(base, e, mod, p), (degree, base, e)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_poly_powmod_slot_boundaries(p):
+    # The slot width grows with bitlen(d), which changes between each
+    # pair of degrees; a modulus of all p - 1 gives the largest residues.
+    for degree in (3, 4, 7, 8, 15, 16, 31, 32):
+        for top in (1, p - 1):
+            mod = [p - 1] * degree + [top]
+            for base, e in (([0, 1], p), ([p - 1, 1], (p - 1) // 2)):
+                got = exactlin.poly_powmod(base, e, mod, p)
+                assert got == ref_poly_powmod(base, e, mod, p), (degree, top, e)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_distinct_roots_matches_construction(p):
+    # f = c * prod (x - r)^m * prod (x^2 - n) with every n a non-residue,
+    # so the roots are exactly the r, whatever their multiplicities.
+    rng = random.Random(p % 977)
+    nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    for trial in range(12):
+        roots = {rng.randrange(-5, 6) for _ in range(rng.randrange(4))}
+        roots |= {rng.randrange(p) for _ in range(rng.randrange(4))}
+        f = [rng.randrange(2, p)]
+        for r in roots:
+            for _ in range(rng.randrange(1, 5)):
+                f = ref_poly_mul(f, [-r % p, 1], p)
+        for _ in range(rng.randrange(3)):
+            n = nonresidue * rng.randrange(1, p) ** 2 % p
+            f = ref_poly_mul(f, [-n % p, 0, 1], p)
+        if trial % 3 == 0:
+            f = [c + p for c in f]  # unreduced coefficients
+        assert distinct_roots(f, p) == sorted({r % p for r in roots}), (trial, roots)
+    assert distinct_roots([p + 7], p) == []
+    assert distinct_roots([], p) == []
+    # x^4 - 1 has all four roots mod 5; the squarefree step needs q > deg f.
+    assert distinct_roots([-1, 0, 0, 0, 1], 5) == [1, 2, 3, 4]
+    for q, f in ((5, [0, -1, 0, 0, 0, 1]), (3, [0, 1, 0, 1]), (2, [1, 1, 1])):
+        with pytest.raises(ValueError):
+            distinct_roots(f, q)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)

@@ -217,6 +217,43 @@ def test_projective_line_lifts():
             assert pl.reduce(cc, dd) == (c, d)
 
 
+def stein_reduce(n, c, d):
+    """Stein's Algorithm 8.29 step by step: scale c to gcd(c, n) by a
+    unit, then take the least second coordinate over the units that
+    fix it."""
+    if n == 1:
+        return (0, 1)
+    c %= n
+    d %= n
+    if math.gcd(math.gcd(c, d), n) != 1:
+        raise ValueError
+    if c == 0:
+        return (0, 1)
+    g = math.gcd(c, n)
+    n0 = n // g
+    s = pow(c // g, -1, n0)
+    while math.gcd(s, n) != 1:
+        s += n0
+    v = s * d % n
+    if g == 1:
+        return (1, v)
+    return (g, min(v * t % n for t in range(1, n, n0) if math.gcd(t, n) == 1))
+
+
+def test_reduce_matches_stein_reference():
+    for n in range(1, 61):
+        pl = ProjectiveLine(n)
+        for c in range(n):
+            for d in range(n):
+                try:
+                    want = stein_reduce(n, c, d)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        pl.reduce(c, d)
+                    continue
+                assert pl.reduce(c, d) == want, (n, c, d)
+
+
 def test_projective_line_points_match_brute_force():
     for n in range(4, 61):
         if n in primes_upto(60):
@@ -409,7 +446,7 @@ def test_restrict_to_eigenline_is_1x1():
     line_vec = space.cuspidal_subspace.basis[0]
     from heckeledger.exactlin import Subspace
 
-    line = Subspace.from_vectors(space.field, space.dim, [line_vec])
+    line = Subspace(space.dim, (line_vec,), space.field)
     r = restrict_operator(t2, line)
     assert r.nrows == 1 and r.entry(0, 0) == (p - 2)
 
