@@ -232,6 +232,12 @@ def cmd_ledger(args) -> int:
     if cfg.data_paths.get("sl3"):
         sl3_data = load_sl3_csv(_read_text(cfg.data_paths["sl3"]))
     gritsenko = _load_gritsenko(cfg)
+    external = None
+    if args.compare:
+        try:
+            external = json.loads(_read_text(args.compare))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{args.compare}: {exc}") from exc
     try:
         report = build_report(
             args.level,
@@ -243,10 +249,6 @@ def cmd_ledger(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.compare:
-        try:
-            external = json.loads(_read_text(args.compare))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.compare}: {exc}") from exc
         summary = compare_external(report, external, tscale=tscale)
         sys.stdout.write(_dump_json(summary))
         return 0

@@ -8,11 +8,12 @@ Nothing here is floating point and nothing here is randomized:
 identical inputs give bit-identical outputs.
 
 The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
-and :class:`Subspace` (a list of sparse vectors).  On top of those sit
-one row-insertion reduced row echelon form for every matrix, sparse or
-dense, rank and kernel, joint kernels of shifted
-operators (the eigenvectors for a known eigenvalue tuple), restriction
-of an operator to an invariant subspace, simultaneous eigenspace
+and :class:`Subspace` (its reduced row echelon basis, as sparse
+vectors).  On top of those sit one row-insertion reduced row echelon
+form for every matrix, sparse or dense, rank and kernel, joint kernels
+of shifted operators (the eigenvectors for a known eigenvalue tuple),
+restriction of an operator to an invariant subspace by reading the
+images at the basis's pivot coordinates, simultaneous eigenspace
 splitting of a commuting family at bounded integer eigenvalues, and
 rational reconstruction of field elements.  Matrix products, the
 charpoly expansion and the squarings of modular powers run on
@@ -54,8 +55,6 @@ __all__ = [
     "charpoly",
     "distinct_roots",
     "next_field_prime",
-    "write_matrix_text",
-    "read_matrix_text",
 ]
 
 
@@ -269,16 +268,6 @@ class FieldMatrix:
                 m.add_at(i, j, v)
         return m
 
-    @classmethod
-    def from_columns(
-        cls, field: PrimeField, nrows: int, columns: Sequence[dict[int, int]]
-    ) -> "FieldMatrix":
-        m = cls(field, nrows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                m.add_at(i, j, v)
-        return m
-
     # -- mutation (only used while assembling) ------------------------
 
     def add_at(self, i: int, j: int, v: int | Fraction) -> None:
@@ -312,9 +301,6 @@ class FieldMatrix:
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
-
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.nrows, self.ncols, [dict(r) for r in self.rows])
 
     def __eq__(self, other) -> bool:
         return (
@@ -415,17 +401,6 @@ class FieldMatrix:
                 rows[j][i] = v
         return FieldMatrix(self.field, self.ncols, self.nrows, rows)
 
-    def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            r = dict(ra)
-            for j, v in rb.items():
-                r[j + self.ncols] = v
-            rows.append(r)
-        return FieldMatrix(self.field, self.nrows, self.ncols + other.ncols, rows)
-
 
 @dataclass
 class EchelonForm:
@@ -500,17 +475,28 @@ def echelonize(m: FieldMatrix) -> EchelonForm:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace given by an independent list of sparse vectors."""
+    """The span of independent sparse vectors, kept as its reduced
+    echelon basis.
+
+    `Subspace(ambient_dim, vectors, field)` runs one echelon, which both
+    checks that the vectors are independent (ValueError if not) and
+    replaces them by the reduced echelon basis of their span.  That
+    basis depends only on the subspace, not on the vectors handed in,
+    so bases are comparable when the same computation is repeated
+    modulo a second prime.  The coordinates of a vector of the subspace
+    are its entries at the pivot columns.
+    """
 
     ambient_dim: int
     basis: tuple[dict[int, int], ...]
     field: PrimeField
 
     def __post_init__(self):
-        if self.basis:
-            stacked = FieldMatrix(self.field, len(self.basis), self.ambient_dim, list(self.basis))
-            if echelonize(stacked).rank != len(self.basis):
-                raise ValueError("basis vectors are linearly dependent")
+        vectors = list(self.basis)
+        ech = echelonize(FieldMatrix(self.field, len(vectors), self.ambient_dim, vectors))
+        if ech.rank != len(vectors):
+            raise ValueError("basis vectors are linearly dependent")
+        object.__setattr__(self, "basis", tuple(ech.matrix.rows[:ech.rank]))
 
     @property
     def dim(self) -> int:
@@ -519,27 +505,6 @@ class Subspace:
     @classmethod
     def full(cls, field: PrimeField, n: int) -> "Subspace":
         return cls(n, tuple({i: 1} for i in range(n)), field)
-
-    @classmethod
-    def canonical(
-        cls, field: PrimeField, n: int, vectors: Sequence[dict[int, int]]
-    ) -> "Subspace":
-        """The span of independent vectors, with its canonical basis.
-
-        One echelon both checks that the vectors are independent
-        (ValueError if not) and gives the reduced-echelon basis.
-        Canonical means: it depends only on the subspace, not on the
-        vectors it was handed; this is what makes bases comparable when
-        the same computation is repeated modulo a second prime.
-        """
-        ech = echelonize(FieldMatrix(field, len(vectors), n, list(vectors)))
-        if ech.rank != len(vectors):
-            raise ValueError("basis vectors are linearly dependent")
-        return cls(n, tuple(ech.matrix.rows[:ech.rank]), field)
-
-    def basis_matrix(self) -> FieldMatrix:
-        """Basis vectors as the columns of an ambient_dim x dim matrix."""
-        return FieldMatrix.from_columns(self.field, self.ambient_dim, list(self.basis))
 
 
 def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
@@ -558,7 +523,7 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
             if v:
                 vec[c] = (-v) % m.field.p
         basis.append(vec)
-    return ech.rank, Subspace.canonical(m.field, m.ncols, basis)
+    return ech.rank, Subspace(m.ncols, basis, m.field)
 
 
 def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
@@ -590,29 +555,29 @@ def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
     return rank_and_kernel(FieldMatrix(field, len(rows), n, rows))[1]
 
 
-def solve_in_basis(basis_mat: FieldMatrix, images: FieldMatrix) -> FieldMatrix:
-    """Solve basis_mat * X = images, requiring every image in the span.
-
-    Raises NotInvariant when some image column leaves the column span
-    of basis_mat.
-    """
-    d = basis_mat.ncols
-    ech = echelonize(basis_mat.hstack(images))
-    for c in ech.pivots:
-        if c >= d:
-            raise NotInvariant("image leaves the span of the subspace basis")
-    rows: list[dict[int, int]] = [{} for _ in range(d)]
-    for r, c in enumerate(ech.pivots):
-        rows[c] = {j - d: v for j, v in ech.matrix.rows[r].items() if j >= d}
-    return FieldMatrix(basis_mat.field, d, images.ncols, rows)
-
-
 def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
-    """Matrix of op in the basis of s; NotInvariant if s is not op-stable."""
-    if op.ncols != s.ambient_dim or op.nrows != s.ambient_dim:
+    """Matrix of op in the basis of s; NotInvariant if s is not op-stable.
+
+    With B the basis of s as columns, the images op B are computed once.
+    The basis is in reduced echelon form, so the coordinates of an image
+    that lies in s are its entries at the pivot columns: row i of the
+    result is row pivot_i of op B.  B times the result agrees with op B
+    on the pivot rows by construction, and on the other rows exactly
+    when every image lies in the span of B.
+    """
+    n = s.ambient_dim
+    if op.ncols != n or op.nrows != n:
         raise ValueError("operator and subspace ambient dimension mismatch")
-    b = s.basis_matrix()
-    return solve_in_basis(b, op.matmul(b))
+    pivots = [min(v) for v in s.basis]
+    b = FieldMatrix(s.field, s.dim, n, list(s.basis)).transpose()
+    images = op.matmul(b)
+    result = FieldMatrix(s.field, s.dim, s.dim, [images.rows[c] for c in pivots])
+    pivset = set(pivots)
+    rest = [i for i in range(n) if i not in pivset]
+    spanned = FieldMatrix(s.field, len(rest), s.dim, [b.rows[i] for i in rest]).matmul(result)
+    if any(row != images.rows[i] for row, i in zip(spanned.rows, rest)):
+        raise NotInvariant("image leaves the span of the subspace basis")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +763,8 @@ def distinct_roots(f: list[int], p: int) -> list[int]:
         return []
     df = [i * c % p for i, c in enumerate(f)][1:]
     f = poly_divmod(f, poly_gcd(f, df, p), p)[0]
-    xp = poly_powmod([0, 1], p, f, p)
-    g = poly_gcd(poly_sub(xp, [0, 1], p), f, p)
+    # A linear squarefree part is its own root; no need to power x.
+    g = f if len(f) == 2 else poly_gcd(poly_sub(poly_powmod([0, 1], p, f, p), [0, 1], p), f, p)
     roots: list[int] = []
     stack = [g]
     while stack:
@@ -871,7 +836,7 @@ def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
             for j, w in s.basis[idx].items():
                 acc[j] = (acc.get(j, 0) + c * w) % p
         lifted.append({j: v for j, v in acc.items() if v})
-    return Subspace.canonical(s.field, s.ambient_dim, lifted)
+    return Subspace(s.ambient_dim, lifted, s.field)
 
 
 def signed_lift(x: int, p: int) -> int:
@@ -920,8 +885,7 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int]) -> Spli
             for lam in distinct_roots(f, p):
                 if abs(signed_lift(lam, p)) > bound:
                     continue
-                shifted = m.add_scaled(FieldMatrix.identity(field, s.dim), -lam)
-                _, ker = rank_and_kernel(shifted)
+                ker = joint_kernel([m], [lam])
                 geo = ker.dim
                 alg = root_multiplicity(list(f), lam, p)
                 covered += alg
@@ -968,27 +932,3 @@ def rational_reconstruct(x: int, bound: int, field: PrimeField | int) -> Fractio
 def frac_str(x: Fraction) -> str:
     """Exact decimal string of a rational: `n`, or `n/d` with d > 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# Sparse triple text format, for fixtures and debugging.
-
-
-def write_matrix_text(m: FieldMatrix) -> str:
-    """`rows cols nnz` header then one `i j value` line per entry, 0-indexed."""
-    lines = [f"{m.nrows} {m.ncols} {m.nnz}"]
-    for i, j, v in m.iter_entries():
-        lines.append(f"{i} {j} {v}")
-    return "\n".join(lines) + "\n"
-
-
-def read_matrix_text(field: PrimeField, text: str) -> FieldMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    nrows, ncols, nnz = (int(x) for x in lines[0].split())
-    if len(lines) - 1 != nnz:
-        raise ValueError(f"expected {nnz} entries, found {len(lines) - 1}")
-    entries = []
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        entries.append((int(i), int(j), int(v)))
-    return FieldMatrix.from_entries(field, nrows, ncols, entries)

@@ -181,6 +181,27 @@ def test_ledger_bad_tscale_is_usage_error(tmp_path, capsys, monkeypatch, tscale)
     assert out == ""
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "bad-json"])
+def test_ledger_bad_compare_file_is_rejected_before_report(tmp_path, capsys, monkeypatch,
+                                                           case):
+    def no_report(*args, **kwargs):
+        raise AssertionError("build_report ran before --compare was read")
+
+    monkeypatch.setattr("heckeledger.cli.build_report", no_report)
+    path = tmp_path / "external.json"
+    if case == "directory":
+        path = tmp_path
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif case == "bad-json":
+        path.write_text("{\"families\": [", encoding="utf-8")
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2",
+                         "--compare", str(path))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err
+    assert out == ""
+
+
 def test_ledger_composite_level_rejected(capsys):
     code, out, err = run(capsys, "ledger", "--level", "12", "--primes", "5")
     assert code == 2

@@ -21,11 +21,10 @@ from heckeledger.exactlin import (
     next_field_prime,
     rank_and_kernel,
     rational_reconstruct,
-    read_matrix_text,
     restrict_operator,
     split_eigenspaces,
-    write_matrix_text,
 )
+from heckeledger.modsym import build_space, hecke_operator
 
 F = PrimeField(DEFAULT_PRIME)
 P = F.p
@@ -126,7 +125,7 @@ def test_rank_invariant_under_permutation():
 def test_canonical_subspace():
     rng = random.Random(5)
     vecs = [{j: rng.randrange(1, P) for j in rng.sample(range(12), 5)} for _ in range(4)]
-    s = Subspace.canonical(F, 12, vecs)
+    s = Subspace(12, vecs, F)
     assert s.dim == 4
     # Reduced echelon: leading entries 1, in increasing columns, alone
     # in their columns.
@@ -143,12 +142,12 @@ def test_canonical_subspace():
     for _ in range(3):
         other = [{j: v * c % P for j, v in vec.items()}
                  for vec, c in zip(rng.sample(mixed, 4), (2, P - 1, 12345, 7))]
-        assert Subspace.canonical(F, 12, other) == s
-    assert Subspace.canonical(F, 12, []).dim == 0
+        assert Subspace(12, other, F) == s
+    assert Subspace(12, [], F).dim == 0
     with pytest.raises(ValueError):
-        Subspace.canonical(F, 12, vecs + [mixed[0]])
+        Subspace(12, vecs + [mixed[0]], F)
     with pytest.raises(ValueError):
-        Subspace.canonical(F, 12, [vecs[0], {j: 5 * v % P for j, v in vecs[0].items()}])
+        Subspace(12, [vecs[0], {j: 5 * v % P for j, v in vecs[0].items()}], F)
 
 
 # -- restriction ------------------------------------------------------------
@@ -298,6 +297,15 @@ def test_distinct_roots():
     # (x-2)(x-5)^2
     f = [(-50) % P, (45) % P, (-12) % P, 1]
     assert distinct_roots(f, P) == [2, 5]
+
+
+def test_distinct_roots_linear_squarefree_part_needs_no_power(monkeypatch):
+    # (x - 5)^3 has the squarefree part x - 5, whose root is read off.
+    def no_power(*args):
+        raise AssertionError("x^p was powered modulo a linear factor")
+
+    monkeypatch.setattr(exactlin, "poly_powmod", no_power)
+    assert distinct_roots([-125 % P, 75, -15 % P, 1], P) == [5]
 
 
 def test_charpoly_cayley_hamilton():
@@ -643,6 +651,97 @@ def test_echelonize_matches_reference(p):
     assert echelonize(stack).rank == 6
 
 
+# -- restriction against the echelon of [B | op B] ---------------------------
+
+
+def ref_restrict(op, s):
+    """op in the basis of s by Gauss-Jordan on [B | op B], B the basis as
+    columns: every image lies in the span exactly when no pivot falls in
+    the right block, and the right block of the pivot rows is the answer."""
+    p, n, d = op.field.p, op.nrows, s.dim
+    b = [[vec.get(i, 0) for vec in s.basis] for i in range(n)]
+    images = [[sum(op.entry(i, j) * b[j][t] for j in op.rows[i]) % p for t in range(d)]
+              for i in range(n)]
+    pivots, rref = ref_rref([x + y for x, y in zip(b, images)], 2 * d, p)
+    if any(c >= d for c in pivots):
+        raise NotInvariant("image leaves the span")
+    return [{j: v for j, v in enumerate(rref[r][d:]) if v} for r in range(d)]
+
+
+def invariant_pair(fld, rng, n, d):
+    """A random d-dimensional subspace W of F^n, as independent rows, and a
+    random operator mapping W into itself: sum_t w_t l_t + sum_s y_s k_s
+    with random l_t, y_s and the k_s a basis of the annihilator of W."""
+    p = fld.p
+    while True:
+        basis = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
+                 for _ in range(d)]
+        pivots, rref = ref_rref(basis, n, p)
+        if len(pivots) == d:
+            break
+    free = [j for j in range(n) if j not in pivots]
+    annihilator = []
+    for f in free:
+        k = [0] * n
+        k[f] = 1
+        for r, c in enumerate(pivots):
+            k[c] = -rref[r][f] % p
+        annihilator.append(k)
+    left = basis + [[rng.randrange(p) for _ in range(n)] for _ in annihilator]
+    right = [[rng.randrange(p) for _ in range(n)] for _ in basis] + annihilator
+    op = [[sum(left[t][i] * right[t][j] for t in range(n)) % p for j in range(n)]
+          for i in range(n)]
+    return [{j: v for j, v in enumerate(row) if v} for row in basis], op
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_restrict_matches_reference(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 997)
+    checked = 0
+    # T_l on the cuspidal subspace and on the eigenspaces of the split.
+    for level, k in ((11, 1), (23, 1), (37, 1), (35, 1), (67, 1), (13, 3), (17, 3), (1, 11),
+                     (7, 5)):
+        space = build_space(level, k, field=fld)
+        primes = [l for l in (2, 3, 5, 7) if level % l][:2]
+        ops = [hecke_operator(space, l) for l in primes]
+        cusp = space.cuspidal_subspace
+        restricted = []
+        for op in ops:
+            got = restrict_operator(op, cusp)
+            assert got.rows == ref_restrict(op, cusp), (level, k)
+            restricted.append(got)
+        for e in split_eigenspaces(restricted, [p // 2] * len(restricted)).eigenspaces:
+            for op in restricted:
+                assert restrict_operator(op, e.space).rows == ref_restrict(op, e.space)
+                checked += 1
+    assert checked >= 30
+    # Random invariant subspaces, from a point to the whole space.
+    for n, d in ((1, 1), (5, 0), (5, 2), (8, 3), (12, 7), (9, 9)):
+        vectors, dense_op = invariant_pair(fld, rng, n, d)
+        s = Subspace(n, vectors, fld)
+        op = FieldMatrix.from_dense(fld, dense_op)
+        got = restrict_operator(op, s)
+        assert (got.nrows, got.ncols) == (d, d)
+        assert got.rows == ref_restrict(op, s), (n, d)
+        # A change to one non-pivot row of op that moves some basis vector
+        # off the span: the pivot coordinates, and so the restricted
+        # matrix, are untouched, and only the check of the non-pivot
+        # rows can see it.
+        pivots = [min(v) for v in s.basis]
+        rest = [i for i in range(n) if i not in pivots]
+        if d and rest:
+            i = rng.choice(rest)
+            j = min(s.basis[0])
+            bad = FieldMatrix.from_dense(fld, dense_op)
+            bad.add_at(i, j, 1)
+            assert [bad.rows[c] for c in pivots] == [op.rows[c] for c in pivots]
+            with pytest.raises(NotInvariant):
+                ref_restrict(bad, s)
+            with pytest.raises(NotInvariant):
+                restrict_operator(bad, s)
+
+
 # -- rational reconstruction ------------------------------------------------
 
 
@@ -675,19 +774,3 @@ def test_reconstruct_roundtrip_random():
         fr = Fraction(num, den)
         x = fr.numerator % P * pow(fr.denominator, -1, P) % P
         assert rational_reconstruct(x, 1000, F) == fr
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def test_matrix_text_roundtrip():
-    m = FieldMatrix.from_entries(F, 3, 4, [(0, 0, 1), (1, 3, 7), (2, 2, P - 1)])
-    text = write_matrix_text(m)
-    assert text.splitlines()[0] == "3 4 3"
-    back = read_matrix_text(F, text)
-    assert back == m
-
-
-def test_matrix_text_rejects_bad_count():
-    with pytest.raises(ValueError):
-        read_matrix_text(F, "1 1 2\n0 0 1\n")

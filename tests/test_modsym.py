@@ -405,7 +405,9 @@ def reference_hecke_matrix(space, n):
             for r, v in space.project_symbol(image).items():
                 column[r] = (column.get(r, 0) + v) % space.field.p
         columns.append({r: v for r, v in column.items() if v})
-    return FieldMatrix.from_columns(space.field, space.dim, columns)
+    return FieldMatrix.from_entries(
+        space.field, space.dim, len(columns),
+        [(r, j, v) for j, column in enumerate(columns) for r, v in column.items()])
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
