@@ -20,7 +20,8 @@ from .heckepoly import (
     weight2_lifts,
     weight4_lift,
 )
-from .ledger import LedgerReport, RangeTable, build_report, compare_external, range_table
+from .ledger import (LedgerReport, RangeTable, build_report, compare_external,
+                     parse_external, range_table)
 from .modsym import (
     Cusp,
     EigenSystem,

@@ -1,5 +1,9 @@
 """Command-line front end: modsym, paramodular and ledger subcommands.
 
+Every input is parsed and checked once, where it enters: here, or in
+the library function that first receives it (`build_report`,
+`parse_external`, `dim_S3`, `hecke_operator`); the code behind trusts it.
+
 Exit codes: 0 success, 2 usage or validation error, 1 computation
 error.  All numeric output is exact; values that may exceed 2**53
 travel as decimal strings so JSON consumers cannot lose precision.
@@ -11,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,6 +24,7 @@ from .ledger import (
     build_report,
     compare_external,
     load_sl3_csv,
+    parse_external,
     report_to_json,
 )
 from .modsym import (
@@ -43,20 +47,6 @@ ENV_FIELD_PRIME = "HECKE_FIELD_PRIME"
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
-
-
-@dataclass
-class Config:
-    """Resolved invocation settings shared by the subcommands."""
-
-    field_prime: Optional[int] = None
-    output_format: str = "text"
-    data_paths: dict = dataclass_field(default_factory=dict)
-
-    def context(self) -> Optional[FieldContext]:
-        if self.field_prime is None:
-            return None
-        return FieldContext.default(self.field_prime)
 
 
 class UsageError(Exception):
@@ -95,22 +85,24 @@ def _parse_tscale(text: str) -> Fraction:
         raise UsageError(f"bad --tscale value {text!r}: {exc}") from exc
 
 
-def _config_from_args(args) -> Config:
-    prime = getattr(args, "field_prime", None)
-    if prime is None and os.environ.get(ENV_FIELD_PRIME):
-        try:
-            prime = int(os.environ[ENV_FIELD_PRIME])
-        except ValueError as exc:
-            raise UsageError(f"bad {ENV_FIELD_PRIME}: {exc}") from exc
-    cfg = Config(
-        field_prime=prime,
-        output_format=getattr(args, "format", "text"),
-    )
-    if getattr(args, "sl3", None):
-        cfg.data_paths["sl3"] = args.sl3
-    if getattr(args, "gritsenko", None):
-        cfg.data_paths["gritsenko"] = args.gritsenko
-    return cfg
+def _field_prime(args) -> Optional[int]:
+    """The `--field-prime` flag, or else `$HECKE_FIELD_PRIME`, or None."""
+    text = os.environ.get(ENV_FIELD_PRIME)
+    if args.field_prime is not None or not text:
+        return args.field_prime
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad {ENV_FIELD_PRIME}: {exc}") from exc
+
+
+def _context(args) -> Optional[FieldContext]:
+    """The working field pair for `_field_prime(args)`; None keeps the default."""
+    prime = _field_prime(args)
+    try:
+        return None if prime is None else FieldContext.default(prime)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +110,7 @@ def _config_from_args(args) -> Config:
 
 
 def cmd_modsym(args) -> int:
-    cfg = _config_from_args(args)
+    context = _context(args)
     weight = args.weight
     k = weight - 1
     if k < 1 or k % 2 == 0:
@@ -127,12 +119,12 @@ def cmd_modsym(args) -> int:
         )
     primes = _parse_primes(args.primes) if args.primes else []
     try:
-        space = build_space(args.level, k, context=cfg.context())
+        space = build_space(args.level, k, context=context)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     summary = space_summary(space)
     systems = eigensystems(space, primes) if primes else []
-    if cfg.output_format == "json":
+    if args.format == "json":
         obj = {
             "summary": summary,
             "eigensystems": [
@@ -147,7 +139,7 @@ def cmd_modsym(args) -> int:
             ],
         }
         sys.stdout.write(_dump_json(obj))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(eigensystems_csv(systems))
     else:
         sys.stdout.write(
@@ -173,8 +165,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_gritsenko(cfg: Config) -> Optional[dict[int, int]]:
-    path = cfg.data_paths.get("gritsenko")
+def _load_gritsenko(path: Optional[str]) -> Optional[dict[int, int]]:
     if not path:
         return None
     text = _read_text(path)
@@ -185,20 +176,17 @@ def _load_gritsenko(cfg: Config) -> Optional[dict[int, int]]:
 
 
 def cmd_paramodular(args) -> int:
-    cfg = _config_from_args(args)
-    gritsenko = _load_gritsenko(cfg)
+    _field_prime(args)  # a bad $HECKE_FIELD_PRIME is still an error; no field is used
+    gritsenko = _load_gritsenko(args.gritsenko)
     if args.prime is not None:
+        if not _is_prime(args.prime):
+            raise UsageError(f"{args.prime} is not prime")
         ps = [args.prime]
     else:
         lo, hi = _parse_range(args.range)
         ps = [p for p in range(max(lo, 2), hi + 1) if _is_prime(p)]
-    rows = []
-    for p in ps:
-        if not _is_prime(p):
-            raise UsageError(f"{p} is not prime")
-        dims = complement_dims(p, gritsenko.get(p) if gritsenko else None)
-        rows.append(dims)
-    if cfg.output_format == "json":
+    rows = [complement_dims(p, gritsenko.get(p) if gritsenko else None) for p in ps]
+    if args.format == "json":
         obj = {
             "dims": [
                 {
@@ -225,17 +213,16 @@ def cmd_paramodular(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    cfg = _config_from_args(args)
+    """Always writes JSON: the report, or the `--compare` summary."""
+    context = _context(args)
     primes = _parse_primes(args.primes)
     tscale = _parse_tscale(args.tscale) if args.tscale else None
-    sl3_data = None
-    if cfg.data_paths.get("sl3"):
-        sl3_data = load_sl3_csv(_read_text(cfg.data_paths["sl3"]))
-    gritsenko = _load_gritsenko(cfg)
+    sl3_data = load_sl3_csv(_read_text(args.sl3)) if args.sl3 else None
+    gritsenko = _load_gritsenko(args.gritsenko)
     external = None
     if args.compare:
         try:
-            external = json.loads(_read_text(args.compare))
+            external = parse_external(json.loads(_read_text(args.compare)))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{args.compare}: {exc}") from exc
     try:
@@ -244,7 +231,7 @@ def cmd_ledger(args) -> int:
             primes,
             sl3_data=sl3_data,
             gritsenko=gritsenko,
-            context=cfg.context(),
+            context=context,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -230,10 +230,9 @@ def check_factor_shape(kind: str, poly: HeckePolynomial) -> bool:
         raise ValueError(f"unknown lift kind {kind!r}")
     f = list(poly.coeffs)
     for e in LIFT_KINDS[kind]:
-        g = linear_factor(poly.prime_l, e)
-        if not divides_exactly(f, g):
+        f, r = poly_divmod(f, linear_factor(poly.prime_l, e))
+        if r:
             return False
-        f, _ = poly_divmod(f, g)
     return True
 
 

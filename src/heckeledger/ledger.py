@@ -30,7 +30,7 @@ from .modsym import (
     space_summary,
     winding_pairing,
 )
-from .paramodular import complement_dims, dim_S3
+from .paramodular import complement_dims
 
 __all__ = [
     "RangeTable",
@@ -41,6 +41,7 @@ __all__ = [
     "range_table",
     "build_report",
     "compare_external",
+    "parse_external",
     "load_sl3_csv",
     "report_to_json",
     "report_families",
@@ -283,7 +284,6 @@ def build_report(
         for idx, datum in enumerate(sl3_here):
             constituents.append(_sl3_constituent(datum, primes, idx, caveats))
 
-    total_s3 = dim_S3(level)
     if gritsenko is None or level not in gritsenko:
         if gritsenko is None:
             caveats.append("no Gritsenko data supplied; paramodular split unknown")
@@ -315,7 +315,7 @@ def build_report(
         "weight4_systems": len(cov3.systems),
         "weight2_eisenstein_from_dim_s2": cov1.cuspidal_dim,
         "sl3_systems": len(sl3_here),
-        "dim_s3_paramodular": total_s3,
+        "dim_s3_paramodular": dims.dim_S3,
         "dim_gritsenko": dims.dim_gritsenko,
         "dim_non_gritsenko": dims.dim_nonGritsenko,
     }
@@ -389,30 +389,39 @@ def report_families(report: LedgerReport) -> list[dict]:
     return out
 
 
-def compare_external(report: LedgerReport, external: dict, *,
-                     tscale: Optional[Fraction] = None) -> dict:
-    """Exact coefficient comparison against external polynomial data.
-
-    `external` is `{"families": [{source, kind, l, coeffs}, ...]}` with
-    coefficients as decimal strings.  `tscale` is the documented
-    change-of-variable hook: external polynomials are rewritten by
-    T -> tscale * T before comparison, for data normalized with a
-    different spin factor.  Returns per-family match/mismatch lists
-    with both sides printed on mismatch.
-    """
+def parse_external(external) -> list[tuple[tuple, list[Fraction]]]:
+    """Validate `{"families": [{source, kind, l, coeffs}, ...]}`, coefficients
+    as decimal strings, into `((source, kind, l), coeffs)` entries; any
+    other shape or value, a zero denominator included, is a FormatError."""
     if not isinstance(external, dict) or "families" not in external:
         raise FormatError("external data must be an object with a `families` list")
     fams = external["families"]
     if not isinstance(fams, list):
         raise FormatError("`families` must be a list")
-    ours = {(f["source"], f["kind"], int(f["l"])): f["coeffs"] for f in report_families(report)}
-    matched, mismatched, unknown = [], [], []
+    entries = []
     for entry in fams:
         try:
             key = (entry["source"], entry["kind"], int(entry["l"]))
+            hash(key)  # a list or object as source or kind cannot key the comparison
             coeffs = [Fraction(s) for s in entry["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise FormatError(f"malformed family entry {entry!r}: {exc}") from exc
+        entries.append((key, coeffs))
+    return entries
+
+
+def compare_external(report: LedgerReport, entries: Sequence[tuple], *,
+                     tscale: Optional[Fraction] = None) -> dict:
+    """Exact coefficient comparison against `parse_external` entries.
+
+    `tscale` is the documented change-of-variable hook: external
+    polynomials are rewritten by T -> tscale * T before comparison, for
+    data normalized with a different spin factor.  Returns per-family
+    match/mismatch lists with both sides printed on mismatch.
+    """
+    ours = {(f["source"], f["kind"], int(f["l"])): f["coeffs"] for f in report_families(report)}
+    matched, mismatched, unknown = [], [], []
+    for key, coeffs in entries:
         if tscale is not None:
             coeffs = [c * tscale**k for k, c in enumerate(coeffs)]
         norm = [frac_str(c) for c in coeffs]
@@ -434,7 +443,8 @@ def load_sl3_csv(text: str) -> list[SL3Datum]:
     """Parse `level,prime,gamma,gamma_prime` rows (rationals as a/b).
 
     Consecutive rows with the same level extend one datum; a repeated
-    (level, prime) pair starts a new class at that level.
+    (level, prime) pair starts a new class at that level.  A malformed
+    row, a zero denominator included, raises FormatError naming its line.
     """
     staged: dict[int, list[dict[int, tuple[Fraction, Fraction]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -451,7 +461,7 @@ def load_sl3_csv(text: str) -> list[SL3Datum]:
             l = int(parts[1])
             g = Fraction(parts[2])
             gp = Fraction(parts[3])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         maps = staged.setdefault(level, [{}])
         if l in maps[-1]:

@@ -821,8 +821,8 @@ class ManinBasisSpace:
         return self._partner
 
 
-def build_space(level: int, k: int, *, context: Optional[FieldContext] = None,
-                field: Optional[PrimeField] = None) -> ManinBasisSpace:
+def build_space(level: int, k: int, *,
+                context: Optional[FieldContext] = None) -> ManinBasisSpace:
     """Presentation of H^1(Gamma0(level); E_k) over the working prime field.
 
     k is the dimension of the coefficient module (weight k+1 forms);
@@ -835,8 +835,7 @@ def build_space(level: int, k: int, *, context: Optional[FieldContext] = None,
             f"k = {k} (weight {k + 1}) not supported: only odd k is implemented"
         )
     ctx = context if context is not None else _default_context()
-    fld = field if field is not None else ctx.primary
-    return ManinBasisSpace(level, CoefficientModule(k), fld, ctx)
+    return ManinBasisSpace(level, CoefficientModule(k), ctx.primary, ctx)
 
 
 def hecke_matrix(space: ManinBasisSpace, n: int) -> FieldMatrix:

@@ -111,9 +111,9 @@ def dim_S3(p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if p in (2, 3):
         return 0
-    k1 = kronecker(-1, p)
-    k3 = kronecker(-3, p)
-    k2 = kronecker(2, p)
+    k1 = kronecker_euler(-1, p)
+    k3 = kronecker_euler(-3, p)
+    k2 = kronecker_euler(2, p)
     total = (
         Fraction(p * p - 1, 2880)
         + Fraction((p + 1) * (1 - k1), 64)

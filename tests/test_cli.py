@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from heckeledger import cli, paramodular
 from heckeledger.cli import main
 
 SL3_TEXT = "level,prime,gamma,gamma_prime\n11,2,0,0\n11,3,1/2,-3\n"
@@ -96,6 +97,23 @@ def test_paramodular_bad_range_is_usage_error(capsys, text):
     assert code == 2
     assert "--range" in err
     assert out == ""
+
+
+def test_paramodular_range_tests_each_candidate_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(n, _is_prime=cli._is_prime):
+        calls.append(n)
+        return _is_prime(n)
+
+    for module in (cli, paramodular):
+        monkeypatch.setattr(module, "_is_prime", counted)
+    code, out, err = run(capsys, "paramodular", "--range", "2..200")
+    assert code == 0
+    primes = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(primes) == 46
+    # once per candidate in the range filter, once more in dim_S3
+    assert len(calls) <= 199 + len(primes)
 
 
 def test_paramodular_rejects_composite(capsys):
@@ -199,6 +217,44 @@ def test_ledger_bad_compare_file_is_rejected_before_report(tmp_path, capsys, mon
                          "--compare", str(path))
     assert code == 2
     assert err.startswith("error:") and str(path) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"x": 1}, "`families` list"),
+    ({"families": 3}, "must be a list"),
+    ({"families": [{"source": "a"}]}, "malformed family entry"),
+    ({"families": [{"source": "a", "kind": "b", "l": 2, "coeffs": ["1", "1/0"]}]},
+     "malformed family entry"),
+    ({"families": [{"source": "a", "kind": "b", "l": float("inf"), "coeffs": ["1"]}]},
+     "malformed family entry"),
+    ({"families": [{"source": ["a"], "kind": "b", "l": 2, "coeffs": ["1"]}]},
+     "malformed family entry"),
+], ids=["no-families", "families-not-list", "entry-missing-fields", "zero-denominator",
+        "infinite-l", "list-source"])
+def test_ledger_malformed_compare_data_is_rejected_before_report(tmp_path, capsys,
+                                                                  monkeypatch, data, message):
+    def no_report(*args, **kwargs):
+        raise AssertionError("build_report ran before --compare was checked")
+
+    monkeypatch.setattr("heckeledger.cli.build_report", no_report)
+    path = tmp_path / "external.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2",
+                         "--compare", str(path))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("row", ["11,2,1/0,0", "11,2,0"])
+def test_bad_sl3_row_is_usage_error(tmp_path, capsys, row):
+    path = tmp_path / "sl3.csv"
+    path.write_text(f"level,prime,gamma,gamma_prime\n{row}\n", encoding="utf-8")
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2",
+                         "--sl3", str(path))
+    assert code == 2
+    assert "error: line 2: " in err
     assert out == ""
 
 

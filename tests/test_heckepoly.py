@@ -159,6 +159,14 @@ def test_forced_linear_factors_random_inputs():
                 assert not r
 
 
+def test_factor_shape_needs_the_second_forced_factor():
+    # (1 - 4T)(1 + T): the first weight2_a factor (1 - 2^2 T) divides,
+    # the second (1 - 2^3 T) does not.
+    poly = HeckePolynomial(2, tuple(Fraction(c) for c in (1, -3, -4)), 4)
+    assert divides_exactly(poly.coeffs, linear_factor(2, 2))
+    assert not check_factor_shape(WEIGHT2_A, poly)
+
+
 def test_division_recovers_cofactor():
     l, alpha = 3, -1
     first, _ = weight2_lifts(l, alpha)

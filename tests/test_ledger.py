@@ -12,6 +12,7 @@ from heckeledger.ledger import (
     build_report,
     compare_external,
     load_sl3_csv,
+    parse_external,
     range_table,
     report_families,
     report_to_json,
@@ -234,7 +235,7 @@ def test_report_json_roundtrip_and_schema():
 
 def test_compare_reflexive():
     report = small_report(sl3_data=load_sl3_csv(SL3_TEXT), gritsenko={11: 0})
-    summary = compare_external(report, {"families": report_families(report)})
+    summary = compare_external(report, parse_external({"families": report_families(report)}))
     assert summary["mismatched"] == [] and summary["unknown"] == []
     assert len(summary["matched"]) == len(report_families(report))
 
@@ -246,7 +247,7 @@ def test_compare_flags_single_perturbation():
     coeffs = list(fams[0]["coeffs"])
     coeffs[1] = str(int(coeffs[1]) + 1)
     fams[0]["coeffs"] = coeffs
-    summary = compare_external(report, {"families": fams})
+    summary = compare_external(report, parse_external({"families": fams}))
     assert len(summary["mismatched"]) == 1
     bad = summary["mismatched"][0]
     assert bad["report"] != bad["external"]
@@ -275,7 +276,7 @@ def test_compare_second_expansion_route():
             "coeffs": [str(c) for c in oracle],
         }
     ]
-    summary = compare_external(report, {"families": fams})
+    summary = compare_external(report, parse_external({"families": fams}))
     assert summary["matched"] and not summary["mismatched"]
 
 
@@ -286,16 +287,19 @@ def test_compare_tscale_hook():
     for f in fams:
         coeffs = [str(Fraction(s) * Fraction(2) ** -k) for k, s in enumerate(f["coeffs"])]
         scaled.append({**f, "coeffs": coeffs})
-    summary = compare_external(report, {"families": scaled}, tscale=Fraction(2))
+    summary = compare_external(report, parse_external({"families": scaled}), tscale=Fraction(2))
     assert not summary["mismatched"] and not summary["unknown"]
 
 
 def test_compare_format_errors():
     report = small_report(sl3_data=load_sl3_csv(SL3_TEXT), gritsenko={11: 0})
     with pytest.raises(FormatError):
-        compare_external(report, {"nope": []})
+        compare_external(report, parse_external({"nope": []}))
     with pytest.raises(FormatError):
-        compare_external(report, {"families": [{"kind": "weight4"}]})
+        compare_external(report, parse_external({"families": [{"kind": "weight4"}]}))
+    with pytest.raises(FormatError, match="malformed family entry"):
+        parse_external({"families": [{"source": "a", "kind": "b", "l": 2,
+                                      "coeffs": ["1", "1/0"]}]})
 
 
 # -- SL3 CSV -----------------------------------------------------------------
@@ -315,3 +319,5 @@ def test_load_sl3_rejects_malformed():
         load_sl3_csv("11,2,0\n")
     with pytest.raises(FormatError):
         load_sl3_csv("11,2,zero,0\n")
+    with pytest.raises(FormatError, match="line 2"):
+        load_sl3_csv("11,2,0,0\n11,3,1/0,0\n")

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from heckeledger.exactlin import (
-    FieldContext,
     FieldMatrix,
     echelonize,
     NoReconstruction,
@@ -316,10 +315,10 @@ def test_presentation_matches_full_relation_echelon(k):
     # Prime levels with and without fixed points of S (p = 1 mod 4) and
     # of sigma (p = 1 mod 3), prime powers and products.
     levels = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 19, 25, 27, 30, 36, 37, 40]
-    ctx = FieldContext.default()
-    for fld in (ctx.primary, ctx.secondary):
-        for n in levels:
-            space = build_space(n, k, field=fld)
+    for n in levels:
+        primary = build_space(n, k)
+        for space in (primary, primary.partner()):
+            fld = space.field
             free, expr = reference_presentation(space)
             assert space.free_columns == free, (n, k, fld.p)
             assert space._pivot_expr == expr, (n, k, fld.p)
@@ -413,10 +412,10 @@ def reference_hecke_matrix(space, n):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_hecke_matches_continued_fraction_reference(k):
     levels = [1, 2, 5, 6, 9, 11, 13, 16, 25, 30, 35, 37, 40] if k < 5 else [1, 2, 7, 11, 15]
-    ctx = FieldContext.default()
-    for fld in (ctx.primary, ctx.secondary):
-        for level in levels:
-            space = build_space(level, k, field=fld)
+    for level in levels:
+        primary = build_space(level, k)
+        for space in (primary, primary.partner()):
+            fld = space.field
             for n in (1, 2, 3, 4, 5, 6, 7, 9):
                 if math.gcd(n, level) == 1:
                     assert space.hecke_matrix(n) == reference_hecke_matrix(space, n), \
