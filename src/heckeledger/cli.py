@@ -2,7 +2,8 @@
 
 Every input is parsed and checked once, where it enters: here, or in
 the library function that first receives it (`build_report`,
-`parse_external`, `dim_S3`, `hecke_operator`); the code behind trusts it.
+`parse_external`, `dim_S3`, `cuspidal_coverage`, `winding_pairing`,
+`hecke_operator`); the code behind trusts it.
 
 Exit codes: 0 success, 2 usage or validation error, 1 computation
 error.  All numeric output is exact; values that may exceed 2**53
@@ -31,6 +32,7 @@ from .modsym import (
     BadPrime,
     MultiPrimeMismatch,
     UnsupportedWeight,
+    _check_hecke_primes,
     build_space,
     eigensystems,
     eigensystems_csv,
@@ -118,10 +120,10 @@ def cmd_modsym(args) -> int:
             f"weight {weight} means k = {k}, which is not supported (even weights only)"
         )
     primes = _parse_primes(args.primes) if args.primes else []
-    try:
-        space = build_space(args.level, k, context=context)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.level < 1:
+        raise UsageError("level must be positive")
+    _check_hecke_primes(args.level, primes)
+    space = build_space(args.level, k, context=context)
     summary = space_summary(space)
     systems = eigensystems(space, primes) if primes else []
     if args.format == "json":

@@ -10,12 +10,13 @@ identical inputs give bit-identical outputs.
 The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (its reduced row echelon basis, as sparse
 vectors).  On top of those sit one row-insertion reduced row echelon
-form for every matrix, sparse or dense, rank and kernel, joint kernels
-of shifted operators (the eigenvectors for a known eigenvalue tuple),
-restriction of an operator to an invariant subspace by reading the
-images at the basis's pivot coordinates, simultaneous eigenspace
-splitting of a commuting family at bounded integer eigenvalues, and
-rational reconstruction of field elements.  Matrix products, the
+form for every matrix, sparse or dense, rank and a kernel basis that
+one echelon gives already reduced, joint kernels of shifted operators
+(the eigenvectors for a known eigenvalue tuple), restriction of an
+operator to an invariant subspace by reading the images at the
+basis's pivot coordinates, simultaneous eigenspace splitting of a
+commuting family at bounded integer eigenvalues, and rational
+reconstruction of field elements.  Matrix products, the
 charpoly expansion and the squarings of modular powers run on
 packed-integer (Kronecker) kernels: a row or a coefficient list becomes
 one Python int with fixed-width slots, so one big-int product does a
@@ -31,13 +32,12 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "PrimeField",
     "FieldMatrix",
     "Subspace",
-    "EchelonForm",
     "Eigenspace",
     "SplitResult",
     "FieldContext",
@@ -152,9 +152,6 @@ class PrimeField:
             return x.numerator % self.p * pow(den, -1, self.p) % self.p
         return x % self.p
 
-    def inv(self, x: int) -> int:
-        return pow(x, -1, self.p)
-
 
 @dataclass(frozen=True)
 class FieldContext:
@@ -238,10 +235,6 @@ class FieldMatrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zero(cls, field: PrimeField, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(field, nrows, ncols)
-
-    @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
         return cls(field, n, n, [{i: 1} for i in range(n)])
 
@@ -258,16 +251,6 @@ class FieldMatrix:
             m.add_at(i, j, v)
         return m
 
-    @classmethod
-    def from_dense(cls, field: PrimeField, data: Sequence[Sequence[int]]) -> "FieldMatrix":
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        m = cls(field, nrows, ncols)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                m.add_at(i, j, v)
-        return m
-
     # -- mutation (only used while assembling) ------------------------
 
     def add_at(self, i: int, j: int, v: int | Fraction) -> None:
@@ -282,14 +265,6 @@ class FieldMatrix:
 
     # -- queries ------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i].get(j, 0)
-
-    def iter_entries(self) -> Iterator[tuple[int, int, int]]:
-        for i in range(self.nrows):
-            for j in sorted(self.rows[i]):
-                yield i, j, self.rows[i][j]
-
     @property
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -298,9 +273,6 @@ class FieldMatrix:
     def density(self) -> float:
         cells = self.nrows * self.ncols
         return self.nnz / cells if cells else 0.0
-
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -315,26 +287,6 @@ class FieldMatrix:
         return f"<FieldMatrix {self.nrows}x{self.ncols} nnz={self.nnz} mod {self.field.p}>"
 
     # -- arithmetic ---------------------------------------------------
-
-    def matvec(self, vec: dict[int, int]) -> dict[int, int]:
-        p = self.field.p
-        out: dict[int, int] = {}
-        for i, row in enumerate(self.rows):
-            s = 0
-            if len(row) <= len(vec):
-                for j, v in row.items():
-                    w = vec.get(j)
-                    if w:
-                        s += v * w
-            else:
-                for j, w in vec.items():
-                    v = row.get(j)
-                    if v:
-                        s += v * w
-            s %= p
-            if s:
-                out[i] = s
-        return out
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         """self * other.
@@ -383,35 +335,12 @@ class FieldMatrix:
             rows.append(acc)
         return FieldMatrix(self.field, self.nrows, self.ncols, rows)
 
-    def sub(self, other: "FieldMatrix") -> "FieldMatrix":
-        return self.add_scaled(other, -1)
-
-    def scale(self, c: int) -> "FieldMatrix":
-        p = self.field.p
-        c %= p
-        rows = []
-        for r in self.rows:
-            rows.append({j: v * c % p for j, v in r.items()} if c else {})
-        return FieldMatrix(self.field, self.nrows, self.ncols, rows)
-
     def transpose(self) -> "FieldMatrix":
         rows: list[dict[int, int]] = [dict() for _ in range(self.ncols)]
         for i, row in enumerate(self.rows):
             for j, v in row.items():
                 rows[j][i] = v
         return FieldMatrix(self.field, self.ncols, self.nrows, rows)
-
-
-@dataclass
-class EchelonForm:
-    """Reduced row echelon form plus pivot bookkeeping."""
-
-    matrix: FieldMatrix
-    pivots: list[int]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[int, int]],
@@ -442,8 +371,9 @@ def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[in
     return {j: x for j, v in acc.items() if (x := v % p)}
 
 
-def echelonize(m: FieldMatrix) -> EchelonForm:
-    """Reduced row echelon form of m, which is left unmodified.
+def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
+    """(pivots, rows): the reduced row echelon form of m, which is left
+    unmodified.
 
     One row-insertion elimination for every matrix, sparse or dense.
     Rows go in one at a time; each is reduced against the pivot rows
@@ -453,8 +383,8 @@ def echelonize(m: FieldMatrix) -> EchelonForm:
     the leftmost independent columns, and a reduced echelon form
     depends only on the row space, never on the elimination order; this
     keeps quotient bases stable when the same integer matrix is reduced
-    modulo two different primes.  The result has m.nrows rows: the
-    pivot rows by pivot column, then zero rows.
+    modulo two different primes.  `pivots` ascend and `rows[i]` is the
+    reduced row of pivots[i]; the zero rows are not returned.
     """
     p = m.field.p
     pivot_rows: dict[int, dict[int, int]] = {}
@@ -469,8 +399,7 @@ def echelonize(m: FieldMatrix) -> EchelonForm:
         row = pivot_rows[col]
         pivot_rows[col] = _reduced(row, [j for j in row if j != col and j in pivot_rows],
                                    pivot_rows, p)
-    rows = [pivot_rows[c] for c in pivots] + [{} for _ in range(m.nrows - len(pivots))]
-    return EchelonForm(FieldMatrix(m.field, m.nrows, m.ncols, rows), pivots)
+    return pivots, [pivot_rows[c] for c in pivots]
 
 
 @dataclass(frozen=True)
@@ -493,10 +422,10 @@ class Subspace:
 
     def __post_init__(self):
         vectors = list(self.basis)
-        ech = echelonize(FieldMatrix(self.field, len(vectors), self.ambient_dim, vectors))
-        if ech.rank != len(vectors):
+        pivots, rows = echelonize(FieldMatrix(self.field, len(vectors), self.ambient_dim, vectors))
+        if len(pivots) != len(vectors):
             raise ValueError("basis vectors are linearly dependent")
-        object.__setattr__(self, "basis", tuple(ech.matrix.rows[:ech.rank]))
+        object.__setattr__(self, "basis", tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -508,22 +437,29 @@ class Subspace:
 
 
 def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
-    """Rank of m and a canonical (reduced echelon) basis of its kernel.
+    """Rank of m and the reduced echelon basis of its kernel.
 
-    The empty matrix is allowed; its kernel is the full column space.
+    m is echelonized with its columns reversed (j -> n-1-j), so the
+    pivots are the rightmost independent columns and the reduced row of
+    pivot c is 1 at c and otherwise nonzero only at free columns left of
+    c.  The kernel vector of free column f, 1 at f and minus row c's
+    entry at f at each pivot c, is then 0 at every other free column and
+    nonzero only at pivots right of f: in ascending f these vectors are
+    already the reduced echelon basis, and the Subspace echelon
+    eliminates nothing.  The empty matrix is allowed; its kernel is the
+    full column space.
     """
-    ech = echelonize(m)
-    pivset = set(ech.pivots)
-    free_cols = [j for j in range(m.ncols) if j not in pivset]
-    basis = []
-    for f in free_cols:
-        vec = {f: 1}
-        for r, c in enumerate(ech.pivots):
-            v = ech.matrix.rows[r].get(f)
-            if v:
-                vec[c] = (-v) % m.field.p
-        basis.append(vec)
-    return ech.rank, Subspace(m.ncols, basis, m.field)
+    p = m.field.p
+    last = m.ncols - 1
+    flipped = [{last - j: v for j, v in r.items()} for r in m.rows]
+    pivots, rows = echelonize(FieldMatrix(m.field, m.nrows, m.ncols, flipped))
+    pivset = {last - c for c in pivots}
+    kernel = {f: {f: 1} for f in range(m.ncols) if f not in pivset}
+    for c, row in zip(pivots, rows):
+        for j, v in row.items():
+            if j != c:
+                kernel[last - j][last - c] = p - v
+    return len(pivots), Subspace(m.ncols, list(kernel.values()), m.field)
 
 
 def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
@@ -822,12 +758,16 @@ class SplitResult:
     defective: list[tuple[tuple[int, ...], int]] = dataclass_field(default_factory=list)
     unsplit_dim: int = 0
 
-    def total_dim(self) -> int:
-        return sum(e.space.dim for e in self.eigenspaces)
-
 
 def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
-    """Map vectors given in the basis of s back to ambient coordinates."""
+    """Map vectors given in the basis of s back to ambient coordinates.
+
+    Both bases are reduced, so a coordinate vector with its leading 1
+    at coordinate i lifts to one with its leading 1 at the pivot of
+    basis vector i, and 0 where the other coordinate vectors' leading
+    entries lift to: the lifted vectors are already the reduced echelon
+    basis.
+    """
     p = s.field.p
     lifted = []
     for vec in coords.basis:

@@ -34,12 +34,10 @@ __all__ = [
     "sl3_lifts",
     "poly_mul",
     "poly_divmod",
-    "divides_exactly",
     "linear_factor",
     "functional_dual",
     "check_factor_shape",
     "poly_to_json",
-    "poly_from_json",
 ]
 
 WEIGHT2_A = "weight2_a"
@@ -93,12 +91,6 @@ def poly_divmod(f: Sequence[Fraction], g: Sequence[Fraction]):
     while f and f[-1] == 0:
         f.pop()
     return q, f
-
-
-def divides_exactly(f: Sequence[Fraction], g: Sequence[Fraction]) -> bool:
-    """True when g divides f with zero remainder."""
-    _, r = poly_divmod(f, g)
-    return not r
 
 
 def linear_factor(l: int, e: int) -> list[Fraction]:
@@ -266,15 +258,6 @@ class LiftClass:
 # -- wire format -------------------------------------------------------------
 
 
-def _coeff_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poly_to_json(poly: HeckePolynomial) -> dict:
     """Exact wire form: coefficients as decimal strings."""
     return {"l": poly.prime_l, "coeffs": [frac_str(c) for c in poly.coeffs]}
-
-
-def poly_from_json(obj: dict, n: int | None = None) -> HeckePolynomial:
-    coeffs = tuple(_coeff_parse(s) for s in obj["coeffs"])
-    return HeckePolynomial(int(obj["l"]), coeffs, n if n is not None else len(coeffs) - 1)

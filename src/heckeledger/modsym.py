@@ -77,7 +77,6 @@ __all__ = [
     "transform",
     "build_space",
     "hecke_operator",
-    "hecke_matrix",
     "eigensystems",
     "cuspidal_coverage",
     "winding_pairing",
@@ -236,9 +235,6 @@ class HomogeneousPoly:
                         out[j1 + j2] += civ1 * v2
         return HomogeneousPoly(out)
 
-    def scaled(self, c) -> "HomogeneousPoly":
-        return HomogeneousPoly([c * x for x in self.coeffs])
-
     def cleared(self) -> tuple["HomogeneousPoly", int]:
         """Integer polynomial plus the common denominator that was cleared."""
         den = 1
@@ -280,10 +276,6 @@ class ModularSymbol:
     q1: Cusp
     q2: Cusp
     coeff: HomogeneousPoly
-
-    @classmethod
-    def weight2(cls, q1: Cusp, q2: Cusp) -> "ModularSymbol":
-        return cls(q1, q2, HomogeneousPoly((1,)))
 
 
 def determinant(s: ModularSymbol) -> int:
@@ -494,9 +486,6 @@ class EigenSystem:
     cuspidal: bool
     dim: int
 
-    def tuple_at(self, primes: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(self.eigenvalues[l] for l in primes)
-
 
 @dataclass
 class CuspidalSplit:
@@ -631,17 +620,16 @@ class ManinBasisSpace:
                 row = {col: v for col, v in row.items() if v}
                 if row:
                     rows.append(row)
-        ech = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
+        pivots, reduced = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
 
         # Expansion to every generator.
-        pivset = set(ech.pivots)
+        pivset = set(pivots)
         free = [r for t, r in enumerate(reps) if t not in pivset]
         free_pos = {g: t for t, g in enumerate(free)}
         rep_expr = {g: {t: 1} for g, t in free_pos.items()}
-        for r, t in enumerate(ech.pivots):
+        for t, row in zip(pivots, reduced):
             rep_expr[reps[t]] = {
-                free_pos[reps[col]]: (p - v) % p
-                for col, v in ech.matrix.rows[r].items() if col != t
+                free_pos[reps[col]]: (p - v) % p for col, v in row.items() if col != t
             }
         expr: dict[int, dict[int, int]] = {}
         for g in range(ngens):
@@ -681,10 +669,7 @@ class ManinBasisSpace:
                 entries.append((self._cusp_class(Cusp(a, c)), pos, 1))
             if i == 0:
                 entries.append((self._cusp_class(Cusp(b, d)), pos, -1))
-        mat = FieldMatrix.zero(self.field, len(self.cusp_classes), self.dim)
-        for r, c2, v in entries:
-            mat.add_at(r, c2, v)
-        return mat
+        return FieldMatrix.from_entries(self.field, len(self.cusp_classes), self.dim, entries)
 
     # -- projection to quotient coordinates ------------------------------
 
@@ -838,9 +823,13 @@ def build_space(level: int, k: int, *,
     return ManinBasisSpace(level, CoefficientModule(k), ctx.primary, ctx)
 
 
-def hecke_matrix(space: ManinBasisSpace, n: int) -> FieldMatrix:
-    """T_n on the quotient basis for any n >= 1 coprime to the level."""
-    return space.hecke_matrix(n)
+def _check_hecke_primes(level: int, primes: Iterable[int]) -> None:
+    """BadPrime unless every l in primes is a prime not dividing level."""
+    for l in primes:
+        if not _is_prime(l):
+            raise BadPrime(f"{l} is not prime")
+        if level % l == 0:
+            raise BadPrime(f"{l} divides the level {level}")
 
 
 def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
@@ -865,7 +854,8 @@ def _split_cuspidal(space: ManinBasisSpace, primes: Sequence[int]):
 
 
 def _hecke_family(space: ManinBasisSpace, primes: Sequence[int]):
-    return [hecke_operator(space, l) for l in primes]
+    """The T_l for primes the caller has checked at its entry."""
+    return [space.hecke_matrix(l) for l in primes]
 
 
 def _reconstructed_systems(space, primes):
@@ -913,11 +903,7 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     cause in `CuspidalSplit.unresolved`.
     """
     primes = sorted(set(primes))
-    for l in primes:
-        if not _is_prime(l):
-            raise BadPrime(f"{l} is not prime")
-        if space.level % l == 0:
-            raise BadPrime(f"{l} divides the level {space.level}")
+    _check_hecke_primes(space.level, primes)
     candidates, unsplit, defective = _reconstructed_systems(space, primes)
     confirmed = sorted(_confirmed_at_partner(space, primes, candidates))
     systems = [
@@ -991,6 +977,7 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     if not system.cuspidal:
         raise ValueError("winding pairing is defined for cuspidal systems")
     primes = sorted(system.eigenvalues)
+    _check_hecke_primes(space.level, primes)
     values: list[list[int]] = []
     moduli: list[int] = []
     for sp in (space, space.partner()):

@@ -15,7 +15,6 @@ from typing import Optional
 from .exactlin import _is_prime
 
 __all__ = [
-    "KroneckerSymbol",
     "ParamodularDims",
     "NonIntegralResult",
     "GritsenkoExceedsTotal",
@@ -71,18 +70,6 @@ def kronecker(a: int, p: int) -> int:
     if p == 2 or not _is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     return kronecker_euler(a, p)
-
-
-@dataclass(frozen=True)
-class KroneckerSymbol:
-    """(a/p) as a value object; mostly useful in tests and reports."""
-
-    a: int
-    p: int
-
-    @property
-    def value(self) -> int:
-        return kronecker(self.a, self.p)
 
 
 def f_term(p: int) -> Fraction:

@@ -291,6 +291,33 @@ def test_non_prime_hecke_index_is_usage_error(capsys):
             assert "is not prime" in err, (argv, err)
 
 
+@pytest.mark.parametrize("primes, message", [
+    ("4", "4 is not prime"),
+    ("2,4001", "4001 divides the level 4001"),
+], ids=["not-prime", "divides-level"])
+def test_modsym_hecke_primes_checked_before_space(capsys, monkeypatch, primes, message):
+    def no_space(*args, **kwargs):
+        raise AssertionError("build_space ran before --primes was checked")
+
+    monkeypatch.setattr("heckeledger.cli.build_space", no_space)
+    code, out, err = run(capsys, "modsym", "--level", "4001", "--weight", "4",
+                         "--primes", primes)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--level", "0", "--weight", "2"], "level must be positive"),
+    (["--level", "11", "--weight", "3"], "weight 3 means k = 2"),
+    (["--level", "0", "--weight", "2", "--field-prime", "15"], "modulus 15 is not prime"),
+], ids=["level", "weight", "field-prime"])
+def test_modsym_usage_errors_precede_hecke_primes(capsys, argv, message):
+    code, out, err = run(capsys, "modsym", *argv, "--primes", "4")
+    assert code == 2
+    assert err.startswith(f"error: {message}"), err
+
+
 # -- config ------------------------------------------------------------------
 
 

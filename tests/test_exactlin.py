@@ -30,8 +30,21 @@ F = PrimeField(DEFAULT_PRIME)
 P = F.p
 
 
+def from_dense(fld, data):
+    """The matrix whose rows are the integer lists in data."""
+    entries = [(i, j, v) for i, row in enumerate(data) for j, v in enumerate(row)]
+    return FieldMatrix.from_entries(fld, len(data), len(data[0]) if data else 0, entries)
+
+
 def dense(data):
-    return FieldMatrix.from_dense(F, data)
+    return from_dense(F, data)
+
+
+def matvec(m, vec):
+    """m times the sparse vector vec, as a sparse vector."""
+    out = {i: sum(v * vec.get(j, 0) for j, v in row.items()) % m.field.p
+           for i, row in enumerate(m.rows)}
+    return {i: v for i, v in out.items() if v}
 
 
 def test_prime_field_rejects_composite_and_small():
@@ -73,7 +86,7 @@ def test_rank_kernel_one_one():
 
 
 def test_rank_kernel_empty_matrix():
-    rank, ker = rank_and_kernel(FieldMatrix.zero(F, 0, 5))
+    rank, ker = rank_and_kernel(FieldMatrix(F, 0, 5))
     assert rank == 0
     assert ker.dim == 5
 
@@ -84,42 +97,43 @@ def test_rank_of_known_rank_product():
     while True:
         a = dense([[rng.randrange(P) for _ in range(30)] for _ in range(50)])
         b = dense([[rng.randrange(P) for _ in range(80)] for _ in range(30)])
-        if echelonize(a).rank == 30 and echelonize(b).rank == 30:
+        if len(echelonize(a)[0]) == 30 and len(echelonize(b)[0]) == 30:
             break
     m = a.matmul(b)
     rank, ker = rank_and_kernel(m)
     assert rank == 30
     assert ker.dim == 50
     for v in ker.basis:
-        assert m.matvec(v) == {}
+        assert matvec(m, v) == {}
 
 
 def test_kernel_vectors_annihilated_entrywise():
     rng = random.Random(21)
-    m = FieldMatrix.zero(F, 12, 20)
+    m = FieldMatrix(F, 12, 20)
     for _ in range(40):
         m.add_at(rng.randrange(12), rng.randrange(20), rng.randrange(P))
     rank, ker = rank_and_kernel(m)
     assert rank + ker.dim == 20
     for v in ker.basis:
-        assert m.matvec(v) == {}
+        assert matvec(m, v) == {}
 
 
 def test_rank_invariant_under_permutation():
     rng = random.Random(3)
-    m = FieldMatrix.zero(F, 10, 14)
+    m = FieldMatrix(F, 10, 14)
     for _ in range(35):
         m.add_at(rng.randrange(10), rng.randrange(14), rng.randrange(1, P))
-    base_rank = echelonize(m).rank
+    base_rank = len(echelonize(m)[0])
     for _ in range(5):
         rows = list(range(10))
         cols = list(range(14))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        perm = FieldMatrix.zero(F, 10, 14)
-        for i, j, v in m.iter_entries():
-            perm.add_at(rows[i], cols[j], v)
-        assert echelonize(perm).rank == base_rank
+        perm = FieldMatrix(F, 10, 14)
+        for i, row in enumerate(m.rows):
+            for j, v in row.items():
+                perm.add_at(rows[i], cols[j], v)
+        assert len(echelonize(perm)[0]) == base_rank
 
 
 def test_canonical_subspace():
@@ -163,7 +177,7 @@ def test_restrict_diagonal_to_eigenplane():
     op = dense([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
     plane = Subspace(3, ({1: 1}, {2: 1}), F)
     r = restrict_operator(op, plane)
-    assert r == FieldMatrix.identity(F, 2).scale(3)
+    assert r == dense([[3, 0], [0, 3]])
 
 
 def test_restrict_raises_not_invariant():
@@ -207,7 +221,7 @@ def test_split_simultaneous_pair():
     for e in res.eigenspaces:
         for v in e.space.basis:
             for op, lam in zip((a, b), e.values):
-                got_vec = op.matvec(v)
+                got_vec = matvec(op, v)
                 want = {k: (lam * x) % P for k, x in v.items() if (lam * x) % P}
                 assert got_vec == want
 
@@ -255,7 +269,7 @@ def test_split_dims_bounded_by_ambient():
     d = dense([[rng.randrange(5) for _ in range(4)] for _ in range(4)])
     sym = d.add_scaled(d.transpose(), 1)
     res = split_eigenspaces([sym], [P // 2])
-    assert res.total_dim() + res.unsplit_dim + sum(x for _, x in res.defective) == 4
+    assert sum(e.space.dim for e in res.eigenspaces) + res.unsplit_dim + sum(x for _, x in res.defective) == 4
 
 
 def test_multi_prime_pipeline_reconstructs_identically():
@@ -264,7 +278,7 @@ def test_multi_prime_pipeline_reconstructs_identically():
     ints = [[3, 1, 0], [1, 3, 0], [0, 0, -2]]
     answers = []
     for fld in (ctx.primary, ctx.secondary):
-        m = FieldMatrix.from_dense(fld, ints)
+        m = from_dense(fld, ints)
         res = split_eigenspaces([m], [fld.p // 2])
         vals = sorted(
             rational_reconstruct(e.values[0], 10**6, fld) for e in res.eigenspaces
@@ -314,12 +328,12 @@ def test_charpoly_cayley_hamilton():
         m = dense([[rng.randrange(50) for _ in range(n)] for _ in range(n)])
         f = charpoly(m)
         assert len(f) == n + 1 and f[-1] == 1
-        acc = FieldMatrix.zero(F, n, n)
+        acc = FieldMatrix(F, n, n)
         power = FieldMatrix.identity(F, n)
         for c in f:
             acc = acc.add_scaled(power, c)
             power = power.matmul(m)
-        assert acc.is_zero()
+        assert not any(acc.rows)
 
 
 # -- packed kernels against schoolbook references ---------------------------
@@ -411,7 +425,7 @@ def ref_charpoly(m):
     n, p = m.nrows, m.field.p
     if n == 0:
         return [1]
-    h = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    h = [[m.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
     for col in range(n - 2):
         piv = None
         for i in range(col + 1, n):
@@ -474,10 +488,10 @@ def test_matmul_matches_reference(p):
             assert (got.nrows, got.ncols) == (n, k)
             assert got.rows == ref_matmul(a, b)
     # The largest possible entries, in every slot of a long full row.
-    top = FieldMatrix.from_dense(fld, [[p - 1] * 50 for _ in range(50)])
+    top = from_dense(fld, [[p - 1] * 50 for _ in range(50)])
     assert top.matmul(top).rows == ref_matmul(top, top)
     with pytest.raises(ValueError):
-        top.matmul(FieldMatrix.zero(fld, 49, 2))
+        top.matmul(FieldMatrix(fld, 49, 2))
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -561,17 +575,17 @@ def test_poly_divmod_and_gcd_normalize_inputs(p):
 def test_charpoly_matches_reference(p):
     fld = PrimeField(p)
     rng = random.Random(p % 983)
-    mats = [FieldMatrix.zero(fld, 0, 0), FieldMatrix.zero(fld, 5, 5),
+    mats = [FieldMatrix(fld, 0, 0), FieldMatrix(fld, 5, 5),
             FieldMatrix.identity(fld, 6),
-            FieldMatrix.from_dense(fld, [[p - 1] * 30 for _ in range(30)])]
+            from_dense(fld, [[p - 1] * 30 for _ in range(30)])]
     for n in (1, 2, 3, 8, 25, 40):
         for density in (0.15, 0.5, 1.0):
             mats.append(random_matrix(fld, rng, n, n, density))
     # Zero first column below the diagonal, then a pivot two rows down:
     # the reduction must skip a column and swap.
-    mats.append(FieldMatrix.from_dense(
+    mats.append(from_dense(
         fld, [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
-    mats.append(FieldMatrix.from_dense(
+    mats.append(from_dense(
         fld, [[1, 2, 3, 4], [5, 0, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
     for m in mats:
         assert charpoly(m) == ref_charpoly(m)
@@ -623,7 +637,7 @@ def commuting_stack(fld, rng, n):
         a = ref_dense_mul(ref_dense_mul(s, [[x * diag[j] for j, x in enumerate(r)] for r in eye], p),
                           s_inv, p)
         rows += [[(x - shift * (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(a)]
-    return FieldMatrix.from_dense(fld, rows)
+    return from_dense(fld, rows)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -641,14 +655,60 @@ def test_echelonize_matches_reference(p):
     cases.append(stack)
     for m in cases:
         before = [dict(r) for r in m.rows]
-        ech = echelonize(m)
+        got_pivots, rows = echelonize(m)
         pivots, ref = ref_rref([[r.get(j, 0) for j in range(m.ncols)] for r in m.rows], m.ncols, p)
-        assert ech.pivots == pivots
-        assert (ech.matrix.nrows, ech.matrix.ncols) == (m.nrows, m.ncols)
-        # pivot rows by column, then zero rows
-        assert ech.matrix.rows == [{j: v for j, v in enumerate(r) if v} for r in ref]
+        assert got_pivots == pivots
+        # the pivot rows by column; Gauss-Jordan's zero rows are not returned
+        assert rows == [{j: v for j, v in enumerate(r) if v} for r in ref[:len(pivots)]]
         assert m.rows == before
-    assert echelonize(stack).rank == 6
+    assert len(echelonize(stack)[0]) == 6
+
+
+def ref_kernel(m):
+    """(rank, reduced echelon basis of the kernel) of m by Gauss-Jordan:
+    one kernel vector per free column of rref(m), then the rref of those."""
+    p, n = m.field.p, m.ncols
+    pivots, rref = ref_rref([[r.get(j, 0) for j in range(n)] for r in m.rows], n, p)
+    vectors = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rref[r][f] % p
+        vectors.append(v)
+    kernel_pivots, basis = ref_rref(vectors, n, p)
+    return len(pivots), [{j: x for j, x in enumerate(r) if x} for r in basis[:len(kernel_pivots)]]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_is_reduced_by_construction(p, monkeypatch):
+    # rank_and_kernel hands Subspace exactly the basis Subspace keeps, so
+    # the constructor's echelon has nothing to eliminate.
+    fld = PrimeField(p)
+    rng = random.Random(p % 977)
+    handed = []
+
+    def recording(ambient_dim, vectors, field):
+        handed.append([dict(v) for v in vectors])
+        return Subspace(ambient_dim, vectors, field)
+
+    monkeypatch.setattr(exactlin, "Subspace", recording)
+    cases = [FieldMatrix(fld, 0, 0), FieldMatrix(fld, 0, 5), FieldMatrix(fld, 5, 0),
+             FieldMatrix(fld, 4, 6), FieldMatrix.identity(fld, 7),
+             from_dense(fld, [[p - 1] * 9 for _ in range(9)]),
+             commuting_stack(fld, rng, 8)]
+    for density in (0.1, 0.3, 1.0):
+        for nrows, ncols in ((1, 1), (3, 12), (12, 12), (20, 9), (9, 40)):
+            cases.append(random_matrix(fld, rng, nrows, ncols, density))
+    full_rank = 0
+    for m in cases:
+        handed.clear()
+        rank, ker = rank_and_kernel(m)
+        assert handed == [list(ker.basis)]
+        assert (rank, list(ker.basis)) == ref_kernel(m)
+        assert ker.dim == m.ncols - rank
+        full_rank += m.nrows > 0 and rank == min(m.nrows, m.ncols)
+    assert full_rank >= 5
 
 
 # -- restriction against the echelon of [B | op B] ---------------------------
@@ -660,7 +720,7 @@ def ref_restrict(op, s):
     the right block, and the right block of the pivot rows is the answer."""
     p, n, d = op.field.p, op.nrows, s.dim
     b = [[vec.get(i, 0) for vec in s.basis] for i in range(n)]
-    images = [[sum(op.entry(i, j) * b[j][t] for j in op.rows[i]) % p for t in range(d)]
+    images = [[sum(v * b[j][t] for j, v in op.rows[i].items()) % p for t in range(d)]
               for i in range(n)]
     pivots, rref = ref_rref([x + y for x, y in zip(b, images)], 2 * d, p)
     if any(c >= d for c in pivots):
@@ -720,7 +780,7 @@ def test_restrict_matches_reference(p):
     for n, d in ((1, 1), (5, 0), (5, 2), (8, 3), (12, 7), (9, 9)):
         vectors, dense_op = invariant_pair(fld, rng, n, d)
         s = Subspace(n, vectors, fld)
-        op = FieldMatrix.from_dense(fld, dense_op)
+        op = from_dense(fld, dense_op)
         got = restrict_operator(op, s)
         assert (got.nrows, got.ncols) == (d, d)
         assert got.rows == ref_restrict(op, s), (n, d)
@@ -733,7 +793,7 @@ def test_restrict_matches_reference(p):
         if d and rest:
             i = rng.choice(rest)
             j = min(s.basis[0])
-            bad = FieldMatrix.from_dense(fld, dense_op)
+            bad = from_dense(fld, dense_op)
             bad.add_at(i, j, 1)
             assert [bad.rows[c] for c in pivots] == [op.rows[c] for c in pivots]
             with pytest.raises(NotInvariant):

@@ -5,7 +5,6 @@ import pytest
 
 from heckeledger.paramodular import (
     GritsenkoExceedsTotal,
-    KroneckerSymbol,
     ParamodularDims,
     complement_dims,
     dim_S3,
@@ -71,7 +70,7 @@ def test_multiplicativity():
 
 
 def test_symbol_object():
-    assert KroneckerSymbol(-1, 5).value == 1
+    assert kronecker(-1, 5) == 1
 
 
 # -- the f and g corrections -------------------------------------------------
