@@ -122,13 +122,6 @@ class HeckePolynomial:
             out = out * t + c
         return out
 
-    def __mul__(self, other: "HeckePolynomial") -> "HeckePolynomial":
-        if other.prime_l != self.prime_l:
-            raise ValueError("polynomials attached to different primes")
-        return HeckePolynomial(
-            self.prime_l, tuple(poly_mul(self.coeffs, other.coeffs)), self.n + other.n
-        )
-
 
 def _poly(l: int, coeffs: Sequence, n: int) -> HeckePolynomial:
     return HeckePolynomial(l, tuple(_frac(c) for c in coeffs), n)

@@ -25,6 +25,7 @@ from .heckepoly import HeckePolynomial, LiftClass, SL3Datum, poly_to_json
 from .modsym import (
     CuspidalSplit,
     EigenSystem,
+    _check_hecke_primes,
     build_space,
     cuspidal_coverage,
     space_summary,
@@ -223,11 +224,7 @@ def build_report(
     primes = sorted(set(int(l) for l in primes))
     if not primes:
         raise ValueError("need at least one Hecke prime")
-    for l in primes:
-        if not _is_prime(l):
-            raise ValueError(f"{l} is not prime")
-        if level % l == 0:
-            raise ValueError(f"Hecke prime {l} divides the level")
+    _check_hecke_primes(level, primes)
 
     caveats: list[str] = []
     constituents: list[Constituent] = []
@@ -389,10 +386,16 @@ def report_families(report: LedgerReport) -> list[dict]:
     return out
 
 
+def _exact(value) -> bool:
+    """An int that is not a bool, or a string; a float or a bool is never exact."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
 def parse_external(external) -> list[tuple[tuple, list[Fraction]]]:
-    """Validate `{"families": [{source, kind, l, coeffs}, ...]}`, coefficients
-    as decimal strings, into `((source, kind, l), coeffs)` entries; any
-    other shape or value, a zero denominator included, is a FormatError."""
+    """Validate `{"families": [{source, kind, l, coeffs}, ...]}` into
+    `((source, kind, l), coeffs)` entries: `l` an integer or a string holding
+    one, `coeffs` a list of decimal strings or integers.  Any other shape or
+    value, a float, a bool or a zero denominator included, is a FormatError."""
     if not isinstance(external, dict) or "families" not in external:
         raise FormatError("external data must be an object with a `families` list")
     fams = external["families"]
@@ -401,9 +404,14 @@ def parse_external(external) -> list[tuple[tuple, list[Fraction]]]:
     entries = []
     for entry in fams:
         try:
-            key = (entry["source"], entry["kind"], int(entry["l"]))
+            l, coeffs = entry["l"], entry["coeffs"]
+            if not _exact(l):
+                raise TypeError("`l` must be an integer")
+            if not isinstance(coeffs, list) or not all(_exact(c) for c in coeffs):
+                raise TypeError("`coeffs` must be a list of strings or integers")
+            key = (entry["source"], entry["kind"], int(l))
             hash(key)  # a list or object as source or kind cannot key the comparison
-            coeffs = [Fraction(s) for s in entry["coeffs"]]
+            coeffs = [Fraction(c) for c in coeffs]
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise FormatError(f"malformed family entry {entry!r}: {exc}") from exc
         entries.append((key, coeffs))

@@ -89,7 +89,7 @@ class UnsupportedWeight(Exception):
     """Raised for coefficient modules this implementation does not cover."""
 
 
-class BadPrime(Exception):
+class BadPrime(ValueError):
     """Hecke operator requested at a prime dividing the level, or not prime."""
 
 
@@ -834,10 +834,7 @@ def _check_hecke_primes(level: int, primes: Iterable[int]) -> None:
 
 def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
     """T_l for a prime l not dividing the level."""
-    if not _is_prime(l):
-        raise BadPrime(f"{l} is not prime")
-    if space.level % l == 0:
-        raise BadPrime(f"U_{l} at a prime dividing the level is out of scope")
+    _check_hecke_primes(space.level, [l])
     return space.hecke_matrix(l)
 
 
@@ -845,86 +842,54 @@ def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
 # Eigensystems, two-prime confirmation, winding pairing
 
 
-def _split_cuspidal(space: ManinBasisSpace, primes: Sequence[int]):
-    """Split the cuspidal T_l at the integers within Deligne's bound."""
-    ops = _hecke_family(space, primes)
-    restricted = [restrict_operator(op, space.cuspidal_subspace) for op in ops]
+def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
+    """Two-prime-confirmed eigensystems plus the dimension left unresolved.
+
+    At the primary prime the cuspidal T_l are split at the integers
+    within Deligne's bound |a_l| <= 2 l^((w-1)/2), and each eigenspace's
+    values are lifted to signed integers: the candidates.  At the
+    partner prime the eigenspace of a candidate is one joint kernel:
+    the cuspidal subspace is ker(boundary), so its vectors are the
+    common kernel of the boundary map and every T_l - a_l.  An integer
+    tuple has one residue tuple at the partner prime, so comparing that
+    kernel's dimension with the candidate's is the same test as
+    splitting there and intersecting the two census lists.  A signed
+    lift that is wrong (possible only when twice the bound reaches p)
+    fails it.  The unresolved dimension is broken down by cause in
+    `CuspidalSplit.unresolved`.
+    """
+    primes = sorted(set(primes))
+    _check_hecke_primes(space.level, primes)
+    ops = [space.hecke_matrix(l) for l in primes]
     w = space.module.weight
-    return split_eigenspaces(restricted, [isqrt(4 * l ** (w - 1)) for l in primes])
-
-
-def _hecke_family(space: ManinBasisSpace, primes: Sequence[int]):
-    """The T_l for primes the caller has checked at its entry."""
-    return [space.hecke_matrix(l) for l in primes]
-
-
-def _reconstructed_systems(space, primes):
-    """(eigenvalue tuple as Fractions, dim) for each eigenspace of the
-    split, plus the split's dimensions without a bounded integer root
-    and its defective dimensions."""
-    split = _split_cuspidal(space, primes)
+    split = split_eigenspaces(
+        [restrict_operator(op, space.cuspidal_subspace) for op in ops],
+        [isqrt(4 * l ** (w - 1)) for l in primes],
+    )
     p = space.field.p
     candidates = [
         (tuple(Fraction(signed_lift(v, p)) for v in eig.values), eig.space.dim)
         for eig in split.eigenspaces
     ]
-    return candidates, split.unsplit_dim, sum(dim for _, dim in split.defective)
-
-
-def _confirmed_at_partner(space, primes, candidates):
-    """The candidates whose eigenspace has the same dimension at the
-    partner prime.
-
-    There the eigenspace of a rational candidate is one joint kernel:
-    the cuspidal subspace is ker(boundary), so the candidate's vectors
-    are the common kernel of the boundary map and every T_l - a_l.
-    An integer tuple has one residue tuple at the partner prime, so this
-    is the same test as splitting there and intersecting the two census
-    lists.  A signed lift that is wrong (possible only when twice the
-    bound reaches p) fails it.
-    """
-    if not candidates:
-        return []
-    twin = space.partner()
-    ops = _hecke_family(twin, primes)
-    extra = (twin.boundary_matrix,)
-    return [
-        (fracs, dim)
-        for fracs, dim in candidates
-        if joint_kernel(ops, [twin.field.elem(f) for f in fracs], extra).dim == dim
-    ]
-
-
-def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
-    """Two-prime-confirmed eigensystems plus the dimension left unresolved.
-
-    Eigenvalues are integers of any size within Deligne's bound
-    |a_l| <= 2 l^((w-1)/2); the unresolved dimension is broken down by
-    cause in `CuspidalSplit.unresolved`.
-    """
-    primes = sorted(set(primes))
-    _check_hecke_primes(space.level, primes)
-    candidates, unsplit, defective = _reconstructed_systems(space, primes)
-    confirmed = sorted(_confirmed_at_partner(space, primes, candidates))
-    systems = [
-        EigenSystem(
-            level=space.level,
-            weight=space.module.weight,
-            eigenvalues=dict(zip(primes, fracs)),
-            cuspidal=True,
-            dim=dim,
+    confirmed = []
+    if candidates:  # the partner space is built only when there is something to confirm
+        twin = space.partner()
+        twin_ops = [twin.hecke_matrix(l) for l in primes]
+        extra = (twin.boundary_matrix,)
+        confirmed = sorted(
+            (fracs, dim) for fracs, dim in candidates
+            if joint_kernel(twin_ops, [twin.field.elem(f) for f in fracs], extra).dim == dim
         )
-        for fracs, dim in confirmed
-    ]
     covered = sum(dim for _, dim in confirmed)
     return CuspidalSplit(
-        systems=systems,
+        systems=[EigenSystem(space.level, w, dict(zip(primes, fracs)), cuspidal=True, dim=dim)
+                 for fracs, dim in confirmed],
         cuspidal_dim=space.cuspidal_dim,
         unresolved_dim=space.cuspidal_dim - covered,
         primes=list(primes),
         unresolved={
-            "no_bounded_integer_root": unsplit,
-            "defective": defective,
+            "no_bounded_integer_root": split.unsplit_dim,
+            "defective": sum(dim for _, dim in split.defective),
             "prime_disagreement": sum(dim for _, dim in candidates) - covered,
         },
     )
@@ -937,28 +902,14 @@ def eigensystems(space: ManinBasisSpace, primes: Sequence[int]) -> list[EigenSys
     return cuspidal_coverage(space, primes).systems
 
 
-def _winding_vector(space: ManinBasisSpace) -> dict[int, int]:
-    k = space.module.k
-    m = (k - 1) // 2
-    gen = m * len(space.p1) + space.p1.index(0, 1)
-    return space.project_generator(gen)
-
-
 def _left_eigenbasis(space: ManinBasisSpace, primes: Sequence[int],
                      target: tuple[int, ...]) -> list[dict[int, int]]:
     """Canonical echelon basis of the left eigenspace with the given values."""
-    ops = [m.transpose() for m in _hecke_family(space, primes)]
+    ops = [space.hecke_matrix(l).transpose() for l in primes]
     basis = joint_kernel(ops, target).basis
     if not basis:
-        raise MultiPrimeMismatch(
-            f"no left eigenspace with eigenvalues {target} mod {space.field.p}"
-        )
+        raise MultiPrimeMismatch(f"no left eigenspace with eigenvalues {target} mod {space.field.p}")
     return list(basis)
-
-
-def _pair(vec_u: dict[int, int], vec_w: dict[int, int], p: int) -> int:
-    small, big = (vec_u, vec_w) if len(vec_u) <= len(vec_w) else (vec_w, vec_u)
-    return sum(v * big.get(i, 0) for i, v in small.items()) % p
 
 
 def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
@@ -978,43 +929,41 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
         raise ValueError("winding pairing is defined for cuspidal systems")
     primes = sorted(system.eigenvalues)
     _check_hecke_primes(space.level, primes)
+    m = (space.module.k - 1) // 2
+    twin = space.partner()
     values: list[list[int]] = []
-    moduli: list[int] = []
-    for sp in (space, space.partner()):
+    for sp in (space, twin):
         p = sp.field.p
         target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
         basis = _left_eigenbasis(sp, primes, target)
-        w = _winding_vector(sp)
-        values.append([_pair(u, w, p) for u in basis])
-        moduli.append(p)
+        # The winding symbol is the Manin generator (X^m Y^m, (0:1)).
+        winding = sp.project_generator(m * len(sp.p1) + sp.p1.index(0, 1))
+        pairings = []
+        for u in basis:
+            small, big = (u, winding) if len(u) <= len(winding) else (winding, u)
+            pairings.append(sum(v * big.get(i, 0) for i, v in small.items()) % p)
+        values.append(pairings)
     if len(values[0]) != len(values[1]):
         raise MultiPrimeMismatch("left eigenspace dimensions differ between primes")
-    zero_a = all(v == 0 for v in values[0])
-    zero_b = all(v == 0 for v in values[1])
+    zero_a, zero_b = (not any(v) for v in values)
     if zero_a != zero_b:
         raise MultiPrimeMismatch("winding pairing vanishes at one prime only")
     if zero_a:
         return Fraction(0)
     total = Fraction(0)
-    p1, p2 = moduli
+    p1, p2 = space.field.p, twin.field.p
     for va, vb in zip(values[0], values[1]):
         try:
             ra = rational_reconstruct(va, RECONSTRUCT_BOUND, p1)
             rb = rational_reconstruct(vb, RECONSTRUCT_BOUND, p2)
-            if ra != rb:
-                raise MultiPrimeMismatch(
-                    f"winding pairing reconstructs to {ra} and {rb}"
-                )
-            total += ra * ra
-            continue
         except NoReconstruction:
-            pass
-        # Taller rationals: CRT-combine the residues and lift once.
-        crt_mod = p1 * p2
-        inv = pow(p1, -1, p2)
-        combined = (va + (vb - va) * inv % p2 * p1) % crt_mod
-        r = rational_reconstruct(combined, 1 << 59, crt_mod)
-        total += r * r
+            # Taller rationals: CRT-combine the residues and lift once.
+            crt_mod = p1 * p2
+            combined = (va + (vb - va) * pow(p1, -1, p2) % p2 * p1) % crt_mod
+            ra = rb = rational_reconstruct(combined, 1 << 59, crt_mod)
+        if ra != rb:
+            raise MultiPrimeMismatch(f"winding pairing reconstructs to {ra} and {rb}")
+        total += ra * ra
     return total
 
 

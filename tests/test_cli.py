@@ -230,8 +230,19 @@ def test_ledger_bad_compare_file_is_rejected_before_report(tmp_path, capsys, mon
      "malformed family entry"),
     ({"families": [{"source": ["a"], "kind": "b", "l": 2, "coeffs": ["1"]}]},
      "malformed family entry"),
+    ({"families": [{"source": "a", "kind": "b", "l": 2.5, "coeffs": ["1"]}]},
+     "`l` must be an integer"),
+    ({"families": [{"source": "a", "kind": "b", "l": True, "coeffs": ["1"]}]},
+     "`l` must be an integer"),
+    ({"families": [{"source": "a", "kind": "b", "l": 2, "coeffs": "12"}]},
+     "`coeffs` must be a list"),
+    ({"families": [{"source": "a", "kind": "b", "l": 2, "coeffs": {"1": 2}}]},
+     "`coeffs` must be a list"),
+    ({"families": [{"source": "a", "kind": "b", "l": 2, "coeffs": ["1", 0.1]}]},
+     "`coeffs` must be a list"),
 ], ids=["no-families", "families-not-list", "entry-missing-fields", "zero-denominator",
-        "infinite-l", "list-source"])
+        "infinite-l", "list-source", "float-l", "bool-l", "string-coeffs", "object-coeffs",
+        "float-coeff"])
 def test_ledger_malformed_compare_data_is_rejected_before_report(tmp_path, capsys,
                                                                   monkeypatch, data, message):
     def no_report(*args, **kwargs):
@@ -289,6 +300,13 @@ def test_non_prime_hecke_index_is_usage_error(capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert "is not prime" in err, (argv, err)
+
+
+def test_ledger_hecke_prime_dividing_level_message(capsys):
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2,11")
+    assert code == 2
+    assert err == "error: 11 divides the level 11\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("primes, message", [

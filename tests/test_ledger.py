@@ -17,6 +17,7 @@ from heckeledger.ledger import (
     report_families,
     report_to_json,
 )
+from heckeledger.modsym import BadPrime
 
 # Column-by-column transcription of the rank table used in the tests:
 # n, dim X, vcd, cusp top, cusp bottom.
@@ -212,6 +213,8 @@ def test_report_rejects_bad_level_and_primes():
         build_report(12, [5])
     with pytest.raises(ValueError):
         build_report(11, [11])
+    with pytest.raises(BadPrime, match="11 divides the level 11"):
+        build_report(11, [2, 11])
     with pytest.raises(ValueError):
         build_report(11, [])
 
@@ -300,6 +303,10 @@ def test_compare_format_errors():
     with pytest.raises(FormatError, match="malformed family entry"):
         parse_external({"families": [{"source": "a", "kind": "b", "l": 2,
                                       "coeffs": ["1", "1/0"]}]})
+    for l, coeffs in ((2.5, ["1"]), (True, ["1"]), (2, "12"), (2, {"1": 2}), (2, ["1", 0.1])):
+        with pytest.raises(FormatError, match="malformed family entry"):
+            parse_external({"families": [{"source": "a", "kind": "b", "l": l,
+                                          "coeffs": coeffs}]})
 
 
 # -- SL3 CSV -----------------------------------------------------------------

@@ -428,9 +428,9 @@ def test_hecke_matches_continued_fraction_reference(k):
 
 def test_bad_prime_rejected():
     space = build_space(11, 1)
-    with pytest.raises(BadPrime):
+    with pytest.raises(BadPrime, match="11 divides the level 11"):
         hecke_operator(space, 11)
-    with pytest.raises(BadPrime):
+    with pytest.raises(BadPrime, match="4 is not prime"):
         hecke_operator(space, 4)
 
 
