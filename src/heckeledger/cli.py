@@ -21,8 +21,16 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .exactlin import FieldContext, NonCommuting, NotInvariant, _is_prime, frac_str
+from .exactlin import (
+    FamilyMismatch,
+    FieldContext,
+    NonCommuting,
+    NotInvariant,
+    _is_prime,
+    frac_str,
+)
 from .ledger import (
+    BadLevel,
     FormatError,
     build_report,
     compare_external,
@@ -32,6 +40,7 @@ from .ledger import (
 )
 from .modsym import (
     BadPrime,
+    HalvesMismatch,
     MultiPrimeMismatch,
     UnsupportedWeight,
     _check_hecke_primes,
@@ -54,6 +63,10 @@ COMPUTE_ERROR = 1
 
 
 class UsageError(Exception):
+    pass
+
+
+class ComputationError(Exception):
     pass
 
 
@@ -237,8 +250,10 @@ def cmd_ledger(args) -> int:
             gritsenko=gritsenko,
             context=context,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except (BadLevel, BadPrime):
+        raise
+    except ValueError as exc:  # raised behind the entry checks: a computation fault
+        raise ComputationError(str(exc)) from exc
     if args.compare:
         summary = compare_external(report, external, tscale=tscale)
         sys.stdout.write(_dump_json(summary))
@@ -305,12 +320,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, UnsupportedWeight, BadPrime, GritsenkoExceedsTotal,
+    except (UsageError, UnsupportedWeight, BadLevel, BadPrime, GritsenkoExceedsTotal,
             FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NonIntegralResult, MultiPrimeMismatch, NotInvariant, NonCommuting,
-            ArithmeticError) as exc:
+    except (ComputationError, NonIntegralResult, MultiPrimeMismatch, NotInvariant,
+            NonCommuting, FamilyMismatch, HalvesMismatch, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

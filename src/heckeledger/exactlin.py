@@ -12,18 +12,21 @@ and :class:`Subspace` (its reduced row echelon basis, as sparse
 vectors).  On top of those sit one row-insertion reduced row echelon
 form for every matrix, sparse or dense, rank and a kernel basis that
 one echelon gives already reduced, joint kernels of shifted operators
-(the eigenvectors for a known eigenvalue tuple), restriction of an
-operator to an invariant subspace by reading the images at the
-basis's pivot coordinates, simultaneous eigenspace splitting of a
-commuting family at bounded integer eigenvalues, and rational
-reconstruction of field elements.  Matrix products, the
-charpoly expansion and the squarings of modular powers run on
-packed-integer (Kronecker) kernels: a row or a coefficient list becomes
-one Python int with fixed-width slots, so one big-int product does a
-whole row's worth of multiply-adds.  Roots are found modulo the
-squarefree part of a polynomial, by gcd with x^p - x and then
-equal-degree splitting; a modular power packs and unpacks twice per
-squaring and multiplies by its (usually linear) base term by term.
+(the eigenvectors for a known eigenvalue tuple, intersected one matrix
+at a time), restriction of an operator to an invariant subspace by
+reading the images at the basis's pivot coordinates, simultaneous
+eigenspace splitting at bounded integer eigenvalues of a commuting
+family, or of several isomorphic families in lockstep with one root
+finding per refinement node, and rational reconstruction of field
+elements.  Matrix products, the charpoly expansion and the squarings
+of modular powers run on packed-integer (Kronecker) kernels: a row or a
+coefficient list becomes one Python int with fixed-width slots, so one
+big-int product does a whole row's worth of multiply-adds.  Roots are
+found modulo the squarefree part of a polynomial, by gcd with x^p - x
+and then equal-degree splitting down to factors of degree at most 2,
+which are solved in closed form (a Tonelli-Shanks square root of the
+discriminant); a modular power packs and unpacks twice per squaring
+and multiplies by its (usually linear) base term by term.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "FieldContext",
     "NotInvariant",
     "NonCommuting",
+    "FamilyMismatch",
     "NoReconstruction",
     "DEFAULT_PRIME",
     "rank_and_kernel",
@@ -64,6 +68,10 @@ class NotInvariant(Exception):
 
 class NonCommuting(Exception):
     """Two operators handed to the eigenspace splitter do not commute."""
+
+
+class FamilyMismatch(Exception):
+    """Families split in lockstep have different characteristic polynomials."""
 
 
 class NoReconstruction(Exception):
@@ -462,14 +470,43 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     return len(pivots), Subspace(m.ncols, list(kernel.values()), m.field)
 
 
+def _columns(s: Subspace) -> FieldMatrix:
+    """The basis of s as the columns of an ambient_dim x dim matrix."""
+    return FieldMatrix(s.field, s.dim, s.ambient_dim, list(s.basis)).transpose()
+
+
+def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
+    """Map vectors given in the basis of s back to ambient coordinates.
+
+    Both bases are reduced, so a coordinate vector with its leading 1
+    at coordinate i lifts to one with its leading 1 at the pivot of
+    basis vector i, and 0 where the other coordinate vectors' leading
+    entries lift to: the lifted vectors are already the reduced echelon
+    basis.
+    """
+    p = s.field.p
+    lifted = []
+    for vec in coords.basis:
+        acc: dict[int, int] = {}
+        for idx, c in vec.items():
+            for j, w in s.basis[idx].items():
+                acc[j] = (acc.get(j, 0) + c * w) % p
+        lifted.append({j: v for j, v in acc.items() if v})
+    return Subspace(s.ambient_dim, lifted, s.field)
+
+
 def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
                  extra: Sequence[FieldMatrix] = ()) -> Subspace:
     """Canonical (reduced echelon) basis of the joint eigenvectors.
 
     The common kernel of every op - value*I and every matrix in
     `extra`: {v : op v = value v for each pair, m v = 0 for each m}.
-    One echelon of the stacked rows; the family need not commute and
-    no invariant subspace is needed.
+    The matrices are intersected one at a time: K starts as the kernel
+    of the first, and each further matrix M replaces K by the kernel of
+    M B (B the basis of K as columns, n x dim K), lifted back to the
+    ambient space.  The reduced echelon basis of the result depends only
+    on the subspace, so the order changes the cost and nothing else.
+    The family need not commute and no invariant subspace is needed.
     """
     if len(ops) != len(values):
         raise ValueError("need one value per operator")
@@ -481,14 +518,16 @@ def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
     for m in mats:
         if m.ncols != n or m.field != field:
             raise ValueError("matrices must share one column space")
-    rows: list[dict[int, int]] = []
-    for op, lam in zip(ops, values):
-        if op.nrows != n:
-            raise ValueError("operators must be square")
-        rows.extend(op.add_scaled(FieldMatrix.identity(field, n), -lam).rows)
-    for m in extra:
-        rows.extend(m.rows)
-    return rank_and_kernel(FieldMatrix(field, len(rows), n, rows))[1]
+    if any(op.nrows != n for op in ops):
+        raise ValueError("operators must be square")
+    identity = FieldMatrix.identity(field, n)
+    mats = [op.add_scaled(identity, -lam) for op, lam in zip(ops, values)] + list(extra)
+    kernel = rank_and_kernel(mats[0])[1]
+    for m in mats[1:]:
+        if not kernel.dim:
+            break
+        kernel = _lift_to_ambient(kernel, rank_and_kernel(m.matmul(_columns(kernel)))[1])
+    return kernel
 
 
 def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
@@ -505,7 +544,7 @@ def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
     if op.ncols != n or op.nrows != n:
         raise ValueError("operator and subspace ambient dimension mismatch")
     pivots = [min(v) for v in s.basis]
-    b = FieldMatrix(s.field, s.dim, n, list(s.basis)).transpose()
+    b = _columns(s)
     images = op.matmul(b)
     result = FieldMatrix(s.field, s.dim, s.dim, [images.rows[c] for c in pivots])
     pivset = set(pivots)
@@ -681,16 +720,62 @@ def charpoly(m: FieldMatrix) -> list[int]:
     return coeffs
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p.
+
+    Tonelli-Shanks with the smallest quadratic non-residue, so the
+    answer is deterministic; for p = 3 mod 4 it is a^((p+1)/4).
+    """
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _small_roots(h: list[int], p: int) -> list[int]:
+    """The roots of a trimmed squarefree h of degree at most 2, in closed form.
+
+    A squarefree quadratic a x^2 + b x + c has a nonzero discriminant; it
+    has roots exactly when that is a square (Euler's criterion), and then
+    they are (-b +- sqrt(disc)) / 2a.
+    """
+    if len(h) <= 1:
+        return []
+    if len(h) == 2:
+        return [(-h[0]) * pow(h[1], -1, p) % p]
+    c, b, a = h
+    disc = (b * b - 4 * a * c) % p
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    root = _sqrt_mod(disc, p)
+    inv = pow(2 * a, -1, p)
+    return [(-b + root) * inv % p, (-b - root) * inv % p]
+
+
 def distinct_roots(f: list[int], p: int) -> list[int]:
     """All roots of f in Z/p, each once, sorted ascending.
 
     f is first replaced by its squarefree part f / gcd(f, f'), which has
     the same roots at half the degree or less when every root is
     repeated (von zur Gathen and Gerhard, 14.3); this needs p > deg f,
-    and a smaller p raises ValueError.  Then gcd with x^p - x isolates
-    the linear part, and the splitting uses quadratic-residue filters
-    (x + t)^((p-1)/2) - 1 with t = 0, 1, 2, ... in order, so the
-    computation is deterministic.
+    and a smaller p raises ValueError.  A part of degree at most 2 is
+    solved in closed form.  Otherwise gcd with x^p - x isolates the
+    linear part, whose factors of degree 3 or more are split by the
+    quadratic-residue filters (x + t)^((p-1)/2) - 1 with t = 0, 1, 2,
+    ... in order, down to factors of degree at most 2, which are again
+    solved in closed form; so the computation is deterministic.
     """
     f = poly_trim([c % p for c in f])
     if len(f) > p:
@@ -699,16 +784,13 @@ def distinct_roots(f: list[int], p: int) -> list[int]:
         return []
     df = [i * c % p for i, c in enumerate(f)][1:]
     f = poly_divmod(f, poly_gcd(f, df, p), p)[0]
-    # A linear squarefree part is its own root; no need to power x.
-    g = f if len(f) == 2 else poly_gcd(poly_sub(poly_powmod([0, 1], p, f, p), [0, 1], p), f, p)
+    g = f if len(f) <= 3 else poly_gcd(poly_sub(poly_powmod([0, 1], p, f, p), [0, 1], p), f, p)
     roots: list[int] = []
     stack = [g]
     while stack:
         h = stack.pop()
-        if len(h) <= 1:
-            continue
-        if len(h) == 2:
-            roots.append((-h[0]) * pow(h[1], -1, p) % p)
+        if len(h) <= 3:
+            roots += _small_roots(h, p)
             continue
         t = 0
         while True:
@@ -736,10 +818,15 @@ def root_multiplicity(f: list[int], lam: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class Eigenspace:
-    """A simultaneous eigenspace with its tuple of eigenvalues."""
+    """A simultaneous eigenspace with its tuple of eigenvalues: one
+    subspace per family that was split (see split_eigenspaces)."""
 
     values: tuple[int, ...]
-    space: Subspace
+    spaces: tuple[Subspace, ...]
+
+    @property
+    def dim(self) -> int:
+        return sum(s.dim for s in self.spaces)
 
 
 @dataclass
@@ -759,33 +846,14 @@ class SplitResult:
     unsplit_dim: int = 0
 
 
-def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
-    """Map vectors given in the basis of s back to ambient coordinates.
-
-    Both bases are reduced, so a coordinate vector with its leading 1
-    at coordinate i lifts to one with its leading 1 at the pivot of
-    basis vector i, and 0 where the other coordinate vectors' leading
-    entries lift to: the lifted vectors are already the reduced echelon
-    basis.
-    """
-    p = s.field.p
-    lifted = []
-    for vec in coords.basis:
-        acc: dict[int, int] = {}
-        for idx, c in vec.items():
-            for j, w in s.basis[idx].items():
-                acc[j] = (acc.get(j, 0) + c * w) % p
-        lifted.append({j: v for j, v in acc.items() if v})
-    return Subspace(s.ambient_dim, lifted, s.field)
-
-
 def signed_lift(x: int, p: int) -> int:
     """The integer of least absolute value congruent to x mod p."""
     x %= p
     return x - p if 2 * x > p else x
 
 
-def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int]) -> SplitResult:
+def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
+                      others: Sequence[Sequence[FieldMatrix]] = ()) -> SplitResult:
     """Common eigenspace decomposition of a commuting family at bounded
     integer eigenvalues.
 
@@ -796,46 +864,67 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int]) -> Spli
     counted in `unsplit_dim`.  A bound of p // 2 keeps every root.
     Eigenvalue tuples come out in ascending lexicographic order of their
     field representatives, so the result is deterministic.
+
+    `others` holds further families, each matching `ops` operator for
+    operator on its own space, that are isomorphic to `ops` as modules
+    over the family (such as the two halves of an involution commuting
+    with it).  All families are refined in lockstep.  Each is checked
+    to commute; at each refinement node every family's restricted
+    operator gets its own characteristic polynomial, and FamilyMismatch
+    is raised unless they are equal.  The roots of that one polynomial
+    are found once, and each bounded root takes its kernel in every
+    family.  Dimensions, multiplicities, `defective` and `unsplit_dim`
+    are summed over the families, so the result counts exactly what
+    splitting the direct sum of the families would.
     """
+    families = [list(ops)] + [list(f) for f in others]
     if not ops:
         raise ValueError("need at least one operator")
-    if len(bounds) != len(ops):
+    if any(len(family) != len(bounds) for family in families):
         raise ValueError("need one bound per operator")
-    n = ops[0].nrows
     field = ops[0].field
-    for op in ops:
-        if op.nrows != n or op.ncols != n or op.field != field:
-            raise ValueError("operators must share one square ambient space")
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            if ops[a].matmul(ops[b]) != ops[b].matmul(ops[a]):
-                raise NonCommuting(f"operators {a} and {b} do not commute")
+    for family in families:
+        n = family[0].nrows
+        for op in family:
+            if op.nrows != n or op.ncols != n or op.field != field:
+                raise ValueError("operators must share one square ambient space")
+        for a in range(len(family)):
+            for b in range(a + 1, len(family)):
+                if family[a].matmul(family[b]) != family[b].matmul(family[a]):
+                    raise NonCommuting(f"operators {a} and {b} do not commute")
 
     p = field.p
     result = SplitResult(eigenspaces=[])
-    current: list[tuple[tuple[int, ...], Subspace]] = [((), Subspace.full(field, n))]
-    for op, bound in zip(ops, bounds):
-        refined: list[tuple[tuple[int, ...], Subspace]] = []
-        for prefix, s in current:
-            if s.dim == 0:
+    current: list[tuple[tuple[int, ...], tuple[Subspace, ...]]] = [
+        ((), tuple(Subspace.full(field, family[0].nrows) for family in families))
+    ]
+    for t, bound in enumerate(bounds):
+        refined: list[tuple[tuple[int, ...], tuple[Subspace, ...]]] = []
+        for prefix, spaces in current:
+            dim = sum(s.dim for s in spaces)
+            if dim == 0:
                 continue
-            m = restrict_operator(op, s)
-            f = charpoly(m)
+            restricted = [restrict_operator(family[t], s) for family, s in zip(families, spaces)]
+            f = charpoly(restricted[0])
+            if any(charpoly(m) != f for m in restricted[1:]):
+                raise FamilyMismatch(f"operator {t} has different characteristic "
+                                     f"polynomials at eigenvalues {prefix}")
             covered = 0
             for lam in distinct_roots(f, p):
                 if abs(signed_lift(lam, p)) > bound:
                     continue
-                ker = joint_kernel([m], [lam])
-                geo = ker.dim
-                alg = root_multiplicity(list(f), lam, p)
+                kernels = [joint_kernel([m], [lam]) for m in restricted]
+                geo = sum(ker.dim for ker in kernels)
+                alg = root_multiplicity(list(f), lam, p) * len(families)
                 covered += alg
                 if geo < alg:
                     result.defective.append((prefix + (lam,), alg - geo))
-                refined.append((prefix + (lam,), _lift_to_ambient(s, ker)))
-            result.unsplit_dim += s.dim - covered
+                refined.append((prefix + (lam,), tuple(map(_lift_to_ambient, spaces, kernels))))
+            result.unsplit_dim += dim - covered
         current = refined
     result.eigenspaces = [
-        Eigenspace(tup, s) for tup, s in sorted(current, key=lambda t: t[0]) if s.dim > 0
+        Eigenspace(tup, spaces) for tup, spaces in sorted(current, key=lambda t: t[0])
+        if any(s.dim for s in spaces)
     ]
     return result
 

@@ -39,6 +39,7 @@ __all__ = [
     "LedgerReport",
     "CuspRangeUnknown",
     "FormatError",
+    "BadLevel",
     "range_table",
     "build_report",
     "compare_external",
@@ -55,6 +56,10 @@ class CuspRangeUnknown(Exception):
 
 class FormatError(Exception):
     """External polynomial data does not parse as the documented format."""
+
+
+class BadLevel(ValueError):
+    """The ledger level is not prime."""
 
 
 # Tabulated cuspidal range (top, bottom) for subgroups of SL_n(Z), n = 2..9.
@@ -220,7 +225,7 @@ def build_report(
     tallies reduced or unknown.
     """
     if not _is_prime(level):
-        raise ValueError(f"level {level} is not prime")
+        raise BadLevel(f"level {level} is not prime")
     primes = sorted(set(int(l) for l in primes))
     if not primes:
         raise ValueError("need at least one Hecke prime")

@@ -15,7 +15,14 @@ Everything is computed over a large prime field.  A rational Hecke
 eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
 (Deligne), so only roots whose signed lift meets that bound are split
 off; they are lifted back to Z directly and only reported when two
-independent primes agree.
+independent primes agree.  The split runs on the two halves of the
+cuspidal space under the star involution [[-1, 0], [0, 1]], which
+commutes with every T_l; the halves are isomorphic Hecke modules
+(Stein, Modular Forms, ch. 8; Cremona, Algorithms for Modular Elliptic
+Curves, ch. II), so they are split in lockstep at half the matrix size
+and their counts are summed.  The presentation itself has no sign
+quotient: dimensions, Hecke matrices and the winding pairing live on
+the whole space.
 
 Conventions, fixed once and used everywhere:
 
@@ -72,6 +79,7 @@ __all__ = [
     "BadPrime",
     "NoCentralMonomial",
     "MultiPrimeMismatch",
+    "HalvesMismatch",
     "determinant",
     "unimodularize",
     "transform",
@@ -99,6 +107,10 @@ class NoCentralMonomial(Exception):
 
 class MultiPrimeMismatch(Exception):
     """The two working primes disagree; the result cannot be certified."""
+
+
+class HalvesMismatch(Exception):
+    """The halves of the star involution do not add up to the cuspidal space."""
 
 
 # Height bound for lifting winding pairings back to Q; only the winding
@@ -842,33 +854,73 @@ def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
 # Eigensystems, two-prime confirmation, winding pairing
 
 
+def _star_involution(space: ManinBasisSpace) -> FieldMatrix:
+    """The star involution iota = [[-1, 0], [0, 1]] on the quotient basis.
+
+    It sends the Manin generator (X^i Y^(k-1-i), (c:d)) to
+    (-1)^i (X^i Y^(k-1-i), (-c:d)), a signed permutation of the
+    generators; column t is the projected image of free generator t.
+    iota normalizes Gamma0(N), so it commutes with every T_l and
+    preserves the cuspidal subspace.
+    """
+    p = space.field.p
+    p1 = space.p1
+    npts = len(p1)
+    rows: list[dict[int, int]] = [{} for _ in range(space.dim)]
+    for pos, col in enumerate(space.free_columns):
+        i, j = space.generators[col]
+        c, d = p1.points[j]
+        sign = 1 if i % 2 == 0 else p - 1
+        for r, w in space.project_generator(i * npts + p1.index(-c, d)).items():
+            rows[r][pos] = w * sign % p
+    return FieldMatrix(space.field, space.dim, space.dim, rows)
+
+
 def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
     """Two-prime-confirmed eigensystems plus the dimension left unresolved.
 
     At the primary prime the cuspidal T_l are split at the integers
     within Deligne's bound |a_l| <= 2 l^((w-1)/2), and each eigenspace's
-    values are lifted to signed integers: the candidates.  At the
-    partner prime the eigenspace of a candidate is one joint kernel:
-    the cuspidal subspace is ker(boundary), so its vectors are the
-    common kernel of the boundary map and every T_l - a_l.  An integer
-    tuple has one residue tuple at the partner prime, so comparing that
-    kernel's dimension with the candidate's is the same test as
-    splitting there and intersecting the two census lists.  A signed
-    lift that is wrong (possible only when twice the bound reaches p)
-    fails it.  The unresolved dimension is broken down by cause in
-    `CuspidalSplit.unresolved`.
+    values are lifted to signed integers: the candidates.  The split
+    runs on the two halves of the star involution iota (see
+    `_star_involution`): H+ and H-, the cuspidal vectors with iota v = v
+    and iota v = -v, one joint kernel each.  iota commutes with every
+    T_l, so the cuspidal space is the T_l-stable direct sum H+ + H-, and
+    the two halves are isomorphic Hecke modules (Eichler-Shimura).  The
+    halves must add up to the cuspidal dimension (else HalvesMismatch),
+    every T_l is restricted to both (NotInvariant unless both are
+    stable), and `split_eigenspaces` refines both in lockstep: one
+    charpoly per half and node, which must agree (else FamilyMismatch),
+    one root finding, and each bounded root's kernel in both halves.
+    Dimensions and causes are summed over the halves, so every count is
+    that of splitting the whole cuspidal space, at half the matrix size.
+
+    At the partner prime the eigenspace of a candidate is one joint
+    kernel: the cuspidal subspace is ker(boundary), so its vectors are
+    the common kernel of the boundary map and every T_l - a_l.  An
+    integer tuple has one residue tuple at the partner prime, so
+    comparing that kernel's dimension with the candidate's is the same
+    test as splitting there and intersecting the two census lists.  A
+    signed lift that is wrong (possible only when twice the bound
+    reaches p) fails it.  The unresolved dimension is broken down by
+    cause in `CuspidalSplit.unresolved`.
     """
     primes = sorted(set(primes))
     _check_hecke_primes(space.level, primes)
     ops = [space.hecke_matrix(l) for l in primes]
+    star = _star_involution(space)
+    halves = [joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1)]
+    if sum(h.dim for h in halves) != space.cuspidal_dim:
+        raise HalvesMismatch(
+            f"star involution halves of dims {[h.dim for h in halves]} do not add up "
+            f"to the cuspidal dimension {space.cuspidal_dim}"
+        )
+    plus, minus = ([restrict_operator(op, h) for op in ops] for h in halves)
     w = space.module.weight
-    split = split_eigenspaces(
-        [restrict_operator(op, space.cuspidal_subspace) for op in ops],
-        [isqrt(4 * l ** (w - 1)) for l in primes],
-    )
+    split = split_eigenspaces(plus, [isqrt(4 * l ** (w - 1)) for l in primes], [minus])
     p = space.field.p
     candidates = [
-        (tuple(Fraction(signed_lift(v, p)) for v in eig.values), eig.space.dim)
+        (tuple(Fraction(signed_lift(v, p)) for v in eig.values), eig.dim)
         for eig in split.eigenspaces
     ]
     confirmed = []

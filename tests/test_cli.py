@@ -274,6 +274,21 @@ def test_ledger_composite_level_rejected(capsys):
     assert code == 2
 
 
+def test_ledger_internal_value_error_is_computation_error(capsys, monkeypatch):
+    # Only the level and the Hecke primes are entry errors of build_report;
+    # a ValueError from behind them, here a family failing its factor-shape
+    # check, is a computation error.
+    from heckeledger import heckepoly
+
+    monkeypatch.setattr(heckepoly, "check_factor_shape", lambda kind, poly: False)
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2")
+    assert code == 1
+    assert err.startswith("computation error: ") and "factor shape" in err
+    code, out, err = run(capsys, "ledger", "--level", "12", "--primes", "2")
+    assert code == 2
+    assert err == "error: level 12 is not prime\n"
+
+
 def test_ledger_missing_file_rejected(capsys):
     code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2",
                          "--sl3", "/nonexistent/path.csv")

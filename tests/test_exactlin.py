@@ -7,6 +7,7 @@ import pytest
 from heckeledger import exactlin
 from heckeledger.exactlin import (
     DEFAULT_PRIME,
+    FamilyMismatch,
     FieldContext,
     FieldMatrix,
     NoReconstruction,
@@ -194,14 +195,14 @@ def test_split_identity():
     res = split_eigenspaces([FieldMatrix.identity(F, 3)], [P // 2])
     assert len(res.eigenspaces) == 1
     assert res.eigenspaces[0].values == (1,)
-    assert res.eigenspaces[0].space.dim == 3
+    assert res.eigenspaces[0].dim == 3
     assert res.unsplit_dim == 0
     assert res.defective == []
 
 
 def test_split_diag_1_2():
     res = split_eigenspaces([dense([[1, 0], [0, 2]])], [P // 2])
-    assert [(e.values, e.space.dim) for e in res.eigenspaces] == [((1,), 1), ((2,), 1)]
+    assert [(e.values, e.dim) for e in res.eigenspaces] == [((1,), 1), ((2,), 1)]
 
 
 def test_split_rejects_noncommuting():
@@ -216,10 +217,10 @@ def test_split_simultaneous_pair():
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
     res = split_eigenspaces([a, b], [P // 2] * 2)
-    got = [(e.values, e.space.dim) for e in res.eigenspaces]
+    got = [(e.values, e.dim) for e in res.eigenspaces]
     assert got == [((1, 5), 2), ((2, 5), 1), ((3, 7), 1)]
     for e in res.eigenspaces:
-        for v in e.space.basis:
+        for v in e.spaces[0].basis:
             for op, lam in zip((a, b), e.values):
                 got_vec = matvec(op, v)
                 want = {k: (lam * x) % P for k, x in v.items() if (lam * x) % P}
@@ -230,7 +231,7 @@ def test_joint_kernel_matches_split_and_respects_extra():
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
     for e in split_eigenspaces([a, b], [P // 2] * 2).eigenspaces:
-        assert joint_kernel([a, b], e.values).basis == e.space.basis
+        assert joint_kernel([a, b], e.values).basis == e.spaces[0].basis
     assert joint_kernel([a, b], (1, 7)).dim == 0
     # The extra row x0 = 0 cuts the (1, 5) plane down to a line.
     cut = dense([[1, 0, 0, 0]])
@@ -242,7 +243,7 @@ def test_split_reports_jordan_block_separately():
     res = split_eigenspaces([m], [P // 2])
     assert len(res.eigenspaces) == 1
     assert res.eigenspaces[0].values == (2,)
-    assert res.eigenspaces[0].space.dim == 1
+    assert res.eigenspaces[0].dim == 1
     assert res.defective == [((2,), 1)]
 
 
@@ -259,7 +260,7 @@ def test_split_skips_roots_beyond_bound():
     # Signed lifts 1, 7 and -2: only 7 exceeds the bound 2.
     m = dense([[1, 0, 0], [0, 7, 0], [0, 0, P - 2]])
     res = split_eigenspaces([m], [2])
-    assert [(e.values, e.space.dim) for e in res.eigenspaces] == [((1,), 1), ((P - 2,), 1)]
+    assert [(e.values, e.dim) for e in res.eigenspaces] == [((1,), 1), ((P - 2,), 1)]
     assert res.unsplit_dim == 1
     assert res.defective == []
 
@@ -269,7 +270,58 @@ def test_split_dims_bounded_by_ambient():
     d = dense([[rng.randrange(5) for _ in range(4)] for _ in range(4)])
     sym = d.add_scaled(d.transpose(), 1)
     res = split_eigenspaces([sym], [P // 2])
-    assert sum(e.space.dim for e in res.eigenspaces) + res.unsplit_dim + sum(x for _, x in res.defective) == 4
+    assert sum(e.dim for e in res.eigenspaces) + res.unsplit_dim + sum(x for _, x in res.defective) == 4
+
+
+def block_diag(a, b):
+    """The block-diagonal matrix diag(a, b)."""
+    rows = [dict(r) for r in a.rows] + [{a.ncols + j: v for j, v in r.items()} for r in b.rows]
+    return FieldMatrix(a.field, a.nrows + b.nrows, a.ncols + b.ncols, rows)
+
+
+def lockstep_family(seven=7):
+    """A commuting pair on a 7-dimensional space whose split has every
+    kind of count: a Jordan block at 2 (defective), x^2 + 1 (no root,
+    P = 3 mod 4), and the lines 1, `seven` and -2, where 7 exceeds the
+    first bound 2."""
+    a = dense([[2, 1, 0, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0, 0], [0, 0, 0, P - 1, 0, 0, 0],
+               [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, seven, 0],
+               [0, 0, 0, 0, 0, 0, P - 2]])
+    return [a, a.matmul(a)], [2, P // 2]
+
+
+def test_split_lockstep_matches_block_diagonal():
+    ops, bounds = lockstep_family()
+    others = conjugates(ops, 5)
+    lockstep = split_eigenspaces(ops, bounds, [others])
+    whole = split_eigenspaces([block_diag(a, b) for a, b in zip(ops, others)], bounds)
+    got = [(e.values, e.dim) for e in lockstep.eigenspaces]
+    assert got == [(e.values, e.dim) for e in whole.eigenspaces]
+    assert got == [((1, 1), 2), ((2, 4), 2), ((P - 2, 4), 2)]
+    assert lockstep.defective == whole.defective == [((2,), 2)]
+    assert lockstep.unsplit_dim == whole.unsplit_dim == 6
+    for e in lockstep.eigenspaces:
+        for family, space in zip((ops, others), e.spaces):
+            assert space.dim == 1
+            for op, lam in zip(family, e.values):
+                for v in space.basis:
+                    assert matvec(op, v) == {k: lam * x % P for k, x in v.items()}
+
+
+def test_split_lockstep_rejects_mismatched_family():
+    ops, bounds = lockstep_family()
+    # The first operator's charpoly differs (7 -> 8): caught at the root.
+    with pytest.raises(FamilyMismatch):
+        split_eigenspaces(ops, bounds, [conjugates(lockstep_family(seven=8)[0], 7)])
+    # The second operator's charpoly agrees on the whole space but not on
+    # the eigenlines of 1 and -2, where its values are swapped.
+    swapped = ops[0].matmul(ops[0])
+    swapped.rows[4], swapped.rows[6] = {4: 4}, {6: 1}
+    with pytest.raises(FamilyMismatch):
+        split_eigenspaces(ops, bounds, [conjugates([ops[0], swapped], 7)])
+    shift = dense([[int(j == i + 1) for j in range(7)] for i in range(7)])
+    with pytest.raises(NonCommuting):
+        split_eigenspaces(ops, bounds, [[conjugates(ops, 7)[0], shift]])
 
 
 def test_multi_prime_pipeline_reconstructs_identically():
@@ -525,7 +577,37 @@ def test_poly_powmod_slot_boundaries(p):
                 assert got == ref_poly_powmod(base, e, mod, p), (degree, top, e)
 
 
-@pytest.mark.parametrize("p", KERNEL_PRIMES)
+# A prime above the floor with 2**41 dividing p - 1, where a square root
+# runs the whole Tonelli-Shanks loop; at both working primes, which are
+# 3 mod 4, it is a single power.
+TWO_ADIC_PRIME = 1048578 * 2**40 + 1
+ROOT_PRIMES = KERNEL_PRIMES + (TWO_ADIC_PRIME,)
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_distinct_roots_quadratic_needs_no_power(p, monkeypatch):
+    # A squarefree part of degree 2 is solved from its discriminant.
+    def no_power(*args):
+        raise AssertionError("x^p was powered modulo a quadratic")
+
+    monkeypatch.setattr(exactlin, "poly_powmod", no_power)
+    rng = random.Random(p % 971)
+    nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    for _ in range(25):
+        r, s, c = rng.randrange(p), rng.randrange(p), rng.randrange(1, p)
+        lin_r, lin_s = [-r % p, 1], [-s % p, 1]
+        f = ref_poly_mul([c], ref_poly_mul(lin_r, lin_s, p), p)
+        assert distinct_roots(f, p) == sorted({r, s})
+        # c (x - r)^2 (x - s)^3 has the squarefree part (x - r)(x - s)
+        g = ref_poly_mul(ref_poly_mul(f, f, p), lin_s, p)
+        assert distinct_roots(g, p) == sorted({r, s})
+        # c ((x + t)^2 - n) with n a non-residue has no root
+        t, n = rng.randrange(p), nonresidue * rng.randrange(1, p) ** 2 % p
+        assert distinct_roots([c * (t * t - n) % p, 2 * c * t % p, c], p) == []
+    assert distinct_roots([4, 4, 1], p) == [p - 2]  # (x + 2)^2
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
 def test_distinct_roots_matches_construction(p):
     # f = c * prod (x - r)^m * prod (x^2 - n) with every n a non-residue,
     # so the roots are exactly the r, whatever their multiplicities.
@@ -618,10 +700,8 @@ def ref_dense_mul(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
-def commuting_stack(fld, rng, n):
-    """[A - lam I; B - mu I] for A = S D S^-1, B = S E S^-1 with diagonal
-    D, E: rank n - 2, since D = lam and E = mu together at two places."""
-    p = fld.p
+def unipotent(p, rng, n):
+    """(S, S^-1) as dense lists, S = I + N with N random strictly upper."""
     nil = [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     s = [[(x + y) % p for x, y in zip(r, e)] for r, e in zip(nil, eye)]
@@ -629,6 +709,23 @@ def commuting_stack(fld, rng, n):
     for _ in range(n - 1):  # (I + N)^-1 = sum of (-N)^k, N nilpotent
         power = ref_dense_mul(power, [[-x % p for x in r] for r in nil], p)
         s_inv = [[(x + y) % p for x, y in zip(r, t)] for r, t in zip(s_inv, power)]
+    return s, s_inv
+
+
+def conjugates(mats, seed):
+    """S m S^-1 for every m, with one random unipotent S."""
+    p, n = mats[0].field.p, mats[0].nrows
+    s, s_inv = unipotent(p, random.Random(seed), n)
+    return [from_dense(m.field, ref_dense_mul(ref_dense_mul(
+        s, [[r.get(j, 0) for j in range(n)] for r in m.rows], p), s_inv, p)) for m in mats]
+
+
+def commuting_stack(fld, rng, n):
+    """[A - lam I; B - mu I] for A = S D S^-1, B = S E S^-1 with diagonal
+    D, E: rank n - 2, since D = lam and E = mu together at two places."""
+    p = fld.p
+    s, s_inv = unipotent(p, rng, n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
     lam, mu = 3, p - 4
     d = [lam, lam, lam, 2, 5, 7, 11, 13][:n]
     e = [mu, mu, 9, mu, mu, 6, 8, 10][:n]
@@ -711,6 +808,39 @@ def test_kernel_is_reduced_by_construction(p, monkeypatch):
     assert full_rank >= 5
 
 
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_joint_kernel_matches_stacked_reference(p):
+    # joint_kernel intersects one matrix at a time; Gauss-Jordan on all
+    # the rows stacked, [op_1 - v_1 I; ...; extra], gives the same basis.
+    fld = PrimeField(p)
+    rng = random.Random(p % 967)
+    n = 8
+    stack = commuting_stack(fld, rng, n)  # A - 3 I over B - (p - 4) I
+    eye = FieldMatrix.identity(fld, n)
+    a = FieldMatrix(fld, n, n, stack.rows[:n]).add_scaled(eye, 3)
+    b = FieldMatrix(fld, n, n, stack.rows[n:]).add_scaled(eye, p - 4)
+    cut = random_matrix(fld, rng, 1, n, 1.0)
+    wide = random_matrix(fld, rng, 3, n, 0.5)
+    cases = [
+        ([a], [3], []),                       # dim 3
+        ([a, b], [3, p - 4], []),             # dim 2
+        ([b, a], [p - 4, 3], [cut]),          # dim 1
+        ([a, b], [2, p - 4], []),             # dim 1
+        ([a, b, b], [3, p - 4, 9], [cut]),    # empties at the third matrix
+        ([a], [1], [wide]),                   # empty from the start
+        ([eye], [1], [wide, cut]),            # the whole space, then n - 4
+        ([], [], [wide]),
+    ]
+    dims = []
+    for ops, values, extra in cases:
+        rows = [r for op, v in zip(ops, values) for r in op.add_scaled(eye, -v).rows]
+        rows += [r for m in extra for r in m.rows]
+        got = joint_kernel(ops, values, extra)
+        assert list(got.basis) == ref_kernel(FieldMatrix(fld, len(rows), n, rows))[1]
+        dims.append(got.dim)
+    assert dims == [3, 2, 1, 1, 0, 0, n - 4, n - 3]
+
+
 # -- restriction against the echelon of [B | op B] ---------------------------
 
 
@@ -773,7 +903,7 @@ def test_restrict_matches_reference(p):
             restricted.append(got)
         for e in split_eigenspaces(restricted, [p // 2] * len(restricted)).eigenspaces:
             for op in restricted:
-                assert restrict_operator(op, e.space).rows == ref_restrict(op, e.space)
+                assert restrict_operator(op, e.spaces[0]).rows == ref_restrict(op, e.spaces[0])
                 checked += 1
     assert checked >= 30
     # Random invariant subspaces, from a point to the whole space.

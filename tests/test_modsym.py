@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from heckeledger import modsym
 from heckeledger.exactlin import (
+    FamilyMismatch,
     FieldMatrix,
     echelonize,
+    joint_kernel,
     NoReconstruction,
     rational_reconstruct,
     restrict_operator,
     split_eigenspaces,
 )
 from heckeledger.modsym import (
-    RECONSTRUCT_BOUND,
     BadPrime,
     Cusp,
+    HalvesMismatch,
     HomogeneousPoly,
     ModularSymbol,
     MultiPrimeMismatch,
@@ -23,6 +26,7 @@ from heckeledger.modsym import (
     UnsupportedWeight,
     _heilbronn,
     _left_eigenbasis,
+    _star_involution,
     build_space,
     cuspidal_coverage,
     determinant,
@@ -734,6 +738,37 @@ def test_winding_partner_disagreement_raises():
         winding_pairing(space, system)
 
 
+# -- the star involution and its cuspidal halves -----------------------------
+
+
+@pytest.mark.parametrize(
+    "level, k",
+    [(level, k) for level in (11, 35, 37, 55, 64, 89) for k in (1, 3)] + [(1, 11), (17, 11)],
+)
+def test_star_involution_halves(level, k):
+    space = build_space(level, k)
+    star = _star_involution(space)
+    assert star.matmul(star) == FieldMatrix.identity(space.field, space.dim)
+    for l in (2, 3, 5, 7):
+        if level % l:
+            t = hecke_operator(space, l)
+            assert star.matmul(t) == t.matmul(star), l
+    plus, minus = (joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1))
+    assert 2 * plus.dim == 2 * minus.dim == space.cuspidal_dim
+
+
+def test_star_halves_are_checked(monkeypatch):
+    space = build_space(37, 1)
+    zero = FieldMatrix(space.field, space.dim, space.dim)
+    monkeypatch.setattr(modsym, "_star_involution", lambda sp: zero)
+    with pytest.raises(HalvesMismatch):  # both halves empty
+        cuspidal_coverage(space, [2])
+    identity = FieldMatrix.identity(space.field, space.dim)
+    monkeypatch.setattr(modsym, "_star_involution", lambda sp: identity)
+    with pytest.raises(FamilyMismatch):  # the whole cuspidal space against nothing
+        cuspidal_coverage(space, [2])
+
+
 # -- reference: the full split at both primes --------------------------------
 #
 # The census splits only at the primary prime and confirms each rational
@@ -743,19 +778,24 @@ def test_winding_partner_disagreement_raises():
 
 
 def _reference_coverage(space, primes):
-    """Split the cuspidal family at both primes and intersect the censuses."""
+    """Split the cuspidal family at both primes and intersect the censuses.
+
+    Eigenvalues are lifted by rational reconstruction at the largest
+    height the field allows, which covers Deligne's bound at weight 12,
+    l = 31; a root of an irrational factor that reconstructs at one
+    prime does not reconstruct to the same rational at the other.
+    """
     censuses = []
     for sp in (space, space.partner()):
         ops = [restrict_operator(hecke_operator(sp, l), sp.cuspidal_subspace) for l in primes]
+        height = math.isqrt(sp.field.p // 2)
         census = set()
         for eig in split_eigenspaces(ops, [sp.field.p // 2] * len(ops)).eigenspaces:
             try:
-                fracs = tuple(
-                    rational_reconstruct(v, RECONSTRUCT_BOUND, sp.field) for v in eig.values
-                )
+                fracs = tuple(rational_reconstruct(v, height, sp.field) for v in eig.values)
             except NoReconstruction:
                 continue
-            census.add((fracs, eig.space.dim))
+            census.add((fracs, eig.dim))
         censuses.append(census)
     return sorted(censuses[0] & censuses[1])
 
@@ -764,23 +804,36 @@ def _reference_left_eigenbases(space, primes):
     """Split the transposed ambient family: eigenvalue tuple -> basis."""
     ops = [hecke_operator(space, l).transpose() for l in primes]
     return {
-        eig.values: [dict(v) for v in eig.space.basis]
+        eig.values: [dict(v) for v in eig.spaces[0].basis]
         for eig in split_eigenspaces(ops, [space.field.p // 2] * len(ops)).eigenspaces
     }
 
 
 @pytest.mark.parametrize(
-    "k, level",
-    [(k, level) for k in (1, 3) for level in (11, 13, 37, 89, 35, 55)]
-    + [(5, 11), (5, 13)],
+    "k, level, primes",
+    [pytest.param(k, level, [2, 3], id=f"{k}-{level}")
+     for k in (1, 3) for level in (11, 13, 37, 89, 35, 55)]
+    + [pytest.param(5, level, [2, 3], id=f"5-{level}") for level in (11, 13)]
+    # weight 12, where Deligne's bound at l = 31 exceeds 10**8
+    + [pytest.param(11, level, [l], id=f"11-{level}-{l}") for level in (17, 37) for l in (13, 31)],
 )
-def test_coverage_matches_split_reference(level, k):
-    primes = [2, 3]
+def test_coverage_matches_split_reference(level, k, primes):
     space = build_space(level, k)
     cov = cuspidal_coverage(space, primes)
     got = [(tuple(s.eigenvalues[l] for l in primes), s.dim) for s in cov.systems]
     assert got == _reference_coverage(space, primes)
     assert cov.unresolved_dim == space.cuspidal_dim - sum(dim for _, dim in got)
+    # The causes are those of one split of the whole cuspidal space.
+    w = space.module.weight
+    whole = split_eigenspaces(
+        [restrict_operator(hecke_operator(space, l), space.cuspidal_subspace) for l in primes],
+        [math.isqrt(4 * l ** (w - 1)) for l in primes],
+    )
+    assert cov.unresolved == {
+        "no_bounded_integer_root": whole.unsplit_dim,
+        "defective": sum(dim for _, dim in whole.defective),
+        "prime_disagreement": sum(e.dim for e in whole.eigenspaces) - sum(dim for _, dim in got),
+    }
     assert sum(cov.unresolved.values()) == cov.unresolved_dim
 
 
