@@ -19,6 +19,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
+from math import isqrt
 from typing import Optional
 
 from .exactlin import (
@@ -182,6 +184,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _primes_in(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi]: a sieve of Eratosthenes on that segment,
+    crossing out the multiples of each prime up to isqrt(hi)."""
+    lo = max(lo, 2)
+    if lo > hi:
+        return []
+    root = isqrt(hi)
+    small = bytearray([1]) * (root + 1)
+    segment = bytearray([1]) * (hi - lo + 1)
+    for q in range(2, root + 1):
+        if small[q]:
+            small[q * q::q] = bytes(len(range(q * q, root + 1, q)))
+            first = max(q * q, -(-lo // q) * q) - lo
+            segment[first::q] = bytes(len(range(first, len(segment), q)))
+    return list(compress(range(lo, hi + 1), segment))
+
+
 def _load_gritsenko(path: Optional[str]) -> Optional[dict[int, int]]:
     if not path:
         return None
@@ -200,8 +219,7 @@ def cmd_paramodular(args) -> int:
             raise UsageError(f"{args.prime} is not prime")
         ps = [args.prime]
     else:
-        lo, hi = _parse_range(args.range)
-        ps = [p for p in range(max(lo, 2), hi + 1) if _is_prime(p)]
+        ps = _primes_in(*_parse_range(args.range))
     rows = [complement_dims(p, gritsenko.get(p) if gritsenko else None) for p in ps]
     if args.format == "json":
         obj = {

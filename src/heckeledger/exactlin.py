@@ -18,15 +18,21 @@ reading the images at the basis's pivot coordinates, simultaneous
 eigenspace splitting at bounded integer eigenvalues of a commuting
 family, or of several isomorphic families in lockstep with one root
 finding per refinement node, and rational reconstruction of field
-elements.  Matrix products, the charpoly expansion and the squarings
-of modular powers run on packed-integer (Kronecker) kernels: a row or a
-coefficient list becomes one Python int with fixed-width slots, so one
-big-int product does a whole row's worth of multiply-adds.  Roots are
-found modulo the squarefree part of a polynomial, by gcd with x^p - x
-and then equal-degree splitting down to factors of degree at most 2,
-which are solved in closed form (a Tonelli-Shanks square root of the
-discriminant); a modular power packs and unpacks twice per squaring
-and multiplies by its (usually linear) base term by term.
+elements.  The dense kernels run on packed integers (Kronecker
+substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
+8.4): a row, a column or a coefficient list becomes one Python int with
+fixed-width slots, so one big-int multiply-add does a whole vector's
+worth of field multiply-adds.  That covers matrix products, the
+restriction's images and its invariance residuals, the commutators of
+the split's guard, the Hessenberg reduction of the charpoly (on packed
+columns) and its expansion, and the squarings of modular powers; each
+guard checks that a packed row combination vanishes, with one unpack
+per row.  Roots are found modulo the squarefree part of a polynomial,
+by gcd with x^p - x and then equal-degree splitting down to factors of
+degree at most 2, which are solved in closed form (a Tonelli-Shanks
+square root of the discriminant); a modular power packs and unpacks
+twice per squaring and multiplies by its (usually linear) base term by
+term.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "DEFAULT_PRIME",
     "rank_and_kernel",
     "joint_kernel",
+    "kernel_within",
     "restrict_operator",
     "split_eigenspaces",
     "rational_reconstruct",
@@ -213,6 +220,25 @@ def _dense_row(row: dict[int, int], n: int) -> list[int]:
     return out
 
 
+def _packed_rows(m: "FieldMatrix", nb: int) -> list[int]:
+    """Every row of m packed into nb-byte slots, an empty row as 0."""
+    return [_pack(_dense_row(r, m.ncols), nb) if r else 0 for r in m.rows]
+
+
+def _combination(row: dict[int, int], packed: list[int]) -> int:
+    """sum_j row[j] packed[j]: one big-int multiply-add per entry of row."""
+    return sum(map(mul, row.values(), map(packed.__getitem__, row)))
+
+
+def _vanishes(x: int, row: dict[int, int], packed: list[int], count: int, nb: int,
+              p: int) -> bool:
+    """Whether x - sum_j row[j] packed[j] is 0 mod p in each of its `count`
+    slots.  The difference is formed as x + sum_j (p - row[j]) packed[j],
+    so every slot stays nonnegative, and one unpack reads them all."""
+    x += sum(map(mul, map(p.__sub__, row.values()), map(packed.__getitem__, row)))
+    return not x or not any(_unpack(x, count, nb, p))
+
+
 # Fraction of populated cells beyond which the right factor of a
 # product is packed into dense rows (see FieldMatrix.matmul).
 DENSE_THRESHOLD = 0.20
@@ -319,9 +345,9 @@ class FieldMatrix:
             return FieldMatrix(self.field, self.nrows, other.ncols, out_rows)
         k = other.ncols
         nb = _slot_bytes(p, max((len(r) for r in self.rows), default=0))
-        packed = [_pack(_dense_row(r, k), nb) if r else 0 for r in other.rows]
+        packed = _packed_rows(other, nb)
         for row in self.rows:
-            acc = sum(map(mul, row.values(), map(packed.__getitem__, row)))
+            acc = _combination(row, packed)
             out_rows.append(
                 {c: r for c, r in enumerate(_unpack(acc, k, nb, p)) if r} if acc else {}
             )
@@ -526,33 +552,52 @@ def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
     for m in mats[1:]:
         if not kernel.dim:
             break
-        kernel = _lift_to_ambient(kernel, rank_and_kernel(m.matmul(_columns(kernel)))[1])
+        kernel = kernel_within(kernel, m)
     return kernel
+
+
+def kernel_within(s: Subspace, m: FieldMatrix) -> Subspace:
+    """The vectors of s that m sends to 0, as a reduced echelon basis.
+
+    The kernel of m B (B the basis of s as columns, n x dim s) gives the
+    coordinates in the basis of s, which `_lift_to_ambient` maps back.
+    """
+    return _lift_to_ambient(s, rank_and_kernel(m.matmul(_columns(s)))[1])
 
 
 def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
     """Matrix of op in the basis of s; NotInvariant if s is not op-stable.
 
-    With B the basis of s as columns, the images op B are computed once.
-    The basis is in reduced echelon form, so the coordinates of an image
-    that lies in s are its entries at the pivot columns: row i of the
-    result is row pivot_i of op B.  B times the result agrees with op B
-    on the pivot rows by construction, and on the other rows exactly
-    when every image lies in the span of B.
+    With B the basis of s as columns (n x d), each row of B is packed
+    once (see :func:`_pack`) and the images op B are formed packed, one
+    multiply-add per stored entry of op.  The basis is in reduced
+    echelon form, so the coordinates of an image that lies in s are its
+    entries at the pivot columns: row t of the result is row pivot_t of
+    op B, unpacked.  B times the result agrees with op B on the pivot
+    rows by construction, and on every other row i exactly when the
+    packed residual (op B)_i + sum_t (p - b_it) result_t vanishes in
+    every slot; that holds for all of them exactly when every image
+    lies in the span of B.  A subspace that is the whole space has the
+    identity as its basis, and op itself is the answer.
     """
     n = s.ambient_dim
     if op.ncols != n or op.nrows != n:
         raise ValueError("operator and subspace ambient dimension mismatch")
+    if s.dim == n:
+        return op
+    p, d = s.field.p, s.dim
     pivots = [min(v) for v in s.basis]
     b = _columns(s)
-    images = op.matmul(b)
-    result = FieldMatrix(s.field, s.dim, s.dim, [images.rows[c] for c in pivots])
+    nb = _slot_bytes(p, n + d)  # an image's n terms plus a residual's d
+    packed_b = _packed_rows(b, nb)
+    images = [_combination(row, packed_b) for row in op.rows]
+    result = [_unpack(images[c], d, nb, p) for c in pivots]
+    packed_result = [_pack(r, nb) for r in result]
     pivset = set(pivots)
-    rest = [i for i in range(n) if i not in pivset]
-    spanned = FieldMatrix(s.field, len(rest), s.dim, [b.rows[i] for i in rest]).matmul(result)
-    if any(row != images.rows[i] for row, i in zip(spanned.rows, rest)):
-        raise NotInvariant("image leaves the span of the subspace basis")
-    return result
+    for i, coords in enumerate(b.rows):
+        if i not in pivset and not _vanishes(images[i], coords, packed_result, d, nb, p):
+            raise NotInvariant("image leaves the span of the subspace basis")
+    return FieldMatrix(s.field, d, d, [{c: v for c, v in enumerate(r) if v} for r in result])
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +709,34 @@ def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def charpoly(m: FieldMatrix) -> list[int]:
     """Characteristic polynomial det(xI - m), low degree first, monic.
 
-    Reduces to Hessenberg form by similarity transforms, then expands
-    along the last column of each leading block.  O(n^3) field ops,
-    done as whole-row list operations and packed multiply-adds.
+    Reduces to Hessenberg form h by similarity transforms (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.2.4), then
+    expands along the last column of each leading block.
+
+    The reduction runs on packed columns: G[r] holds column r of h with
+    row i in slot i.  Step `col` unpacks the pivot column G[col], swaps
+    a pivot into row col+1 if needed (two slots in every column right
+    of col, which are zero in the columns left of it, then two
+    columns), and with f_i = h[i][col] / h[col+1][col] packed into
+    F at the slots i >= col+2, does
+      - the row operations R_i -= f_i R_(col+1) as one multiply-add per
+        column r > col, G[r] += (p - h[col+1][r]) F, reading h[col+1][r]
+        from slot col+1 of G[r];
+      - their inverse on the right, C_(col+1) += sum f_i C_i, as
+        n - col - 2 multiply-adds into G[col+1].
+    Column col is then final: its slots below col+1 are zero.  The row
+    operations share the pivot row col+1, which none of them changes,
+    so they commute and can all go before the column operation.
+
+    Slots stay unreduced until their column is the pivot column.  Every
+    entry starts below p, and a column gains less than p^2 per step
+    from the row operations (a factor below p times a reduced entry), so
+    a column that is a source of the column operation holds less than
+    p + n p^2 in each slot.  Column col+1 is the target once, at step
+    col, gaining sum_i f_i C_i < n p (p + n p^2); its slots stay below
+    2 n^2 p^3, and the next step unpacks it as the pivot column, after
+    which it is never a source again.  So slots of 3 bitlen(p) +
+    2 bitlen(n) + 2 bits never carry.
     """
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -674,31 +744,37 @@ def charpoly(m: FieldMatrix) -> list[int]:
     p = m.field.p
     if n == 0:
         return [1]
-    h = [_dense_row(row, n) for row in m.rows]
+    nb = (3 * p.bit_length() + 2 * n.bit_length() + 2 + 7) // 8
+    width = 8 * nb
+    mask = (1 << width) - 1
+    cols = _packed_rows(m.transpose(), nb)
+    h: list[list[int]] = []  # h[j] = column j of the Hessenberg form down to row j+1
     for col in range(n - 2):
-        piv = next((i for i in range(col + 1, n) if h[i][col]), None)
+        column = _unpack(cols[col], n, nb, p)
+        piv = next((i for i in range(col + 1, n) if column[i]), None)
+        if piv is not None and piv != col + 1:
+            s, t = width * (col + 1), width * piv
+            for r in range(col + 1, n):
+                g = cols[r]
+                d = (g >> t & mask) - (g >> s & mask)
+                cols[r] = g + (d << s) - (d << t)
+            cols[col + 1], cols[piv] = cols[piv], cols[col + 1]
+            column[col + 1], column[piv] = column[piv], column[col + 1]
+        h.append(column[:col + 2])
         if piv is None:
             continue
-        if piv != col + 1:
-            h[col + 1], h[piv] = h[piv], h[col + 1]
-            for row in h:
-                row[col + 1], row[piv] = row[piv], row[col + 1]
-        prow = h[col + 1]
-        inv = pow(prow[col], -1, p)
-        tail = prow[col:]
-        factors = []
-        for row in h[col + 2:]:
-            f = row[col] * inv % p
-            factors.append(f)
-            if f:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
-        # The elimination's inverse on the right: column col+1 gains
-        # f_i times column i.  The row operations share the pivot row
-        # col+1, which none of them changes, so they commute and can all
-        # go first.
-        if any(factors):
-            for row in h:
-                row[col + 1] = (row[col + 1] + sum(map(mul, factors, row[col + 2:]))) % p
+        inv = pow(column[col + 1], -1, p)
+        factors = [x * inv % p for x in column[col + 2:]]
+        if not any(factors):
+            continue
+        f = _pack(factors, nb) << (width * (col + 2))
+        s = width * (col + 1)
+        for r in range(col + 1, n):
+            c = (cols[r] >> s & mask) % p
+            if c:
+                cols[r] += (p - c) * f
+        cols[col + 1] += sum(map(mul, factors, cols[col + 2:]))
+    h += [_unpack(g, n, nb, p) for g in cols[len(h):]]
     # charpoly of the leading k x k Hessenberg blocks by recurrence, each
     # kept packed so that the sum along the last column is one big-int
     # multiply-add per term
@@ -706,13 +782,14 @@ def charpoly(m: FieldMatrix) -> list[int]:
     packed = [1]
     for k in range(1, n + 1):
         prev = packed[k - 1]
-        acc = (prev << (8 * nb)) + (-h[k - 1][k - 1]) % p * prev
+        last = h[k - 1]
+        acc = (prev << (8 * nb)) + (-last[k - 1]) % p * prev
         run = 1
         for i in range(k - 2, -1, -1):
-            run = run * h[i + 1][i] % p
+            run = run * h[i][i + 1] % p
             if not run:
                 break
-            c = h[i][k - 1] * run % p
+            c = last[i] * run % p
             if c:
                 acc += (p - c) * packed[i]
         coeffs = _unpack(acc, k + 1, nb, p)
@@ -852,6 +929,23 @@ def signed_lift(x: int, p: int) -> int:
     return x - p if 2 * x > p else x
 
 
+def _check_commuting(family: Sequence[FieldMatrix], p: int) -> None:
+    """NonCommuting unless every pair of the square operators commutes.
+
+    Row i of AB - BA is sum_j a_ij B_j - sum_j b_ij A_j.  With every
+    operator's rows packed once, that is one packed combination per row
+    and pair, which must vanish in every slot: one unpack each.
+    """
+    n = family[0].nrows
+    nb = _slot_bytes(p, 2 * n)
+    packed = [_packed_rows(op, nb) for op in family]
+    for a in range(len(family)):
+        for b in range(a + 1, len(family)):
+            if not all(_vanishes(_combination(ra, packed[b]), rb, packed[a], n, nb, p)
+                       for ra, rb in zip(family[a].rows, family[b].rows)):
+                raise NonCommuting(f"operators {a} and {b} do not commute")
+
+
 def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
                       others: Sequence[Sequence[FieldMatrix]] = ()) -> SplitResult:
     """Common eigenspace decomposition of a commuting family at bounded
@@ -869,11 +963,14 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
     operator on its own space, that are isomorphic to `ops` as modules
     over the family (such as the two halves of an involution commuting
     with it).  All families are refined in lockstep.  Each is checked
-    to commute; at each refinement node every family's restricted
-    operator gets its own characteristic polynomial, and FamilyMismatch
-    is raised unless they are equal.  The roots of that one polynomial
-    are found once, and each bounded root takes its kernel in every
-    family.  Dimensions, multiplicities, `defective` and `unsplit_dim`
+    to commute, every pair on every row, as packed commutator rows
+    (NonCommuting otherwise; see `_check_commuting`).  At each
+    refinement node every family's restricted operator gets its own
+    characteristic polynomial, and FamilyMismatch is raised unless they
+    are equal; at the root node the subspace is the whole space, whose
+    restriction is the operator itself.  The roots of that one
+    polynomial are found once, and each bounded root takes its kernel in
+    every family.  Dimensions, multiplicities, `defective` and `unsplit_dim`
     are summed over the families, so the result counts exactly what
     splitting the direct sum of the families would.
     """
@@ -883,17 +980,14 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
     if any(len(family) != len(bounds) for family in families):
         raise ValueError("need one bound per operator")
     field = ops[0].field
+    p = field.p
     for family in families:
         n = family[0].nrows
         for op in family:
             if op.nrows != n or op.ncols != n or op.field != field:
                 raise ValueError("operators must share one square ambient space")
-        for a in range(len(family)):
-            for b in range(a + 1, len(family)):
-                if family[a].matmul(family[b]) != family[b].matmul(family[a]):
-                    raise NonCommuting(f"operators {a} and {b} do not commute")
+        _check_commuting(family, p)
 
-    p = field.p
     result = SplitResult(eigenspaces=[])
     current: list[tuple[tuple[int, ...], tuple[Subspace, ...]]] = [
         ((), tuple(Subspace.full(field, family[0].nrows) for family in families))

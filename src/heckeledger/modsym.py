@@ -55,10 +55,12 @@ from .exactlin import (
     FieldMatrix,
     NoReconstruction,
     PrimeField,
+    Subspace,
     _is_prime,
     echelonize,
     frac_str,
     joint_kernel,
+    kernel_within,
     rank_and_kernel,
     rational_reconstruct,
     restrict_operator,
@@ -884,10 +886,15 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     values are lifted to signed integers: the candidates.  The split
     runs on the two halves of the star involution iota (see
     `_star_involution`): H+ and H-, the cuspidal vectors with iota v = v
-    and iota v = -v, one joint kernel each.  iota commutes with every
-    T_l, so the cuspidal space is the T_l-stable direct sum H+ + H-, and
-    the two halves are isomorphic Hecke modules (Eichler-Shimura).  The
-    halves must add up to the cuspidal dimension (else HalvesMismatch),
+    and iota v = -v.  iota is checked to square to 1 (else
+    HalvesMismatch); then, as p is odd, the +-1 eigenspace of iota is
+    the column space of iota +- 1, so each half is the echelon of the
+    rows of iota^T +- 1 cut down to ker(boundary) by one kernel of
+    boundary times that basis.  Without the check, a column space would
+    not be proven an eigenspace.  iota commutes with every T_l, so the
+    cuspidal space is the T_l-stable direct sum H+ + H-, and the two
+    halves are isomorphic Hecke modules (Eichler-Shimura).  The halves
+    must add up to the cuspidal dimension (else HalvesMismatch),
     every T_l is restricted to both (NotInvariant unless both are
     stable), and `split_eigenspaces` refines both in lockstep: one
     charpoly per half and node, which must agree (else FamilyMismatch),
@@ -909,7 +916,15 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     _check_hecke_primes(space.level, primes)
     ops = [space.hecke_matrix(l) for l in primes]
     star = _star_involution(space)
-    halves = [joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1)]
+    identity = FieldMatrix.identity(space.field, space.dim)
+    if star.matmul(star) != identity:
+        raise HalvesMismatch("the star involution does not square to 1")
+    flipped = star.transpose()
+    halves = [
+        kernel_within(Subspace(space.dim, echelonize(flipped.add_scaled(identity, sign))[1],
+                               space.field), space.boundary_matrix)
+        for sign in (1, -1)
+    ]
     if sum(h.dim for h in halves) != space.cuspidal_dim:
         raise HalvesMismatch(
             f"star involution halves of dims {[h.dim for h in halves]} do not add up "

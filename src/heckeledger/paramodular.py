@@ -1,9 +1,10 @@
 """Ibukiyama's dimension formula for weight-3 paramodular cusp forms.
 
-Everything is exact rational arithmetic: the six fractional summands
-must cancel to a nonnegative integer, and a failure to do so raises
-instead of rounding.  Gritsenko-lift dimensions are data, not a
-formula, so they are ingested from a CSV file.
+Everything is exact: the fractional summands, each times their common
+denominator 2880, are summed as integers, which must cancel to a
+nonnegative multiple of 2880, and a failure to do so raises instead of
+rounding.  Gritsenko-lift dimensions are data, not a formula, so they
+are ingested from a CSV file.
 """
 
 from __future__ import annotations
@@ -72,27 +73,36 @@ def kronecker(a: int, p: int) -> int:
     return kronecker_euler(a, p)
 
 
+def _f_2880(p: int) -> int:
+    """2880 f(p)."""
+    if p == 5:
+        return 576
+    return 1152 if p % 5 in (2, 3) else 0
+
+
+def _g_2880(p: int) -> int:
+    """2880 g(p)."""
+    return 480 if p % 12 == 5 else 0
+
+
 def f_term(p: int) -> Fraction:
     """2/5 if p = 2, 3 mod 5; 1/5 if p = 5; 0 otherwise."""
-    if p == 5:
-        return Fraction(1, 5)
-    if p % 5 in (2, 3):
-        return Fraction(2, 5)
-    return Fraction(0)
+    return Fraction(_f_2880(p), 2880)
 
 
 def g_term(p: int) -> Fraction:
     """1/6 if p = 5 mod 12; 0 otherwise."""
-    return Fraction(1, 6) if p % 12 == 5 else Fraction(0)
+    return Fraction(_g_2880(p), 2880)
 
 
 def dim_S3(p: int) -> int:
     """dim of the weight-3 paramodular cusp forms at prime level p.
 
     Zero for p = 2 and 3; for p >= 5 the six-term rational sum plus
-    f(p) + g(p) - 1.  The summands always cancel to a nonnegative
-    integer; NonIntegralResult flags the implementation bug (or a
-    misread formula) if they ever do not.
+    f(p) + g(p) - 1.  Every denominator divides 2880, so the sum is
+    taken as the integer 2880 times it.  The summands always cancel to a
+    nonnegative integer; NonIntegralResult flags the implementation bug
+    (or a misread formula) if they ever do not.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -102,19 +112,19 @@ def dim_S3(p: int) -> int:
     k3 = kronecker_euler(-3, p)
     k2 = kronecker_euler(2, p)
     total = (
-        Fraction(p * p - 1, 2880)
-        + Fraction((p + 1) * (1 - k1), 64)
-        + Fraction(5 * (p - 1) * (1 + k1), 192)
-        + Fraction((p + 1) * (1 - k3), 72)
-        + Fraction((p - 1) * (1 + k3), 36)
-        + Fraction(1 - k2, 8)
-        + f_term(p)
-        + g_term(p)
-        - 1
+        p * p - 1                          # (p^2 - 1) / 2880
+        + 45 * (p + 1) * (1 - k1)          # (p + 1)(1 - (-1/p)) / 64
+        + 75 * (p - 1) * (1 + k1)          # 5 (p - 1)(1 + (-1/p)) / 192
+        + 40 * (p + 1) * (1 - k3)          # (p + 1)(1 - (-3/p)) / 72
+        + 80 * (p - 1) * (1 + k3)          # (p - 1)(1 + (-3/p)) / 36
+        + 360 * (1 - k2)                   # (1 - (2/p)) / 8
+        + _f_2880(p)
+        + _g_2880(p)
+        - 2880
     )
-    if total.denominator != 1 or total < 0:
-        raise NonIntegralResult(f"dim S3({p}) evaluated to {total}")
-    return int(total)
+    if total % 2880 or total < 0:
+        raise NonIntegralResult(f"dim S3({p}) evaluated to {Fraction(total, 2880)}")
+    return total // 2880
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,22 @@ def test_paramodular_range_tests_each_candidate_once(capsys, monkeypatch):
     assert code == 0
     primes = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert len(primes) == 46
-    # once per candidate in the range filter, once more in dim_S3
-    assert len(calls) <= 199 + len(primes)
+    # the range filter is a sieve; dim_S3 checks each prime it is given
+    assert sorted(calls) == primes
+
+
+def test_paramodular_range_lists_every_prime(capsys):
+    code, out, err = run(capsys, "paramodular", "--range", "2..10000")
+    assert code == 0
+    listed = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert listed == [n for n in range(2, 10001) if cli._is_prime(n)]
+    for text, want in (("-5..10", [2, 3, 5, 7]), ("0..1", []), ("24..28", []),
+                       ("49..53", [53]), ("10000000000..10000000100",
+                                          [n for n in range(10**10, 10**10 + 101)
+                                           if cli._is_prime(n)])):
+        code, out, err = run(capsys, "paramodular", f"--range={text}")
+        assert code == 0, text
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == want, text
 
 
 def test_paramodular_rejects_composite(capsys):

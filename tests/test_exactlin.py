@@ -212,6 +212,32 @@ def test_split_rejects_noncommuting():
         split_eigenspaces([a, b], [P // 2] * 2)
 
 
+def commutes_but_last_row(p):
+    """(A, B, B') at n = 8 with entries at p - 1: B = A^2 commutes with A,
+    and B' = B + e_7 e_0^T does not.  Column 7 of A is (p - 1) e_7, so
+    AB' - B'A = (p - 1) e_7 e_0^T - e_7 (row 0 of A) is zero except in
+    its last row: only the last row's check can see it."""
+    n = 8
+    a = [[p - 1] * (n - 1) + [0] for _ in range(n)]
+    a[n - 1][n - 1] = p - 1
+    b = ref_dense_mul(a, a, p)
+    bad = [list(r) for r in b]
+    bad[n - 1][0] = (bad[n - 1][0] + 1) % p
+    fld = PrimeField(p)
+    return from_dense(fld, a), from_dense(fld, b), from_dense(fld, bad)
+
+
+@pytest.mark.parametrize("p", (P, next_field_prime(2**89)))
+def test_split_checks_every_commutator_row(p):
+    a, b, bad = commutes_but_last_row(p)
+    bounds = [p // 2] * 2
+    split_eigenspaces([a, b], bounds, [[a, b]])
+    with pytest.raises(NonCommuting):
+        split_eigenspaces([a, bad], bounds)
+    with pytest.raises(NonCommuting):
+        split_eigenspaces([a, b], bounds, [[a, bad]])
+
+
 def test_split_simultaneous_pair():
     # Block diag: eigenvalues (1,5) on a 2-dim block and (2,5), (3,7) lines.
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
@@ -669,6 +695,21 @@ def test_charpoly_matches_reference(p):
         fld, [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
     mats.append(from_dense(
         fld, [[1, 2, 3, 4], [5, 0, 6, 7], [0, 0, 8, 9], [0, 1, 0, 2]]))
+    # Every entry p - 1: the widest sums the packed columns hold.
+    for n in (31, 60):
+        mats.append(from_dense(fld, [[p - 1] * n for _ in range(n)]))
+    # Every step a skip or a swap, alternately, at n = 11.  Below the
+    # diagonal only (3, 1) and (2k + 3, 2k) for k >= 1 are nonzero, and
+    # above it (2k, 2k + 1) is zero: column 0 has nothing to eliminate,
+    # column 1 finds its pivot two rows down, and each swap of rows and
+    # columns 2k and 2k + 1 hands the next step a column that is zero
+    # below its diagonal and the one after a pivot two rows down again.
+    n = 11
+    below = {(3, 1)} | {(2 * k + 3, 2 * k) for k in range(1, n)}
+    mats.append(from_dense(fld, [
+        [rng.randrange(1, p) if (i <= j and not (j == i + 1 and i and i % 2 == 0))
+         or (i, j) in below else 0 for j in range(n)]
+        for i in range(n)]))
     for m in mats:
         assert charpoly(m) == ref_charpoly(m)
 
@@ -930,6 +971,27 @@ def test_restrict_matches_reference(p):
                 ref_restrict(bad, s)
             with pytest.raises(NotInvariant):
                 restrict_operator(bad, s)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_restrict_checks_the_last_non_pivot_row(p):
+    # s has pivots 0..4 and p - 1 at every free coordinate; every column
+    # of op is a combination of the basis with coefficients p - 1, so s
+    # is op-stable.  Adding 1 at a pivot column of the last row, which
+    # is not a pivot row, moves one image off the span there only.
+    fld = PrimeField(p)
+    n, d = 12, 5
+    basis = [{t: 1, **{j: p - 1 for j in range(d, n)}} for t in range(d)]
+    s = Subspace(n, basis, fld)
+    op = from_dense(fld, [[sum(vec.get(i, 0) * (p - 1) for vec in basis) % p] * n
+                          for i in range(n)])
+    assert restrict_operator(op, s).rows == ref_restrict(op, s)
+    bad = from_dense(fld, [[op.rows[i].get(j, 0) for j in range(n)] for i in range(n)])
+    bad.add_at(n - 1, 0, 1)
+    with pytest.raises(NotInvariant):
+        ref_restrict(bad, s)
+    with pytest.raises(NotInvariant):
+        restrict_operator(bad, s)
 
 
 # -- rational reconstruction ------------------------------------------------

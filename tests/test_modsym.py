@@ -8,8 +8,10 @@ from heckeledger import modsym
 from heckeledger.exactlin import (
     FamilyMismatch,
     FieldMatrix,
+    Subspace,
     echelonize,
     joint_kernel,
+    kernel_within,
     NoReconstruction,
     rational_reconstruct,
     restrict_operator,
@@ -755,17 +757,45 @@ def test_star_involution_halves(level, k):
             assert star.matmul(t) == t.matmul(star), l
     plus, minus = (joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1))
     assert 2 * plus.dim == 2 * minus.dim == space.cuspidal_dim
+    # The census takes each half as the column space of iota +- 1 (the
+    # +-1 eigenspace, since iota^2 = 1) cut down to ker(boundary): a
+    # reduced echelon basis is unique, so it is the same basis.
+    assert [h.basis for h in column_space_halves(star, space)] == [plus.basis, minus.basis]
+
+
+def column_space_halves(star, space):
+    """im(iota + 1) and im(iota - 1), each cut down to ker(boundary)."""
+    identity = FieldMatrix.identity(space.field, space.dim)
+    images = (echelonize(star.transpose().add_scaled(identity, sign))[1] for sign in (1, -1))
+    return [kernel_within(Subspace(space.dim, rows, space.field), space.boundary_matrix)
+            for rows in images]
 
 
 def test_star_halves_are_checked(monkeypatch):
     space = build_space(37, 1)
     zero = FieldMatrix(space.field, space.dim, space.dim)
     monkeypatch.setattr(modsym, "_star_involution", lambda sp: zero)
-    with pytest.raises(HalvesMismatch):  # both halves empty
+    with pytest.raises(HalvesMismatch):  # 0 does not square to 1
         cuspidal_coverage(space, [2])
     identity = FieldMatrix.identity(space.field, space.dim)
     monkeypatch.setattr(modsym, "_star_involution", lambda sp: identity)
     with pytest.raises(FamilyMismatch):  # the whole cuspidal space against nothing
+        cuspidal_coverage(space, [2])
+
+
+def test_star_must_square_to_one(monkeypatch):
+    # iota = 1 + e_a e_b^T with boundary(e_a) != 0 and b != a squares to
+    # 1 + 2 e_a e_b^T.  The column space of iota + 1 is everything and
+    # that of iota - 1 is the line of e_a, which meets ker(boundary) in
+    # 0: the halves' dimensions add up to the cuspidal dimension, so only
+    # the check of iota^2 = 1 tells that they are not eigenspaces.
+    space = build_space(37, 1)
+    a = next(j for row in space.boundary_matrix.rows for j in row)
+    fake = FieldMatrix.identity(space.field, space.dim)
+    fake.add_at(a, (a + 1) % space.dim, 1)
+    assert sum(h.dim for h in column_space_halves(fake, space)) == space.cuspidal_dim
+    monkeypatch.setattr(modsym, "_star_involution", lambda sp: fake)
+    with pytest.raises(HalvesMismatch, match="square"):
         cuspidal_coverage(space, [2])
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from heckeledger import paramodular
 from heckeledger.paramodular import (
     GritsenkoExceedsTotal,
+    NonIntegralResult,
     ParamodularDims,
     complement_dims,
     dim_S3,
@@ -116,6 +118,29 @@ def test_dim_five_by_hand():
 def test_rejects_composite():
     with pytest.raises(ValueError):
         dim_S3(4)
+
+
+def ref_dim_S3(p):
+    """Ibukiyama's sum in Fractions, term by term, for a prime p >= 5."""
+    k1, k3, k2 = ((1 if pow(a, (p - 1) // 2, p) == 1 else -1) for a in (-1, -3, 2))
+    f = Fraction(1, 5) if p == 5 else Fraction(2, 5) if p % 5 in (2, 3) else Fraction(0)
+    g = Fraction(1, 6) if p % 12 == 5 else Fraction(0)
+    return (Fraction(p * p - 1, 2880) + Fraction((p + 1) * (1 - k1), 64)
+            + Fraction(5 * (p - 1) * (1 + k1), 192) + Fraction((p + 1) * (1 - k3), 72)
+            + Fraction((p - 1) * (1 + k3), 36) + Fraction(1 - k2, 8) + f + g - 1)
+
+
+def test_dim_matches_fraction_reference():
+    for p in primes_upto(10**4):
+        if p >= 5:
+            assert dim_S3(p) == ref_dim_S3(p), p
+
+
+def test_non_integral_sum_raises(monkeypatch):
+    monkeypatch.setattr(paramodular, "_g_2880", lambda p: 1)
+    # 2880 g(5) = 480 becomes 1: the sum is -479/2880
+    with pytest.raises(NonIntegralResult, match="dim S3\\(5\\) evaluated to -479/2880"):
+        dim_S3(5)
 
 
 def test_integrality_sweep_small():
