@@ -13,8 +13,8 @@ Heilbronn matrices; continued fractions are used only to write an
 arbitrary symbol on the Manin generators (`project_symbol`).
 Everything is computed over a large prime field.  A rational Hecke
 eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
-(Deligne), so only roots whose signed lift meets that bound are split
-off; they are lifted back to Z directly and only reported when two
+(Deligne), so only roots whose signed lift meets that bound are found
+and split off; they are lifted back to Z and only reported when two
 independent primes agree.  The split runs on the two halves of the
 cuspidal space under the star involution [[-1, 0], [0, 1]], which
 commutes with every T_l; the halves are isomorphic Hecke modules

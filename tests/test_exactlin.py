@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -388,7 +389,7 @@ def test_charpoly_matches_trace_det_random():
 def test_distinct_roots():
     # (x-2)(x-5)^2
     f = [(-50) % P, (45) % P, (-12) % P, 1]
-    assert distinct_roots(f, P) == [2, 5]
+    assert distinct_roots(f, P, P // 2) == [2, 5]
 
 
 def test_distinct_roots_linear_squarefree_part_needs_no_power(monkeypatch):
@@ -397,7 +398,7 @@ def test_distinct_roots_linear_squarefree_part_needs_no_power(monkeypatch):
         raise AssertionError("x^p was powered modulo a linear factor")
 
     monkeypatch.setattr(exactlin, "poly_powmod", no_power)
-    assert distinct_roots([-125 % P, 75, -15 % P, 1], P) == [5]
+    assert distinct_roots([-125 % P, 75, -15 % P, 1], P, P // 2) == [5]
 
 
 def test_charpoly_cayley_hamilton():
@@ -623,14 +624,14 @@ def test_distinct_roots_quadratic_needs_no_power(p, monkeypatch):
         r, s, c = rng.randrange(p), rng.randrange(p), rng.randrange(1, p)
         lin_r, lin_s = [-r % p, 1], [-s % p, 1]
         f = ref_poly_mul([c], ref_poly_mul(lin_r, lin_s, p), p)
-        assert distinct_roots(f, p) == sorted({r, s})
+        assert distinct_roots(f, p, p // 2) == sorted({r, s})
         # c (x - r)^2 (x - s)^3 has the squarefree part (x - r)(x - s)
         g = ref_poly_mul(ref_poly_mul(f, f, p), lin_s, p)
-        assert distinct_roots(g, p) == sorted({r, s})
+        assert distinct_roots(g, p, p // 2) == sorted({r, s})
         # c ((x + t)^2 - n) with n a non-residue has no root
         t, n = rng.randrange(p), nonresidue * rng.randrange(1, p) ** 2 % p
-        assert distinct_roots([c * (t * t - n) % p, 2 * c * t % p, c], p) == []
-    assert distinct_roots([4, 4, 1], p) == [p - 2]  # (x + 2)^2
+        assert distinct_roots([c * (t * t - n) % p, 2 * c * t % p, c], p, p // 2) == []
+    assert distinct_roots([4, 4, 1], p, p // 2) == [p - 2]  # (x + 2)^2
 
 
 @pytest.mark.parametrize("p", ROOT_PRIMES)
@@ -651,14 +652,108 @@ def test_distinct_roots_matches_construction(p):
             f = ref_poly_mul(f, [-n % p, 0, 1], p)
         if trial % 3 == 0:
             f = [c + p for c in f]  # unreduced coefficients
-        assert distinct_roots(f, p) == sorted({r % p for r in roots}), (trial, roots)
-    assert distinct_roots([p + 7], p) == []
-    assert distinct_roots([], p) == []
+        assert distinct_roots(f, p, p // 2) == sorted({r % p for r in roots}), (trial, roots)
+    assert distinct_roots([p + 7], p, p // 2) == []
+    assert distinct_roots([], p, p // 2) == []
     # x^4 - 1 has all four roots mod 5; the squarefree step needs q > deg f.
-    assert distinct_roots([-1, 0, 0, 0, 1], 5) == [1, 2, 3, 4]
+    assert distinct_roots([-1, 0, 0, 0, 1], 5, 5 // 2) == [1, 2, 3, 4]
     for q, f in ((5, [0, -1, 0, 0, 0, 1]), (3, [0, 1, 0, 1]), (2, [1, 1, 1])):
         with pytest.raises(ValueError):
-            distinct_roots(f, q)
+            distinct_roots(f, q, q // 2)
+
+
+def ref_bounded(roots, p, bound):
+    """The distinct residues of roots whose least absolute lift is at most bound."""
+    residues = {r % p for r in roots}
+    return sorted(r for r in residues if min(r, p - r) <= bound)
+
+
+def from_roots(roots, p, rng, nonresidue, quadratics=0):
+    """c * prod (x - r)^m (m = 1..3) * prod (x^2 - n) with every n a non-residue."""
+    f = [rng.randrange(1, p)]
+    for r in roots:
+        for _ in range(rng.randrange(1, 4)):
+            f = ref_poly_mul(f, [-r % p, 1], p)
+    for _ in range(quadratics):
+        n = nonresidue * rng.randrange(1, p) ** 2 % p
+        f = ref_poly_mul(f, [-n % p, 0, 1], p)
+    return f
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES + (5, 7))
+def test_distinct_roots_bounded_matches_reference(p):
+    # Roots at exactly +-B, at 0 and just outside +-B, repeated or not,
+    # on both sides of the rule 2B + 1 <= 16 bitlen(p) that picks
+    # evaluation at the 2B + 1 integers over powering x^p.
+    rng = random.Random(p % 983)
+    nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    evaluates = (16 * p.bit_length() - 1) // 2  # the largest bound that evaluates
+    if p > 7:
+        bounds = [0, 1, 3, 22, evaluates, evaluates + 1, 1000, p // 2]
+    else:  # 2B + 1 = p at B = p // 2; the last bound powers and keeps every root
+        bounds = list(range(p // 2 + 1)) + [evaluates + 1]
+    for bound in bounds:
+        edges = [bound, -bound, 0, bound + 1, -bound - 1]
+        for trial in range(6):
+            if p > 7:
+                roots = set(rng.sample(edges, rng.randrange(1, 6)))
+                roots |= {rng.randrange(p) for _ in range(rng.randrange(3))}
+                f = from_roots(roots, p, rng, nonresidue, rng.randrange(3))
+            else:  # any f of degree below p; its roots by trying every residue
+                f = [rng.randrange(p) for _ in range(rng.randrange(1, p))] + [rng.randrange(1, p)]
+                if trial == 0:
+                    f = ref_poly_mul(ref_poly_mul([-2 % p, 1], [-2 % p, 1], p), [2, 1], p)
+                roots = {r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0}
+            want = ref_bounded(roots, p, bound)
+            assert distinct_roots(f, p, bound) == want, (bound, trial, roots)
+            if p > 7:
+                assert ref_bounded(distinct_roots(f, p, p // 2), p, bound) == want
+        # no roots, a constant and the empty polynomial
+        assert distinct_roots(from_roots([], p, rng, nonresidue, 2 if p > 7 else 1), p, bound) == []
+        assert distinct_roots([p + 7], p, bound) == []
+        assert distinct_roots([], p, bound) == []
+        if p <= 7:
+            with pytest.raises(ValueError):
+                distinct_roots([1] * (p + 1), p, bound)
+
+
+def test_distinct_roots_small_bound_needs_no_power(monkeypatch):
+    # Deligne's bound 22 (l = 5 at weight 4) at degree 52, the bound 90
+    # (l = 2 at weight 12) and the largest bound with 2B + 1 <= 16
+    # bitlen(p) are found by evaluation.
+    def no_power(*args):
+        raise AssertionError("x^p was powered at a small bound")
+
+    monkeypatch.setattr(exactlin, "poly_powmod", no_power)
+    rng = random.Random(52)
+    roots = [22, -22, 0, 23, -23, 90, -91, rng.randrange(P)]
+    f = [1]
+    for r in roots:
+        f = ref_poly_mul(f, [-r % P, 1], P)
+    f = ref_poly_mul(f, [rng.randrange(P) for _ in range(52 - len(roots))] + [1], P)
+    assert len(f) == 53
+    for bound in (22, math.isqrt(4 * 2**11), (16 * P.bit_length() - 1) // 2):
+        assert distinct_roots(f, P, bound) == ref_bounded(roots, P, bound)
+
+
+@pytest.mark.parametrize("bound", [(16 * P.bit_length() + 1) // 2, math.isqrt(4 * 13**11), P // 2])
+def test_distinct_roots_large_bound_powers(bound, monkeypatch):
+    # The smallest bound with 2B + 1 > 16 bitlen(p), weight 12 at l = 13,
+    # and the bound that keeps every root take the powering path.
+    calls = []
+    power = exactlin.poly_powmod
+
+    def counting(*args):
+        calls.append(args[1])
+        return power(*args)
+
+    monkeypatch.setattr(exactlin, "poly_powmod", counting)
+    roots = [3, -bound, bound + 1, P // 3]
+    f = [5]
+    for r in roots:
+        f = ref_poly_mul(f, [-r % P, 1], P)
+    assert distinct_roots(f, P, bound) == ref_bounded(roots, P, bound)
+    assert P in calls
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)

@@ -844,8 +844,10 @@ def _reference_left_eigenbases(space, primes):
     [pytest.param(k, level, [2, 3], id=f"{k}-{level}")
      for k in (1, 3) for level in (11, 13, 37, 89, 35, 55)]
     + [pytest.param(5, level, [2, 3], id=f"5-{level}") for level in (11, 13)]
-    # weight 12, where Deligne's bound at l = 31 exceeds 10**8
-    + [pytest.param(11, level, [l], id=f"11-{level}-{l}") for level in (17, 37) for l in (13, 31)],
+    # weight 12, where Deligne's bound at l = 31 exceeds 10**8; at l = 2
+    # (bound 90) the roots are found by evaluation, at l = 13 and 31 by powering
+    + [pytest.param(11, level, [l], id=f"11-{level}-{l}") for level in (17, 37) for l in (13, 31)]
+    + [pytest.param(11, 17, [2], id="11-17-2")],
 )
 def test_coverage_matches_split_reference(level, k, primes):
     space = build_space(level, k)
