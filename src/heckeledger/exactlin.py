@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "rank_and_kernel",
     "joint_kernel",
-    "kernel_within",
     "restrict_operator",
     "split_eigenspaces",
     "rational_reconstruct",
@@ -438,18 +437,31 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
     return pivots, [pivot_rows[c] for c in pivots]
 
 
+def _is_reduced_echelon(vectors: Sequence[dict[int, int]], n: int, p: int) -> bool:
+    """Whether vectors already form a reduced echelon basis in F_p^n, in
+    O(nnz): distinct ascending leads, each with entry 1, no other vector
+    nonzero at a lead, every entry in [1, p) and every index in range."""
+    leads = [min(v, default=-1) for v in vectors]
+    lead_set = set(leads)
+    return all(a < b for a, b in zip(leads, leads[1:])) and all(
+        lead >= 0 and v[lead] == 1 and max(v) < n
+        and all(0 < x < p and (j == lead or j not in lead_set) for j, x in v.items())
+        for lead, v in zip(leads, vectors))
+
+
 @dataclass(frozen=True)
 class Subspace:
     """The span of independent sparse vectors, kept as its reduced
     echelon basis.
 
-    `Subspace(ambient_dim, vectors, field)` runs one echelon, which both
-    checks that the vectors are independent (ValueError if not) and
-    replaces them by the reduced echelon basis of their span.  That
-    basis depends only on the subspace, not on the vectors handed in,
-    so bases are comparable when the same computation is repeated
-    modulo a second prime.  The coordinates of a vector of the subspace
-    are its entries at the pivot columns.
+    `Subspace(ambient_dim, vectors, field)` keeps vectors that pass the
+    O(nnz) check `_is_reduced_echelon`, as every caller in the package
+    passes them; other vectors go through one echelon, which both checks
+    that they are independent (ValueError if not) and replaces them by
+    the reduced echelon basis of their span.  That basis depends only on
+    the subspace, so bases are comparable when the same computation is
+    repeated modulo a second prime.  The coordinates of a vector of the
+    subspace are its entries at the pivot columns.
     """
 
     ambient_dim: int
@@ -458,10 +470,13 @@ class Subspace:
 
     def __post_init__(self):
         vectors = list(self.basis)
-        pivots, rows = echelonize(FieldMatrix(self.field, len(vectors), self.ambient_dim, vectors))
-        if len(pivots) != len(vectors):
-            raise ValueError("basis vectors are linearly dependent")
-        object.__setattr__(self, "basis", tuple(rows))
+        if not _is_reduced_echelon(vectors, self.ambient_dim, self.field.p):
+            pivots, rows = echelonize(FieldMatrix(self.field, len(vectors), self.ambient_dim,
+                                                  vectors))
+            if len(pivots) != len(vectors):
+                raise ValueError("basis vectors are linearly dependent")
+            vectors = rows
+        object.__setattr__(self, "basis", tuple(vectors))
 
     @property
     def dim(self) -> int:
@@ -481,8 +496,8 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     c.  The kernel vector of free column f, 1 at f and minus row c's
     entry at f at each pivot c, is then 0 at every other free column and
     nonzero only at pivots right of f: in ascending f these vectors are
-    already the reduced echelon basis, and the Subspace echelon
-    eliminates nothing.  The empty matrix is allowed; its kernel is the
+    already the reduced echelon basis, which the Subspace constructor
+    keeps as it is.  The empty matrix is allowed; its kernel is the
     full column space.
     """
     p = m.field.p
@@ -554,17 +569,8 @@ def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
     for m in mats[1:]:
         if not kernel.dim:
             break
-        kernel = kernel_within(kernel, m)
+        kernel = _lift_to_ambient(kernel, rank_and_kernel(m.matmul(_columns(kernel)))[1])
     return kernel
-
-
-def kernel_within(s: Subspace, m: FieldMatrix) -> Subspace:
-    """The vectors of s that m sends to 0, as a reduced echelon basis.
-
-    The kernel of m B (B the basis of s as columns, n x dim s) gives the
-    coordinates in the basis of s, which `_lift_to_ambient` maps back.
-    """
-    return _lift_to_ambient(s, rank_and_kernel(m.matmul(_columns(s)))[1])
 
 
 def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:

@@ -15,13 +15,14 @@ Everything is computed over a large prime field.  A rational Hecke
 eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
 (Deligne), so only roots whose signed lift meets that bound are found
 and split off; they are lifted back to Z and only reported when two
-independent primes agree.  The split runs on the two halves of the
-cuspidal space under the star involution [[-1, 0], [0, 1]], which
-commutes with every T_l; the halves are isomorphic Hecke modules
-(Stein, Modular Forms, ch. 8; Cremona, Algorithms for Modular Elliptic
-Curves, ch. II), so they are split in lockstep at half the matrix size
-and their counts are summed.  The presentation itself has no sign
-quotient: dimensions, Hecke matrices and the winding pairing live on
+independent primes agree.  The census runs on the two sign quotients
+V/(iota -+ 1)V of the star involution iota = [[-1, 0], [0, 1]], which
+commutes with every T_l: each is a Manin presentation with one more
+two-term relation, about half the size of V, and their cuspidal parts
+are isomorphic Hecke modules (Stein, Modular Forms, ch. 8; Cremona,
+Algorithms for Modular Elliptic Curves, ch. II), so they are split in
+lockstep and their counts are summed.  `build_space`, its dimensions
+and Hecke matrices, and the value of a nonzero winding pairing live on
 the whole space.
 
 Conventions, fixed once and used everywhere:
@@ -55,12 +56,10 @@ from .exactlin import (
     FieldMatrix,
     NoReconstruction,
     PrimeField,
-    Subspace,
     _is_prime,
     echelonize,
     frac_str,
     joint_kernel,
-    kernel_within,
     rank_and_kernel,
     rational_reconstruct,
     restrict_operator,
@@ -112,7 +111,7 @@ class MultiPrimeMismatch(Exception):
 
 
 class HalvesMismatch(Exception):
-    """The halves of the star involution do not add up to the cuspidal space."""
+    """The sign quotients' cuspidal parts do not halve the cuspidal space."""
 
 
 # Height bound for lifting winding pairings back to Q; only the winding
@@ -185,12 +184,22 @@ def _bezout_x(a: int, b: int) -> int:
     return x0
 
 
-def cusps_equivalent(c1: Cusp, c2: Cusp, level: int) -> bool:
-    """Gamma0(level) equivalence of cusps, Cremona's criterion."""
-    s1 = _bezout_x(c1.num, c1.den)
-    s2 = _bezout_x(c2.num, c2.den)
-    modulus = gcd(level, c1.den * c2.den)
-    return (s1 * c2.den - s2 * c1.den) % modulus == 0 if modulus else True
+def _cusp_key(cusp: Cusp, level: int) -> tuple[int, int]:
+    """(d, u) with d = gcd(den, level), equal exactly for Gamma0(level)-
+    equivalent cusps.
+
+    Cremona's criterion (Algorithms for Modular Elliptic Curves,
+    Prop. 2.2.3): x1/y1 ~ x2/y2 iff s1 y2 = s2 y1 mod gcd(y1 y2, level),
+    s = x^-1 mod y; equivalent cusps share d.  With y = d a and
+    g = gcd(d, level/d), a is prime to g, the modulus is d g, and the
+    test reads s1 / a1 = s2 / a2 mod g: u = s / a mod g.  -x/y has the
+    key (d, -u mod g).
+    """
+    d = gcd(cusp.den, level)
+    g = gcd(d, level // d)
+    if g == 1:
+        return d, 0
+    return d, _bezout_x(cusp.num, cusp.den) * pow(cusp.den // d, -1, g) % g
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +538,26 @@ class CuspidalSplit:
 class ManinBasisSpace:
     """The quotient presentation of H^1(Gamma0(N); E_k) over one prime field.
 
-    Hecke matrices are cached per operator index.
+    `sign` None is the whole space V; sign e in {+1, -1} gives the sign
+    quotient V_e = V/(iota - e)V of the star involution
+    iota (X^i Y^(k-1-i), (c:d)) = (-1)^i (X^i Y^(k-1-i), (-c:d)), which
+    commutes with every T_l.  As p is odd, V_e is isomorphic to the
+    e-eigenspace of iota, so the two quotients' dimensions, cuspidal
+    parts and Hecke eigenvalues add up to those of V.  Hecke matrices
+    are cached per operator index.
     """
 
     def __init__(self, level: int, module: CoefficientModule, field: PrimeField,
-                 context: FieldContext):
+                 context: FieldContext, sign: Optional[int] = None,
+                 p1: Optional[ProjectiveLine] = None):
+        if sign not in (None, 1, -1):
+            raise ValueError("sign must be None, 1 or -1")
         self.level = level
         self.module = module
         self.field = field
         self.context = context
-        self.p1 = ProjectiveLine(level)
+        self.sign = sign
+        self.p1 = p1 if p1 is not None else ProjectiveLine(level)
         k = module.k
         npts = len(self.p1)
         self.generators: list[tuple[int, int]] = [
@@ -548,12 +567,12 @@ class ManinBasisSpace:
         self.free_columns, self._pivot_expr = self._present()
         self._free_pos = {c: t for t, c in enumerate(self.free_columns)}
 
-        self.cusp_classes: list[Cusp] = []
         self.boundary_matrix = self._build_boundary()
         _, self.cuspidal_subspace = rank_and_kernel(self.boundary_matrix)
 
         self._hecke_cache: dict[int, FieldMatrix] = {}
         self._partner: Optional["ManinBasisSpace"] = None
+        self._quotients: dict[int, "ManinBasisSpace"] = {}
 
     # -- presentation ---------------------------------------------------
 
@@ -572,42 +591,48 @@ class ManinBasisSpace:
     def _present(self) -> tuple[list[int], dict[int, dict[int, int]]]:
         """Free generators, and every other generator on the free ones.
 
-        The S relation x_g + c x_h = 0 pairs the generator g = (i, j)
-        with h = (k-1-i, S.j), c = +-1.  The larger of g and h represents
-        both; a generator paired with itself survives only when c = -1,
-        and a pair whose two S rows differ (only at even k) is killed.
+        For odd k (all that `build_space` accepts) the two-term relations
+        are x_g = (-1)^(i+1) x_(S g), S g = (k-1-i, (d:-c)) for
+        g = (i, (c:d)), and on a sign quotient also x_g = e (-1)^i x_(iota g),
+        iota g = (i, (-c:d)), hence x_g = -e x_(iota S g).  Each orbit
+        (at most 4 generators) is written on its largest index, or killed
+        when it reaches a generator with both signs.
         The triangle relations are then echelonized on the representatives,
         k rows for one point j of each sigma-orbit {j, sigma.j, sigma^2.j}
         of P^1, since the rows at the three points span the same space.
         Reduced echelon form depends only on the row space and every
-        non-representative has a partner of larger index, so the free
-        generators and the expressions are those of the full relation
-        matrix: the greedy basis taken from the right.
+        non-representative has an orbit partner of larger index, so the
+        free generators and the expressions are those of the full
+        relation matrix: the greedy basis taken from the right.
         """
         k = self.module.k
         p = self.field.p
+        sign = self.sign
         p1 = self.p1
         npts = len(p1)
         ngens = len(self.generators)
         monos = self.module.monomials()
-        s_img = [m.subst(0, -1, 1, 0) for m in monos]       # P(-Y, X)
         u_img = [m.subst(-1, -1, 1, 0) for m in monos]      # P(-X-Y, X)
         u2_img = [m.subst(0, 1, -1, -1) for m in monos]     # P(Y, -X-Y)
 
         # Two-term quotient: generator -> (representative, sign); the
         # killed generators are absent.
         s_pt = [p1.index(d, -c) for c, d in p1.points]
-        s_pair: list[tuple[int, int]] = []
-        for i in range(k):
-            (m, cm), = [(m, cm) for m, cm in enumerate(s_img[i].coeffs) if cm]
-            s_pair += [(m * npts + j, cm) for j in s_pt]
+        i_pt = [p1.index(-c, d) for c, d in p1.points]
         rep: dict[int, tuple[int, int]] = {}
-        for g, (h, c) in enumerate(s_pair):
-            if h > g and c * s_pair[h][1] == 1:
-                rep[g] = (h, -c % p)
-                rep[h] = (h, 1)
-            elif h == g and c == -1:
-                rep[g] = (g, 1)
+        for i in range(k):
+            base, flip, c_s = i * npts, (k - 1 - i) * npts, (-1) ** (i + 1)
+            for j in range(npts):
+                if base + j in rep:
+                    continue
+                orbit = [(base + j, 1), (flip + s_pt[j], c_s)]  # (h, c): x_g = c x_h
+                if sign is not None:
+                    orbit += [(base + i_pt[j], -sign * c_s), (flip + i_pt[s_pt[j]], -sign)]
+                coef = dict(orbit)
+                if len(coef) == len(set(orbit)):  # no generator reached with both signs
+                    r = max(coef)
+                    for h, c in coef.items():
+                        rep[h] = (r, c * coef[r] % p)
         reps = sorted({r for r, _ in rep.values()})
         col_of = {r: t for t, r in enumerate(reps)}
 
@@ -659,31 +684,37 @@ class ManinBasisSpace:
                 expr[g] = {pos: v * sign % p for pos, v in rep_expr[h].items()}
         return free, expr
 
-    def _cusp_class(self, cusp: Cusp) -> int:
-        for idx, rep in enumerate(self.cusp_classes):
-            if cusps_equivalent(cusp, rep, self.level):
-                return idx
-        self.cusp_classes.append(cusp)
-        return len(self.cusp_classes) - 1
-
     def _build_boundary(self) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
 
         For the Manin generator (X^i Y^(k-1-i), g) the boundary is
         e[g.oo] when i = k-1 minus e[g.0] when i = 0; the middle
-        monomials evaluate to zero at both endpoints.
+        monomials evaluate to zero at both endpoints.  A cusp's class is
+        one lookup of its `_cusp_key`.  On a sign quotient the class [c]
+        is identified with e [-c] (iota negates the cusps of a boundary),
+        and killed when [-c] = [c] and e = -1.
         """
         k = self.module.k
-        npts = len(self.p1)
+        sign = self.sign
+        classes: dict[tuple[int, int], Optional[tuple[int, int]]] = {}  # key -> (row, sign)
+        nrows = 0
         entries = []
         for pos, col in enumerate(self.free_columns):
             i, j = self.generators[col]
             a, b, c, d = self.p1.lift_to_sl2(j)
-            if i == k - 1:
-                entries.append((self._cusp_class(Cusp(a, c)), pos, 1))
-            if i == 0:
-                entries.append((self._cusp_class(Cusp(b, d)), pos, -1))
-        return FieldMatrix.from_entries(self.field, len(self.cusp_classes), self.dim, entries)
+            for x, y, v in [(a, c, 1)] * (i == k - 1) + [(b, d, -1)] * (i == 0):
+                key = _cusp_key(Cusp(x, y), self.level)
+                if key not in classes:
+                    mirror = (key[0], -key[1] % gcd(key[0], self.level // key[0]))
+                    if sign is not None and mirror in classes:
+                        row, s = classes[mirror]
+                        classes[key] = (row, s * sign)
+                    else:
+                        classes[key] = None if sign == -1 and mirror == key else (nrows, 1)
+                        nrows += classes[key] is not None
+                if classes[key] is not None:
+                    entries.append((classes[key][0], pos, v * classes[key][1]))
+        return FieldMatrix.from_entries(self.field, nrows, self.dim, entries)
 
     # -- projection to quotient coordinates ------------------------------
 
@@ -804,20 +835,30 @@ class ManinBasisSpace:
         self._hecke_cache[n] = mat
         return mat
 
-    # -- the partner space for the two-prime protocol ----------------------
+    # -- the partner space and the sign quotients ------------------------
 
     def partner(self) -> "ManinBasisSpace":
-        """The same presentation rebuilt modulo the other working prime."""
+        """The same presentation, with the same sign, rebuilt modulo the
+        other working prime."""
         if self._partner is None:
             other = (
                 self.context.secondary
                 if self.field == self.context.primary
                 else self.context.primary
             )
-            twin = ManinBasisSpace(self.level, self.module, other, self.context)
+            twin = ManinBasisSpace(self.level, self.module, other, self.context, self.sign, self.p1)
             twin._partner = self
             self._partner = twin
         return self._partner
+
+    def sign_quotient(self, sign: int) -> "ManinBasisSpace":
+        """V/(iota - sign)V over the same field, built once and sharing P^1."""
+        if self.sign is not None:
+            raise ValueError("a sign quotient has no further sign quotient")
+        if sign not in self._quotients:
+            self._quotients[sign] = ManinBasisSpace(self.level, self.module, self.field,
+                                                    self.context, sign, self.p1)
+        return self._quotients[sign]
 
 
 def build_space(level: int, k: int, *,
@@ -856,81 +897,44 @@ def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
 # Eigensystems, two-prime confirmation, winding pairing
 
 
-def _star_involution(space: ManinBasisSpace) -> FieldMatrix:
-    """The star involution iota = [[-1, 0], [0, 1]] on the quotient basis.
-
-    It sends the Manin generator (X^i Y^(k-1-i), (c:d)) to
-    (-1)^i (X^i Y^(k-1-i), (-c:d)), a signed permutation of the
-    generators; column t is the projected image of free generator t.
-    iota normalizes Gamma0(N), so it commutes with every T_l and
-    preserves the cuspidal subspace.
-    """
-    p = space.field.p
-    p1 = space.p1
-    npts = len(p1)
-    rows: list[dict[int, int]] = [{} for _ in range(space.dim)]
-    for pos, col in enumerate(space.free_columns):
-        i, j = space.generators[col]
-        c, d = p1.points[j]
-        sign = 1 if i % 2 == 0 else p - 1
-        for r, w in space.project_generator(i * npts + p1.index(-c, d)).items():
-            rows[r][pos] = w * sign % p
-    return FieldMatrix(space.field, space.dim, space.dim, rows)
-
-
 def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
     """Two-prime-confirmed eigensystems plus the dimension left unresolved.
 
     At the primary prime the cuspidal T_l are split at the integers
     within Deligne's bound |a_l| <= 2 l^((w-1)/2), and each eigenspace's
     values are lifted to signed integers: the candidates.  The split
-    runs on the two halves of the star involution iota (see
-    `_star_involution`): H+ and H-, the cuspidal vectors with iota v = v
-    and iota v = -v.  iota is checked to square to 1 (else
-    HalvesMismatch); then, as p is odd, the +-1 eigenspace of iota is
-    the column space of iota +- 1, so each half is the echelon of the
-    rows of iota^T +- 1 cut down to ker(boundary) by one kernel of
-    boundary times that basis.  Without the check, a column space would
-    not be proven an eigenspace.  iota commutes with every T_l, so the
-    cuspidal space is the T_l-stable direct sum H+ + H-, and the two
-    halves are isomorphic Hecke modules (Eichler-Shimura).  The halves
-    must add up to the cuspidal dimension (else HalvesMismatch),
-    every T_l is restricted to both (NotInvariant unless both are
-    stable), and `split_eigenspaces` refines both in lockstep: one
-    charpoly per half and node, which must agree (else FamilyMismatch),
-    one root finding, and each bounded root's kernel in both halves.
-    Dimensions and causes are summed over the halves, so every count is
-    that of splitting the whole cuspidal space, at half the matrix size.
+    runs on the sign quotients V+ and V- (see `ManinBasisSpace`), each
+    about half the size of the whole space, with every T_l restricted
+    to each one's own cuspidal subspace (NotInvariant unless stable).
+    Their cuspidal parts are isomorphic Hecke modules (Eichler-Shimura)
+    with V's as direct sum, so their dimensions must be equal and add
+    up to V's cuspidal dimension (else HalvesMismatch).
+    `split_eigenspaces` refines both in lockstep: one
+    charpoly per quotient and node, which must agree (else
+    FamilyMismatch), one root finding, and each bounded root's kernel
+    in both.  Dimensions and causes are summed over the quotients, so
+    every count is that of splitting the whole cuspidal space.
 
-    At the partner prime the eigenspace of a candidate is one joint
-    kernel: the cuspidal subspace is ker(boundary), so its vectors are
-    the common kernel of the boundary map and every T_l - a_l.  An
-    integer tuple has one residue tuple at the partner prime, so
-    comparing that kernel's dimension with the candidate's is the same
-    test as splitting there and intersecting the two census lists.  A
-    signed lift that is wrong (possible only when twice the bound
+    At the partner prime a candidate's eigenspace is one joint kernel of
+    the boundary map and every T_l - a_l in each quotient's partner, and
+    the two dimensions are summed.  An integer tuple has one residue
+    tuple there, so comparing that sum with the candidate's dimension is
+    the same test as splitting there and intersecting the two census
+    lists; a wrong signed lift (possible only when twice the bound
     reaches p) fails it.  The unresolved dimension is broken down by
     cause in `CuspidalSplit.unresolved`.
     """
     primes = sorted(set(primes))
     _check_hecke_primes(space.level, primes)
-    ops = [space.hecke_matrix(l) for l in primes]
-    star = _star_involution(space)
-    identity = FieldMatrix.identity(space.field, space.dim)
-    if star.matmul(star) != identity:
-        raise HalvesMismatch("the star involution does not square to 1")
-    flipped = star.transpose()
-    halves = [
-        kernel_within(Subspace(space.dim, echelonize(flipped.add_scaled(identity, sign))[1],
-                               space.field), space.boundary_matrix)
-        for sign in (1, -1)
-    ]
-    if sum(h.dim for h in halves) != space.cuspidal_dim:
+    quotients = [space.sign_quotient(sign) for sign in (1, -1)]
+    dims = [q.cuspidal_dim for q in quotients]
+    if dims[0] != dims[1] or sum(dims) != space.cuspidal_dim:
         raise HalvesMismatch(
-            f"star involution halves of dims {[h.dim for h in halves]} do not add up "
-            f"to the cuspidal dimension {space.cuspidal_dim}"
+            f"sign quotients of cuspidal dims {dims} do not split "
+            f"the cuspidal dimension {space.cuspidal_dim} in halves"
         )
-    plus, minus = ([restrict_operator(op, h) for op in ops] for h in halves)
+    plus, minus = ([restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
+                   for q in quotients)
     w = space.module.weight
     split = split_eigenspaces(plus, [isqrt(4 * l ** (w - 1)) for l in primes], [minus])
     p = space.field.p
@@ -939,13 +943,13 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
         for eig in split.eigenspaces
     ]
     confirmed = []
-    if candidates:  # the partner space is built only when there is something to confirm
-        twin = space.partner()
-        twin_ops = [twin.hecke_matrix(l) for l in primes]
-        extra = (twin.boundary_matrix,)
+    if candidates:  # the partners are built only when there is something to confirm
+        twins = [q.partner() for q in quotients]
         confirmed = sorted(
             (fracs, dim) for fracs, dim in candidates
-            if joint_kernel(twin_ops, [twin.field.elem(f) for f in fracs], extra).dim == dim
+            if dim == sum(joint_kernel([t.hecke_matrix(l) for l in primes],
+                                       [t.field.elem(f) for f in fracs],
+                                       (t.boundary_matrix,)).dim for t in twins)
         )
     covered = sum(dim for _, dim in confirmed)
     return CuspidalSplit(
@@ -979,27 +983,14 @@ def _left_eigenbasis(space: ManinBasisSpace, primes: Sequence[int],
     return list(basis)
 
 
-def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
-    """Pairing of the eigensystem against the winding symbol [0, oo] X^m Y^m.
-
-    Returns an exact rational that vanishes if and only if the
-    component of the winding symbol in the eigenspace vanishes, the
-    exact surrogate for central L-value vanishing.  The value is the
-    sum of squares of the pairings against the canonical left
-    eigenbasis; it is well defined only up to a fixed positive rational
-    per system, which does not affect the vanishing test.  Zero is
-    declared only when the pairing is zero at both working primes.
-    """
-    if space.module.k % 2 == 0:
-        raise NoCentralMonomial("even k has no central monomial X^m Y^m")
-    if not system.cuspidal:
-        raise ValueError("winding pairing is defined for cuspidal systems")
-    primes = sorted(system.eigenvalues)
-    _check_hecke_primes(space.level, primes)
+def _winding_pairings(space: ManinBasisSpace, system: EigenSystem,
+                      primes: Sequence[int]) -> list[list[int]]:
+    """Pairings of the winding symbol with the canonical left eigenbasis
+    of `system` on space and on its partner; MultiPrimeMismatch unless
+    both primes agree on the eigenspace dimension and on vanishing."""
     m = (space.module.k - 1) // 2
-    twin = space.partner()
     values: list[list[int]] = []
-    for sp in (space, twin):
+    for sp in (space, space.partner()):
         p = sp.field.p
         target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
         basis = _left_eigenbasis(sp, primes, target)
@@ -1012,13 +1003,43 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
         values.append(pairings)
     if len(values[0]) != len(values[1]):
         raise MultiPrimeMismatch("left eigenspace dimensions differ between primes")
-    zero_a, zero_b = (not any(v) for v in values)
-    if zero_a != zero_b:
+    if any(values[0]) != any(values[1]):
         raise MultiPrimeMismatch("winding pairing vanishes at one prime only")
-    if zero_a:
+    return values
+
+
+def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
+    """Pairing of the eigensystem against the winding symbol [0, oo] X^m Y^m.
+
+    Returns an exact rational that vanishes if and only if the
+    component of the winding symbol in the eigenspace vanishes, the
+    exact surrogate for central L-value vanishing.  The value is the
+    sum of squares of the pairings against the canonical left
+    eigenbasis; it is well defined only up to a fixed positive rational
+    per system, which does not affect the vanishing test.  Zero is
+    declared only when the pairing is zero at both working primes.
+
+    Vanishing is decided on the sign quotient V_e, e = (-1)^m, as
+    w = (X^m Y^m, (0:1)) has iota w = e w: w pairs to zero with the left
+    eigenspace iff w lies in sum_l im(T_l - a_l), which holds on V iff on
+    V_e, since V = V+ + V- with T_l-stable summands.  Only a nonzero
+    value, which depends on V's canonical left eigenbasis, is computed
+    on the whole space and its partner.
+    """
+    if space.module.k % 2 == 0:
+        raise NoCentralMonomial("even k has no central monomial X^m Y^m")
+    if not system.cuspidal:
+        raise ValueError("winding pairing is defined for cuspidal systems")
+    primes = sorted(system.eigenvalues)
+    _check_hecke_primes(space.level, primes)
+    m = (space.module.k - 1) // 2
+    if not any(_winding_pairings(space.sign_quotient((-1) ** m), system, primes)[0]):
+        return Fraction(0)
+    values = _winding_pairings(space, system, primes)
+    if not any(values[0]):
         return Fraction(0)
     total = Fraction(0)
-    p1, p2 = space.field.p, twin.field.p
+    p1, p2 = space.field.p, space.partner().field.p
     for va, vb in zip(values[0], values[1]):
         try:
             ra = rational_reconstruct(va, RECONSTRUCT_BOUND, p1)

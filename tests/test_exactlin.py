@@ -166,6 +166,38 @@ def test_canonical_subspace():
         Subspace(12, [vecs[0], {j: 5 * v % P for j, v in vecs[0].items()}], F)
 
 
+def test_subspace_keeps_a_reduced_basis_without_echelon(monkeypatch):
+    # A basis that passes the O(nnz) check is kept as it is; any input
+    # that fails it goes through the echelon, which gives the same
+    # subspace as before, or ValueError.
+    reduced = [{0: 1, 2: 5, 4: P - 1}, {1: 1, 2: 7}, {3: 1, 4: 2}]
+    calls = []
+    real = exactlin.echelonize
+    monkeypatch.setattr(exactlin, "echelonize", lambda m: calls.append(m) or real(m))
+    assert Subspace(6, reduced, F).basis == tuple(reduced)
+    assert Subspace(6, [], F).dim == 0
+    assert calls == []
+    near_misses = [
+        [{0: 2, 2: 5}, {1: 1}],            # lead entry not 1
+        [{1: 1}, {0: 1}],                  # leads not ascending
+        [{0: 1, 1: 3}, {1: 1}],            # nonzero at another vector's lead
+        [{0: 1, 2: P}, {1: 1}],            # entry not reduced
+        [{0: 1, 2: 0}, {1: 1}],            # stored zero
+        [{0: 1}, {0: 1, 1: 1}],            # repeated lead
+    ]
+    for vectors in near_misses:
+        calls.clear()
+        want = real(FieldMatrix(F, len(vectors), 6, [dict(v) for v in vectors]))[1]
+        assert Subspace(6, vectors, F).basis == tuple(want), vectors
+        assert len(calls) == 1, vectors
+    for vectors in ([{0: 1}, {}], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
+        with pytest.raises(ValueError):
+            Subspace(6, vectors, F)
+    calls.clear()
+    Subspace(6, [{0: 1, 6: 1}], F)  # index out of range: not kept as it is
+    assert len(calls) == 1
+
+
 # -- restriction ------------------------------------------------------------
 
 

@@ -88,17 +88,18 @@ def test_report_weight4_handling():
 
 
 def test_report_caveat_names_prime_disagreement(monkeypatch):
-    # Shift the partner prime's T_2 by the identity: the rational 11a
-    # system is then found at the primary prime but not confirmed at the
-    # second one, and the caveat must say so instead of calling it
-    # non-rational.
+    # Shift T_2 at the partner prime of both sign quotients, where the
+    # census confirms, by the identity: the rational 11a system is then
+    # found at the primary prime but not confirmed at the second one,
+    # and the caveat must say so instead of calling it non-rational.
     real_build_space = ledger.build_space
 
     def shifted_build_space(level, k, **kw):
         space = real_build_space(level, k, **kw)
-        twin = space.partner()
-        t2 = twin.hecke_matrix(2)
-        twin._hecke_cache[2] = t2.add_scaled(FieldMatrix.identity(twin.field, twin.dim), 1)
+        for sign in (1, -1):
+            twin = space.sign_quotient(sign).partner()
+            t2 = twin.hecke_matrix(2)
+            twin._hecke_cache[2] = t2.add_scaled(FieldMatrix.identity(twin.field, twin.dim), 1)
         return space
 
     monkeypatch.setattr(ledger, "build_space", shifted_build_space)

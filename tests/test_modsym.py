@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from heckeledger import modsym
 from heckeledger.exactlin import (
     FamilyMismatch,
     FieldMatrix,
+    NonCommuting,
+    NotInvariant,
     Subspace,
+    charpoly,
     echelonize,
     joint_kernel,
-    kernel_within,
     NoReconstruction,
     rational_reconstruct,
     restrict_operator,
+    signed_lift,
     split_eigenspaces,
 )
 from heckeledger.modsym import (
@@ -26,9 +28,9 @@ from heckeledger.modsym import (
     MultiPrimeMismatch,
     ProjectiveLine,
     UnsupportedWeight,
+    _cusp_key,
     _heilbronn,
     _left_eigenbasis,
-    _star_involution,
     build_space,
     cuspidal_coverage,
     determinant,
@@ -41,7 +43,9 @@ from heckeledger.modsym import (
     winding_pairing,
 )
 
-from oracles import curve11_ap, dim_cusp_forms, dim_eisenstein, hecke_trace, primes_upto
+from oracles import (
+    curve11_ap, dim_cusp_forms, dim_eisenstein, hecke_trace, num_cusps, primes_upto,
+)
 
 ONE = HomogeneousPoly((1,))
 
@@ -65,6 +69,45 @@ def test_cusp_canonical_form():
     assert Cusp(-5, 0) == Cusp.infinity()
     with pytest.raises(ValueError):
         Cusp(0, 0)
+
+
+def cusps_equivalent(c1, c2, level):
+    """Gamma0(level) equivalence of cusps, Cremona's criterion: x1/y1 and
+    x2/y2 are equivalent iff s1 y2 = s2 y1 mod gcd(y1 y2, level), where
+    s x = 1 mod y."""
+    s1, s2 = (pow(c.num, -1, c.den) if c.den else 1 for c in (c1, c2))
+    modulus = math.gcd(level, c1.den * c2.den)
+    return (s1 * c2.den - s2 * c1.den) % modulus == 0 if modulus else True
+
+
+def test_cusp_key_matches_cremona_criterion():
+    # Every class has a cusp a/d with d | N; the small numerators add
+    # denominators that do not divide N.  Equal keys must mean
+    # equivalent cusps and unequal keys inequivalent ones: checked on
+    # every pair up to N = 30, and above that by comparing each cusp with
+    # its key's first cusp and the first cusps of distinct keys pairwise.
+    for n in range(1, 101):
+        cusps = [Cusp.infinity()]
+        cusps += [Cusp(a, d) for d in range(1, n + 1) if n % d == 0 for a in range(d + 1)
+                  if math.gcd(a, d) == 1]
+        cusps += [Cusp(a, d) for d in range(1, 2 * n + 1) for a in (-3, -2, -1, 1, 2, 5)
+                  if math.gcd(a, d) == 1]
+        keys = [_cusp_key(c, n) for c in cusps]
+        assert len(set(keys)) == num_cusps(n), n
+        # -c has the key (d, -u mod gcd(d, N/d)).
+        for c, (d, u) in zip(cusps, keys):
+            assert _cusp_key(Cusp(-c.num, c.den), n) == (d, -u % math.gcd(d, n // d))
+        if n <= 30:
+            for a, ka in zip(cusps, keys):
+                for b, kb in zip(cusps, keys):
+                    assert (ka == kb) == cusps_equivalent(a, b, n), (n, a, b)
+            continue
+        first = {}
+        for c, key in zip(cusps, keys):
+            assert cusps_equivalent(c, first.setdefault(key, c), n), (n, c)
+        firsts = list(first.values())
+        for i, a in enumerate(firsts):
+            assert not any(cusps_equivalent(a, b, n) for b in firsts[i + 1:]), (n, a)
 
 
 def test_cusp_moebius():
@@ -290,8 +333,9 @@ def reference_presentation(space):
 
     Every generator (i, j) = X^i Y^(k-1-i) at the j-th point contributes
     its S row, x + (S.x) = 0, and its triangle row,
-    x + (sigma.x) + (sigma^2.x) = 0, and all 2 k |P^1| rows are
-    echelonized in one piece.
+    x + (sigma.x) + (sigma^2.x) = 0; on a sign quotient with sign e it
+    also contributes its star row x - e (-1)^i x_(i, (-c:d)) = 0.  All
+    the rows are echelonized in one piece.
     """
     p1, k, fld = space.p1, space.module.k, space.field
     npts = len(p1)
@@ -309,6 +353,10 @@ def reference_presentation(space):
                 for img, pt in images:
                     entries += [(nrows, m * npts + pt, cm) for m, cm in enumerate(img.coeffs) if cm]
                 nrows += 1
+            if space.sign is not None:
+                entries.append((nrows, i * npts + j, 1))
+                entries.append((nrows, i * npts + p1.index(-c, d), -space.sign * (-1) ** i))
+                nrows += 1
     pivots, rows = echelonize(FieldMatrix.from_entries(fld, nrows, k * npts, entries))
     pivset = set(pivots)
     free = [g for g in range(k * npts) if g not in pivset]
@@ -323,15 +371,17 @@ def reference_presentation(space):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_presentation_matches_full_relation_echelon(k):
     # Prime levels with and without fixed points of S (p = 1 mod 4) and
-    # of sigma (p = 1 mod 3), prime powers and products.
+    # of sigma (p = 1 mod 3), prime powers and products; the whole space
+    # and both sign quotients, at both primes.
     levels = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 19, 25, 27, 30, 36, 37, 40]
     for n in levels:
-        primary = build_space(n, k)
-        for space in (primary, primary.partner()):
-            fld = space.field
-            free, expr = reference_presentation(space)
-            assert space.free_columns == free, (n, k, fld.p)
-            assert space._pivot_expr == expr, (n, k, fld.p)
+        whole = build_space(n, k)
+        for primary in (whole, whole.sign_quotient(1), whole.sign_quotient(-1)):
+            for space in (primary, primary.partner()):
+                fld = space.field
+                free, expr = reference_presentation(space)
+                assert space.free_columns == free, (n, k, fld.p, space.sign)
+                assert space._pivot_expr == expr, (n, k, fld.p, space.sign)
 
 
 # -- space dimensions (Eichler-Shimura cross-check) --------------------------
@@ -700,10 +750,13 @@ def test_two_prime_consistency_is_exercised():
 
 
 def _shift_partner_t2(space):
-    """Replace the partner prime's T_2 by T_2 + I, so the primes disagree."""
-    twin = space.partner()
-    shifted = twin.hecke_matrix(2).add_scaled(FieldMatrix.identity(twin.field, twin.dim), 1)
-    twin._hecke_cache[2] = shifted
+    """Replace T_2 at the partner prime of both sign quotients, which the
+    census and the winding vanishing test use, by T_2 + I, so the primes
+    disagree."""
+    for sign in (1, -1):
+        twin = space.sign_quotient(sign).partner()
+        shifted = twin.hecke_matrix(2).add_scaled(FieldMatrix.identity(twin.field, twin.dim), 1)
+        twin._hecke_cache[2] = shifted
 
 
 def test_partner_disagreement_confirms_nothing():
@@ -740,7 +793,103 @@ def test_winding_partner_disagreement_raises():
         winding_pairing(space, system)
 
 
-# -- the star involution and its cuspidal halves -----------------------------
+# -- the sign quotients against independent references ----------------------
+
+
+@pytest.mark.parametrize(
+    "levels, k",
+    [(range(1, 101), k) for k in (1, 3, 5)] + [([1, 17], 11)],
+    ids=["k1-N<=100", "k3-N<=100", "k5-N<=100", "k11-N=1,17"],
+)
+def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
+    # Each sign quotient's cuspidal part is one copy of S_(k+1)(Gamma0(N)),
+    # so its dimension and its traces come from formulas that share no
+    # code with the presentation or Merel's Hecke matrices.
+    for level in levels:
+        space = build_space(level, k)
+        quotients = [space.sign_quotient(sign) for sign in (1, -1)]
+        assert sum(q.dim for q in quotients) == space.dim, (level, k)
+        for q in quotients:
+            assert q.cuspidal_dim == dim_cusp_forms(level, k + 1), (level, k, q.sign)
+            p = q.field.p
+            for l in (2, 3, 5, 7):
+                if level % l == 0:
+                    continue
+                t = restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace)
+                got = sum(t.rows[i].get(i, 0) for i in range(t.nrows)) % p
+                assert got == hecke_trace(l, level, k + 1) % p, (level, k, q.sign, l)
+
+
+def test_sign_quotient_is_cached_and_keeps_its_sign():
+    space = build_space(11, 3)
+    plus = space.sign_quotient(1)
+    assert space.sign_quotient(1) is plus and plus.p1 is space.p1
+    twin = plus.partner()
+    assert (twin.sign, twin.field) == (1, space.context.secondary)
+    assert twin.partner() is plus
+    with pytest.raises(ValueError):
+        plus.sign_quotient(-1)
+    with pytest.raises(ValueError):
+        space.sign_quotient(0)
+
+
+# -- reference: the census on the halves of the star involution ---------------
+#
+# Before the census ran on the sign quotients it ran on the two halves
+# H+- = ker(iota -+ 1) of the cuspidal subspace of the whole space: every
+# whole-space T_l restricted to both halves, split in lockstep, and each
+# candidate confirmed by one whole-space joint kernel at the partner
+# prime.  The references below keep that computation.
+
+
+def _star_involution(space):
+    """The star involution iota = [[-1, 0], [0, 1]] on the quotient basis.
+
+    It sends the Manin generator (X^i Y^(k-1-i), (c:d)) to
+    (-1)^i (X^i Y^(k-1-i), (-c:d)); column t is the projected image of
+    free generator t.
+    """
+    p = space.field.p
+    p1 = space.p1
+    npts = len(p1)
+    rows = [{} for _ in range(space.dim)]
+    for pos, col in enumerate(space.free_columns):
+        i, j = space.generators[col]
+        c, d = p1.points[j]
+        sign = 1 if i % 2 == 0 else p - 1
+        for r, w in space.project_generator(i * npts + p1.index(-c, d)).items():
+            rows[r][pos] = w * sign % p
+    return FieldMatrix(space.field, space.dim, space.dim, rows)
+
+
+def _star_halves(space):
+    star = _star_involution(space)
+    return [joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1)]
+
+
+def _halves_coverage(space, primes):
+    """(systems, unresolved) of the census on the star-involution halves."""
+    primes = sorted(primes)
+    ops = [hecke_operator(space, l) for l in primes]
+    plus, minus = ([restrict_operator(op, h) for op in ops] for h in _star_halves(space))
+    w = space.module.weight
+    split = split_eigenspaces(plus, [math.isqrt(4 * l ** (w - 1)) for l in primes], [minus])
+    p = space.field.p
+    candidates = [(tuple(Fraction(signed_lift(v, p)) for v in eig.values), eig.dim)
+                  for eig in split.eigenspaces]
+    twin = space.partner()
+    twin_ops = [hecke_operator(twin, l) for l in primes]
+    confirmed = sorted(
+        (fracs, dim) for fracs, dim in candidates
+        if joint_kernel(twin_ops, [twin.field.elem(f) for f in fracs],
+                        (twin.boundary_matrix,)).dim == dim
+    )
+    covered = sum(dim for _, dim in confirmed)
+    return confirmed, {
+        "no_bounded_integer_root": split.unsplit_dim,
+        "defective": sum(dim for _, dim in split.defective),
+        "prime_disagreement": sum(dim for _, dim in candidates) - covered,
+    }
 
 
 @pytest.mark.parametrize(
@@ -748,6 +897,11 @@ def test_winding_partner_disagreement_raises():
     [(level, k) for level in (11, 35, 37, 55, 64, 89) for k in (1, 3)] + [(1, 11), (17, 11)],
 )
 def test_star_involution_halves(level, k):
+    # iota is an involution commuting with the T_l, and each half
+    # H+- = ker(iota -+ 1) in the cuspidal subspace of the whole space is
+    # isomorphic, as a Hecke module, to the cuspidal part of the sign
+    # quotient V/(iota -+ 1)V: same dimension, same characteristic
+    # polynomial of every T_l.
     space = build_space(level, k)
     star = _star_involution(space)
     assert star.matmul(star) == FieldMatrix.identity(space.field, space.dim)
@@ -755,47 +909,99 @@ def test_star_involution_halves(level, k):
         if level % l:
             t = hecke_operator(space, l)
             assert star.matmul(t) == t.matmul(star), l
-    plus, minus = (joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1))
-    assert 2 * plus.dim == 2 * minus.dim == space.cuspidal_dim
-    # The census takes each half as the column space of iota +- 1 (the
-    # +-1 eigenspace, since iota^2 = 1) cut down to ker(boundary): a
-    # reduced echelon basis is unique, so it is the same basis.
-    assert [h.basis for h in column_space_halves(star, space)] == [plus.basis, minus.basis]
+    for sign, half in zip((1, -1), _star_halves(space)):
+        quotient = space.sign_quotient(sign)
+        assert half.dim == quotient.cuspidal_dim
+        assert joint_kernel([star], [sign]).dim == quotient.dim
+        for l in (2, 3, 5, 7):
+            if level % l:
+                assert charpoly(restrict_operator(hecke_operator(space, l), half)) == charpoly(
+                    restrict_operator(quotient.hecke_matrix(l), quotient.cuspidal_subspace)), l
 
 
-def column_space_halves(star, space):
-    """im(iota + 1) and im(iota - 1), each cut down to ker(boundary)."""
-    identity = FieldMatrix.identity(space.field, space.dim)
-    images = (echelonize(star.transpose().add_scaled(identity, sign))[1] for sign in (1, -1))
-    return [kernel_within(Subspace(space.dim, rows, space.field), space.boundary_matrix)
-            for rows in images]
+def _coverage_cases():
+    """The 54-case sweep of three levels, six weights and three prime
+    lists (two with a large Deligne bound), then every case of the split
+    reference test."""
+    cases = [pytest.param(level, k, primes, id=f"{level}-{k}-{'.'.join(map(str, primes))}")
+             for level in (17, 29, 37) for k in (1, 3, 5, 7, 9, 11)
+             for primes in ([2, 3, 5, 7], [13], [31])]
+    cases += [pytest.param(level, k, [2, 3], id=f"{level}-{k}-2.3")
+              for k in (1, 3) for level in (11, 13, 37, 89, 35, 55)]
+    cases += [pytest.param(level, 5, [2, 3], id=f"{level}-5-2.3") for level in (11, 13)]
+    return cases
 
 
-def test_star_halves_are_checked(monkeypatch):
+@pytest.mark.parametrize("level, k, primes", _coverage_cases())
+def test_coverage_matches_halves_reference(level, k, primes):
+    space = build_space(level, k)
+    cov = cuspidal_coverage(space, primes)
+    got = [(tuple(s.eigenvalues[l] for l in primes), s.dim) for s in cov.systems]
+    assert (got, cov.unresolved) == _halves_coverage(space, primes)
+
+
+def _shrink_cuspidal(quotient, by):
+    """Drop the last `by` basis vectors of a quotient's cuspidal subspace."""
+    cusp = quotient.cuspidal_subspace
+    quotient.cuspidal_subspace = Subspace(cusp.ambient_dim, cusp.basis[:cusp.dim - by],
+                                          cusp.field)
+
+
+def test_star_halves_are_checked():
+    # One quotient's cuspidal dimension off: the halves no longer add up.
     space = build_space(37, 1)
-    zero = FieldMatrix(space.field, space.dim, space.dim)
-    monkeypatch.setattr(modsym, "_star_involution", lambda sp: zero)
-    with pytest.raises(HalvesMismatch):  # 0 does not square to 1
+    _shrink_cuspidal(space.sign_quotient(-1), 1)
+    with pytest.raises(HalvesMismatch):
         cuspidal_coverage(space, [2])
-    identity = FieldMatrix.identity(space.field, space.dim)
-    monkeypatch.setattr(modsym, "_star_involution", lambda sp: identity)
-    with pytest.raises(FamilyMismatch):  # the whole cuspidal space against nothing
-        cuspidal_coverage(space, [2])
-
-
-def test_star_must_square_to_one(monkeypatch):
-    # iota = 1 + e_a e_b^T with boundary(e_a) != 0 and b != a squares to
-    # 1 + 2 e_a e_b^T.  The column space of iota + 1 is everything and
-    # that of iota - 1 is the line of e_a, which meets ker(boundary) in
-    # 0: the halves' dimensions add up to the cuspidal dimension, so only
-    # the check of iota^2 = 1 tells that they are not eigenspaces.
+    # Equal dimensions but different Hecke modules: T_2 + I on one side.
     space = build_space(37, 1)
-    a = next(j for row in space.boundary_matrix.rows for j in row)
-    fake = FieldMatrix.identity(space.field, space.dim)
-    fake.add_at(a, (a + 1) % space.dim, 1)
-    assert sum(h.dim for h in column_space_halves(fake, space)) == space.cuspidal_dim
-    monkeypatch.setattr(modsym, "_star_involution", lambda sp: fake)
-    with pytest.raises(HalvesMismatch, match="square"):
+    minus = space.sign_quotient(-1)
+    minus._hecke_cache[2] = minus.hecke_matrix(2).add_scaled(
+        FieldMatrix.identity(minus.field, minus.dim), 1)
+    with pytest.raises(FamilyMismatch):
+        cuspidal_coverage(space, [2])
+
+
+def test_quotient_operator_guards_fire():
+    # A T_2 on the plus quotient that moves a cuspidal vector off the
+    # cuspidal subspace, then a T_3 that keeps it but no longer
+    # commutes with T_2: the census restricts and splits each quotient's
+    # own operators, so each guard fires there.
+    space = build_space(37, 1)
+    plus = space.sign_quotient(1)
+    lead = min(plus.cuspidal_subspace.basis[0])
+    off = next(j for row in plus.boundary_matrix.rows for j in row)
+    bent = scaled(plus.hecke_matrix(2), 1)
+    bent.add_at(off, lead, 1)
+    plus._hecke_cache[2] = bent
+    with pytest.raises(NotInvariant):
+        cuspidal_coverage(space, [2])
+    space = build_space(37, 1)
+    plus = space.sign_quotient(1)
+    first, second = plus.cuspidal_subspace.basis
+    bent = scaled(plus.hecke_matrix(3), 1)
+    for r, v in first.items():  # + first * (coordinate at second's lead)
+        bent.add_at(r, min(second), v)
+    plus._hecke_cache[3] = bent
+    with pytest.raises(NonCommuting):
+        cuspidal_coverage(space, [2, 3])
+
+
+def test_sign_quotient_halves_must_be_equal():
+    # The quotients' cuspidal dimensions add up to the whole space's, but
+    # one is 3 and the other 1 (the plus quotient's cuspidal subspace
+    # grows by an Eisenstein vector, the minus one loses a vector): only
+    # the check of cusp+ = cusp- tells that they are not halves.  It
+    # takes over from the check that iota squares to 1, which guarded a
+    # column-space step the census no longer has.
+    space = build_space(37, 1)
+    plus = space.sign_quotient(1)
+    eisenstein = {next(j for row in plus.boundary_matrix.rows for j in row): 1}
+    cusp = plus.cuspidal_subspace
+    plus.cuspidal_subspace = Subspace(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
+    _shrink_cuspidal(space.sign_quotient(-1), 1)
+    assert plus.cuspidal_dim + space.sign_quotient(-1).cuspidal_dim == space.cuspidal_dim
+    with pytest.raises(HalvesMismatch, match="halves"):
         cuspidal_coverage(space, [2])
 
 
@@ -920,6 +1126,34 @@ def test_winding_weight4_level13_certified_zero():
     (system,) = cov.systems
     assert system.eigenvalues[2] == Fraction(-5)
     assert winding_pairing(space, system) == 0
+
+
+def _whole_space_winding_vanishes(space, system):
+    """Whether the winding symbol pairs to zero with every left
+    eigenvector of the whole space, at the primary prime."""
+    primes = sorted(system.eigenvalues)
+    ops = [hecke_operator(space, l).transpose() for l in primes]
+    basis = joint_kernel(ops, [space.field.elem(system.eigenvalues[l]) for l in primes]).basis
+    assert basis
+    m = (space.module.k - 1) // 2
+    winding = space.project_generator(m * len(space.p1) + space.p1.index(0, 1))
+    return not any(sum(v * winding.get(i, 0) for i, v in u.items()) % space.field.p
+                   for u in basis)
+
+
+@pytest.mark.parametrize(
+    "level, k",
+    [(level, 3) for level in primes_upto(89) if level >= 11]
+    + [(5, 3), (11, 1), (37, 1)],
+)
+def test_winding_vanishing_on_sign_quotient_matches_whole_space(level, k):
+    # The census's systems at the ledger's primes: the sign-quotient
+    # decision must agree with the whole-space pairing, system by system.
+    space = build_space(level, k)
+    systems = cuspidal_coverage(space, [2, 3]).systems
+    for system in systems:
+        assert (winding_pairing(space, system) == 0) == _whole_space_winding_vanishes(
+            space, system), (level, k, system.eigenvalues)
 
 
 def test_winding_even_k_rejected():
