@@ -21,9 +21,11 @@ commutes with every T_l: each is a Manin presentation with one more
 two-term relation, about half the size of V, and their cuspidal parts
 are isomorphic Hecke modules (Stein, Modular Forms, ch. 8; Cremona,
 Algorithms for Modular Elliptic Curves, ch. II), so they are split in
-lockstep and their counts are summed.  `build_space`, its dimensions
-and Hecke matrices, and the value of a nonzero winding pairing live on
-the whole space.
+lockstep and their counts are summed.  Each cuspidal part is one copy
+of S_w(Gamma0(N)), which the classical dimension formula of
+`eichler_selberg` checks.  `build_space` returns the whole space, which
+is presented only when something reads it: its dimensions, its Hecke
+matrices or the value of a nonzero winding pairing.
 
 Conventions, fixed once and used everywhere:
 
@@ -51,6 +53,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
+from .eichler_selberg import dim_cusp_forms, num_cusps
 from .exactlin import (
     FieldContext,
     FieldMatrix,
@@ -111,7 +114,8 @@ class MultiPrimeMismatch(Exception):
 
 
 class HalvesMismatch(Exception):
-    """The sign quotients' cuspidal parts do not halve the cuspidal space."""
+    """The sign quotients are not halves of the dimensions that the
+    classical formula gives the whole space."""
 
 
 # Height bound for lifting winding pairings back to Q; only the winding
@@ -543,8 +547,9 @@ class ManinBasisSpace:
     iota (X^i Y^(k-1-i), (c:d)) = (-1)^i (X^i Y^(k-1-i), (-c:d)), which
     commutes with every T_l.  As p is odd, V_e is isomorphic to the
     e-eigenspace of iota, so the two quotients' dimensions, cuspidal
-    parts and Hecke eigenvalues add up to those of V.  Hecke matrices
-    are cached per operator index.
+    parts and Hecke eigenvalues add up to those of V.  The presentation
+    is built on first use (`__getattr__`), and Hecke matrices are cached
+    per operator index.
     """
 
     def __init__(self, level: int, module: CoefficientModule, field: PrimeField,
@@ -563,18 +568,26 @@ class ManinBasisSpace:
         self.generators: list[tuple[int, int]] = [
             (i, j) for i in range(k) for j in range(npts)
         ]
-
-        self.free_columns, self._pivot_expr = self._present()
-        self._free_pos = {c: t for t, c in enumerate(self.free_columns)}
-
-        self.boundary_matrix = self._build_boundary()
-        _, self.cuspidal_subspace = rank_and_kernel(self.boundary_matrix)
-
         self._hecke_cache: dict[int, FieldMatrix] = {}
         self._partner: Optional["ManinBasisSpace"] = None
         self._quotients: dict[int, "ManinBasisSpace"] = {}
 
     # -- presentation ---------------------------------------------------
+
+    _PRESENTATION = frozenset(
+        {"free_columns", "_pivot_expr", "_free_pos", "boundary_matrix", "cuspidal_subspace"})
+
+    def __getattr__(self, name: str):
+        """Present the space the first time one of `_PRESENTATION` is read:
+        the relation echelon, the boundary map and the cuspidal kernel,
+        in one step, after which they are plain instance attributes."""
+        if name not in ManinBasisSpace._PRESENTATION:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.free_columns, self._pivot_expr = self._present()
+        self._free_pos = {c: t for t, c in enumerate(self.free_columns)}
+        self.boundary_matrix = self._build_boundary()
+        _, self.cuspidal_subspace = rank_and_kernel(self.boundary_matrix)
+        return self.__dict__[name]
 
     @property
     def dim(self) -> int:
@@ -897,6 +910,29 @@ def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
 # Eigensystems, two-prime confirmation, winding pairing
 
 
+def _checked_sign_quotients(space: ManinBasisSpace) -> list[ManinBasisSpace]:
+    """The sign quotients [V+, V-] of the whole space, checked against
+    the classical dimensions of S_w(Gamma0(N)) and its cusps.
+
+    Each quotient's cuspidal part is one copy of S_w, and V+ + V- has
+    V's dimension, 2 dim S_w plus that of the Eisenstein part (one per
+    cusp, less one at w = 2).  HalvesMismatch unless both hold: the
+    formula shares no code with the presentations it checks.
+    """
+    quotients = [space.sign_quotient(sign) for sign in (1, -1)]
+    w = space.module.weight
+    cusp = dim_cusp_forms(space.level, w)
+    total = 2 * cusp + num_cusps(space.level) - (w == 2)
+    dims = [q.dim for q in quotients]
+    cusp_dims = [q.cuspidal_dim for q in quotients]
+    if cusp_dims != [cusp, cusp] or sum(dims) != total:
+        raise HalvesMismatch(
+            f"sign quotients of dims {dims} and cuspidal dims {cusp_dims} are not halves "
+            f"of dim {total} with dim S_{w}(Gamma0({space.level})) = {cusp} in each"
+        )
+    return quotients
+
+
 def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
     """Two-prime-confirmed eigensystems plus the dimension left unresolved.
 
@@ -907,8 +943,9 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     about half the size of the whole space, with every T_l restricted
     to each one's own cuspidal subspace (NotInvariant unless stable).
     Their cuspidal parts are isomorphic Hecke modules (Eichler-Shimura)
-    with V's as direct sum, so their dimensions must be equal and add
-    up to V's cuspidal dimension (else HalvesMismatch).
+    with V's as direct sum, so each must have the dimension of
+    S_w(Gamma0(N)) (else HalvesMismatch); the whole space is never
+    presented.
     `split_eigenspaces` refines both in lockstep: one
     charpoly per quotient and node, which must agree (else
     FamilyMismatch), one root finding, and each bounded root's kernel
@@ -926,13 +963,8 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     """
     primes = sorted(set(primes))
     _check_hecke_primes(space.level, primes)
-    quotients = [space.sign_quotient(sign) for sign in (1, -1)]
-    dims = [q.cuspidal_dim for q in quotients]
-    if dims[0] != dims[1] or sum(dims) != space.cuspidal_dim:
-        raise HalvesMismatch(
-            f"sign quotients of cuspidal dims {dims} do not split "
-            f"the cuspidal dimension {space.cuspidal_dim} in halves"
-        )
+    quotients = _checked_sign_quotients(space)
+    cuspidal_dim = sum(q.cuspidal_dim for q in quotients)
     plus, minus = ([restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
                    for q in quotients)
     w = space.module.weight
@@ -955,8 +987,8 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     return CuspidalSplit(
         systems=[EigenSystem(space.level, w, dict(zip(primes, fracs)), cuspidal=True, dim=dim)
                  for fracs, dim in confirmed],
-        cuspidal_dim=space.cuspidal_dim,
-        unresolved_dim=space.cuspidal_dim - covered,
+        cuspidal_dim=cuspidal_dim,
+        unresolved_dim=cuspidal_dim - covered,
         primes=list(primes),
         unresolved={
             "no_bounded_integer_root": split.unsplit_dim,
@@ -1060,12 +1092,16 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
 
 
 def space_summary(space: ManinBasisSpace) -> dict:
+    """The whole space's dimensions, read off its checked sign quotients."""
+    quotients = _checked_sign_quotients(space)
+    dim = sum(q.dim for q in quotients)
+    cuspidal_dim = sum(q.cuspidal_dim for q in quotients)
     return {
         "level": space.level,
         "k": space.module.k,
-        "quotient_dim": space.dim,
-        "cuspidal_dim": space.cuspidal_dim,
-        "eisenstein_dim": space.eisenstein_dim,
+        "quotient_dim": dim,
+        "cuspidal_dim": cuspidal_dim,
+        "eisenstein_dim": dim - cuspidal_dim,
     }
 
 

@@ -21,9 +21,6 @@ __all__ = [
     "GritsenkoExceedsTotal",
     "kronecker",
     "kronecker_euler",
-    "kronecker_reciprocity",
-    "f_term",
-    "g_term",
     "dim_S3",
     "complement_dims",
     "load_gritsenko_csv",
@@ -47,25 +44,6 @@ def kronecker_euler(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def kronecker_reciprocity(a: int, p: int) -> int:
-    """(a/p) by quadratic reciprocity and the supplementary laws."""
-    acc = 1
-    b = p
-    while True:
-        a %= b
-        if a == 0:
-            return 0
-        while a % 2 == 0:
-            a //= 2
-            if b % 8 in (3, 5):
-                acc = -acc
-        if a == 1:
-            return acc
-        if a % 4 == 3 and b % 4 == 3:
-            acc = -acc
-        a, b = b, a
-
-
 def kronecker(a: int, p: int) -> int:
     """The Kronecker symbol (a/p) for an odd prime p."""
     if p == 2 or not _is_prime(p):
@@ -83,16 +61,6 @@ def _f_2880(p: int) -> int:
 def _g_2880(p: int) -> int:
     """2880 g(p)."""
     return 480 if p % 12 == 5 else 0
-
-
-def f_term(p: int) -> Fraction:
-    """2/5 if p = 2, 3 mod 5; 1/5 if p = 5; 0 otherwise."""
-    return Fraction(_f_2880(p), 2880)
-
-
-def g_term(p: int) -> Fraction:
-    """1/6 if p = 5 mod 12; 0 otherwise."""
-    return Fraction(_g_2880(p), 2880)
 
 
 def dim_S3(p: int) -> int:

@@ -126,6 +126,25 @@ def test_report_weight4_excluded_nonvanishing():
     assert Fraction(entry["winding"]) != 0
 
 
+def test_report_presents_only_the_sign_quotients(presentations):
+    # The census and the space summary read the two sign quotients (and
+    # their partners); with every weight-4 winding pairing zero at these
+    # levels, nothing reads the whole space, so it is never presented.
+    for level in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89):
+        build_report(level, [2, 3])
+    assert presentations[None] == 0
+    assert presentations[1] + presentations[-1] == 120
+
+
+def test_report_presents_the_whole_space_for_a_nonzero_winding(presentations):
+    # A nonzero pairing is computed on the whole weight-4 space and its
+    # partner, which are presented then and only then.
+    report = build_report(5, [2, 3])
+    assert presentations[None] == 2
+    assert [e["kind"] for e in report.excluded] == ["weight4"]
+    assert Fraction(report.excluded[0]["winding"]) != 0
+
+
 def test_report_weight4_constituent_at_13():
     # The level-13 weight-4 newform has a two-prime-certified vanishing
     # winding pairing, so it enters the report as a constituent with

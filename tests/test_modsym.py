@@ -19,6 +19,7 @@ from heckeledger.exactlin import (
     signed_lift,
     split_eigenspaces,
 )
+from heckeledger import modsym
 from heckeledger.modsym import (
     BadPrime,
     Cusp,
@@ -804,11 +805,14 @@ def test_winding_partner_disagreement_raises():
 def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
     # Each sign quotient's cuspidal part is one copy of S_(k+1)(Gamma0(N)),
     # so its dimension and its traces come from formulas that share no
-    # code with the presentation or Merel's Hecke matrices.
+    # code with the presentation or Merel's Hecke matrices.  The summary,
+    # read off the quotients, gives the whole presentation's dimensions.
     for level in levels:
         space = build_space(level, k)
+        summary = space_summary(space)
+        assert (summary["quotient_dim"], summary["cuspidal_dim"], summary["eisenstein_dim"]) == (
+            space.dim, space.cuspidal_dim, space.eisenstein_dim), (level, k)
         quotients = [space.sign_quotient(sign) for sign in (1, -1)]
-        assert sum(q.dim for q in quotients) == space.dim, (level, k)
         for q in quotients:
             assert q.cuspidal_dim == dim_cusp_forms(level, k + 1), (level, k, q.sign)
             p = q.field.p
@@ -1003,6 +1007,44 @@ def test_sign_quotient_halves_must_be_equal():
     assert plus.cuspidal_dim + space.sign_quotient(-1).cuspidal_dim == space.cuspidal_dim
     with pytest.raises(HalvesMismatch, match="halves"):
         cuspidal_coverage(space, [2])
+
+
+def test_space_summary_checks_the_halves(monkeypatch):
+    # The summary reads the whole space's dimensions off the sign
+    # quotients, so it runs the same check as the census: a plus
+    # quotient whose cuspidal subspace gains an Eisenstein vector ...
+    space = build_space(37, 1)
+    plus = space.sign_quotient(1)
+    eisenstein = {next(j for row in plus.boundary_matrix.rows for j in row): 1}
+    cusp = plus.cuspidal_subspace
+    plus.cuspidal_subspace = Subspace(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
+    with pytest.raises(HalvesMismatch, match="halves"):
+        space_summary(space)
+    # ... and quotients whose dimensions do not add up to 2 dim S_w plus
+    # the Eisenstein dimension (here: one cusp too many in the formula).
+    space = build_space(37, 1)
+    monkeypatch.setattr(modsym, "num_cusps", lambda n: num_cusps(n) + 1)
+    with pytest.raises(HalvesMismatch, match="halves"):
+        space_summary(space)
+    with pytest.raises(HalvesMismatch, match="halves"):
+        cuspidal_coverage(space, [2])
+
+
+def test_census_does_not_present_the_whole_space(presentations):
+    space = build_space(211, 3)
+    cov = cuspidal_coverage(space, [2, 3, 5])
+    assert presentations[None] == 0 and presentations[1] == presentations[-1] > 0
+    assert space_summary(space)["cuspidal_dim"] == cov.cuspidal_dim
+    assert presentations[None] == 0
+    # The first read of the whole space presents it once, and every
+    # presentation attribute is then a plain instance attribute.
+    assert space.cuspidal_dim == cov.cuspidal_dim
+    assert space.dim == space.cuspidal_dim + num_cusps(211)
+    assert presentations[None] == 1
+    assert {"free_columns", "_pivot_expr", "_free_pos", "boundary_matrix",
+            "cuspidal_subspace"} <= set(vars(space))
+    with pytest.raises(AttributeError):
+        space.not_an_attribute
 
 
 # -- reference: the full split at both primes --------------------------------

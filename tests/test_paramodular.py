@@ -10,15 +10,41 @@ from heckeledger.paramodular import (
     ParamodularDims,
     complement_dims,
     dim_S3,
-    f_term,
-    g_term,
     kronecker,
     kronecker_euler,
-    kronecker_reciprocity,
     load_gritsenko_csv,
 )
 
 from oracles import legendre_via_squares, primes_upto
+
+
+def kronecker_reciprocity(a, p):
+    """Reference (a/p) by quadratic reciprocity and the supplementary laws."""
+    acc = 1
+    b = p
+    while True:
+        a %= b
+        if a == 0:
+            return 0
+        while a % 2 == 0:
+            a //= 2
+            if b % 8 in (3, 5):
+                acc = -acc
+        if a == 1:
+            return acc
+        if a % 4 == 3 and b % 4 == 3:
+            acc = -acc
+        a, b = b, a
+
+
+def f_term(p):
+    """f(p) as a Fraction, read through the package's integer 2880 f(p)."""
+    return Fraction(paramodular._f_2880(p), 2880)
+
+
+def g_term(p):
+    """g(p) as a Fraction, read through the package's integer 2880 g(p)."""
+    return Fraction(paramodular._g_2880(p), 2880)
 
 
 # -- Kronecker symbol --------------------------------------------------------
