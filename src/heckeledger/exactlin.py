@@ -538,33 +538,28 @@ def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
     return Subspace(s.ambient_dim, lifted, s.field)
 
 
-def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int],
-                 extra: Sequence[FieldMatrix] = ()) -> Subspace:
-    """Canonical (reduced echelon) basis of the joint eigenvectors.
+def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int]) -> Subspace:
+    """Canonical (reduced echelon) basis of the joint eigenvectors
+    {v : op v = value v for each pair}.
 
-    The common kernel of every op - value*I and every matrix in
-    `extra`: {v : op v = value v for each pair, m v = 0 for each m}.
-    The matrices are intersected one at a time: K starts as the kernel
-    of the first, and each further matrix M replaces K by the kernel of
-    M B (B the basis of K as columns, n x dim K), lifted back to the
-    ambient space.  The reduced echelon basis of the result depends only
-    on the subspace, so the order changes the cost and nothing else.
-    The family need not commute and no invariant subspace is needed.
+    The shifted operators op - value*I are intersected one at a time:
+    K starts as the kernel of the first, and each further shifted
+    operator M replaces K by the kernel of M B (B the basis of K as
+    columns, n x dim K), lifted back to the ambient space.  The reduced
+    echelon basis of the result depends only on the subspace, so the
+    order changes the cost and nothing else.  The family need not
+    commute and no invariant subspace is needed.
     """
     if len(ops) != len(values):
         raise ValueError("need one value per operator")
-    mats = list(ops) + list(extra)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].ncols
-    field = mats[0].field
-    for m in mats:
-        if m.ncols != n or m.field != field:
-            raise ValueError("matrices must share one column space")
-    if any(op.nrows != n for op in ops):
-        raise ValueError("operators must be square")
+    if not ops:
+        raise ValueError("need at least one operator")
+    n = ops[0].ncols
+    field = ops[0].field
+    if any(op.nrows != n or op.ncols != n or op.field != field for op in ops):
+        raise ValueError("operators must be square on one column space")
     identity = FieldMatrix.identity(field, n)
-    mats = [op.add_scaled(identity, -lam) for op, lam in zip(ops, values)] + list(extra)
+    mats = [op.add_scaled(identity, -lam) for op, lam in zip(ops, values)]
     kernel = rank_and_kernel(mats[0])[1]
     for m in mats[1:]:
         if not kernel.dim:

@@ -575,7 +575,7 @@ class ManinBasisSpace:
     # -- presentation ---------------------------------------------------
 
     _PRESENTATION = frozenset(
-        {"free_columns", "_pivot_expr", "_free_pos", "boundary_matrix", "cuspidal_subspace"})
+        {"free_columns", "_rep_of", "_rep_expr", "boundary_matrix", "cuspidal_subspace"})
 
     def __getattr__(self, name: str):
         """Present the space the first time one of `_PRESENTATION` is read:
@@ -583,8 +583,7 @@ class ManinBasisSpace:
         in one step, after which they are plain instance attributes."""
         if name not in ManinBasisSpace._PRESENTATION:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.free_columns, self._pivot_expr = self._present()
-        self._free_pos = {c: t for t, c in enumerate(self.free_columns)}
+        self.free_columns, self._rep_of, self._rep_expr = self._present()
         self.boundary_matrix = self._build_boundary()
         _, self.cuspidal_subspace = rank_and_kernel(self.boundary_matrix)
         return self.__dict__[name]
@@ -601,8 +600,11 @@ class ManinBasisSpace:
     def eisenstein_dim(self) -> int:
         return self.dim - self.cuspidal_dim
 
-    def _present(self) -> tuple[list[int], dict[int, dict[int, int]]]:
-        """Free generators, and every other generator on the free ones.
+    def _present(self) -> tuple[list[int], dict[int, tuple[int, int]],
+                                dict[int, dict[int, int]]]:
+        """Free generators; (representative, +-1) of every generator that
+        survives the two-term relations; each representative on the free
+        generators ({position: 1} for a free one).
 
         For odd k (all that `build_space` accepts) the two-term relations
         are x_g = (-1)^(i+1) x_(S g), S g = (k-1-i, (d:-c)) for
@@ -615,15 +617,15 @@ class ManinBasisSpace:
         of P^1, since the rows at the three points span the same space.
         Reduced echelon form depends only on the row space and every
         non-representative has an orbit partner of larger index, so the
-        free generators and the expressions are those of the full
-        relation matrix: the greedy basis taken from the right.
+        free generators are those of the full relation matrix, the greedy
+        basis taken from the right, and the sign times its
+        representative's expression is each generator's expression there.
         """
         k = self.module.k
         p = self.field.p
         sign = self.sign
         p1 = self.p1
         npts = len(p1)
-        ngens = len(self.generators)
         monos = self.module.monomials()
         u_img = [m.subst(-1, -1, 1, 0) for m in monos]      # P(-X-Y, X)
         u2_img = [m.subst(0, 1, -1, -1) for m in monos]     # P(Y, -X-Y)
@@ -645,7 +647,7 @@ class ManinBasisSpace:
                 if len(coef) == len(set(orbit)):  # no generator reached with both signs
                     r = max(coef)
                     for h, c in coef.items():
-                        rep[h] = (r, c * coef[r] % p)
+                        rep[h] = (r, c * coef[r])
         reps = sorted({r for r, _ in rep.values()})
         col_of = {r: t for t, r in enumerate(reps)}
 
@@ -674,7 +676,7 @@ class ManinBasisSpace:
                     rows.append(row)
         pivots, reduced = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
 
-        # Expansion to every generator.
+        # Each representative on the free ones.
         pivset = set(pivots)
         free = [r for t, r in enumerate(reps) if t not in pivset]
         free_pos = {g: t for t, g in enumerate(free)}
@@ -683,19 +685,7 @@ class ManinBasisSpace:
             rep_expr[reps[t]] = {
                 free_pos[reps[col]]: (p - v) % p for col, v in row.items() if col != t
             }
-        expr: dict[int, dict[int, int]] = {}
-        for g in range(ngens):
-            if g in free_pos:
-                continue
-            if g not in rep:
-                expr[g] = {}
-                continue
-            h, sign = rep[g]
-            if sign == 1:
-                expr[g] = rep_expr[h]
-            else:
-                expr[g] = {pos: v * sign % p for pos, v in rep_expr[h].items()}
-        return free, expr
+        return free, rep, rep_expr
 
     def _build_boundary(self) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
@@ -732,10 +722,13 @@ class ManinBasisSpace:
     # -- projection to quotient coordinates ------------------------------
 
     def project_generator(self, gen: int) -> dict[int, int]:
-        pos = self._free_pos.get(gen)
-        if pos is not None:
-            return {pos: 1}
-        return dict(self._pivot_expr[gen])
+        """Quotient coordinates of one Manin generator ({} if killed)."""
+        rep = self._rep_of.get(gen)
+        if rep is None:
+            return {}
+        h, sign = rep
+        p = self.field.p
+        return {pos: v * sign % p for pos, v in self._rep_expr[h].items()}
 
     def _accumulate_manin(self, vec: dict[int, int], q1: Cusp, q2: Cusp,
                           poly: HomogeneousPoly, scale: int) -> None:
@@ -812,7 +805,7 @@ class ManinBasisSpace:
             for i in {self.generators[col][0] for col in self.free_columns}
         }
         dim = self.dim
-        free_pos, pivot_expr = self._free_pos, self._pivot_expr
+        rep_of, rep_expr = self._rep_of, self._rep_expr
         targets: dict[int, list[int]] = {}
         rows: list[dict[int, int]] = [{} for _ in range(dim)]
         for pos, col in enumerate(self.free_columns):
@@ -828,16 +821,16 @@ class ManinBasisSpace:
                     acc[g] = acc.get(g, 0) + cm
             out = [0] * dim
             for g, v in acc.items():
-                v %= p
+                rep = rep_of.get(g)
+                if rep is None:
+                    continue
+                h, sign = rep
+                v = v * sign % p
                 if not v:
                     continue
                 if v > half:
                     v -= p  # a small signed residue keeps v * w short
-                r = free_pos.get(g)
-                if r is not None:
-                    out[r] += v
-                    continue
-                for r, w in pivot_expr[g].items():
+                for r, w in rep_expr[h].items():
                     out[r] += v * w
             for r, v in enumerate(out):
                 if v:
@@ -936,37 +929,41 @@ def _checked_sign_quotients(space: ManinBasisSpace) -> list[ManinBasisSpace]:
 def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> CuspidalSplit:
     """Two-prime-confirmed eigensystems plus the dimension left unresolved.
 
-    At the primary prime the cuspidal T_l are split at the integers
+    Both primes run the same first step on the sign quotients V+ and V-
+    (see `ManinBasisSpace`), each about half the size of the whole
+    space: every T_l restricted to each one's own cuspidal subspace
+    (NotInvariant unless stable).  Their cuspidal parts are isomorphic
+    Hecke modules (Eichler-Shimura) with V's as direct sum, so each must
+    have the dimension of S_w(Gamma0(N)) (else HalvesMismatch); the
+    whole space is never presented.
+
+    At the primary prime the restricted T_l are split at the integers
     within Deligne's bound |a_l| <= 2 l^((w-1)/2), and each eigenspace's
-    values are lifted to signed integers: the candidates.  The split
-    runs on the sign quotients V+ and V- (see `ManinBasisSpace`), each
-    about half the size of the whole space, with every T_l restricted
-    to each one's own cuspidal subspace (NotInvariant unless stable).
-    Their cuspidal parts are isomorphic Hecke modules (Eichler-Shimura)
-    with V's as direct sum, so each must have the dimension of
-    S_w(Gamma0(N)) (else HalvesMismatch); the whole space is never
-    presented.
-    `split_eigenspaces` refines both in lockstep: one
+    values are lifted to signed integers: the candidates.
+    `split_eigenspaces` refines both quotients in lockstep: one
     charpoly per quotient and node, which must agree (else
     FamilyMismatch), one root finding, and each bounded root's kernel
     in both.  Dimensions and causes are summed over the quotients, so
     every count is that of splitting the whole cuspidal space.
 
-    At the partner prime a candidate's eigenspace is one joint kernel of
-    the boundary map and every T_l - a_l in each quotient's partner, and
-    the two dimensions are summed.  An integer tuple has one residue
-    tuple there, so comparing that sum with the candidate's dimension is
-    the same test as splitting there and intersecting the two census
-    lists; a wrong signed lift (possible only when twice the bound
-    reaches p) fails it.  The unresolved dimension is broken down by
-    cause in `CuspidalSplit.unresolved`.
+    At the partner prime a candidate's eigenspace is the joint kernel
+    of every restricted T_l - a_l in each quotient's partner, and the
+    two dimensions are summed.  An integer tuple has one residue tuple
+    there, so comparing that sum with the candidate's dimension is the
+    same test as splitting there and intersecting the two census lists;
+    a wrong signed lift (possible only when twice the bound reaches p)
+    fails it.  The unresolved dimension is broken down by cause in
+    `CuspidalSplit.unresolved`.
     """
     primes = sorted(set(primes))
     _check_hecke_primes(space.level, primes)
     quotients = _checked_sign_quotients(space)
     cuspidal_dim = sum(q.cuspidal_dim for q in quotients)
-    plus, minus = ([restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
-                   for q in quotients)
+
+    def cuspidal_ops(q: ManinBasisSpace) -> list[FieldMatrix]:
+        return [restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
+
+    plus, minus = (cuspidal_ops(q) for q in quotients)
     w = space.module.weight
     split = split_eigenspaces(plus, [isqrt(4 * l ** (w - 1)) for l in primes], [minus])
     p = space.field.p
@@ -977,11 +974,11 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     confirmed = []
     if candidates:  # the partners are built only when there is something to confirm
         twins = [q.partner() for q in quotients]
+        twin_ops = [cuspidal_ops(t) for t in twins]
         confirmed = sorted(
             (fracs, dim) for fracs, dim in candidates
-            if dim == sum(joint_kernel([t.hecke_matrix(l) for l in primes],
-                                       [t.field.elem(f) for f in fracs],
-                                       (t.boundary_matrix,)).dim for t in twins)
+            if dim == sum(joint_kernel(ops, [t.field.elem(f) for f in fracs]).dim
+                          for t, ops in zip(twins, twin_ops))
         )
     covered = sum(dim for _, dim in confirmed)
     return CuspidalSplit(

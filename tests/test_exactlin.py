@@ -286,15 +286,12 @@ def test_split_simultaneous_pair():
                 assert got_vec == want
 
 
-def test_joint_kernel_matches_split_and_respects_extra():
+def test_joint_kernel_matches_split():
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
     for e in split_eigenspaces([a, b], [P // 2] * 2).eigenspaces:
         assert joint_kernel([a, b], e.values).basis == e.spaces[0].basis
     assert joint_kernel([a, b], (1, 7)).dim == 0
-    # The extra row x0 = 0 cuts the (1, 5) plane down to a line.
-    cut = dense([[1, 0, 0, 0]])
-    assert joint_kernel([a, b], (1, 5), extra=[cut]).basis == ({1: 1},)
 
 
 def test_split_reports_jordan_block_separately():
@@ -979,7 +976,7 @@ def test_kernel_is_reduced_by_construction(p, monkeypatch):
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_joint_kernel_matches_stacked_reference(p):
     # joint_kernel intersects one matrix at a time; Gauss-Jordan on all
-    # the rows stacked, [op_1 - v_1 I; ...; extra], gives the same basis.
+    # the rows stacked, [op_1 - v_1 I; op_2 - v_2 I; ...], gives the same basis.
     fld = PrimeField(p)
     rng = random.Random(p % 967)
     n = 8
@@ -987,26 +984,25 @@ def test_joint_kernel_matches_stacked_reference(p):
     eye = FieldMatrix.identity(fld, n)
     a = FieldMatrix(fld, n, n, stack.rows[:n]).add_scaled(eye, 3)
     b = FieldMatrix(fld, n, n, stack.rows[n:]).add_scaled(eye, p - 4)
-    cut = random_matrix(fld, rng, 1, n, 1.0)
-    wide = random_matrix(fld, rng, 3, n, 0.5)
     cases = [
-        ([a], [3], []),                       # dim 3
-        ([a, b], [3, p - 4], []),             # dim 2
-        ([b, a], [p - 4, 3], [cut]),          # dim 1
-        ([a, b], [2, p - 4], []),             # dim 1
-        ([a, b, b], [3, p - 4, 9], [cut]),    # empties at the third matrix
-        ([a], [1], [wide]),                   # empty from the start
-        ([eye], [1], [wide, cut]),            # the whole space, then n - 4
-        ([], [], [wide]),
+        ([a], [3]),                           # dim 3
+        ([a, b], [3, p - 4]),                 # dim 2
+        ([b, a], [p - 4, 3]),                 # dim 2, the other order
+        ([a, b], [2, p - 4]),                 # dim 1
+        ([a, b, b, a], [3, p - 4, 9, 3]),     # empties at the third matrix
+        ([a, b], [1, p - 4]),                 # empty from the start
+        ([eye, b], [1, 9]),                   # the whole space, then dim 1
     ]
     dims = []
-    for ops, values, extra in cases:
+    for ops, values in cases:
         rows = [r for op, v in zip(ops, values) for r in op.add_scaled(eye, -v).rows]
-        rows += [r for m in extra for r in m.rows]
-        got = joint_kernel(ops, values, extra)
+        got = joint_kernel(ops, values)
         assert list(got.basis) == ref_kernel(FieldMatrix(fld, len(rows), n, rows))[1]
         dims.append(got.dim)
-    assert dims == [3, 2, 1, 1, 0, 0, n - 4, n - 3]
+    assert dims == [3, 2, 2, 1, 0, 0, 1]
+    for ops, values in (([], []), ([a], []), ([random_matrix(fld, rng, 3, n, 0.5)], [1])):
+        with pytest.raises(ValueError):
+            joint_kernel(ops, values)
 
 
 # -- restriction against the echelon of [B | op B] ---------------------------

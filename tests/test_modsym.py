@@ -14,6 +14,7 @@ from heckeledger.exactlin import (
     echelonize,
     joint_kernel,
     NoReconstruction,
+    rank_and_kernel,
     rational_reconstruct,
     restrict_operator,
     signed_lift,
@@ -382,7 +383,9 @@ def test_presentation_matches_full_relation_echelon(k):
                 fld = space.field
                 free, expr = reference_presentation(space)
                 assert space.free_columns == free, (n, k, fld.p, space.sign)
-                assert space._pivot_expr == expr, (n, k, fld.p, space.sign)
+                expr.update({g: {t: 1} for t, g in enumerate(free)})
+                for g in range(len(space.generators)):
+                    assert space.project_generator(g) == expr[g], (n, k, fld.p, space.sign, g)
 
 
 # -- space dimensions (Eichler-Shimura cross-check) --------------------------
@@ -842,8 +845,9 @@ def test_sign_quotient_is_cached_and_keeps_its_sign():
 # Before the census ran on the sign quotients it ran on the two halves
 # H+- = ker(iota -+ 1) of the cuspidal subspace of the whole space: every
 # whole-space T_l restricted to both halves, split in lockstep, and each
-# candidate confirmed by one whole-space joint kernel at the partner
-# prime.  The references below keep that computation.
+# candidate confirmed at the partner prime by one whole-space kernel of
+# the boundary rows stacked under every T_l - a_l.  The references below
+# keep that computation.
 
 
 def _star_involution(space):
@@ -866,9 +870,18 @@ def _star_involution(space):
     return FieldMatrix(space.field, space.dim, space.dim, rows)
 
 
+def _stacked_kernel(ops, values, boundary):
+    """The common kernel of the boundary map and every op - value I, by
+    one echelon of all their rows stacked."""
+    eye = FieldMatrix.identity(boundary.field, boundary.ncols)
+    rows = [r for op, v in zip(ops, values) for r in op.add_scaled(eye, -v).rows]
+    rows += boundary.rows
+    return rank_and_kernel(FieldMatrix(boundary.field, len(rows), boundary.ncols, rows))[1]
+
+
 def _star_halves(space):
     star = _star_involution(space)
-    return [joint_kernel([star], [sign], (space.boundary_matrix,)) for sign in (1, -1)]
+    return [_stacked_kernel([star], [sign], space.boundary_matrix) for sign in (1, -1)]
 
 
 def _halves_coverage(space, primes):
@@ -885,8 +898,8 @@ def _halves_coverage(space, primes):
     twin_ops = [hecke_operator(twin, l) for l in primes]
     confirmed = sorted(
         (fracs, dim) for fracs, dim in candidates
-        if joint_kernel(twin_ops, [twin.field.elem(f) for f in fracs],
-                        (twin.boundary_matrix,)).dim == dim
+        if _stacked_kernel(twin_ops, [twin.field.elem(f) for f in fracs],
+                           twin.boundary_matrix).dim == dim
     )
     covered = sum(dim for _, dim in confirmed)
     return confirmed, {
@@ -991,6 +1004,22 @@ def test_quotient_operator_guards_fire():
         cuspidal_coverage(space, [2, 3])
 
 
+def test_partner_cuspidal_subspace_must_be_stable():
+    # The partner prime restricts each quotient's T_l to its cuspidal
+    # subspace as the primary prime does, so a partner T_2 that moves a
+    # cuspidal vector off that subspace raises NotInvariant there instead
+    # of counting as a prime disagreement.
+    space = build_space(11, 1)
+    twin = space.sign_quotient(1).partner()
+    lead = min(twin.cuspidal_subspace.basis[0])
+    off = next(j for row in twin.boundary_matrix.rows for j in row)
+    bent = scaled(twin.hecke_matrix(2), 1)
+    bent.add_at(off, lead, 1)
+    twin._hecke_cache[2] = bent
+    with pytest.raises(NotInvariant):
+        cuspidal_coverage(space, [2])
+
+
 def test_sign_quotient_halves_must_be_equal():
     # The quotients' cuspidal dimensions add up to the whole space's, but
     # one is 3 and the other 1 (the plus quotient's cuspidal subspace
@@ -1041,7 +1070,7 @@ def test_census_does_not_present_the_whole_space(presentations):
     assert space.cuspidal_dim == cov.cuspidal_dim
     assert space.dim == space.cuspidal_dim + num_cusps(211)
     assert presentations[None] == 1
-    assert {"free_columns", "_pivot_expr", "_free_pos", "boundary_matrix",
+    assert {"free_columns", "_rep_of", "_rep_expr", "boundary_matrix",
             "cuspidal_subspace"} <= set(vars(space))
     with pytest.raises(AttributeError):
         space.not_an_attribute
