@@ -26,6 +26,7 @@ from typing import Optional
 from .exactlin import (
     FamilyMismatch,
     FieldContext,
+    NoReconstruction,
     NonCommuting,
     NotInvariant,
     _is_prime,
@@ -35,6 +36,7 @@ from .ledger import (
     BadLevel,
     FormatError,
     build_report,
+    canonical_json,
     compare_external,
     load_sl3_csv,
     parse_external,
@@ -70,10 +72,6 @@ class UsageError(Exception):
 
 class ComputationError(Exception):
     pass
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def _read_text(path: str) -> str:
@@ -157,7 +155,7 @@ def cmd_modsym(args) -> int:
                 for s in systems
             ],
         }
-        sys.stdout.write(_dump_json(obj))
+        sys.stdout.write(canonical_json(obj))
     elif args.format == "csv":
         sys.stdout.write(eigensystems_csv(systems))
     else:
@@ -233,7 +231,7 @@ def cmd_paramodular(args) -> int:
                 for d in rows
             ]
         }
-        sys.stdout.write(_dump_json(obj))
+        sys.stdout.write(canonical_json(obj))
     else:
         sys.stdout.write("p,dim_S3,dim_gritsenko,dim_nonGritsenko\n")
         for d in rows:
@@ -274,7 +272,7 @@ def cmd_ledger(args) -> int:
         raise ComputationError(str(exc)) from exc
     if args.compare:
         summary = compare_external(report, external, tscale=tscale)
-        sys.stdout.write(_dump_json(summary))
+        sys.stdout.write(canonical_json(summary))
         return 0
     sys.stdout.write(report_to_json(report))
     return 0
@@ -343,7 +341,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ComputationError, NonIntegralResult, MultiPrimeMismatch, NotInvariant,
-            NonCommuting, FamilyMismatch, HalvesMismatch, ArithmeticError) as exc:
+            NonCommuting, FamilyMismatch, HalvesMismatch, NoReconstruction,
+            ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

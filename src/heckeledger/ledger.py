@@ -340,12 +340,15 @@ def build_report(
 # Serialization
 
 
-def report_to_json(report: LedgerReport) -> str:
-    """Canonical JSON: sorted keys, compact separators, LF-terminated.
+def canonical_json(obj) -> str:
+    """Canonical JSON: sorted keys, compact separators, LF-terminated,
+    so equal objects serialize byte-identically."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
-    Two identical runs serialize byte-identically; big integers travel
-    as decimal strings.
-    """
+
+def report_to_json(report: LedgerReport) -> str:
+    """The report as canonical JSON; big integers travel as decimal
+    strings."""
     obj = {
         "schema": "ledger/1",
         "label": "predicted (reconstructed)",
@@ -371,7 +374,7 @@ def report_to_json(report: LedgerReport) -> str:
         "spaces": report.spaces,
         "caveats": report.caveats,
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    return canonical_json(obj)
 
 
 def report_families(report: LedgerReport) -> list[dict]:

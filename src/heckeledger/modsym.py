@@ -115,7 +115,8 @@ class MultiPrimeMismatch(Exception):
 
 class HalvesMismatch(Exception):
     """The sign quotients are not halves of the dimensions that the
-    classical formula gives the whole space."""
+    classical formula gives the whole space, or the whole space pairs
+    the winding symbol to zero where its sign quotient does not."""
 
 
 # Height bound for lifting winding pairings back to Q; only the winding
@@ -178,32 +179,24 @@ class Cusp:
         return f"{self.num}/{self.den}"
 
 
-def _bezout_x(a: int, b: int) -> int:
-    """x with a*x + b*y = gcd(a, b)."""
-    x0, x1 = 1, 0
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-    return x0
-
-
-def _cusp_key(cusp: Cusp, level: int) -> tuple[int, int]:
+def _cusp_key(den: int, inv: int, level: int) -> tuple[int, int]:
     """(d, u) with d = gcd(den, level), equal exactly for Gamma0(level)-
-    equivalent cusps.
+    equivalent cusps x/den, where inv = x^-1 mod den (any value when
+    den = 0).
 
     Cremona's criterion (Algorithms for Modular Elliptic Curves,
     Prop. 2.2.3): x1/y1 ~ x2/y2 iff s1 y2 = s2 y1 mod gcd(y1 y2, level),
     s = x^-1 mod y; equivalent cusps share d.  With y = d a and
     g = gcd(d, level/d), a is prime to g, the modulus is d g, and the
-    test reads s1 / a1 = s2 / a2 mod g: u = s / a mod g.  -x/y has the
-    key (d, -u mod g).
+    test reads s1 / a1 = s2 / a2 mod g: u = s / a mod g.  The key reads
+    den modulo level and inv modulo g, and -x/y has the key of
+    (den, -inv).
     """
-    d = gcd(cusp.den, level)
+    d = gcd(den, level)
     g = gcd(d, level // d)
     if g == 1:
         return d, 0
-    return d, _bezout_x(cusp.num, cusp.den) * pow(cusp.den // d, -1, g) % g
+    return d, inv * pow(den // d, -1, g) % g
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +387,20 @@ class ProjectiveLine:
     Algorithm 8.29): scale by a unit so the first coordinate becomes
     g = gcd(c, N), then minimize the second coordinate over the units
     t = 1 mod N/g, which fix g.  Both steps are tabulated once per
-    level, so a reduction is two list lookups and one product mod N.
+    level, so `index` is two list lookups and one product mod N.
     """
 
     def __init__(self, level: int):
         if level < 1:
             raise ValueError("level must be positive")
         self.level = n = level
-        # For each divisor g, the canonical second coordinate of every v,
-        # or None when gcd(g, v) != 1; the orbit of v under the units
-        # t = 1 mod N/g is filled from its smallest element.  (c : d)
-        # with c = 0 is (0 : 1).
-        canon: dict[int, list] = {n: [1 if gcd(v, n) == 1 else None for v in range(n)]}
-        pts = [(0, 1)]
+        # For each divisor g, the index of the point (g : v) that every
+        # second coordinate reduces to, or None when gcd(g, v) != 1; the
+        # orbit of v under the units t = 1 mod N/g is filled from its
+        # smallest element, so the points come out sorted.  (c : d) with
+        # c = 0 is (0 : 1), point 0.
+        self.points: list[tuple[int, int]] = [(0, 1)]
+        tables: dict[int, list] = {n: [0 if gcd(v, n) == 1 else None for v in range(n)]}
         for g in range(1, n):
             if n % g:
                 continue
@@ -414,67 +408,32 @@ class ProjectiveLine:
             table: list = [None] * n
             for v in range(n):
                 if table[v] is None and gcd(g, v) == 1:
-                    pts.append((g, v))
+                    idx = len(self.points)
+                    self.points.append((g, v))
                     for t in units:
-                        table[v * t % n] = v
-            canon[g] = table
-        # For each residue c: the first coordinate, a unit s with
-        # s c = g (mod N), and the table for g = gcd(c, N).
-        self._scale: list[tuple[int, int, list]] = [(0, 1, canon[n])]
+                        table[v * t % n] = idx
+            tables[g] = table
+        # For each residue c: a unit s with s c = g (mod N), and the
+        # table for g = gcd(c, N).
+        self._scale: list[tuple[int, list]] = [(1, tables[n])]
         for c in range(1, n):
             g = gcd(c, n)
             s = pow(c // g, -1, n // g)
             while gcd(s, n) != 1:
                 s += n // g
-            self._scale.append((g, s, canon[g]))
-        self.points: list[tuple[int, int]] = sorted(pts)
-        self._index = {pt: i for i, pt in enumerate(self.points)}
-        self._lift_cache: dict[int, tuple[int, int, int, int]] = {}
+            self._scale.append((s, tables[g]))
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def reduce(self, c: int, d: int) -> tuple[int, int]:
-        n = self.level
-        g, s, table = self._scale[c % n]
-        v = table[s * d % n]
-        if v is None:
-            raise ValueError(f"({c % n}:{d % n}) is not a point of P^1(Z/{n})")
-        return (g, v)
-
     def index(self, c: int, d: int) -> int:
-        return self._index[self.reduce(c, d)]
-
-    def lift_to_sl2(self, idx: int) -> tuple[int, int, int, int]:
-        """An SL2(Z) matrix whose bottom row reduces to the idx-th point."""
-        cached = self._lift_cache.get(idx)
-        if cached is not None:
-            return cached
-        c, d = self.points[idx]
+        """The position in `points` of the point (c : d)."""
         n = self.level
-        if c == 0 and gcd(0, d) != 1:
-            c = n
-        if gcd(c, d) != 1:
-            t = 1
-            while gcd(c, d + t * n) != 1:
-                t += 1
-            d += t * n
-        if (c, d) == (0, 1):
-            mat = (1, 0, 0, 1)
-        else:
-            x0, x1 = 1, 0
-            a0, b0 = d, c
-            while b0:
-                q, r = divmod(a0, b0)
-                a0, b0 = b0, r
-                x0, x1 = x1, x0 - q * x1
-            # x0*d = 1 mod c, complete to determinant one
-            a = x0
-            b = (a * d - 1) // c if c else 0
-            assert a * d - b * c == 1
-            mat = (a, b, c, d)
-        self._lift_cache[idx] = mat
-        return mat
+        s, table = self._scale[c % n]
+        idx = table[s * d % n]
+        if idx is None:
+            raise ValueError(f"({c % n}:{d % n}) is not a point of P^1(Z/{n})")
+        return idx
 
 
 # Right action of the standard torsion elements on bottom rows (c, d),
@@ -563,11 +522,6 @@ class ManinBasisSpace:
         self.context = context
         self.sign = sign
         self.p1 = p1 if p1 is not None else ProjectiveLine(level)
-        k = module.k
-        npts = len(self.p1)
-        self.generators: list[tuple[int, int]] = [
-            (i, j) for i in range(k) for j in range(npts)
-        ]
         self._hecke_cache: dict[int, FieldMatrix] = {}
         self._partner: Optional["ManinBasisSpace"] = None
         self._quotients: dict[int, "ManinBasisSpace"] = {}
@@ -690,25 +644,29 @@ class ManinBasisSpace:
     def _build_boundary(self) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
 
-        For the Manin generator (X^i Y^(k-1-i), g) the boundary is
-        e[g.oo] when i = k-1 minus e[g.0] when i = 0; the middle
-        monomials evaluate to zero at both endpoints.  A cusp's class is
-        one lookup of its `_cusp_key`.  On a sign quotient the class [c]
-        is identified with e [-c] (iota negates the cusps of a boundary),
-        and killed when [-c] = [c] and e = -1.
+        For the Manin generator (X^i Y^(k-1-i), (c:d)) the boundary is
+        e[g.oo] when i = k-1 minus e[g.0] when i = 0, for any lift
+        g = [[a, b], [c, d]] in SL2(Z); the middle monomials evaluate to
+        zero at both endpoints.  As a = d^-1 mod c and b = -c^-1 mod d,
+        g.oo = a/c and g.0 = b/d have the `_cusp_key`s of (c, d) and
+        (d, -c), read off the point itself.  On a sign quotient the
+        class [x/y] is identified with e [-x/y] (iota negates the cusps
+        of a boundary), and killed when [-x/y] = [x/y] and e = -1.
         """
         k = self.module.k
         sign = self.sign
+        level = self.level
+        npts = len(self.p1)
         classes: dict[tuple[int, int], Optional[tuple[int, int]]] = {}  # key -> (row, sign)
         nrows = 0
         entries = []
         for pos, col in enumerate(self.free_columns):
-            i, j = self.generators[col]
-            a, b, c, d = self.p1.lift_to_sl2(j)
-            for x, y, v in [(a, c, 1)] * (i == k - 1) + [(b, d, -1)] * (i == 0):
-                key = _cusp_key(Cusp(x, y), self.level)
+            i, j = divmod(col, npts)
+            c, d = self.p1.points[j]
+            for den, inv, v in [(c, d, 1)] * (i == k - 1) + [(d, -c, -1)] * (i == 0):
+                key = _cusp_key(den, inv, level)
                 if key not in classes:
-                    mirror = (key[0], -key[1] % gcd(key[0], self.level // key[0]))
+                    mirror = _cusp_key(den, -inv, level)
                     if sign is not None and mirror in classes:
                         row, s = classes[mirror]
                         classes[key] = (row, s * sign)
@@ -802,14 +760,14 @@ class ManinBasisSpace:
         monos = self.module.monomials()
         images = {
             i: [[(m, cm) for m, cm in enumerate(monos[i].subst(*h).coeffs) if cm] for h in heil]
-            for i in {self.generators[col][0] for col in self.free_columns}
+            for i in {col // npts for col in self.free_columns}
         }
         dim = self.dim
         rep_of, rep_expr = self._rep_of, self._rep_expr
         targets: dict[int, list[int]] = {}
         rows: list[dict[int, int]] = [{} for _ in range(dim)]
         for pos, col in enumerate(self.free_columns):
-            i, j = self.generators[col]
+            i, j = divmod(col, npts)
             pts = targets.get(j)
             if pts is None:
                 c, d = p1.points[j]
@@ -1053,7 +1011,8 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     eigenspace iff w lies in sum_l im(T_l - a_l), which holds on V iff on
     V_e, since V = V+ + V- with T_l-stable summands.  Only a nonzero
     value, which depends on V's canonical left eigenbasis, is computed
-    on the whole space and its partner.
+    on the whole space and its partner; HalvesMismatch if it vanishes
+    there.
     """
     if space.module.k % 2 == 0:
         raise NoCentralMonomial("even k has no central monomial X^m Y^m")
@@ -1066,7 +1025,8 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
         return Fraction(0)
     values = _winding_pairings(space, system, primes)
     if not any(values[0]):
-        return Fraction(0)
+        raise HalvesMismatch("the winding pairing vanishes on the whole space "
+                             "but not on its sign quotient")
     total = Fraction(0)
     p1, p2 = space.field.p, space.partner().field.p
     for va, vb in zip(values[0], values[1]):

@@ -140,6 +140,19 @@ def curve11_ap(l: int) -> int:
     return curve_ap(CURVE_11A, l)
 
 
+def sl2_lift(c: int, d: int, n: int) -> tuple[int, int, int, int]:
+    """(a, b, c1, d1) with a d1 - b c1 = 1 and (c1, d1) = (c, d) mod n,
+    for gcd(c, d, n) = 1: shift d by multiples of n until it is prime
+    to c1, then a = d1^-1 mod c1."""
+    c1 = c % n or n
+    d1 = d % n
+    while gcd(c1, d1) != 1:
+        d1 += n
+    a = pow(d1, -1, c1) if c1 > 1 else 0
+    b = (a * d1 - 1) // c1
+    return a, b, c1, d1
+
+
 def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
 

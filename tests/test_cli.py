@@ -303,6 +303,22 @@ def test_ledger_internal_value_error_is_computation_error(capsys, monkeypatch):
     assert err == "error: level 12 is not prime\n"
 
 
+def test_ledger_unreconstructed_winding_is_computation_error(capsys, monkeypatch):
+    # A winding pairing above the CRT height bound is a computation error,
+    # exit 1, not a traceback.
+    from heckeledger import ledger
+    from heckeledger.exactlin import NoReconstruction
+
+    def too_tall(space, system):
+        raise NoReconstruction("no rational of height 2^59 lifts the pairing")
+
+    monkeypatch.setattr(ledger, "winding_pairing", too_tall)
+    code, out, err = run(capsys, "ledger", "--level", "13", "--primes", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation error: ")
+
+
 def test_ledger_missing_file_rejected(capsys):
     code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2",
                          "--sl3", "/nonexistent/path.csv")

@@ -46,7 +46,7 @@ from heckeledger.modsym import (
 )
 
 from oracles import (
-    curve11_ap, dim_cusp_forms, dim_eisenstein, hecke_trace, num_cusps, primes_upto,
+    curve11_ap, dim_cusp_forms, dim_eisenstein, hecke_trace, num_cusps, primes_upto, sl2_lift,
 )
 
 ONE = HomogeneousPoly((1,))
@@ -82,6 +82,22 @@ def cusps_equivalent(c1, c2, level):
     return (s1 * c2.den - s2 * c1.den) % modulus == 0 if modulus else True
 
 
+def cusp_key(c, level):
+    """`_cusp_key` of the cusp c = x/y, from (y, x^-1 mod y)."""
+    return _cusp_key(c.den, pow(c.num, -1, c.den) if c.den else 1, level)
+
+
+def assert_keys_are_classes(keyed, n):
+    """Each cusp is equivalent to the first cusp of its key, and the
+    first cusps of distinct keys are pairwise inequivalent."""
+    first = {}
+    for c, key in keyed:
+        assert cusps_equivalent(c, first.setdefault(key, c), n), (n, c, key)
+    firsts = list(first.values())
+    for i, a in enumerate(firsts):
+        assert not any(cusps_equivalent(a, b, n) for b in firsts[i + 1:]), (n, a)
+
+
 def test_cusp_key_matches_cremona_criterion():
     # Every class has a cusp a/d with d | N; the small numerators add
     # denominators that do not divide N.  Equal keys must mean
@@ -94,22 +110,32 @@ def test_cusp_key_matches_cremona_criterion():
                   if math.gcd(a, d) == 1]
         cusps += [Cusp(a, d) for d in range(1, 2 * n + 1) for a in (-3, -2, -1, 1, 2, 5)
                   if math.gcd(a, d) == 1]
-        keys = [_cusp_key(c, n) for c in cusps]
+        keys = [cusp_key(c, n) for c in cusps]
         assert len(set(keys)) == num_cusps(n), n
-        # -c has the key (d, -u mod gcd(d, N/d)).
+        # -c, the key of (den, -inv), has the key (d, -u mod gcd(d, N/d)).
         for c, (d, u) in zip(cusps, keys):
-            assert _cusp_key(Cusp(-c.num, c.den), n) == (d, -u % math.gcd(d, n // d))
+            assert cusp_key(Cusp(-c.num, c.den), n) == (d, -u % math.gcd(d, n // d))
         if n <= 30:
             for a, ka in zip(cusps, keys):
                 for b, kb in zip(cusps, keys):
                     assert (ka == kb) == cusps_equivalent(a, b, n), (n, a, b)
             continue
-        first = {}
-        for c, key in zip(cusps, keys):
-            assert cusps_equivalent(c, first.setdefault(key, c), n), (n, c)
-        firsts = list(first.values())
-        for i, a in enumerate(firsts):
-            assert not any(cusps_equivalent(a, b, n) for b in firsts[i + 1:]), (n, a)
+        assert_keys_are_classes(zip(cusps, keys), n)
+
+
+def test_cusp_keys_read_off_projective_line():
+    # The boundary's two keys of each point (c : d), (c, d) for g.oo and
+    # (d, -c) for g.0, and their mirrors (c, -d) and (d, c) for -g.oo and
+    # -g.0, name the classes of the cusps of an SL2(Z) lift g; every
+    # class is some g.oo.
+    for n in range(1, 201):
+        keyed = []
+        for c, d in ProjectiveLine(n).points:
+            a, b, c1, d1 = sl2_lift(c, d, n)
+            keyed += [(Cusp(a, c1), _cusp_key(c, d, n)), (Cusp(b, d1), _cusp_key(d, -c, n)),
+                      (Cusp(-a, c1), _cusp_key(c, -d, n)), (Cusp(-b, d1), _cusp_key(d, c, n))]
+        assert len({key for _, key in keyed[::4]}) == num_cusps(n), n
+        assert_keys_are_classes(keyed, n)
 
 
 def test_cusp_moebius():
@@ -233,8 +259,8 @@ def test_unimodularize_sum_in_quotient():
 def test_projection_roundtrip_on_free_generators():
     space = build_space(11, 3)
     for pos, col in enumerate(space.free_columns):
-        i, j = space.generators[col]
-        a, b, c, d = space.p1.lift_to_sl2(j)
+        i, j = divmod(col, len(space.p1))
+        a, b, c, d = sl2_lift(*space.p1.points[j], space.level)
         mono = HomogeneousPoly.monomial(space.module.k, i)
         coeff = mono.subst(d, -b, -c, a)  # g acting on the monomial
         s = ModularSymbol(Cusp(b, d), Cusp(a, c), coeff)
@@ -259,16 +285,7 @@ def test_projective_line_reduce_scaling():
         if math.gcd(math.gcd(c, d), 12) != 1:
             continue
         u = rng.choice([1, 5, 7, 11])
-        assert pl.reduce(c, d) == pl.reduce(u * c, u * d)
-
-
-def test_projective_line_lifts():
-    for n in (1, 2, 11, 12, 45):
-        pl = ProjectiveLine(n)
-        for idx, (c, d) in enumerate(pl.points):
-            a, b, cc, dd = pl.lift_to_sl2(idx)
-            assert a * dd - b * cc == 1
-            assert pl.reduce(cc, dd) == (c, d)
+        assert pl.index(c, d) == pl.index(u * c, u * d)
 
 
 def stein_reduce(n, c, d):
@@ -303,9 +320,9 @@ def test_reduce_matches_stein_reference():
                     want = stein_reduce(n, c, d)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        pl.reduce(c, d)
+                        pl.index(c, d)
                     continue
-                assert pl.reduce(c, d) == want, (n, c, d)
+                assert pl.points[pl.index(c, d)] == want, (n, c, d)
 
 
 def test_projective_line_points_match_brute_force():
@@ -314,8 +331,8 @@ def test_projective_line_points_match_brute_force():
             continue
         pl = ProjectiveLine(n)
         pairs = [(c, d) for c in range(n) for d in range(n) if math.gcd(math.gcd(c, d), n) == 1]
-        assert pl.points == sorted({pl.reduce(c, d) for c, d in pairs}), n
-        # Independently of reduce: the classes are the orbits of the
+        assert pl.points == sorted({pl.points[pl.index(c, d)] for c, d in pairs}), n
+        # Independently of the canonical form: the classes are the orbits of the
         # units, each holds exactly one listed point, and index finds it.
         units = [u for u in range(1, n) if math.gcd(u, n) == 1]
         listed = set(pl.points)
@@ -384,7 +401,7 @@ def test_presentation_matches_full_relation_echelon(k):
                 free, expr = reference_presentation(space)
                 assert space.free_columns == free, (n, k, fld.p, space.sign)
                 expr.update({g: {t: 1} for t, g in enumerate(free)})
-                for g in range(len(space.generators)):
+                for g in range(k * len(space.p1)):
                     assert space.project_generator(g) == expr[g], (n, k, fld.p, space.sign, g)
 
 
@@ -456,9 +473,9 @@ def reference_hecke_matrix(space, n):
     cosets = [(a, b, 0, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(n // a)]
     columns = []
     for col in space.free_columns:
-        i, j = space.generators[col]
+        i, j = divmod(col, len(space.p1))
         mono = HomogeneousPoly.monomial(space.module.k, i)
-        g11, g12, g21, g22 = space.p1.lift_to_sl2(j)
+        g11, g12, g21, g22 = sl2_lift(*space.p1.points[j], space.level)
         column = {}
         for ca, cb, cc, cd in cosets:
             h11, h12 = ca * g11 + cb * g21, ca * g12 + cb * g22
@@ -862,7 +879,7 @@ def _star_involution(space):
     npts = len(p1)
     rows = [{} for _ in range(space.dim)]
     for pos, col in enumerate(space.free_columns):
-        i, j = space.generators[col]
+        i, j = divmod(col, npts)
         c, d = p1.points[j]
         sign = 1 if i % 2 == 0 else p - 1
         for r, w in space.project_generator(i * npts + p1.index(-c, d)).items():
@@ -1170,6 +1187,23 @@ def test_winding_weight4_level5_nonzero():
     value = winding_pairing(space, system)
     assert value != 0
     assert value == Fraction(65, 16)
+
+
+def test_winding_vanishing_on_whole_space_only_raises(monkeypatch):
+    # The sign quotient V_e decides vanishing and the whole space V must
+    # agree with it: a V that pairs to zero at both primes where V_e does
+    # not is a fault, not a vanishing certificate.
+    space = build_space(5, 3)
+    (system,) = eigensystems(space, [2, 3])
+    real = modsym._winding_pairings
+
+    def zero_on_whole_space(sp, sys_, primes):
+        values = real(sp, sys_, primes)
+        return [[0] * len(v) for v in values] if sp.sign is None else values
+
+    monkeypatch.setattr(modsym, "_winding_pairings", zero_on_whole_space)
+    with pytest.raises(HalvesMismatch):
+        winding_pairing(space, system)
 
 
 def test_winding_weight2_level11_nonzero():
