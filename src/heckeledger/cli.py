@@ -8,8 +8,12 @@ by `modsym._check_hecke_primes` at every entry point, so its error is
 always `l is not prime` or `l divides the level N`.
 
 Exit codes: 0 success, 2 usage or validation error, 1 computation
-error.  All numeric output is exact; values that may exceed 2**53
-travel as decimal strings so JSON consumers cannot lose precision.
+error.  `main` classifies every subcommand's errors in one place:
+`BadPrime` and `BadLevel` are `ValueError`s raised by the entry checks
+and exit 2; any other `ValueError` comes from behind those checks and
+exits 1 with the computation errors.  All numeric output is exact;
+values that may exceed 2**53 travel as decimal strings so JSON
+consumers cannot lose precision.
 """
 
 from __future__ import annotations
@@ -67,10 +71,6 @@ COMPUTE_ERROR = 1
 
 
 class UsageError(Exception):
-    pass
-
-
-class ComputationError(Exception):
     pass
 
 
@@ -258,18 +258,13 @@ def cmd_ledger(args) -> int:
             external = parse_external(json.loads(_read_text(args.compare)))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{args.compare}: {exc}") from exc
-    try:
-        report = build_report(
-            args.level,
-            primes,
-            sl3_data=sl3_data,
-            gritsenko=gritsenko,
-            context=context,
-        )
-    except (BadLevel, BadPrime):
-        raise
-    except ValueError as exc:  # raised behind the entry checks: a computation fault
-        raise ComputationError(str(exc)) from exc
+    report = build_report(
+        args.level,
+        primes,
+        sl3_data=sl3_data,
+        gritsenko=gritsenko,
+        context=context,
+    )
     if args.compare:
         summary = compare_external(report, external, tscale=tscale)
         sys.stdout.write(canonical_json(summary))
@@ -340,7 +335,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ComputationError, NonIntegralResult, MultiPrimeMismatch, NotInvariant,
+    except (ValueError, NonIntegralResult, MultiPrimeMismatch, NotInvariant,
             NonCommuting, FamilyMismatch, HalvesMismatch, NoReconstruction,
             ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)

@@ -454,14 +454,15 @@ class Subspace:
     """The span of independent sparse vectors, kept as its reduced
     echelon basis.
 
-    `Subspace(ambient_dim, vectors, field)` keeps vectors that pass the
-    O(nnz) check `_is_reduced_echelon`, as every caller in the package
-    passes them; other vectors go through one echelon, which both checks
-    that they are independent (ValueError if not) and replaces them by
-    the reduced echelon basis of their span.  That basis depends only on
-    the subspace, so bases are comparable when the same computation is
-    repeated modulo a second prime.  The coordinates of a vector of the
-    subspace are its entries at the pivot columns.
+    `Subspace(ambient_dim, basis, field)` only checks: a basis that
+    fails the O(nnz) check `_is_reduced_echelon` (not reduced,
+    dependent, or out of range) raises ValueError, and nothing is
+    echelonized.  Every constructor in the package (`rank_and_kernel`,
+    `_lift_to_ambient` and `Subspace.full`) builds its basis reduced by
+    construction, and this check enforces that.  A reduced echelon basis
+    depends only on the subspace, so bases are comparable when the same
+    computation is repeated modulo a second prime.  The coordinates of a
+    vector of the subspace are its entries at the pivot columns.
     """
 
     ambient_dim: int
@@ -469,14 +470,10 @@ class Subspace:
     field: PrimeField
 
     def __post_init__(self):
-        vectors = list(self.basis)
-        if not _is_reduced_echelon(vectors, self.ambient_dim, self.field.p):
-            pivots, rows = echelonize(FieldMatrix(self.field, len(vectors), self.ambient_dim,
-                                                  vectors))
-            if len(pivots) != len(vectors):
-                raise ValueError("basis vectors are linearly dependent")
-            vectors = rows
-        object.__setattr__(self, "basis", tuple(vectors))
+        basis = tuple(self.basis)
+        if not _is_reduced_echelon(basis, self.ambient_dim, self.field.p):
+            raise ValueError("basis is not the reduced echelon basis of independent vectors")
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -497,8 +494,8 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     entry at f at each pivot c, is then 0 at every other free column and
     nonzero only at pivots right of f: in ascending f these vectors are
     already the reduced echelon basis, which the Subspace constructor
-    keeps as it is.  The empty matrix is allowed; its kernel is the
-    full column space.
+    checks and keeps as it is.  The empty matrix is allowed; its kernel
+    is the full column space.
     """
     p = m.field.p
     last = m.ncols - 1
@@ -513,29 +510,22 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     return len(pivots), Subspace(m.ncols, list(kernel.values()), m.field)
 
 
-def _columns(s: Subspace) -> FieldMatrix:
-    """The basis of s as the columns of an ambient_dim x dim matrix."""
-    return FieldMatrix(s.field, s.dim, s.ambient_dim, list(s.basis)).transpose()
+def _rows(s: Subspace) -> FieldMatrix:
+    """The basis of s as the rows of a dim x ambient_dim matrix."""
+    return FieldMatrix(s.field, s.dim, s.ambient_dim, list(s.basis))
 
 
 def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
-    """Map vectors given in the basis of s back to ambient coordinates.
+    """Map vectors given in the basis of s back to ambient coordinates:
+    the rows of coords' basis times the rows of s's basis.
 
     Both bases are reduced, so a coordinate vector with its leading 1
     at coordinate i lifts to one with its leading 1 at the pivot of
     basis vector i, and 0 where the other coordinate vectors' leading
     entries lift to: the lifted vectors are already the reduced echelon
-    basis.
+    basis that the Subspace constructor checks.
     """
-    p = s.field.p
-    lifted = []
-    for vec in coords.basis:
-        acc: dict[int, int] = {}
-        for idx, c in vec.items():
-            for j, w in s.basis[idx].items():
-                acc[j] = (acc.get(j, 0) + c * w) % p
-        lifted.append({j: v for j, v in acc.items() if v})
-    return Subspace(s.ambient_dim, lifted, s.field)
+    return Subspace(s.ambient_dim, _rows(coords).matmul(_rows(s)).rows, s.field)
 
 
 def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int]) -> Subspace:
@@ -564,7 +554,7 @@ def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int]) -> Subspace:
     for m in mats[1:]:
         if not kernel.dim:
             break
-        kernel = _lift_to_ambient(kernel, rank_and_kernel(m.matmul(_columns(kernel)))[1])
+        kernel = _lift_to_ambient(kernel, rank_and_kernel(m.matmul(_rows(kernel).transpose()))[1])
     return kernel
 
 
@@ -590,7 +580,7 @@ def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
         return op
     p, d = s.field.p, s.dim
     pivots = [min(v) for v in s.basis]
-    b = _columns(s)
+    b = _rows(s).transpose()
     nb = _slot_bytes(p, n + d)  # an image's n terms plus a residual's d
     packed_b = _packed_rows(b, nb)
     images = [_combination(row, packed_b) for row in op.rows]

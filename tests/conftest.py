@@ -2,7 +2,18 @@ from collections import Counter
 
 import pytest
 
+from heckeledger.exactlin import FieldMatrix, Subspace, echelonize
 from heckeledger.modsym import ManinBasisSpace
+
+
+def span(ambient_dim, vectors, field):
+    """The Subspace spanned by independent vectors: their reduced echelon
+    basis, from one echelon; ValueError if they are dependent."""
+    pivots, rows = echelonize(FieldMatrix(field, len(vectors), ambient_dim,
+                                          [dict(v) for v in vectors]))
+    if len(pivots) != len(vectors):
+        raise ValueError("vectors are linearly dependent")
+    return Subspace(ambient_dim, rows, field)
 
 
 @pytest.fixture

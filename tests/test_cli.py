@@ -303,6 +303,23 @@ def test_ledger_internal_value_error_is_computation_error(capsys, monkeypatch):
     assert err == "error: level 12 is not prime\n"
 
 
+def test_modsym_internal_value_error_is_computation_error(capsys, monkeypatch):
+    # main classifies the errors of every subcommand alike: a ValueError
+    # from behind modsym's entry checks exits 1 as it does under ledger,
+    # while BadPrime, the ValueError of the entry check, still exits 2.
+    def failing(space, primes):
+        raise ValueError("basis is not the reduced echelon basis of independent vectors")
+
+    monkeypatch.setattr(cli, "eigensystems", failing)
+    code, out, err = run(capsys, "modsym", "--level", "11", "--weight", "2", "--primes", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("computation error: ")
+    code, out, err = run(capsys, "modsym", "--level", "11", "--weight", "2", "--primes", "11")
+    assert code == 2
+    assert err == "error: 11 divides the level 11\n"
+
+
 def test_ledger_unreconstructed_winding_is_computation_error(capsys, monkeypatch):
     # A winding pairing above the CRT height bound is a computation error,
     # exit 1, not a traceback.

@@ -28,6 +28,8 @@ from heckeledger.exactlin import (
 )
 from heckeledger.modsym import build_space, hecke_operator
 
+from conftest import span
+
 F = PrimeField(DEFAULT_PRIME)
 P = F.p
 
@@ -138,10 +140,10 @@ def test_rank_invariant_under_permutation():
         assert len(echelonize(perm)[0]) == base_rank
 
 
-def test_canonical_subspace():
+def test_canonical_subspace(monkeypatch):
     rng = random.Random(5)
     vecs = [{j: rng.randrange(1, P) for j in rng.sample(range(12), 5)} for _ in range(4)]
-    s = Subspace(12, vecs, F)
+    s = span(12, vecs, F)
     assert s.dim == 4
     # Reduced echelon: leading entries 1, in increasing columns, alone
     # in their columns.
@@ -158,25 +160,32 @@ def test_canonical_subspace():
     for _ in range(3):
         other = [{j: v * c % P for j, v in vec.items()}
                  for vec, c in zip(rng.sample(mixed, 4), (2, P - 1, 12345, 7))]
-        assert Subspace(12, other, F) == s
+        assert span(12, other, F) == s
+    with pytest.raises(ValueError):
+        span(12, vecs + [mixed[0]], F)
+    with pytest.raises(ValueError):
+        span(12, [vecs[0], {j: 5 * v % P for j, v in vecs[0].items()}], F)
+    # The constructor keeps the reduced basis as given and rejects the
+    # raw vectors, independent or not, without an echelon.
+    calls = []
+    monkeypatch.setattr(exactlin, "echelonize", lambda m: calls.append(m))
+    assert Subspace(12, list(s.basis), F) == s
     assert Subspace(12, [], F).dim == 0
-    with pytest.raises(ValueError):
-        Subspace(12, vecs + [mixed[0]], F)
-    with pytest.raises(ValueError):
-        Subspace(12, [vecs[0], {j: 5 * v % P for j, v in vecs[0].items()}], F)
+    for vectors in (vecs, vecs + [mixed[0]], list(s.basis) + [s.basis[0]]):
+        with pytest.raises(ValueError):
+            Subspace(12, vectors, F)
+    assert calls == []
 
 
 def test_subspace_keeps_a_reduced_basis_without_echelon(monkeypatch):
     # A basis that passes the O(nnz) check is kept as it is; any input
-    # that fails it goes through the echelon, which gives the same
-    # subspace as before, or ValueError.
+    # that fails it raises ValueError.  Neither runs an echelon.
     reduced = [{0: 1, 2: 5, 4: P - 1}, {1: 1, 2: 7}, {3: 1, 4: 2}]
     calls = []
-    real = exactlin.echelonize
-    monkeypatch.setattr(exactlin, "echelonize", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(exactlin, "echelonize", lambda m: calls.append(m))
     assert Subspace(6, reduced, F).basis == tuple(reduced)
     assert Subspace(6, [], F).dim == 0
-    assert calls == []
+    assert Subspace(6, [{5: 1}], F).basis == ({5: 1},)
     near_misses = [
         [{0: 2, 2: 5}, {1: 1}],            # lead entry not 1
         [{1: 1}, {0: 1}],                  # leads not ascending
@@ -184,25 +193,21 @@ def test_subspace_keeps_a_reduced_basis_without_echelon(monkeypatch):
         [{0: 1, 2: P}, {1: 1}],            # entry not reduced
         [{0: 1, 2: 0}, {1: 1}],            # stored zero
         [{0: 1}, {0: 1, 1: 1}],            # repeated lead
+        [{0: 1}, {}],                      # dependent: a zero vector
+        [{0: 1, 1: 2}, {0: 2, 1: 4}],      # dependent: proportional
+        [{0: 1, 6: 1}],                    # index out of range
     ]
     for vectors in near_misses:
-        calls.clear()
-        want = real(FieldMatrix(F, len(vectors), 6, [dict(v) for v in vectors]))[1]
-        assert Subspace(6, vectors, F).basis == tuple(want), vectors
-        assert len(calls) == 1, vectors
-    for vectors in ([{0: 1}, {}], [{0: 1, 1: 2}, {0: 2, 1: 4}]):
         with pytest.raises(ValueError):
             Subspace(6, vectors, F)
-    calls.clear()
-    Subspace(6, [{0: 1, 6: 1}], F)  # index out of range: not kept as it is
-    assert len(calls) == 1
+    assert calls == []
 
 
 # -- restriction ------------------------------------------------------------
 
 
 def test_restrict_identity():
-    s = Subspace(4, ({0: 1, 2: 3}, {1: 5}), F)
+    s = span(4, ({0: 1, 2: 3}, {1: 5}), F)
     r = restrict_operator(FieldMatrix.identity(F, 4), s)
     assert r == FieldMatrix.identity(F, 2)
 
@@ -973,6 +978,58 @@ def test_kernel_is_reduced_by_construction(p, monkeypatch):
     assert full_rank >= 5
 
 
+def random_reduced(fld, rng, n, d, density):
+    """A random d-dimensional subspace of F^n, built as its reduced echelon
+    basis: pivots at d random columns, each later free column nonzero
+    with the given probability."""
+    pivots = sorted(rng.sample(range(n), d))
+    free = [j for j in range(n) if j not in pivots]
+    return Subspace(n, [{c: 1, **{j: rng.randrange(1, fld.p) for j in free
+                                  if j > c and rng.random() < density}} for c in pivots], fld)
+
+
+def ref_lift(s, coords):
+    """The coordinate vectors of coords, combined from s's basis vectors
+    one entry at a time."""
+    p = s.field.p
+    lifted = []
+    for vec in coords.basis:
+        acc = {}
+        for idx, c in vec.items():
+            for j, w in s.basis[idx].items():
+                acc[j] = (acc.get(j, 0) + c * w) % p
+        lifted.append({j: v for j, v in acc.items() if v})
+    return lifted
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_lift_is_reduced_by_construction(p, monkeypatch):
+    # _lift_to_ambient's product of two reduced bases is the reduced
+    # basis Subspace keeps, through either branch of FieldMatrix.matmul.
+    fld = PrimeField(p)
+    rng = random.Random(p % 983)
+    handed = []
+
+    def recording(ambient_dim, vectors, field):
+        handed.append([dict(v) for v in vectors])
+        return Subspace(ambient_dim, vectors, field)
+
+    monkeypatch.setattr(exactlin, "Subspace", recording)
+    dense_sides = set()
+    for density in (0.0, 0.05, 0.3, 1.0):
+        for n, d, e in ((1, 1, 1), (6, 3, 0), (6, 6, 2), (12, 5, 5), (20, 8, 3), (30, 12, 7)):
+            s = random_reduced(fld, rng, n, d, density)
+            coords = random_reduced(fld, rng, d, e, density)
+            rows = FieldMatrix(fld, d, n, list(s.basis))
+            dense_sides.add(rows.density > exactlin.DENSE_THRESHOLD)
+            handed.clear()
+            lifted = exactlin._lift_to_ambient(s, coords)
+            assert handed == [list(lifted.basis)]
+            assert list(lifted.basis) == ref_lift(s, coords), (n, d, e, density)
+            assert (lifted.ambient_dim, lifted.dim) == (n, e)
+    assert dense_sides == {False, True}
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_joint_kernel_matches_stacked_reference(p):
     # joint_kernel intersects one matrix at a time; Gauss-Jordan on all
@@ -1073,7 +1130,7 @@ def test_restrict_matches_reference(p):
     # Random invariant subspaces, from a point to the whole space.
     for n, d in ((1, 1), (5, 0), (5, 2), (8, 3), (12, 7), (9, 9)):
         vectors, dense_op = invariant_pair(fld, rng, n, d)
-        s = Subspace(n, vectors, fld)
+        s = span(n, vectors, fld)
         op = from_dense(fld, dense_op)
         got = restrict_operator(op, s)
         assert (got.nrows, got.ncols) == (d, d)

@@ -45,6 +45,7 @@ from heckeledger.modsym import (
     winding_pairing,
 )
 
+from conftest import span
 from oracles import (
     curve11_ap, dim_cusp_forms, dim_eisenstein, hecke_trace, num_cusps, primes_upto, sl2_lift,
 )
@@ -1048,7 +1049,7 @@ def test_sign_quotient_halves_must_be_equal():
     plus = space.sign_quotient(1)
     eisenstein = {next(j for row in plus.boundary_matrix.rows for j in row): 1}
     cusp = plus.cuspidal_subspace
-    plus.cuspidal_subspace = Subspace(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
+    plus.cuspidal_subspace = span(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
     _shrink_cuspidal(space.sign_quotient(-1), 1)
     assert plus.cuspidal_dim + space.sign_quotient(-1).cuspidal_dim == space.cuspidal_dim
     with pytest.raises(HalvesMismatch, match="halves"):
@@ -1063,7 +1064,7 @@ def test_space_summary_checks_the_halves(monkeypatch):
     plus = space.sign_quotient(1)
     eisenstein = {next(j for row in plus.boundary_matrix.rows for j in row): 1}
     cusp = plus.cuspidal_subspace
-    plus.cuspidal_subspace = Subspace(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
+    plus.cuspidal_subspace = span(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
     with pytest.raises(HalvesMismatch, match="halves"):
         space_summary(space)
     # ... and quotients whose dimensions do not add up to 2 dim S_w plus
