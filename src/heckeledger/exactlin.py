@@ -414,12 +414,17 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
     Rows go in one at a time; each is reduced against the pivot rows
     found so far, and its leftmost surviving column becomes a new pivot
     with entry 1.  Back-substitution, right to left, then clears every
-    pivot column from the rows above its pivot.  The pivot columns are
-    the leftmost independent columns, and a reduced echelon form
-    depends only on the row space, never on the elimination order; this
+    pivot column from the rows above its pivot, in one pass over the
+    row's pivot columns to its right: their rows are already fully
+    reduced, so subtracting one never brings in another pivot column,
+    and each multiplier is the row's own entry there.  The pivot
+    columns are the leftmost independent columns, and a reduced echelon
+    form depends only on the row space, never on the row order or the
+    elimination order (the row order changes only the fill-in); this
     keeps quotient bases stable when the same integer matrix is reduced
     modulo two different primes.  `pivots` ascend and `rows[i]` is the
-    reduced row of pivots[i]; the zero rows are not returned.
+    reduced row of pivots[i], a new dict; the zero rows are not
+    returned.
     """
     p = m.field.p
     pivot_rows: dict[int, dict[int, int]] = {}
@@ -432,8 +437,15 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
     pivots = sorted(pivot_rows)
     for col in reversed(pivots):
         row = pivot_rows[col]
-        pivot_rows[col] = _reduced(row, [j for j in row if j != col and j in pivot_rows],
-                                   pivot_rows, p)
+        hits = [j for j in row if j != col and j in pivot_rows]
+        if not hits:
+            continue
+        acc = dict(row)
+        for h in hits:
+            c = p - row[h]
+            for j, w in pivot_rows[h].items():
+                acc[j] = acc.get(j, 0) + c * w
+        pivot_rows[col] = {j: x for j, v in acc.items() if (x := v % p)}
     return pivots, [pivot_rows[c] for c in pivots]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckeledger import exactlin
+from heckeledger import exactlin, modsym
 from heckeledger.exactlin import (
     DEFAULT_PRIME,
     FamilyMismatch,
@@ -929,6 +929,73 @@ def test_echelonize_matches_reference(p):
         assert rows == [{j: v for j, v in enumerate(r) if v} for r in ref[:len(pivots)]]
         assert m.rows == before
     assert len(echelonize(stack)[0]) == 6
+
+
+def reordered(m):
+    """m with its rows reversed, shuffled, and sorted by last column
+    descending (the order of the Manin triangle rows)."""
+    rng = random.Random(m.nrows * 31 + m.ncols)
+    shuffled = list(m.rows)
+    rng.shuffle(shuffled)
+    by_last = sorted(m.rows, key=lambda r: max(r, default=-1), reverse=True)
+    return [FieldMatrix(m.field, m.nrows, m.ncols, [dict(r) for r in rows])
+            for rows in (m.rows[::-1], shuffled, by_last)]
+
+
+def relation_matrices(monkeypatch):
+    """The triangle-row matrices that the Manin presentations echelonize:
+    the whole space and both sign quotients, at k in {1, 3, 5} and six
+    composite levels, with the rows in the order the presentation hands
+    them over."""
+    seen = []
+
+    def recorded(m):
+        seen.append(FieldMatrix(m.field, m.nrows, m.ncols, [dict(r) for r in m.rows]))
+        return echelonize(m)
+
+    monkeypatch.setattr(modsym, "echelonize", recorded)
+    for k in (1, 3, 5):
+        for level in (12, 18, 20, 30, 36, 45):
+            space = build_space(level, k)
+            for s in (space, space.sign_quotient(1), space.sign_quotient(-1)):
+                s.dim
+    monkeypatch.undo()
+    assert len(seen) == 3 * 6 * 3
+    return seen
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_echelonize_independent_of_row_order(p):
+    # The presentation sorts its triangle rows before the echelon, which
+    # is only sound if the reduced echelon form depends on the row space
+    # alone: every reordering must give the same (pivots, rows).
+    fld = PrimeField(p)
+    rng = random.Random(p % 997)
+    cases = []
+    for density in (0.1, 0.3, 0.6, 1.0):
+        for nrows, ncols in ((6, 20), (25, 8), (15, 15)):
+            cases.append(random_matrix(fld, rng, nrows, ncols, density))
+        base = random_matrix(fld, rng, 5, 12, density)
+        cases.append(FieldMatrix(fld, 18, 12, [dict(base.rows[rng.randrange(5)]) for _ in range(18)]))
+    # Unit upper triangular and dense: every row is back-substituted
+    # against every pivot to its right, and the echelon is the identity.
+    n = 30
+    upper = FieldMatrix(fld, n, n, [{i: 1, **{j: rng.randrange(1, p) for j in range(i + 1, n)}}
+                                    for i in range(n)])
+    assert echelonize(upper) == (list(range(n)), [{i: 1} for i in range(n)])
+    cases.append(upper)
+    for m in cases:
+        want = echelonize(m)
+        for other in reordered(m):
+            assert echelonize(other) == want
+
+
+def test_relation_echelon_independent_of_row_order(monkeypatch):
+    for m in relation_matrices(monkeypatch):
+        want = echelonize(m)
+        assert want[0]
+        for other in reordered(m):
+            assert echelonize(other) == want
 
 
 def ref_kernel(m):

@@ -495,13 +495,30 @@ def reference_hecke_matrix(space, n):
 def test_hecke_matches_continued_fraction_reference(k):
     levels = [1, 2, 5, 6, 9, 11, 13, 16, 25, 30, 35, 37, 40] if k < 5 else [1, 2, 7, 11, 15]
     for level in levels:
-        primary = build_space(level, k)
-        for space in (primary, primary.partner()):
-            fld = space.field
-            for n in (1, 2, 3, 4, 5, 6, 7, 9):
-                if math.gcd(n, level) == 1:
-                    assert space.hecke_matrix(n) == reference_hecke_matrix(space, n), \
-                        (level, k, n, fld.p)
+        whole = build_space(level, k)
+        for primary in (whole, whole.sign_quotient(1), whole.sign_quotient(-1)):
+            for space in (primary, primary.partner()):
+                fld = space.field
+                for n in (1, 2, 3, 4, 5, 6, 7, 9):
+                    if math.gcd(n, level) == 1:
+                        assert space.hecke_matrix(n) == reference_hecke_matrix(space, n), \
+                            (level, k, space.sign, n, fld.p)
+
+
+def test_projected_generator_is_a_copy():
+    # project_generator hands out a new dict: mutating it must not reach
+    # the expression table that a later Hecke matrix reads.
+    for sign in (None, 1, -1):
+        space, ref = (s if sign is None else s.sign_quotient(sign)
+                      for s in (build_space(37, 3), build_space(37, 3)))
+        for g in range(space.module.k * len(space.p1)):
+            coords = space.project_generator(g)
+            assert coords == ref.project_generator(g)
+            for pos in list(coords):
+                coords[pos] = 12345
+            coords[space.dim] = 1
+        assert space.hecke_matrix(2) == ref.hecke_matrix(2)
+        assert space.hecke_matrix(2) == reference_hecke_matrix(space, 2)
 
 
 def test_bad_prime_rejected():
