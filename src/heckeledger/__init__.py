@@ -34,6 +34,6 @@ from .modsym import (
     unimodularize,
     winding_pairing,
 )
-from .paramodular import ParamodularDims, complement_dims, dim_S3, kronecker
+from .paramodular import ParamodularDims, complement_dims, dim_S3
 
 __version__ = "0.1.0"

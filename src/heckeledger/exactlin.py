@@ -17,8 +17,9 @@ at a time), restriction of an operator to an invariant subspace by
 reading the images at the basis's pivot coordinates, simultaneous
 eigenspace splitting at bounded integer eigenvalues of a commuting
 family, or of several isomorphic families in lockstep with one root
-finding per refinement node, and rational reconstruction of field
-elements.  The dense kernels run on packed integers (Kronecker
+finding per refinement node (each node works in its own basis, and
+only eigenvalues and dimensions come out), and rational reconstruction
+of field elements.  The dense kernels run on packed integers (Kronecker
 substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
 8.4): a row, a column or a coefficient list becomes one Python int with
 fixed-width slots, so one big-int multiply-add does a whole vector's
@@ -91,9 +92,8 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 # Every field prime must exceed this floor.  The lifts back to Q need it:
 # the winding pairing reconstructs rationals of height 10**6 at each prime
-# (2 * 10**12 < p) and otherwise CRT-combines both primes and reconstructs
-# at height 2**59 (2**119 < p1 * p2).  The census's signed integer lifts
-# need no floor of their own; a wrong one fails the second-prime check.
+# (2 * 10**12 < p) and compares the two lifts.  The census's signed integer
+# lifts need no floor of their own; a wrong one fails the second-prime check.
 FIELD_PRIME_FLOOR = 1 << 60
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -469,12 +469,12 @@ class Subspace:
     `Subspace(ambient_dim, basis, field)` only checks: a basis that
     fails the O(nnz) check `_is_reduced_echelon` (not reduced,
     dependent, or out of range) raises ValueError, and nothing is
-    echelonized.  Every constructor in the package (`rank_and_kernel`,
-    `_lift_to_ambient` and `Subspace.full`) builds its basis reduced by
-    construction, and this check enforces that.  A reduced echelon basis
-    depends only on the subspace, so bases are comparable when the same
-    computation is repeated modulo a second prime.  The coordinates of a
-    vector of the subspace are its entries at the pivot columns.
+    echelonized.  Both constructors in the package, `rank_and_kernel`
+    and `_lift_to_ambient`, build their bases reduced by construction,
+    and this check enforces that.  A reduced echelon basis depends only
+    on the subspace, so bases are comparable when the same computation
+    is repeated modulo a second prime.  The coordinates of a vector of
+    the subspace are its entries at the pivot columns.
     """
 
     ambient_dim: int
@@ -490,10 +490,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @classmethod
-    def full(cls, field: PrimeField, n: int) -> "Subspace":
-        return cls(n, tuple({i: 1} for i in range(n)), field)
 
 
 def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
@@ -921,15 +917,15 @@ def root_multiplicity(f: list[int], lam: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class Eigenspace:
-    """A simultaneous eigenspace with its tuple of eigenvalues: one
-    subspace per family that was split (see split_eigenspaces)."""
+    """A simultaneous eigenspace: its tuple of eigenvalues and its
+    dimension in each family that was split (see split_eigenspaces)."""
 
     values: tuple[int, ...]
-    spaces: tuple[Subspace, ...]
+    dims: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return sum(s.dim for s in self.spaces)
+        return sum(self.dims)
 
 
 @dataclass
@@ -977,12 +973,19 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
     """Common eigenspace decomposition of a commuting family at bounded
     integer eigenvalues.
 
-    Refines the full space one operator at a time.  A root of an
+    Refines the whole space one operator at a time.  A refinement node
+    holds its eigenvalue prefix, its dimension in each family, and each
+    family's operators not yet split, as matrices in the node's own
+    basis; the root holds the operators as given.  A root of an
     operator's characteristic polynomial gets a kernel, a multiplicity
-    and a place in the refinement only when its `signed_lift` a has
-    |a| <= that operator's entry of `bounds`: `distinct_roots` returns
-    only those roots, and every other root is counted in `unsplit_dim`.
-    A bound of p // 2 keeps every root.
+    and a child node only when its `signed_lift` a has |a| <= that
+    operator's entry of `bounds`: `distinct_roots` returns only those
+    roots, and every other root is counted in `unsplit_dim`.  A bound of
+    p // 2 keeps every root.  The child restricts the node's remaining
+    matrices to the kernel, NotInvariant unless the kernel is stable
+    under each (the node's subspace is, so this is the child subspace's
+    stability too); the last operator's children keep only their
+    dimensions, and nothing is lifted back to the ambient space.
     Eigenvalue tuples come out in ascending lexicographic order of their
     field representatives, so the result is deterministic.
 
@@ -992,14 +995,13 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
     with it).  All families are refined in lockstep.  Each is checked
     to commute, every pair on every row, as packed commutator rows
     (NonCommuting otherwise; see `_check_commuting`).  At each
-    refinement node every family's restricted operator gets its own
-    characteristic polynomial, and FamilyMismatch is raised unless they
-    are equal; at the root node the subspace is the whole space, whose
-    restriction is the operator itself.  The roots of that one
-    polynomial are found once, and each bounded root takes its kernel in
-    every family.  Dimensions, multiplicities, `defective` and `unsplit_dim`
-    are summed over the families, so the result counts exactly what
-    splitting the direct sum of the families would.
+    refinement node every family's matrix gets its own characteristic
+    polynomial, and FamilyMismatch is raised unless they are equal.
+    The roots of that one polynomial are found once, and each bounded
+    root takes its kernel in every family.  Dimensions, multiplicities,
+    `defective` and `unsplit_dim` are summed over the families, so the
+    result counts exactly what splitting the direct sum of the families
+    would.
     """
     families = [list(ops)] + [list(f) for f in others]
     if not ops:
@@ -1016,35 +1018,30 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
         _check_commuting(family, p)
 
     result = SplitResult(eigenspaces=[])
-    current: list[tuple[tuple[int, ...], tuple[Subspace, ...]]] = [
-        ((), tuple(Subspace.full(field, family[0].nrows) for family in families))
-    ]
+    current = [((), tuple(family[0].nrows for family in families), families)]
     for t, bound in enumerate(bounds):
-        refined: list[tuple[tuple[int, ...], tuple[Subspace, ...]]] = []
-        for prefix, spaces in current:
-            dim = sum(s.dim for s in spaces)
-            if dim == 0:
-                continue
-            restricted = [restrict_operator(family[t], s) for family, s in zip(families, spaces)]
-            f = charpoly(restricted[0])
-            if any(charpoly(m) != f for m in restricted[1:]):
+        refined = []
+        for prefix, dims, mats in current:
+            heads = [m[0] for m in mats]
+            f = charpoly(heads[0])
+            if any(charpoly(h) != f for h in heads[1:]):
                 raise FamilyMismatch(f"operator {t} has different characteristic "
                                      f"polynomials at eigenvalues {prefix}")
             covered = 0
             for lam in distinct_roots(f, p, bound):
-                kernels = [joint_kernel([m], [lam]) for m in restricted]
+                kernels = [joint_kernel([h], [lam]) for h in heads]
                 geo = sum(ker.dim for ker in kernels)
-                alg = root_multiplicity(list(f), lam, p) * len(families)
+                alg = root_multiplicity(f, lam, p) * len(families)
                 covered += alg
                 if geo < alg:
                     result.defective.append((prefix + (lam,), alg - geo))
-                refined.append((prefix + (lam,), tuple(map(_lift_to_ambient, spaces, kernels))))
-            result.unsplit_dim += dim - covered
+                refined.append((prefix + (lam,), tuple(ker.dim for ker in kernels),
+                                [[restrict_operator(op, ker) for op in m[1:]]
+                                 for m, ker in zip(mats, kernels)]))
+            result.unsplit_dim += sum(dims) - covered
         current = refined
-    result.eigenspaces = [
-        Eigenspace(tup, spaces) for tup, spaces in sorted(current, key=lambda t: t[0])
-        if any(s.dim for s in spaces)
-    ]
+    result.eigenspaces = [Eigenspace(values, dims) for values, dims, _ in sorted(
+        current, key=lambda node: node[0])]
     return result
 
 

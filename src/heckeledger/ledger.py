@@ -25,7 +25,6 @@ from .heckepoly import HeckePolynomial, LiftClass, SL3Datum, poly_to_json
 from .modsym import (
     CuspidalSplit,
     EigenSystem,
-    _check_hecke_primes,
     build_space,
     cuspidal_coverage,
     space_summary,
@@ -229,7 +228,6 @@ def build_report(
     primes = sorted(set(int(l) for l in primes))
     if not primes:
         raise ValueError("need at least one Hecke prime")
-    _check_hecke_primes(level, primes)
 
     caveats: list[str] = []
     constituents: list[Constituent] = []

@@ -57,7 +57,6 @@ from .eichler_selberg import dim_cusp_forms, num_cusps
 from .exactlin import (
     FieldContext,
     FieldMatrix,
-    NoReconstruction,
     PrimeField,
     _is_prime,
     echelonize,
@@ -1027,7 +1026,9 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     V_e, since V = V+ + V- with T_l-stable summands.  Only a nonzero
     value, which depends on V's canonical left eigenbasis, is computed
     on the whole space and its partner; HalvesMismatch if it vanishes
-    there.
+    there.  Each pairing is lifted to Q at height RECONSTRUCT_BOUND at
+    each prime, and the two lifts must agree (MultiPrimeMismatch); a
+    pairing that fails to lift at either prime raises NoReconstruction.
     """
     if space.module.k % 2 == 0:
         raise NoCentralMonomial("even k has no central monomial X^m Y^m")
@@ -1045,14 +1046,8 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     total = Fraction(0)
     p1, p2 = space.field.p, space.partner().field.p
     for va, vb in zip(values[0], values[1]):
-        try:
-            ra = rational_reconstruct(va, RECONSTRUCT_BOUND, p1)
-            rb = rational_reconstruct(vb, RECONSTRUCT_BOUND, p2)
-        except NoReconstruction:
-            # Taller rationals: CRT-combine the residues and lift once.
-            crt_mod = p1 * p2
-            combined = (va + (vb - va) * pow(p1, -1, p2) % p2 * p1) % crt_mod
-            ra = rb = rational_reconstruct(combined, 1 << 59, crt_mod)
+        ra = rational_reconstruct(va, RECONSTRUCT_BOUND, p1)
+        rb = rational_reconstruct(vb, RECONSTRUCT_BOUND, p2)
         if ra != rb:
             raise MultiPrimeMismatch(f"winding pairing reconstructs to {ra} and {rb}")
         total += ra * ra

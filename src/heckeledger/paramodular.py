@@ -19,7 +19,6 @@ __all__ = [
     "ParamodularDims",
     "NonIntegralResult",
     "GritsenkoExceedsTotal",
-    "kronecker",
     "kronecker_euler",
     "dim_S3",
     "complement_dims",
@@ -42,13 +41,6 @@ def kronecker_euler(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
-
-
-def kronecker(a: int, p: int) -> int:
-    """The Kronecker symbol (a/p) for an odd prime p."""
-    if p == 2 or not _is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return kronecker_euler(a, p)
 
 
 def _f_2880(p: int) -> int:

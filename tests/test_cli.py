@@ -321,13 +321,13 @@ def test_modsym_internal_value_error_is_computation_error(capsys, monkeypatch):
 
 
 def test_ledger_unreconstructed_winding_is_computation_error(capsys, monkeypatch):
-    # A winding pairing above the CRT height bound is a computation error,
+    # A winding pairing above the reconstruction height is a computation error,
     # exit 1, not a traceback.
     from heckeledger import ledger
     from heckeledger.exactlin import NoReconstruction
 
     def too_tall(space, system):
-        raise NoReconstruction("no rational of height 2^59 lifts the pairing")
+        raise NoReconstruction("no rational of height 10^6 lifts the pairing")
 
     monkeypatch.setattr(ledger, "winding_pairing", too_tall)
     code, out, err = run(capsys, "ledger", "--level", "13", "--primes", "2")

@@ -281,10 +281,10 @@ def test_split_simultaneous_pair():
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
     res = split_eigenspaces([a, b], [P // 2] * 2)
-    got = [(e.values, e.dim) for e in res.eigenspaces]
-    assert got == [((1, 5), 2), ((2, 5), 1), ((3, 7), 1)]
+    got = [(e.values, e.dims) for e in res.eigenspaces]
+    assert got == [((1, 5), (2,)), ((2, 5), (1,)), ((3, 7), (1,))]
     for e in res.eigenspaces:
-        for v in e.spaces[0].basis:
+        for v in joint_kernel([a, b], e.values).basis:
             for op, lam in zip((a, b), e.values):
                 got_vec = matvec(op, v)
                 want = {k: (lam * x) % P for k, x in v.items() if (lam * x) % P}
@@ -294,8 +294,9 @@ def test_split_simultaneous_pair():
 def test_joint_kernel_matches_split():
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
-    for e in split_eigenspaces([a, b], [P // 2] * 2).eigenspaces:
-        assert joint_kernel([a, b], e.values).basis == e.spaces[0].basis
+    split = split_eigenspaces([a, b], [P // 2] * 2).eigenspaces
+    assert [(e.values, e.dims) for e in split] == [
+        (e.values, (joint_kernel([a, b], e.values).dim,)) for e in split]
     assert joint_kernel([a, b], (1, 7)).dim == 0
 
 
@@ -362,7 +363,9 @@ def test_split_lockstep_matches_block_diagonal():
     assert lockstep.defective == whole.defective == [((2,), 2)]
     assert lockstep.unsplit_dim == whole.unsplit_dim == 6
     for e in lockstep.eigenspaces:
-        for family, space in zip((ops, others), e.spaces):
+        assert e.dims == (1, 1)
+        for family in (ops, others):
+            space = joint_kernel(family, e.values)
             assert space.dim == 1
             for op, lam in zip(family, e.values):
                 for v in space.basis:
@@ -383,6 +386,51 @@ def test_split_lockstep_rejects_mismatched_family():
     shift = dense([[int(j == i + 1) for j in range(7)] for i in range(7)])
     with pytest.raises(NonCommuting):
         split_eigenspaces(ops, bounds, [[conjugates(ops, 7)[0], shift]])
+
+
+def census_families(level, k, primes):
+    """(plus, Deligne bounds, minus): each sign quotient's T_l on its
+    cuspidal subspace, as the census splits them."""
+    space = build_space(level, k)
+    plus, minus = ([restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
+                   for q in (space.sign_quotient(1), space.sign_quotient(-1)))
+    return plus, [math.isqrt(4 * l ** k) for l in primes], minus
+
+
+@pytest.mark.parametrize("case", [None, (37, 1), (67, 1), (89, 1), (13, 3), (53, 3), (89, 3)],
+                         ids=lambda case: "lockstep" if case is None else f"{case[0]}-{case[1]}")
+def test_split_dims_match_stacked_kernels(case):
+    # Each family's dimension of each eigenspace is that of its joint
+    # eigenspace in the whole space, found by one stacked Gauss-Jordan.
+    if case is None:
+        ops, bounds = lockstep_family()
+        others = conjugates(ops, 5)
+    else:
+        ops, bounds, others = census_families(*case, [2, 3])
+    res = split_eigenspaces(ops, bounds, [others])
+    assert res.eigenspaces
+    for e in res.eigenspaces:
+        assert e.dims == tuple(len(ref_joint_kernel(family, e.values)) for family in (ops, others))
+        assert e.dim == sum(e.dims)
+
+
+def test_split_multiplies_no_matrices(monkeypatch):
+    # Two levels of lockstep refinement: each node works in its own
+    # basis, so no product lifts a kernel back to the ambient space.
+    ops, bounds = lockstep_family()
+    others = conjugates(ops, 5)
+    calls = []
+    matmul = FieldMatrix.matmul
+
+    def counted(self, other):
+        calls.append((self.nrows, other.ncols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(FieldMatrix, "matmul", counted)
+    res = split_eigenspaces(ops, bounds, [others])
+    assert calls == []
+    assert [(e.values, e.dim) for e in res.eigenspaces] == [((1, 1), 2), ((2, 4), 2),
+                                                            ((P - 2, 4), 2)]
 
 
 def test_multi_prime_pipeline_reconstructs_identically():
@@ -1097,6 +1145,15 @@ def test_lift_is_reduced_by_construction(p, monkeypatch):
     assert dense_sides == {False, True}
 
 
+def ref_joint_kernel(ops, values):
+    """The reduced echelon basis of the joint eigenspace of ops at values,
+    by Gauss-Jordan on the rows of [op_1 - v_1 I; op_2 - v_2 I; ...] stacked."""
+    fld, n = ops[0].field, ops[0].ncols
+    eye = FieldMatrix.identity(fld, n)
+    rows = [r for op, v in zip(ops, values) for r in op.add_scaled(eye, -v).rows]
+    return ref_kernel(FieldMatrix(fld, len(rows), n, rows))[1]
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_joint_kernel_matches_stacked_reference(p):
     # joint_kernel intersects one matrix at a time; Gauss-Jordan on all
@@ -1119,9 +1176,8 @@ def test_joint_kernel_matches_stacked_reference(p):
     ]
     dims = []
     for ops, values in cases:
-        rows = [r for op, v in zip(ops, values) for r in op.add_scaled(eye, -v).rows]
         got = joint_kernel(ops, values)
-        assert list(got.basis) == ref_kernel(FieldMatrix(fld, len(rows), n, rows))[1]
+        assert list(got.basis) == ref_joint_kernel(ops, values)
         dims.append(got.dim)
     assert dims == [3, 2, 2, 1, 0, 0, 1]
     for ops, values in (([], []), ([a], []), ([random_matrix(fld, rng, 3, n, 0.5)], [1])):
@@ -1190,8 +1246,10 @@ def test_restrict_matches_reference(p):
             assert got.rows == ref_restrict(op, cusp), (level, k)
             restricted.append(got)
         for e in split_eigenspaces(restricted, [p // 2] * len(restricted)).eigenspaces:
+            space = joint_kernel(restricted, e.values)
+            assert (space.dim,) == e.dims
             for op in restricted:
-                assert restrict_operator(op, e.spaces[0]).rows == ref_restrict(op, e.spaces[0])
+                assert restrict_operator(op, space).rows == ref_restrict(op, space)
                 checked += 1
     assert checked >= 30
     # Random invariant subspaces, from a point to the whole space.

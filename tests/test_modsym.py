@@ -1116,7 +1116,8 @@ def test_census_does_not_present_the_whole_space(presentations):
 # The census splits only at the primary prime and confirms each rational
 # candidate at the partner prime by one joint kernel; the winding pairing
 # takes its left eigenbasis as a joint kernel too.  The references below
-# split everything instead, using public exactlin calls only.
+# split everything instead, and take each left eigenbasis from one echelon
+# of every shifted operator stacked, using public exactlin calls only.
 
 
 def _reference_coverage(space, primes):
@@ -1142,13 +1143,13 @@ def _reference_coverage(space, primes):
     return sorted(censuses[0] & censuses[1])
 
 
-def _reference_left_eigenbases(space, primes):
-    """Split the transposed ambient family: eigenvalue tuple -> basis."""
-    ops = [hecke_operator(space, l).transpose() for l in primes]
-    return {
-        eig.values: [dict(v) for v in eig.spaces[0].basis]
-        for eig in split_eigenspaces(ops, [space.field.p // 2] * len(ops)).eigenspaces
-    }
+def _reference_left_eigenbasis(space, primes, target):
+    """The left eigenspace with the given values, by one echelon of the
+    shifted transposes' rows stacked, [T_2^t - a_2 I; T_3^t - a_3 I; ...]."""
+    eye = FieldMatrix.identity(space.field, space.dim)
+    rows = [r for l, a in zip(primes, target)
+            for r in hecke_operator(space, l).transpose().add_scaled(eye, -a).rows]
+    return list(rank_and_kernel(FieldMatrix(space.field, len(rows), space.dim, rows))[1].basis)
 
 
 @pytest.mark.parametrize(
@@ -1188,10 +1189,14 @@ def test_left_eigenbasis_matches_split_reference(level):
     systems = cuspidal_coverage(space, primes).systems
     assert systems
     for sp in (space, space.partner()):
-        reference = _reference_left_eigenbases(sp, primes)
+        ops = [hecke_operator(sp, l).transpose() for l in primes]
+        split = split_eigenspaces(ops, [sp.field.p // 2] * len(ops)).eigenspaces
+        dims = {e.values: e.dim for e in split}
         for system in systems:
             target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
-            assert _left_eigenbasis(sp, primes, target) == reference[target]
+            reference = _reference_left_eigenbasis(sp, primes, target)
+            assert _left_eigenbasis(sp, primes, target) == reference
+            assert dims[target] == len(reference)
 
 
 # -- winding pairing ---------------------------------------------------------
@@ -1205,6 +1210,17 @@ def test_winding_weight4_level5_nonzero():
     value = winding_pairing(space, system)
     assert value != 0
     assert value == Fraction(65, 16)
+
+
+def test_winding_pairing_above_the_height_raises(monkeypatch):
+    # The level-5 weight-4 pairings are -2 and -1/4 (65/16 = 4 + 1/16);
+    # at height 3 the second lifts at neither prime, and no taller lift
+    # stands in for it.
+    space = build_space(5, 3)
+    (system,) = eigensystems(space, [2, 3])
+    monkeypatch.setattr(modsym, "RECONSTRUCT_BOUND", 3)
+    with pytest.raises(NoReconstruction, match="height 3"):
+        winding_pairing(space, system)
 
 
 def test_winding_vanishing_on_whole_space_only_raises(monkeypatch):
