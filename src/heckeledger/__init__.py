@@ -15,7 +15,6 @@ from .heckepoly import (
     HeckePolynomial,
     LiftClass,
     SL3Datum,
-    assemble,
     sl3_lifts,
     weight2_lifts,
     weight4_lift,

@@ -11,25 +11,27 @@ The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (its reduced row echelon basis, as sparse
 vectors).  On top of those sit one row-insertion reduced row echelon
 form for every matrix, sparse or dense, rank and a kernel basis that
-one echelon gives already reduced, joint kernels of shifted operators
-(the eigenvectors for a known eigenvalue tuple, intersected one matrix
-at a time), restriction of an operator to an invariant subspace by
-reading the images at the basis's pivot coordinates, simultaneous
-eigenspace splitting at bounded integer eigenvalues of a commuting
-family, or of several isomorphic families in lockstep with one root
-finding per refinement node (each node works in its own basis, and
-only eigenvalues and dimensions come out), and rational reconstruction
-of field elements.  The dense kernels run on packed integers (Kronecker
-substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
-8.4): a row, a column or a coefficient list becomes one Python int with
-fixed-width slots, so one big-int multiply-add does a whole vector's
-worth of field multiply-adds.  That covers matrix products, the
-restriction's images and its invariance residuals, the commutators of
-the split's guard, the Hessenberg reduction of the charpoly (on packed
-columns) and its expansion, and the squarings of modular powers; each
-guard checks that a packed row combination vanishes, with one unpack
-per row.  Only roots whose signed lift is within a bound B are found:
-by evaluating the polynomial at the 2B + 1 integers in [-B, B] when
+one echelon gives already reduced, restriction of operators to an
+invariant subspace by reading the images at the basis's pivot
+coordinates, one step down a joint eigenspace (`eigen_step`: the
+kernel of one operator minus a value, with the other operators
+restricted to it, so that a tuple of values is followed down without
+leaving the current node's coordinates), simultaneous eigenspace
+splitting at bounded integer eigenvalues of a commuting family, or of
+several isomorphic families in lockstep with one root finding per
+refinement node (each node takes that step, and only eigenvalues and
+dimensions come out), and rational reconstruction of field elements.
+The dense kernels run on packed integers (Kronecker substitution; von
+zur Gathen and Gerhard, Modern Computer Algebra, 8.4): a row, a column
+or a coefficient list becomes one Python int with fixed-width slots,
+so one big-int multiply-add does a whole vector's worth of field
+multiply-adds.  That covers the restriction's images and its
+invariance residuals, the commutators of the split's guard, the
+Hessenberg reduction of the charpoly (on packed columns) and its
+expansion, and the squarings of modular powers; each guard checks that
+a packed row combination vanishes, with one unpack per row.  Only
+roots whose signed lift is within a bound B are found: by evaluating
+the polynomial at the 2B + 1 integers in [-B, B] when
 2B + 1 <= 16 bitlen(p), and otherwise modulo its squarefree part, by
 gcd with x^p - x and then equal-degree splitting down to factors of
 degree at most 2, which are solved in closed form (a Tonelli-Shanks
@@ -59,8 +61,8 @@ __all__ = [
     "NoReconstruction",
     "DEFAULT_PRIME",
     "rank_and_kernel",
-    "joint_kernel",
     "restrict_operator",
+    "eigen_step",
     "split_eigenspaces",
     "rational_reconstruct",
     "signed_lift",
@@ -240,8 +242,8 @@ def _vanishes(x: int, row: dict[int, int], packed: list[int], count: int, nb: in
     return not x or not any(_unpack(x, count, nb, p))
 
 
-# Fraction of populated cells beyond which the right factor of a
-# product is packed into dense rows (see FieldMatrix.matmul).
+# Fraction of populated cells above which a matrix counts as dense.  No
+# code path depends on it; perfbench/layers.py tallies echelon calls by it.
 DENSE_THRESHOLD = 0.20
 
 
@@ -324,34 +326,18 @@ class FieldMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
-        """self * other.
-
-        When `other` is denser than DENSE_THRESHOLD, each of its rows is
-        packed into one int (see :func:`_pack`) and output row i is
-        sum_j a_ij * packed_j, unpacked and reduced: one big-int
-        multiply-add per stored entry of self.  A sparser `other` is
-        multiplied entry by entry, which never touches its empty slots.
-        """
+        """self * other, entry by entry: each stored entry of self meets
+        the stored entries of one row of other, never its empty slots."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         p = self.field.p
         out_rows: list[dict[int, int]] = []
-        if other.density <= DENSE_THRESHOLD:
-            for row in self.rows:
-                acc: dict[int, int] = {}
-                for j, v in row.items():
-                    for k, w in other.rows[j].items():
-                        acc[k] = acc.get(k, 0) + v * w
-                out_rows.append({k: r for k, w in acc.items() if (r := w % p)})
-            return FieldMatrix(self.field, self.nrows, other.ncols, out_rows)
-        k = other.ncols
-        nb = _slot_bytes(p, max((len(r) for r in self.rows), default=0))
-        packed = _packed_rows(other, nb)
         for row in self.rows:
-            acc = _combination(row, packed)
-            out_rows.append(
-                {c: r for c, r in enumerate(_unpack(acc, k, nb, p)) if r} if acc else {}
-            )
+            acc: dict[int, int] = {}
+            for j, v in row.items():
+                for k, w in other.rows[j].items():
+                    acc[k] = acc.get(k, 0) + v * w
+            out_rows.append({k: r for k, w in acc.items() if (r := w % p)})
         return FieldMatrix(self.field, self.nrows, other.ncols, out_rows)
 
     def add_scaled(self, other: "FieldMatrix", c: int) -> "FieldMatrix":
@@ -469,12 +455,12 @@ class Subspace:
     `Subspace(ambient_dim, basis, field)` only checks: a basis that
     fails the O(nnz) check `_is_reduced_echelon` (not reduced,
     dependent, or out of range) raises ValueError, and nothing is
-    echelonized.  Both constructors in the package, `rank_and_kernel`
-    and `_lift_to_ambient`, build their bases reduced by construction,
-    and this check enforces that.  A reduced echelon basis depends only
-    on the subspace, so bases are comparable when the same computation
-    is repeated modulo a second prime.  The coordinates of a vector of
-    the subspace are its entries at the pivot columns.
+    echelonized.  The one constructor in the package, `rank_and_kernel`,
+    builds its bases reduced by construction, and this check enforces
+    that.  A reduced echelon basis depends only on the subspace, so
+    bases are comparable when the same computation is repeated modulo a
+    second prime.  The coordinates of a vector of the subspace are its
+    entries at the pivot columns.
     """
 
     ambient_dim: int
@@ -518,87 +504,69 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     return len(pivots), Subspace(m.ncols, list(kernel.values()), m.field)
 
 
-def _rows(s: Subspace) -> FieldMatrix:
-    """The basis of s as the rows of a dim x ambient_dim matrix."""
-    return FieldMatrix(s.field, s.dim, s.ambient_dim, list(s.basis))
-
-
-def _lift_to_ambient(s: Subspace, coords: Subspace) -> Subspace:
-    """Map vectors given in the basis of s back to ambient coordinates:
-    the rows of coords' basis times the rows of s's basis.
-
-    Both bases are reduced, so a coordinate vector with its leading 1
-    at coordinate i lifts to one with its leading 1 at the pivot of
-    basis vector i, and 0 where the other coordinate vectors' leading
-    entries lift to: the lifted vectors are already the reduced echelon
-    basis that the Subspace constructor checks.
-    """
-    return Subspace(s.ambient_dim, _rows(coords).matmul(_rows(s)).rows, s.field)
-
-
-def joint_kernel(ops: Sequence[FieldMatrix], values: Sequence[int]) -> Subspace:
-    """Canonical (reduced echelon) basis of the joint eigenvectors
-    {v : op v = value v for each pair}.
-
-    The shifted operators op - value*I are intersected one at a time:
-    K starts as the kernel of the first, and each further shifted
-    operator M replaces K by the kernel of M B (B the basis of K as
-    columns, n x dim K), lifted back to the ambient space.  The reduced
-    echelon basis of the result depends only on the subspace, so the
-    order changes the cost and nothing else.  The family need not
-    commute and no invariant subspace is needed.
-    """
-    if len(ops) != len(values):
-        raise ValueError("need one value per operator")
-    if not ops:
-        raise ValueError("need at least one operator")
-    n = ops[0].ncols
-    field = ops[0].field
-    if any(op.nrows != n or op.ncols != n or op.field != field for op in ops):
-        raise ValueError("operators must be square on one column space")
-    identity = FieldMatrix.identity(field, n)
-    mats = [op.add_scaled(identity, -lam) for op, lam in zip(ops, values)]
-    kernel = rank_and_kernel(mats[0])[1]
-    for m in mats[1:]:
-        if not kernel.dim:
-            break
-        kernel = _lift_to_ambient(kernel, rank_and_kernel(m.matmul(_rows(kernel).transpose()))[1])
-    return kernel
-
-
-def restrict_operator(op: FieldMatrix, s: Subspace) -> FieldMatrix:
-    """Matrix of op in the basis of s; NotInvariant if s is not op-stable.
+def restrict_operator(ops: Sequence[FieldMatrix], s: Subspace) -> list[FieldMatrix]:
+    """The matrix of each op in the basis of s; NotInvariant unless s is
+    stable under every one.
 
     With B the basis of s as columns (n x d), each row of B is packed
-    once (see :func:`_pack`) and the images op B are formed packed, one
-    multiply-add per stored entry of op.  The basis is in reduced
-    echelon form, so the coordinates of an image that lies in s are its
-    entries at the pivot columns: row t of the result is row pivot_t of
-    op B, unpacked.  B times the result agrees with op B on the pivot
-    rows by construction, and on every other row i exactly when the
-    packed residual (op B)_i + sum_t (p - b_it) result_t vanishes in
-    every slot; that holds for all of them exactly when every image
-    lies in the span of B.  A subspace that is the whole space has the
-    identity as its basis, and op itself is the answer.
+    once for all the ops (see :func:`_pack`), and each op's images op B
+    are formed packed, one multiply-add per stored entry of op.  The
+    basis is in reduced echelon form, so the coordinates of an image
+    that lies in s are its entries at the pivot columns: row t of a
+    result is row pivot_t of op B, unpacked.  B times the result agrees
+    with op B on the pivot rows by construction, and on every other row
+    i exactly when the packed residual (op B)_i + sum_t (p - b_it)
+    result_t vanishes in every slot; that holds for all of them exactly
+    when every image lies in the span of B.  A subspace that is the
+    whole space has the identity as its basis, and the ops themselves
+    are the answer.
     """
     n = s.ambient_dim
-    if op.ncols != n or op.nrows != n:
+    if any(op.ncols != n or op.nrows != n for op in ops):
         raise ValueError("operator and subspace ambient dimension mismatch")
-    if s.dim == n:
-        return op
+    if s.dim == n or not ops:
+        return list(ops)
     p, d = s.field.p, s.dim
     pivots = [min(v) for v in s.basis]
-    b = _rows(s).transpose()
+    pivset = set(pivots)
+    b = FieldMatrix(s.field, d, n, list(s.basis)).transpose()
     nb = _slot_bytes(p, n + d)  # an image's n terms plus a residual's d
     packed_b = _packed_rows(b, nb)
-    images = [_combination(row, packed_b) for row in op.rows]
-    result = [_unpack(images[c], d, nb, p) for c in pivots]
-    packed_result = [_pack(r, nb) for r in result]
-    pivset = set(pivots)
-    for i, coords in enumerate(b.rows):
-        if i not in pivset and not _vanishes(images[i], coords, packed_result, d, nb, p):
-            raise NotInvariant("image leaves the span of the subspace basis")
-    return FieldMatrix(s.field, d, d, [{c: v for c, v in enumerate(r) if v} for r in result])
+    restricted = []
+    for op in ops:
+        images = [_combination(row, packed_b) for row in op.rows]
+        result = [_unpack(images[c], d, nb, p) for c in pivots]
+        packed_result = [_pack(r, nb) for r in result]
+        for i, coords in enumerate(b.rows):
+            if i not in pivset and not _vanishes(images[i], coords, packed_result, d, nb, p):
+                raise NotInvariant("image leaves the span of the subspace basis")
+        restricted.append(FieldMatrix(s.field, d, d,
+                                      [{c: v for c, v in enumerate(r) if v} for r in result]))
+    return restricted
+
+
+def eigen_step(ops: Sequence[FieldMatrix], value: int) -> tuple[Subspace, list[FieldMatrix]]:
+    """(K, rest): K the kernel of ops[0] - value, as its reduced echelon
+    basis, and rest the matrices of ops[1:] in that basis
+    (`restrict_operator`: NotInvariant unless K is stable under each).
+
+    One step down a joint eigenspace.  Following it down a tuple of
+    values, each step on the previous step's rest, reaches the joint
+    eigenspace without leaving the coordinates of the node it is at:
+    the basis of K_t in ambient coordinates would be C_t ... C_2 B_1,
+    each C a step's basis, and that product is the reduced echelon
+    basis of the joint eigenspace, since each factor is reduced.  A
+    vector's pairings with that basis are carried down the same way:
+    B_1 w, then C_2 (B_1 w), and so on.
+    """
+    if not ops:
+        raise ValueError("need at least one operator")
+    head = ops[0]
+    if head.nrows != head.ncols:
+        raise ValueError("operators must be square")
+    kernel = rank_and_kernel(head.add_scaled(FieldMatrix.identity(head.field, head.ncols),
+                                             -value))[1]
+    return kernel, restrict_operator(ops[1:], kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -981,11 +949,13 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
     and a child node only when its `signed_lift` a has |a| <= that
     operator's entry of `bounds`: `distinct_roots` returns only those
     roots, and every other root is counted in `unsplit_dim`.  A bound of
-    p // 2 keeps every root.  The child restricts the node's remaining
-    matrices to the kernel, NotInvariant unless the kernel is stable
-    under each (the node's subspace is, so this is the child subspace's
-    stability too); the last operator's children keep only their
-    dimensions, and nothing is lifted back to the ambient space.
+    p // 2 keeps every root.  The child is one `eigen_step` from the
+    node: the kernel of the node's first matrix minus the root, and the
+    node's remaining matrices restricted to it, NotInvariant unless the
+    kernel is stable under each (the node's subspace is, so this is the
+    child subspace's stability too).  The last operator's children keep
+    only their dimensions, and nothing is lifted back to the ambient
+    space.
     Eigenvalue tuples come out in ascending lexicographic order of their
     field representatives, so the result is deterministic.
 
@@ -1029,15 +999,14 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
                                      f"polynomials at eigenvalues {prefix}")
             covered = 0
             for lam in distinct_roots(f, p, bound):
-                kernels = [joint_kernel([h], [lam]) for h in heads]
-                geo = sum(ker.dim for ker in kernels)
+                steps = [eigen_step(m, lam) for m in mats]
+                geo = sum(ker.dim for ker, _ in steps)
                 alg = root_multiplicity(f, lam, p) * len(families)
                 covered += alg
                 if geo < alg:
                     result.defective.append((prefix + (lam,), alg - geo))
-                refined.append((prefix + (lam,), tuple(ker.dim for ker in kernels),
-                                [[restrict_operator(op, ker) for op in m[1:]]
-                                 for m, ker in zip(mats, kernels)]))
+                refined.append((prefix + (lam,), tuple(ker.dim for ker, _ in steps),
+                                [rest for _, rest in steps]))
             result.unsplit_dim += sum(dims) - covered
         current = refined
     result.eigenspaces = [Eigenspace(values, dims) for values, dims, _ in sorted(

@@ -1,6 +1,6 @@
 """Hecke polynomials in T with exact rational coefficients.
 
-The general degree-n polynomial is assembled from eigenvalues as
+The degree-n polynomial of the eigenvalues a(l,k) is
 
     sum_k (-1)^k l^(k(k-1)/2) a(l,k) T^k,    a(l,0) = 1,
 
@@ -28,14 +28,12 @@ __all__ = [
     "SL3_A",
     "SL3_B",
     "LIFT_KINDS",
-    "assemble",
     "weight2_lifts",
     "weight4_lift",
     "sl3_lifts",
     "poly_mul",
     "poly_divmod",
     "linear_factor",
-    "functional_dual",
     "check_factor_shape",
     "poly_to_json",
 ]
@@ -116,31 +114,9 @@ class HeckePolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, t: Fraction) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * t + c
-        return out
-
 
 def _poly(l: int, coeffs: Sequence, n: int) -> HeckePolynomial:
     return HeckePolynomial(l, tuple(_frac(c) for c in coeffs), n)
-
-
-def assemble(n: int, l: int, a: Sequence, central=1) -> HeckePolynomial:
-    """The degree-n Hecke polynomial from eigenvalues a(l,1..n-1).
-
-    Coefficient of T^k is (-1)^k l^(k(k-1)/2) a(l,k); a(l,0) = 1 and
-    a(l,n) is the supplied central value (1 for the special linear
-    group).
-    """
-    if len(a) != n - 1:
-        raise ValueError(f"need {n - 1} eigenvalues for rank {n}, got {len(a)}")
-    values = [Fraction(1)] + [_frac(x) for x in a] + [_frac(central)]
-    coeffs = [
-        (-1) ** k * Fraction(l) ** (k * (k - 1) // 2) * values[k] for k in range(n + 1)
-    ]
-    return _poly(l, coeffs, n)
 
 
 def weight2_lifts(l: int, alpha) -> tuple[HeckePolynomial, HeckePolynomial]:
@@ -192,21 +168,6 @@ def sl3_lifts(l: int, gamma, gamma_prime) -> tuple[HeckePolynomial, HeckePolynom
         [Fraction(1), -l * gamma, l**3 * gamma_prime, Fraction(-(l**6))],
     )
     return _poly(l, first, 4), _poly(l, second, 4)
-
-
-def functional_dual(poly: HeckePolynomial) -> HeckePolynomial:
-    """l^6 T^4 P(1/(l^3 T)) for a degree-4 polynomial.
-
-    The footnote normalization pairs each family with its
-    contragredient: the weight-4 family is its own dual, the two
-    weight-2 families are each other's, and the two rank-3 families
-    are dual up to swapping gamma and gamma'.
-    """
-    if poly.degree != 4:
-        raise ValueError("dual is implemented for the degree-4 families")
-    l = poly.prime_l
-    coeffs = [poly.coeffs[4 - j] * Fraction(l) ** (3 * j - 6) for j in range(5)]
-    return _poly(l, coeffs, 4)
 
 
 def check_factor_shape(kind: str, poly: HeckePolynomial) -> bool:

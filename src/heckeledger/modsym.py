@@ -60,8 +60,8 @@ from .exactlin import (
     PrimeField,
     _is_prime,
     echelonize,
+    eigen_step,
     frac_str,
-    joint_kernel,
     rank_and_kernel,
     rational_reconstruct,
     restrict_operator,
@@ -918,14 +918,16 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     in both.  Dimensions and causes are summed over the quotients, so
     every count is that of splitting the whole cuspidal space.
 
-    At the partner prime a candidate's eigenspace is the joint kernel
-    of every restricted T_l - a_l in each quotient's partner, and the
-    two dimensions are summed.  An integer tuple has one residue tuple
-    there, so comparing that sum with the candidate's dimension is the
-    same test as splitting there and intersecting the two census lists;
-    a wrong signed lift (possible only when twice the bound reaches p)
-    fails it.  The unresolved dimension is broken down by cause in
-    `CuspidalSplit.unresolved`.
+    At the partner prime each candidate's values are followed down by
+    `eigen_step` in each quotient's partner: the kernel of the first
+    restricted T_l - a_l, the other T_l restricted to it (NotInvariant
+    unless stable), and so on, in each node's own coordinates.  Only the
+    two final dimensions are kept, and summed.  An integer tuple has one
+    residue tuple there, so comparing that sum with the candidate's
+    dimension is the same test as splitting there and intersecting the
+    two census lists; a wrong signed lift (possible only when twice the
+    bound reaches p) fails it.  The unresolved dimension is broken down
+    by cause in `CuspidalSplit.unresolved`.
     """
     primes = sorted(set(primes))
     _check_hecke_primes(space.level, primes)
@@ -933,7 +935,12 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     cuspidal_dim = sum(q.cuspidal_dim for q in quotients)
 
     def cuspidal_ops(q: ManinBasisSpace) -> list[FieldMatrix]:
-        return [restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
+        return restrict_operator([q.hecke_matrix(l) for l in primes], q.cuspidal_subspace)
+
+    def eigenspace_dim(ops: list[FieldMatrix], values: Iterable[int]) -> int:
+        for lam in values:
+            kernel, ops = eigen_step(ops, lam)
+        return kernel.dim
 
     plus, minus = (cuspidal_ops(q) for q in quotients)
     w = space.module.weight
@@ -949,7 +956,7 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
         twin_ops = [cuspidal_ops(t) for t in twins]
         confirmed = sorted(
             (fracs, dim) for fracs, dim in candidates
-            if dim == sum(joint_kernel(ops, [t.field.elem(f) for f in fracs]).dim
+            if dim == sum(eigenspace_dim(ops, [t.field.elem(f) for f in fracs])
                           for t, ops in zip(twins, twin_ops))
         )
     covered = sum(dim for _, dim in confirmed)
@@ -974,33 +981,34 @@ def eigensystems(space: ManinBasisSpace, primes: Sequence[int]) -> list[EigenSys
     return cuspidal_coverage(space, primes).systems
 
 
-def _left_eigenbasis(space: ManinBasisSpace, primes: Sequence[int],
-                     target: tuple[int, ...]) -> list[dict[int, int]]:
-    """Canonical echelon basis of the left eigenspace with the given values."""
-    ops = [space.hecke_matrix(l).transpose() for l in primes]
-    basis = joint_kernel(ops, target).basis
-    if not basis:
-        raise MultiPrimeMismatch(f"no left eigenspace with eigenvalues {target} mod {space.field.p}")
-    return list(basis)
-
-
 def _winding_pairings(space: ManinBasisSpace, system: EigenSystem,
                       primes: Sequence[int]) -> list[list[int]]:
     """Pairings of the winding symbol with the canonical left eigenbasis
     of `system` on space and on its partner; MultiPrimeMismatch unless
-    both primes agree on the eigenspace dimension and on vanishing."""
+    both primes find the eigenspace and agree on its dimension and on
+    vanishing.
+
+    The left eigenspace is followed down by `eigen_step` on the
+    transposed T_l (NotInvariant unless each kernel is stable), and the
+    winding vector w is carried down as its pairings with each node's
+    basis: B_1 w, then C_2 (B_1 w), and so on.  C_t ... C_2 B_1 is the
+    reduced echelon basis of the left eigenspace, so the last list holds
+    w's pairings with that basis.
+    """
     m = (space.module.k - 1) // 2
     values: list[list[int]] = []
     for sp in (space, space.partner()):
         p = sp.field.p
         target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
-        basis = _left_eigenbasis(sp, primes, target)
         # The winding symbol is the Manin generator (X^m Y^m, (0:1)).
         winding = sp.project_generator(m * len(sp.p1) + sp.p1.index(0, 1))
-        pairings = []
-        for u in basis:
-            small, big = (u, winding) if len(u) <= len(winding) else (winding, u)
-            pairings.append(sum(v * big.get(i, 0) for i, v in small.items()) % p)
+        pairings = [winding.get(i, 0) for i in range(sp.dim)]
+        ops = [sp.hecke_matrix(l).transpose() for l in primes]
+        for lam in target:
+            kernel, ops = eigen_step(ops, lam)
+            pairings = [sum(v * pairings[j] for j, v in u.items()) % p for u in kernel.basis]
+        if not pairings:
+            raise MultiPrimeMismatch(f"no left eigenspace with eigenvalues {target} mod {p}")
         values.append(pairings)
     if len(values[0]) != len(values[1]):
         raise MultiPrimeMismatch("left eigenspace dimensions differ between primes")
@@ -1015,10 +1023,12 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     Returns an exact rational that vanishes if and only if the
     component of the winding symbol in the eigenspace vanishes, the
     exact surrogate for central L-value vanishing.  The value is the
-    sum of squares of the pairings against the canonical left
-    eigenbasis; it is well defined only up to a fixed positive rational
-    per system, which does not affect the vanishing test.  Zero is
-    declared only when the pairing is zero at both working primes.
+    sum of squares of the pairings against the canonical (reduced
+    echelon) left eigenbasis, carried down the `eigen_step`s of the
+    transposed T_l (see `_winding_pairings`); it is well defined only up
+    to a fixed positive rational per system, which does not affect the
+    vanishing test.  Zero is declared only when the pairing is zero at
+    both working primes.
 
     Vanishing is decided on the sign quotient V_e, e = (-1)^m, as
     w = (X^m Y^m, (0:1)) has iota w = e w: w pairs to zero with the left

@@ -19,7 +19,7 @@ from heckeledger.exactlin import (
     charpoly,
     distinct_roots,
     echelonize,
-    joint_kernel,
+    eigen_step,
     next_field_prime,
     rank_and_kernel,
     rational_reconstruct,
@@ -208,14 +208,14 @@ def test_subspace_keeps_a_reduced_basis_without_echelon(monkeypatch):
 
 def test_restrict_identity():
     s = span(4, ({0: 1, 2: 3}, {1: 5}), F)
-    r = restrict_operator(FieldMatrix.identity(F, 4), s)
+    (r,) = restrict_operator([FieldMatrix.identity(F, 4)], s)
     assert r == FieldMatrix.identity(F, 2)
 
 
 def test_restrict_diagonal_to_eigenplane():
     op = dense([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
     plane = Subspace(3, ({1: 1}, {2: 1}), F)
-    r = restrict_operator(op, plane)
+    (r,) = restrict_operator([op], plane)
     assert r == dense([[3, 0], [0, 3]])
 
 
@@ -223,7 +223,27 @@ def test_restrict_raises_not_invariant():
     op = dense([[0, 1], [1, 0]])
     line = Subspace(2, ({0: 1},), F)
     with pytest.raises(NotInvariant):
-        restrict_operator(op, line)
+        restrict_operator([op], line)
+
+
+def test_restrict_packs_the_basis_once(monkeypatch):
+    # Several operators restricted to one subspace share one packing of
+    # its basis, and each comes out as it would alone.
+    space = build_space(37, 3)
+    ops = [hecke_operator(space, l) for l in (2, 3, 5)]
+    cusp = space.cuspidal_subspace
+    packed = []
+    packed_rows = exactlin._packed_rows
+
+    def counted(m, nb):
+        packed.append(m.nrows)
+        return packed_rows(m, nb)
+
+    monkeypatch.setattr(exactlin, "_packed_rows", counted)
+    together = restrict_operator(ops, cusp)
+    assert packed == [space.dim]
+    assert together == [restrict_operator([op], cusp)[0] for op in ops]
+    assert restrict_operator([], cusp) == []
 
 
 # -- eigenspace splitting ---------------------------------------------------
@@ -284,7 +304,7 @@ def test_split_simultaneous_pair():
     got = [(e.values, e.dims) for e in res.eigenspaces]
     assert got == [((1, 5), (2,)), ((2, 5), (1,)), ((3, 7), (1,))]
     for e in res.eigenspaces:
-        for v in joint_kernel([a, b], e.values).basis:
+        for v in ref_joint_kernel([a, b], e.values):
             for op, lam in zip((a, b), e.values):
                 got_vec = matvec(op, v)
                 want = {k: (lam * x) % P for k, x in v.items() if (lam * x) % P}
@@ -292,12 +312,26 @@ def test_split_simultaneous_pair():
 
 
 def test_joint_kernel_matches_split():
+    # Each eigenspace of the split, reached again by eigen_step down its
+    # values, has the split's dimension; (1, 7) empties at the second step.
     a = dense([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
     b = dense([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
     split = split_eigenspaces([a, b], [P // 2] * 2).eigenspaces
     assert [(e.values, e.dims) for e in split] == [
-        (e.values, (joint_kernel([a, b], e.values).dim,)) for e in split]
-    assert joint_kernel([a, b], (1, 7)).dim == 0
+        (e.values, (len(descend([a, b], e.values)[0]),)) for e in split]
+    assert descend([a, b], (1, 7))[1] == [2, 0]
+
+
+def test_eigen_step_raises_when_the_kernel_is_not_stable():
+    # ker(A - 1) = <e0, e1>, and B e0 = e2 leaves it (A and B do not
+    # commute); ker(A - 2) = <e2> is B-stable, as B e2 = 0.
+    a = dense([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    b = dense([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    with pytest.raises(NotInvariant):
+        eigen_step([a, b], 1)
+    kernel, rest = eigen_step([a, b], 2)
+    assert list(kernel.basis) == [{2: 1}]
+    assert rest == [FieldMatrix(F, 1, 1)]
 
 
 def test_split_reports_jordan_block_separately():
@@ -365,10 +399,10 @@ def test_split_lockstep_matches_block_diagonal():
     for e in lockstep.eigenspaces:
         assert e.dims == (1, 1)
         for family in (ops, others):
-            space = joint_kernel(family, e.values)
-            assert space.dim == 1
+            space = ref_joint_kernel(family, e.values)
+            assert len(space) == 1
             for op, lam in zip(family, e.values):
-                for v in space.basis:
+                for v in space:
                     assert matvec(op, v) == {k: lam * x % P for k, x in v.items()}
 
 
@@ -392,7 +426,7 @@ def census_families(level, k, primes):
     """(plus, Deligne bounds, minus): each sign quotient's T_l on its
     cuspidal subspace, as the census splits them."""
     space = build_space(level, k)
-    plus, minus = ([restrict_operator(q.hecke_matrix(l), q.cuspidal_subspace) for l in primes]
+    plus, minus = (restrict_operator([q.hecke_matrix(l) for l in primes], q.cuspidal_subspace)
                    for q in (space.sign_quotient(1), space.sign_quotient(-1)))
     return plus, [math.isqrt(4 * l ** k) for l in primes], minus
 
@@ -1093,16 +1127,6 @@ def test_kernel_is_reduced_by_construction(p, monkeypatch):
     assert full_rank >= 5
 
 
-def random_reduced(fld, rng, n, d, density):
-    """A random d-dimensional subspace of F^n, built as its reduced echelon
-    basis: pivots at d random columns, each later free column nonzero
-    with the given probability."""
-    pivots = sorted(rng.sample(range(n), d))
-    free = [j for j in range(n) if j not in pivots]
-    return Subspace(n, [{c: 1, **{j: rng.randrange(1, fld.p) for j in free
-                                  if j > c and rng.random() < density}} for c in pivots], fld)
-
-
 def ref_lift(s, coords):
     """The coordinate vectors of coords, combined from s's basis vectors
     one entry at a time."""
@@ -1117,32 +1141,19 @@ def ref_lift(s, coords):
     return lifted
 
 
-@pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_lift_is_reduced_by_construction(p, monkeypatch):
-    # _lift_to_ambient's product of two reduced bases is the reduced
-    # basis Subspace keeps, through either branch of FieldMatrix.matmul.
-    fld = PrimeField(p)
-    rng = random.Random(p % 983)
-    handed = []
-
-    def recording(ambient_dim, vectors, field):
-        handed.append([dict(v) for v in vectors])
-        return Subspace(ambient_dim, vectors, field)
-
-    monkeypatch.setattr(exactlin, "Subspace", recording)
-    dense_sides = set()
-    for density in (0.0, 0.05, 0.3, 1.0):
-        for n, d, e in ((1, 1, 1), (6, 3, 0), (6, 6, 2), (12, 5, 5), (20, 8, 3), (30, 12, 7)):
-            s = random_reduced(fld, rng, n, d, density)
-            coords = random_reduced(fld, rng, d, e, density)
-            rows = FieldMatrix(fld, d, n, list(s.basis))
-            dense_sides.add(rows.density > exactlin.DENSE_THRESHOLD)
-            handed.clear()
-            lifted = exactlin._lift_to_ambient(s, coords)
-            assert handed == [list(lifted.basis)]
-            assert list(lifted.basis) == ref_lift(s, coords), (n, d, e, density)
-            assert (lifted.ambient_dim, lifted.dim) == (n, e)
-    assert dense_sides == {False, True}
+def descend(ops, values):
+    """Follow eigen_step down values: the joint eigenspace's basis in
+    ambient coordinates, each step's kernel lifted by ref_lift, and the
+    dimension after each step.  Subspace checks that every lifted basis
+    is already reduced."""
+    fld, n = ops[0].field, ops[0].ncols
+    lifted = Subspace(n, [{i: 1} for i in range(n)], fld)
+    dims = []
+    for lam in values:
+        kernel, ops = eigen_step(ops, lam)
+        lifted = Subspace(n, ref_lift(lifted, kernel), fld)
+        dims.append(kernel.dim)
+    return list(lifted.basis), dims
 
 
 def ref_joint_kernel(ops, values):
@@ -1156,8 +1167,9 @@ def ref_joint_kernel(ops, values):
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_joint_kernel_matches_stacked_reference(p):
-    # joint_kernel intersects one matrix at a time; Gauss-Jordan on all
-    # the rows stacked, [op_1 - v_1 I; op_2 - v_2 I; ...], gives the same basis.
+    # eigen_step followed down the values, one operator at a time in each
+    # node's coordinates, reaches the basis that Gauss-Jordan on all the
+    # rows stacked, [op_1 - v_1 I; op_2 - v_2 I; ...], gives.
     fld = PrimeField(p)
     rng = random.Random(p % 967)
     n = 8
@@ -1176,13 +1188,13 @@ def test_joint_kernel_matches_stacked_reference(p):
     ]
     dims = []
     for ops, values in cases:
-        got = joint_kernel(ops, values)
-        assert list(got.basis) == ref_joint_kernel(ops, values)
-        dims.append(got.dim)
-    assert dims == [3, 2, 2, 1, 0, 0, 1]
-    for ops, values in (([], []), ([a], []), ([random_matrix(fld, rng, 3, n, 0.5)], [1])):
+        basis, steps = descend(ops, values)
+        assert basis == ref_joint_kernel(ops, values)
+        dims.append(steps)
+    assert dims == [[3], [3, 2], [4, 2], [1, 1], [3, 2, 0, 0], [0, 0], [8, 1]]
+    for ops in ([], [random_matrix(fld, rng, 3, n, 0.5)], [a, FieldMatrix.identity(fld, 3)]):
         with pytest.raises(ValueError):
-            joint_kernel(ops, values)
+            eigen_step(ops, 3)
 
 
 # -- restriction against the echelon of [B | op B] ---------------------------
@@ -1240,16 +1252,14 @@ def test_restrict_matches_reference(p):
         primes = [l for l in (2, 3, 5, 7) if level % l][:2]
         ops = [hecke_operator(space, l) for l in primes]
         cusp = space.cuspidal_subspace
-        restricted = []
-        for op in ops:
-            got = restrict_operator(op, cusp)
+        restricted = restrict_operator(ops, cusp)
+        for op, got in zip(ops, restricted):
             assert got.rows == ref_restrict(op, cusp), (level, k)
-            restricted.append(got)
         for e in split_eigenspaces(restricted, [p // 2] * len(restricted)).eigenspaces:
-            space = joint_kernel(restricted, e.values)
+            space = Subspace(cusp.dim, ref_joint_kernel(restricted, e.values), fld)
             assert (space.dim,) == e.dims
-            for op in restricted:
-                assert restrict_operator(op, space).rows == ref_restrict(op, space)
+            for op, got in zip(restricted, restrict_operator(restricted, space)):
+                assert got.rows == ref_restrict(op, space)
                 checked += 1
     assert checked >= 30
     # Random invariant subspaces, from a point to the whole space.
@@ -1257,7 +1267,7 @@ def test_restrict_matches_reference(p):
         vectors, dense_op = invariant_pair(fld, rng, n, d)
         s = span(n, vectors, fld)
         op = from_dense(fld, dense_op)
-        got = restrict_operator(op, s)
+        (got,) = restrict_operator([op], s)
         assert (got.nrows, got.ncols) == (d, d)
         assert got.rows == ref_restrict(op, s), (n, d)
         # A change to one non-pivot row of op that moves some basis vector
@@ -1275,7 +1285,9 @@ def test_restrict_matches_reference(p):
             with pytest.raises(NotInvariant):
                 ref_restrict(bad, s)
             with pytest.raises(NotInvariant):
-                restrict_operator(bad, s)
+                restrict_operator([bad], s)
+            with pytest.raises(NotInvariant):
+                restrict_operator([op, bad], s)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -1290,13 +1302,13 @@ def test_restrict_checks_the_last_non_pivot_row(p):
     s = Subspace(n, basis, fld)
     op = from_dense(fld, [[sum(vec.get(i, 0) * (p - 1) for vec in basis) % p] * n
                           for i in range(n)])
-    assert restrict_operator(op, s).rows == ref_restrict(op, s)
+    assert restrict_operator([op], s)[0].rows == ref_restrict(op, s)
     bad = from_dense(fld, [[op.rows[i].get(j, 0) for j in range(n)] for i in range(n)])
     bad.add_at(n - 1, 0, 1)
     with pytest.raises(NotInvariant):
         ref_restrict(bad, s)
     with pytest.raises(NotInvariant):
-        restrict_operator(bad, s)
+        restrict_operator([bad], s)
 
 
 # -- rational reconstruction ------------------------------------------------

@@ -13,9 +13,7 @@ from heckeledger.heckepoly import (
     HeckePolynomial,
     LiftClass,
     SL3Datum,
-    assemble,
     check_factor_shape,
-    functional_dual,
     linear_factor,
     poly_divmod,
     poly_to_json,
@@ -38,6 +36,36 @@ def expand_factors(*factors):
     out = [Fraction(1)]
     for f in factors:
         out = convolve(out, f)
+    return out
+
+
+def assemble(n, l, a, central=1):
+    """The degree-n Hecke polynomial from eigenvalues a(l,1..n-1): the
+    coefficient of T^k is (-1)^k l^(k(k-1)/2) a(l,k), with a(l,0) = 1
+    and a(l,n) the central value (1 for the special linear group)."""
+    assert len(a) == n - 1
+    values = [Fraction(1)] + [Fraction(x) for x in a] + [Fraction(central)]
+    return HeckePolynomial(
+        l, tuple((-1) ** k * Fraction(l) ** (k * (k - 1) // 2) * values[k] for k in range(n + 1)), n)
+
+
+def functional_dual(poly):
+    """l^6 T^4 P(1/(l^3 T)) for a degree-4 polynomial.  The footnote
+    normalization pairs each family with its contragredient: the
+    weight-4 family is its own dual, the two weight-2 families are each
+    other's, and the two rank-3 families are dual up to swapping gamma
+    and gamma'."""
+    assert poly.degree == 4
+    l = poly.prime_l
+    return HeckePolynomial(
+        l, tuple(poly.coeffs[4 - j] * Fraction(l) ** (3 * j - 6) for j in range(5)), 4)
+
+
+def evaluate(poly, t):
+    """poly at T = t, by Horner."""
+    out = Fraction(0)
+    for c in reversed(poly.coeffs):
+        out = out * t + c
     return out
 
 
@@ -95,7 +123,7 @@ def test_weight2_alpha_zero_second_family():
 def test_weight2_root_at_inverse_l_squared():
     for l in (2, 3, 5):
         first, _ = weight2_lifts(l, 1)
-        assert first(Fraction(1, l**2)) == 0
+        assert evaluate(first, Fraction(1, l**2)) == 0
 
 
 # -- weight 4 ----------------------------------------------------------------
@@ -109,7 +137,7 @@ def test_weight4_beta_zero():
 def test_weight4_root_and_leading():
     for l, beta in [(2, -4), (3, 2), (5, 10)]:
         poly = weight4_lift(l, beta)
-        assert poly(Fraction(1, l)) == 0
+        assert evaluate(poly, Fraction(1, l)) == 0
         assert poly.coeffs[4] == l**6
 
 
