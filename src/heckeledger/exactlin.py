@@ -29,7 +29,7 @@ multiply-adds.  That covers the restriction's images and its
 invariance residuals, the commutators of the split's guard, the
 Hessenberg reduction of the charpoly (on packed columns) and its
 expansion, and the squarings of modular powers; each guard checks that
-a packed row combination vanishes, with one unpack per row.  Only
+a packed row combination vanishes, with one exact division per row.  Only
 roots whose signed lift is within a bound B are found: by evaluating
 the polynomial at the 2B + 1 integers in [-B, B] when
 2B + 1 <= 16 bitlen(p), and otherwise modulo its squarefree part, by
@@ -195,12 +195,16 @@ class FieldContext:
 # one nonnegative int with fixed-width little-endian slots, so a single
 # big-int product or multiply-add does a whole vector's worth of field
 # multiply-adds in C.  Slots are wide enough that no sum carries into
-# the next slot; each slot is reduced mod p once, on unpacking.
+# the next slot; each slot is reduced mod p once, on unpacking, or
+# tested for zero mod p all at once (`_vanishes`).
 
 
 def _slot_bytes(p: int, terms: int) -> int:
     """Slot width, in whole bytes, that holds a sum of `terms` products of
-    two elements of [0, p) with a spare bit."""
+    two elements of [0, p) with a spare bit.
+
+    The spare bit is load-bearing: it keeps every such sum below
+    2^(w-1) for a slot of w bits, which `_vanishes` needs."""
     return (2 * p.bit_length() + terms.bit_length() + 1 + 7) // 8
 
 
@@ -233,13 +237,29 @@ def _combination(row: dict[int, int], packed: list[int]) -> int:
     return sum(map(mul, row.values(), map(packed.__getitem__, row)))
 
 
-def _vanishes(x: int, row: dict[int, int], packed: list[int], count: int, nb: int,
-              p: int) -> bool:
-    """Whether x - sum_j row[j] packed[j] is 0 mod p in each of its `count`
-    slots.  The difference is formed as x + sum_j (p - row[j]) packed[j],
-    so every slot stays nonnegative, and one unpack reads them all."""
+def _slot_high(p: int, count: int, nb: int) -> int:
+    """The top bitlen(p) bits of each of `count` nb-byte slots."""
+    w = 8 * nb
+    return ((1 << w) - (1 << (w - p.bit_length()))) * ((1 << (w * count)) - 1) // ((1 << w) - 1)
+
+
+def _vanishes(x: int, row: dict[int, int], packed: list[int], high: int, p: int) -> bool:
+    """Whether x - sum_j row[j] packed[j] is 0 mod p in every slot, for
+    w-bit slots in which x + sum_j (p - row[j]) packed[j] stays below
+    2^(w-1) (the spare bit of `_slot_bytes`); `high` is `_slot_high`'s
+    mask for them.
+
+    The difference is formed as x + sum_j (p - row[j]) packed[j], so
+    every slot stays nonnegative, and one exact division tests them all:
+    each slot is a multiple of p exactly when q, r = divmod(difference,
+    p) has r = 0 and q & high = 0.  If each slot is p t, then
+    t < 2^(w-1) / p < 2^(w - bitlen p), so q has those t as its slots,
+    clear of `high`; conversely, when both hold, p q is written with
+    slots p t < 2^w and no carry, and that slot form of the difference
+    is unique."""
     x += sum(map(mul, map(p.__sub__, row.values()), map(packed.__getitem__, row)))
-    return not x or not any(_unpack(x, count, nb, p))
+    q, r = divmod(x, p)
+    return not r and not q & high
 
 
 # Fraction of populated cells above which a matrix counts as dense.  No
@@ -513,13 +533,14 @@ def restrict_operator(ops: Sequence[FieldMatrix], s: Subspace) -> list[FieldMatr
     are formed packed, one multiply-add per stored entry of op.  The
     basis is in reduced echelon form, so the coordinates of an image
     that lies in s are its entries at the pivot columns: row t of a
-    result is row pivot_t of op B, unpacked.  B times the result agrees
-    with op B on the pivot rows by construction, and on every other row
-    i exactly when the packed residual (op B)_i + sum_t (p - b_it)
-    result_t vanishes in every slot; that holds for all of them exactly
-    when every image lies in the span of B.  A subspace that is the
-    whole space has the identity as its basis, and the ops themselves
-    are the answer.
+    result is row pivot_t of op B, unpacked (the only unpacks, d per
+    op).  B times the result agrees with op B on the pivot rows by
+    construction, and on every other row i exactly when the packed
+    residual (op B)_i + sum_t (p - b_it) result_t vanishes in every
+    slot, which one exact division tests (`_vanishes`); that holds for
+    all of them exactly when every image lies in the span of B.  A
+    subspace that is the whole space has the identity as its basis,
+    and the ops themselves are the answer.
     """
     n = s.ambient_dim
     if any(op.ncols != n or op.nrows != n for op in ops):
@@ -532,13 +553,14 @@ def restrict_operator(ops: Sequence[FieldMatrix], s: Subspace) -> list[FieldMatr
     b = FieldMatrix(s.field, d, n, list(s.basis)).transpose()
     nb = _slot_bytes(p, n + d)  # an image's n terms plus a residual's d
     packed_b = _packed_rows(b, nb)
+    high = _slot_high(p, d, nb)
     restricted = []
     for op in ops:
         images = [_combination(row, packed_b) for row in op.rows]
         result = [_unpack(images[c], d, nb, p) for c in pivots]
         packed_result = [_pack(r, nb) for r in result]
         for i, coords in enumerate(b.rows):
-            if i not in pivset and not _vanishes(images[i], coords, packed_result, d, nb, p):
+            if i not in pivset and not _vanishes(images[i], coords, packed_result, high, p):
                 raise NotInvariant("image leaves the span of the subspace basis")
         restricted.append(FieldMatrix(s.field, d, d,
                                       [{c: v for c, v in enumerate(r) if v} for r in result]))
@@ -924,14 +946,16 @@ def _check_commuting(family: Sequence[FieldMatrix], p: int) -> None:
 
     Row i of AB - BA is sum_j a_ij B_j - sum_j b_ij A_j.  With every
     operator's rows packed once, that is one packed combination per row
-    and pair, which must vanish in every slot: one unpack each.
+    and pair, of 2n terms, which must vanish in every slot: one exact
+    division each (`_vanishes`), and nothing is unpacked.
     """
     n = family[0].nrows
     nb = _slot_bytes(p, 2 * n)
+    high = _slot_high(p, n, nb)
     packed = [_packed_rows(op, nb) for op in family]
     for a in range(len(family)):
         for b in range(a + 1, len(family)):
-            if not all(_vanishes(_combination(ra, packed[b]), rb, packed[a], n, nb, p)
+            if not all(_vanishes(_combination(ra, packed[b]), rb, packed[a], high, p)
                        for ra, rb in zip(family[a].rows, family[b].rows)):
                 raise NonCommuting(f"operators {a} and {b} do not commute")
 

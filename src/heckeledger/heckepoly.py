@@ -7,7 +7,8 @@ The degree-n polynomial of the eigenvalues a(l,k) is
 normalized so that under T = l^(-s) the functional equation relates s
 and n - s.  The lift families for weight-2, weight-4 and rank-3
 cuspidal sources are stored expanded; their factored shapes are
-checked by exact division, never by floating point.
+checked by exact evaluation at each forced root, never by floating
+point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "weight4_lift",
     "sl3_lifts",
     "poly_mul",
-    "poly_divmod",
     "linear_factor",
     "check_factor_shape",
     "poly_to_json",
@@ -66,29 +66,6 @@ def poly_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
                 if b:
                     out[i + j] += a * b
     return out
-
-
-def poly_divmod(f: Sequence[Fraction], g: Sequence[Fraction]):
-    f = [_frac(x) for x in f]
-    g = [_frac(x) for x in g]
-    while g and g[-1] == 0:
-        g.pop()
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = f[-1] / g[-1]
-        d = len(f) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            f[d + i] -= c * b
-    while f and f[-1] == 0:
-        f.pop()
-    return q, f
 
 
 def linear_factor(l: int, e: int) -> list[Fraction]:
@@ -171,13 +148,23 @@ def sl3_lifts(l: int, gamma, gamma_prime) -> tuple[HeckePolynomial, HeckePolynom
 
 
 def check_factor_shape(kind: str, poly: HeckePolynomial) -> bool:
-    """Exact-division check of the forced linear factors for the kind."""
+    """Whether every forced linear factor 1 - l^e T of the kind divides
+    the polynomial, for a prime l.
+
+    1 - L T divides sum_i c_i T^i exactly when T = 1/L is a root, that
+    is when sum_i c_i L^(deg - i) = 0, which Horner's rule gives from
+    the constant term up.  The exponents of each kind are distinct, so
+    for l >= 2 the roots 1/l^e are too, and the factors divide
+    together exactly when each one does.
+    """
     if kind not in LIFT_KINDS:
         raise ValueError(f"unknown lift kind {kind!r}")
-    f = list(poly.coeffs)
     for e in LIFT_KINDS[kind]:
-        f, r = poly_divmod(f, linear_factor(poly.prime_l, e))
-        if r:
+        inv_root = poly.prime_l**e
+        value = 0
+        for c in poly.coeffs:
+            value = value * inv_root + c
+        if value:
             return False
     return True
 

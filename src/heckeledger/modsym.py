@@ -85,7 +85,6 @@ __all__ = [
     "HalvesMismatch",
     "determinant",
     "unimodularize",
-    "transform",
     "build_space",
     "hecke_operator",
     "eigensystems",
@@ -163,10 +162,6 @@ class Cusp:
     @property
     def is_infinity(self) -> bool:
         return self.den == 0
-
-    def apply(self, a: int, b: int, c: int, d: int) -> "Cusp":
-        """Image under the Moebius action of the integer matrix [[a,b],[c,d]]."""
-        return Cusp(a * self.num + b * self.den, c * self.num + d * self.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Cusp) and self.num == other.num and self.den == other.den
@@ -300,18 +295,6 @@ class ModularSymbol:
 def determinant(s: ModularSymbol) -> int:
     """n(xi) = |a1 b2 - a2 b1| on reduced endpoint fractions; 1 iff unimodular."""
     return abs(s.q1.num * s.q2.den - s.q2.num * s.q1.den)
-
-
-def _adj(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    return d, -b, -c, a
-
-
-def transform(s: ModularSymbol, g: Sequence[Sequence[int]]) -> ModularSymbol:
-    """g.s for g in SL2(Z): Moebius on endpoints, adjugate substitution on coeff."""
-    (a, b), (c, d) = g
-    if a * d - b * c != 1:
-        raise ValueError("transform expects a determinant-1 integer matrix")
-    return ModularSymbol(s.q1.apply(a, b, c, d), s.q2.apply(a, b, c, d), s.coeff.subst(*_adj(a, b, c, d)))
 
 
 # ---------------------------------------------------------------------------

