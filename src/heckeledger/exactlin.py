@@ -29,7 +29,11 @@ multiply-adds.  That covers the restriction's images and its
 invariance residuals, the commutators of the split's guard, the
 Hessenberg reduction of the charpoly (on packed columns) and its
 expansion, and the squarings of modular powers; each guard checks that
-a packed row combination vanishes, with one exact division per row.  Only
+a packed row combination vanishes, with one exact division per row.
+The commutation guard checks only the pairs with the family's head when
+the head's Hessenberg form is unreduced (the head is then
+nonderogatory, and whatever commutes with it is a polynomial in it),
+and every pair otherwise.  Only
 roots whose signed lift is within a bound B are found: by evaluating
 the polynomial at the 2B + 1 integers in [-B, B] when
 2B + 1 <= 16 bitlen(p), and otherwise modulo its squarefree part, by
@@ -98,11 +102,17 @@ DEFAULT_PRIME = (1 << 61) - 1
 # lifts need no floor of their own; a wrong one fails the second-prime check.
 FIELD_PRIME_FLOOR = 1 << 60
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n < 3.3 * 10**24."""
+    """Miller-Rabin to the 13 prime bases 2..41.
+
+    Deterministic below psi_13 = 3317044064679887385961981, the least
+    strong pseudoprime to all 13 bases (Sorenson and Webster; OEIS
+    A014233); psi_12 = 318665857834031151167461, strong to 2..37, is
+    caught by 41.  Above psi_13 it is a strong probable-prime test to
+    those 13 bases."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -697,12 +707,20 @@ def poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def charpoly(m: FieldMatrix) -> list[int]:
-    """Characteristic polynomial det(xI - m), low degree first, monic.
+def charpoly(m: FieldMatrix) -> tuple[list[int], bool]:
+    """(coeffs, cyclic): the characteristic polynomial det(xI - m), low
+    degree first, monic, and whether the Hessenberg form found on the
+    way is unreduced.
 
     Reduces to Hessenberg form h by similarity transforms (Cohen, A
     Course in Computational Algebraic Number Theory, 2.2.4), then
-    expands along the last column of each leading block.
+    expands along the last column of each leading block.  When every
+    subdiagonal entry h[j+1][j] is nonzero, h^k e_0 is nonzero at e_k
+    and zero below it, so e_0, h e_0, ..., h^(n-1) e_0 are a basis: e_0
+    is a cyclic vector of h, and m, similar to h, is nonderogatory (the
+    transforms below touch only indices >= 1, so e_0 is cyclic for m
+    too).  `cyclic` is that test, and nothing more: a nonderogatory m
+    may still meet a zero subdiagonal entry and read False.
 
     The reduction runs on packed columns: G[r] holds column r of h with
     row i in slot i.  Step `col` unpacks the pivot column G[col], swaps
@@ -734,7 +752,7 @@ def charpoly(m: FieldMatrix) -> list[int]:
     n = m.nrows
     p = m.field.p
     if n == 0:
-        return [1]
+        return [1], True
     nb = (3 * p.bit_length() + 2 * n.bit_length() + 2 + 7) // 8
     width = 8 * nb
     mask = (1 << width) - 1
@@ -785,7 +803,7 @@ def charpoly(m: FieldMatrix) -> list[int]:
                 acc += (p - c) * packed[i]
         coeffs = _unpack(acc, k + 1, nb, p)
         packed.append(_pack(coeffs, nb))
-    return coeffs
+    return coeffs, all(h[j][j + 1] for j in range(n - 1))
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -941,19 +959,28 @@ def signed_lift(x: int, p: int) -> int:
     return x - p if 2 * x > p else x
 
 
-def _check_commuting(family: Sequence[FieldMatrix], p: int) -> None:
+def _check_commuting(family: Sequence[FieldMatrix], p: int, cyclic: bool) -> None:
     """NonCommuting unless every pair of the square operators commutes.
 
     Row i of AB - BA is sum_j a_ij B_j - sum_j b_ij A_j.  With every
     operator's rows packed once, that is one packed combination per row
     and pair, of 2n terms, which must vanish in every slot: one exact
     division each (`_vanishes`), and nothing is unpacked.
+
+    `cyclic` says that the head A = family[0] is nonderogatory (see
+    `charpoly`), and then only the pairs (0, b) are checked.  Every
+    matrix that commutes with a nonderogatory A is a polynomial in A
+    (Horn and Johnson, Matrix Analysis, 3.2.4.2): with v a cyclic
+    vector of A and Bv = q(A) v, B A^i v = A^i B v = q(A) A^i v for
+    every i, and the A^i v span the space.  So once A commutes with
+    every other operator, they are all polynomials in A and commute
+    with each other.
     """
     n = family[0].nrows
     nb = _slot_bytes(p, 2 * n)
     high = _slot_high(p, n, nb)
     packed = [_packed_rows(op, nb) for op in family]
-    for a in range(len(family)):
+    for a in range(1 if cyclic else len(family)):
         for b in range(a + 1, len(family)):
             if not all(_vanishes(_combination(ra, packed[b]), rb, packed[a], high, p)
                        for ra, rb in zip(family[a].rows, family[b].rows)):
@@ -987,10 +1014,15 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
     operator on its own space, that are isomorphic to `ops` as modules
     over the family (such as the two halves of an involution commuting
     with it).  All families are refined in lockstep.  Each is checked
-    to commute, every pair on every row, as packed commutator rows
-    (NonCommuting otherwise; see `_check_commuting`).  At each
+    to commute on every row, as packed commutator rows (NonCommuting
+    otherwise; see `_check_commuting`): only its head's pairs when the
+    head's Hessenberg form, from its characteristic polynomial, is
+    unreduced, since every operator commuting with a nonderogatory head
+    is a polynomial in it, and every pair otherwise.  At each
     refinement node every family's matrix gets its own characteristic
-    polynomial, and FamilyMismatch is raised unless they are equal.
+    polynomial (the root's are those the guard computed), and
+    FamilyMismatch is raised unless they are equal; every family is
+    guarded before the root's are compared.
     The roots of that one polynomial are found once, and each bounded
     root takes its kernel in every family.  Dimensions, multiplicities,
     `defective` and `unsplit_dim` are summed over the families, so the
@@ -1004,21 +1036,24 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
         raise ValueError("need one bound per operator")
     field = ops[0].field
     p = field.p
+    root_polys = []
     for family in families:
         n = family[0].nrows
         for op in family:
             if op.nrows != n or op.ncols != n or op.field != field:
                 raise ValueError("operators must share one square ambient space")
-        _check_commuting(family, p)
+        f, cyclic = charpoly(family[0])
+        _check_commuting(family, p, cyclic)
+        root_polys.append(f)
 
     result = SplitResult(eigenspaces=[])
     current = [((), tuple(family[0].nrows for family in families), families)]
     for t, bound in enumerate(bounds):
         refined = []
         for prefix, dims, mats in current:
-            heads = [m[0] for m in mats]
-            f = charpoly(heads[0])
-            if any(charpoly(h) != f for h in heads[1:]):
+            polys = root_polys if t == 0 else [charpoly(m[0])[0] for m in mats]
+            f = polys[0]
+            if any(g != f for g in polys[1:]):
                 raise FamilyMismatch(f"operator {t} has different characteristic "
                                      f"polynomials at eigenvalues {prefix}")
             covered = 0

@@ -117,7 +117,8 @@ def complement_dims(p: int, gritsenko: Optional[int]) -> ParamodularDims:
 def load_gritsenko_csv(text: str) -> dict[int, int]:
     """Parse the `p,dim_gritsenko` file; `#` starts a comment line.
 
-    Validates primality of p and the bound dim_gritsenko <= dim S3(p).
+    Validates primality of p, through `dim_S3`'s own test, and the bound
+    dim_gritsenko <= dim S3(p); each error names its line.
     """
     out: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -133,11 +134,11 @@ def load_gritsenko_csv(text: str) -> dict[int, int]:
             p, g = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        if not _is_prime(p):
-            raise ValueError(f"line {lineno}: {p} is not prime")
         try:
             complement_dims(p, g)
         except GritsenkoExceedsTotal as exc:
             raise GritsenkoExceedsTotal(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         out[p] = g
     return out

@@ -409,6 +409,16 @@ def test_field_prime_env_override(tmp_path, capsys, monkeypatch):
     assert "11,2,2,2,-2" in out
 
 
+def test_field_prime_strong_pseudoprime_is_usage_error(capsys, monkeypatch):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+    # base 2..37; the base 41 rejects it.
+    monkeypatch.setenv("HECKE_FIELD_PRIME", "318665857834031151167461")
+    code, out, err = run(capsys, "modsym", "--level", "11", "--weight", "2")
+    assert code == 2
+    assert err == "error: modulus 318665857834031151167461 is not prime\n"
+    assert out == ""
+
+
 def test_field_prime_flag_rejects_composite(capsys):
     code, out, err = run(capsys, "modsym", "--level", "11", "--weight", "2",
                          "--primes", "2", "--field-prime", str((1 << 61) - 3))

@@ -66,6 +66,36 @@ def test_default_prime_is_prime_and_word_sized():
     assert ctx.secondary.p > 2**61
 
 
+# psi_t, the least strong pseudoprime to every one of the first t prime
+# bases (OEIS A014233), t = 1..12, with its factors.
+STRONG_PSEUDOPRIMES = [
+    (2047, [23, 89]),
+    (1373653, [829, 1657]),
+    (25326001, [2251, 11251]),
+    (3215031751, [151, 751, 28351]),
+    (2152302898747, [6763, 10627, 29947]),
+    (3474749660383, [1303, 16927, 157543]),
+    (341550071728321, [10670053, 32010157]),  # psi_7 = psi_8
+    (341550071728321, [10670053, 32010157]),
+    (3825123056546413051, [149491, 747451, 34233211]),  # psi_9 = psi_10 = psi_11
+    (3825123056546413051, [149491, 747451, 34233211]),
+    (3825123056546413051, [149491, 747451, 34233211]),
+    (318665857834031151167461, [399165290221, 798330580441]),
+]
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_is_prime_rejects_every_psi(t):
+    n, factors = STRONG_PSEUDOPRIMES[t - 1]
+    assert math.prod(factors) == n
+    assert not exactlin._is_prime(n)
+
+
+def test_is_prime_accepts_primes():
+    for q in (DEFAULT_PRIME, 2**89 - 1, FieldContext.default().secondary.p, 399165290221):
+        assert exactlin._is_prime(q)
+
+
 def test_next_field_prime():
     q = next_field_prime(DEFAULT_PRIME + 1)
     assert q > DEFAULT_PRIME
@@ -487,7 +517,7 @@ def test_multi_prime_pipeline_reconstructs_identically():
 
 def test_charpoly_known():
     m = dense([[2, 1], [1, 2]])
-    f = charpoly(m)
+    f, _ = charpoly(m)
     # (x-1)(x-3) = 3 - 4x + x^2
     assert f == [3, (P - 4) % P, 1]
 
@@ -496,7 +526,7 @@ def test_charpoly_matches_trace_det_random():
     rng = random.Random(17)
     for _ in range(10):
         a, b, c, d = (rng.randrange(100) for _ in range(4))
-        f = charpoly(dense([[a, b], [c, d]]))
+        f, _ = charpoly(dense([[a, b], [c, d]]))
         assert f[2] == 1
         assert f[1] == (-(a + d)) % P
         assert f[0] == (a * d - b * c) % P
@@ -521,7 +551,7 @@ def test_charpoly_cayley_hamilton():
     rng = random.Random(29)
     for n in (3, 4, 5):
         m = dense([[rng.randrange(50) for _ in range(n)] for _ in range(n)])
-        f = charpoly(m)
+        f, _ = charpoly(m)
         assert len(f) == n + 1 and f[-1] == 1
         acc = FieldMatrix(F, n, n)
         power = FieldMatrix.identity(F, n)
@@ -922,7 +952,7 @@ def test_charpoly_matches_reference(p):
          or (i, j) in below else 0 for j in range(n)]
         for i in range(n)]))
     for m in mats:
-        assert charpoly(m) == ref_charpoly(m)
+        assert charpoly(m)[0] == ref_charpoly(m)
 
 
 # -- reduced echelon form against textbook Gauss-Jordan ----------------------
@@ -1415,11 +1445,11 @@ def test_guards_unpack_only_the_values_they_return(p, monkeypatch):
     family = conjugates([from_dense(fld, [[v[i] * (i == j) for j in range(n)] for i in range(n)])
                          for v in ([1, 1, 2, 3, 5, 8, 13, 21], [4, 4, 4, 9, 9, 1, 0, 2],
                                    [p - 1] * 4 + [7] * 4)], p % 997)
-    exactlin._check_commuting(family, p)
+    exactlin._check_commuting(family, p, False)
     bad = from_dense(fld, [[family[2].rows[i].get(j, 0) for j in range(n)] for i in range(n)])
     bad.add_at(n - 1, 0, 1)
     with pytest.raises(NonCommuting):
-        exactlin._check_commuting(family[:2] + [bad], p)
+        exactlin._check_commuting(family[:2] + [bad], p, False)
     assert calls == []
     rng = random.Random(p % 991)
     for d in (1, 3, 6):
@@ -1429,6 +1459,161 @@ def test_guards_unpack_only_the_values_they_return(p, monkeypatch):
         calls.clear()
         assert [r.rows for r in restrict_operator(ops, s)] == [ref_restrict(m, s) for m in ops]
         assert calls == [d] * (2 * d)
+
+
+# -- the commutation guard with a nonderogatory head --------------------------
+#
+# When the head's Hessenberg form is unreduced, `charpoly` flags it cyclic,
+# and every operator commuting with the head is a polynomial in it, so the
+# guard checks only the head's pairs.  The tests below check the flag
+# against the Krylov vectors of e_0, which the Hessenberg reduction fixes,
+# and count the guard's rows by wrapping `_vanishes`.
+
+
+def krylov_rank(m):
+    """The rank of e_0, m e_0, ..., m^(n-1) e_0, by Gauss-Jordan."""
+    n, p = m.nrows, m.field.p
+    v = [int(i == 0) for i in range(n)]
+    vectors = []
+    for _ in range(n):
+        vectors.append(v)
+        v = [sum(x * v[j] for j, x in row.items()) % p for row in m.rows]
+    return len(ref_rref(vectors, n, p)[0])
+
+
+def companion(fld, coeffs):
+    """The companion matrix of x^n + sum_i coeffs[i] x^i: ones below the
+    diagonal and -coeffs in the last column."""
+    n, p = len(coeffs), fld.p
+    return from_dense(fld, [[int(i == j + 1) + (j == n - 1) * (-coeffs[i] % p) for j in range(n)]
+                            for i in range(n)])
+
+
+def diagonal(fld, values):
+    return from_dense(fld, [[v * (i == j) for j, v in enumerate(values)]
+                            for i in range(len(values))])
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_charpoly_cyclic_flag_means_a_cyclic_e0(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 977)
+    # Flagged cyclic: companion matrices (the nilpotent x^6 is one Jordan
+    # block), their unipotent conjugates and dense random matrices.
+    cyclic = [companion(fld, [rng.randrange(p) for _ in range(n)]) for n in (1, 2, 5, 12)]
+    cyclic.append(companion(fld, [0] * 6))
+    cyclic += [conjugates([m], 3)[0] for m in cyclic[1:]]
+    cyclic += [random_matrix(fld, rng, n, n, 1.0) for n in (3, 9, 20)]
+    for m in cyclic:
+        coeffs, flag = charpoly(m)
+        assert flag, m
+        assert krylov_rank(m) == m.nrows
+    for m in cyclic[:5]:  # a companion matrix's own polynomial
+        assert charpoly(m)[0] == [(-m.rows[i].get(m.ncols - 1, 0)) % p
+                                  for i in range(m.nrows)] + [1]
+    # Derogatory, so never flagged: an eigenvalue with two Jordan blocks.
+    derogatory = [FieldMatrix.identity(fld, n) for n in (2, 3, 7)]
+    derogatory += [FieldMatrix(fld, 4, 4), diagonal(fld, [1, 1, 2])]
+    derogatory += [conjugates([diagonal(fld, [5, 5, 5, 1, 2, 3])], 4)[0],
+                   conjugates([block_diag(companion(fld, [1, 1]), companion(fld, [1, 1]))], 5)[0]]
+    for m in derogatory:
+        assert not charpoly(m)[1], m
+        assert krylov_rank(m) < m.nrows
+    # Nonderogatory (eigenvalues 1 and 2) but flagged False, which is
+    # allowed: e_0 is an eigenvector, so the subdiagonal entry is 0.
+    m = from_dense(fld, [[1, 1], [0, 2]])
+    assert charpoly(m) == ([2, p - 3, 1], False)
+    assert krylov_rank(m) == 1
+    # The flag's claim over every matrix of the reference test, flagged or not.
+    for n in (0, 1, 2, 3, 8, 25):
+        for density in (0.0, 0.15, 0.5, 1.0):
+            m = random_matrix(fld, rng, n, n, density)
+            if charpoly(m)[1]:
+                assert krylov_rank(m) == n
+
+
+def test_split_checks_every_pair_when_the_head_is_derogatory():
+    # A = diag(1, 1, 2): B and C act on its plane of 1 by blocks that do
+    # not commute, so each commutes with A but not with the other.
+    a = diagonal(F, [1, 1, 2])
+    b = dense([[0, 1, 0], [0, 0, 0], [0, 0, 3]])
+    c = dense([[1, 0, 0], [0, 2, 0], [0, 0, 5]])
+    family = conjugates([a, b, c], 11)
+    assert not charpoly(family[0])[1]
+    bounds = [P // 2] * 3
+    for ops, others in (([a, b, c], []), (family, []), ([a, b, b], [family])):
+        with pytest.raises(NonCommuting, match="^operators 1 and 2 do not commute$"):
+            split_eigenspaces(ops, bounds, others)
+
+
+def counted_vanishes(monkeypatch):
+    """A list that gets one entry per `_vanishes` call from now on."""
+    calls = []
+    vanishes = exactlin._vanishes
+
+    def counted(*args):
+        calls.append(1)
+        return vanishes(*args)
+
+    monkeypatch.setattr(exactlin, "_vanishes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_guard_of_a_cyclic_head_checks_only_its_pairs(p, monkeypatch):
+    # (A, A^2, A^3 + 2A) commute, and no eigenvalue is 0, so at bound 0
+    # no kernel is taken and every `_vanishes` call is a guard row: n per
+    # pair, 2n per family for a cyclic head and 3n for a derogatory one.
+    fld = PrimeField(p)
+    rng = random.Random(p % 967)
+    n = 8
+    heads = {True: companion(fld, [rng.randrange(1, p) for _ in range(n)]),
+             False: diagonal(fld, [1, 1, 2, 3, 4, 5, 6, 7])}
+    calls = counted_vanishes(monkeypatch)
+    for cyclic, head in heads.items():
+        a = [[head.rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+        a2 = ref_dense_mul(a, a, p)
+        c = [[(x + 2 * y) % p for x, y in zip(r, s)] for r, s in zip(ref_dense_mul(a2, a, p), a)]
+        family = conjugates([from_dense(fld, m) for m in (a, a2, c)], 9)
+        assert charpoly(family[0])[1] == cyclic
+        calls.clear()
+        res = split_eigenspaces(family, [0] * 3, [conjugates(family, 10)])
+        assert len(calls) == 2 * (2 if cyclic else 3) * n
+        assert res.eigenspaces == [] and res.unsplit_dim == 2 * n
+
+
+@pytest.mark.parametrize("level, k", [(211, 3), (601, 1)])
+def test_coverage_guard_skips_only_the_pairs_it_settles(level, k, monkeypatch):
+    # Every sign quotient's T_2 here has an unreduced Hessenberg form, so
+    # of the pairs of (T_2, T_3, T_5) the guard skips (T_3, T_5): n rows
+    # per quotient, the cuspidal dimension in all.  The census equals the
+    # one whose guard checks every pair, with each flag forced off.
+    calls = counted_vanishes(monkeypatch)
+    space = build_space(level, k)
+    got = modsym.cuspidal_coverage(space, [2, 3, 5])
+    head_pairs = len(calls)
+    charpoly_ = exactlin.charpoly
+    monkeypatch.setattr(exactlin, "charpoly", lambda m: (charpoly_(m)[0], False))
+    calls.clear()
+    want = modsym.cuspidal_coverage(space, [2, 3, 5])
+    assert got == want
+    assert len(calls) - head_pairs == space.cuspidal_dim
+
+
+def test_split_guards_every_family_before_comparing_charpolys():
+    # The second family's head has another characteristic polynomial
+    # (7 -> 8), and the third family does not commute: NonCommuting,
+    # because every family is guarded before the root compares them.
+    ops, bounds = lockstep_family()
+    mismatched = conjugates(lockstep_family(seven=8)[0], 7)
+    shift = dense([[int(j == i + 1) for j in range(7)] for i in range(7)])
+    with pytest.raises(FamilyMismatch):
+        split_eigenspaces(ops, bounds, [mismatched])
+    with pytest.raises(NonCommuting, match="^operators 0 and 1 do not commute$"):
+        split_eigenspaces(ops, bounds, [mismatched, [conjugates(ops, 9)[0], shift]])
+    # One family that both mismatches and fails to commute.
+    with pytest.raises(NonCommuting, match="^operators 0 and 1 do not commute$"):
+        split_eigenspaces(ops, bounds, [[mismatched[0], shift]])
 
 
 # -- rational reconstruction ------------------------------------------------

@@ -687,7 +687,7 @@ def test_weight4_level11_irrational_orbit():
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
     from heckeledger.exactlin import charpoly
 
-    f = charpoly(t2)
+    f, _ = charpoly(t2)
     p = space.field.p
     # (x^2 - 2x - 2)^2
     sq = [4 % p, 8 % p, 0, (p - 4) % p, 1]
@@ -727,7 +727,7 @@ def test_level199_all_orbits_irrational():
     space = build_space(199, 1)
     for sp in (space, space.partner()):
         t2 = restrict_operator([sp.hecke_matrix(2)], sp.cuspidal_subspace)[0]
-        f = charpoly(t2)
+        f, _ = charpoly(t2)
         p = sp.field.p
         for a in range(-2, 3):
             acc = 0
@@ -980,8 +980,10 @@ def test_star_involution_halves(level, k):
         assert rank_and_kernel(star.add_scaled(eye, -sign))[1].dim == quotient.dim
         for l in (2, 3, 5, 7):
             if level % l:
-                assert charpoly(restrict_operator([hecke_operator(space, l)], half)[0]) == charpoly(
-                    restrict_operator([quotient.hecke_matrix(l)], quotient.cuspidal_subspace)[0]), l
+                on_half = restrict_operator([hecke_operator(space, l)], half)[0]
+                on_quotient = restrict_operator([quotient.hecke_matrix(l)],
+                                                quotient.cuspidal_subspace)[0]
+                assert charpoly(on_half)[0] == charpoly(on_quotient)[0], l
 
 
 def _coverage_cases():

@@ -227,3 +227,25 @@ def test_load_gritsenko_rejects_composite():
 def test_load_gritsenko_rejects_excess():
     with pytest.raises(GritsenkoExceedsTotal):
         load_gritsenko_csv("5,3\n")
+
+
+def test_load_gritsenko_tests_each_prime_once(monkeypatch):
+    # dim_S3 tests each line's p, and the loader does not test it again
+    calls = []
+
+    def counted(n, _is_prime=paramodular._is_prime):
+        calls.append(n)
+        return _is_prime(n)
+
+    monkeypatch.setattr(paramodular, "_is_prime", counted)
+    text = "# data\np,dim_gritsenko\n2,0\n\n37,4\n101,0\n"
+    assert load_gritsenko_csv(text) == {2: 0, 37: 4, 101: 0}
+    assert calls == [2, 37, 101]
+
+
+@pytest.mark.parametrize("row, p", [("4,0", 4), ("1,0", 1), ("-7,0", -7), ("91,1", 91)])
+def test_load_gritsenko_names_the_line_of_a_non_prime(row, p):
+    with pytest.raises(ValueError) as info:
+        load_gritsenko_csv(f"p,dim_gritsenko\n2,0\n{row}\n")
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"line 3: {p} is not prime"
