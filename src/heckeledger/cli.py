@@ -3,7 +3,7 @@
 Every input is parsed and checked once, where it enters: here, or in
 the library function that first receives it (`build_report`,
 `parse_external`, `dim_S3`, `cuspidal_coverage`, `winding_pairing`,
-`hecke_operator`); the code behind trusts it.  A Hecke prime l is checked
+`hecke_matrix`); the code behind trusts it.  A Hecke prime l is checked
 by `modsym._check_hecke_primes` at every entry point, so its error is
 always `l is not prime` or `l divides the level N`.
 

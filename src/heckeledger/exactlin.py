@@ -46,6 +46,7 @@ term.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -103,27 +104,26 @@ DEFAULT_PRIME = (1 << 61) - 1
 FIELD_PRIME_FLOOR = 1 << 60
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_t, the least strong pseudoprime to the first t bases (OEIS A014233)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+           341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the 13 prime bases 2..41.
-
-    Deterministic below psi_13 = 3317044064679887385961981, the least
-    strong pseudoprime to all 13 bases (Sorenson and Webster; OEIS
-    A014233); psi_12 = 318665857834031151167461, strong to 2..37, is
-    caught by 41.  Above psi_13 it is a strong probable-prime test to
-    those 13 bases."""
+    """Miller-Rabin to the first t prime bases, t least with n < psi_t:
+    deterministic below psi_13 = 3317044064679887385961981 (Sorenson and
+    Webster), since below psi_t the first t bases admit no composite;
+    psi_12, strong to 2..37, is caught by 41.  Above psi_13 it is a
+    strong probable-prime test to all 13 bases 2..41."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -8,9 +8,9 @@ first (each S pair of generators collapses to one representative, or
 to zero) followed by one set of three-term relations per sigma-orbit
 of P^1(Z/N), echelonized on the representatives; its free generators
 and their expressions are those of the full relation matrix.
-Hecke operators act on Manin symbols directly through Merel's
-Heilbronn matrices; continued fractions are used only to write an
-arbitrary symbol on the Manin generators (`project_symbol`).
+Hecke operators T_l at primes l act on Manin symbols directly through
+Cremona's Heilbronn matrices; continued fractions are used only to
+write an arbitrary symbol on the Manin generators (`project_symbol`).
 Everything is computed over a large prime field.  A rational Hecke
 eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
 (Deligne), so only roots whose signed lift meets that bound are found
@@ -425,18 +425,21 @@ class ProjectiveLine:
 #   sigma^2 = [[0,1],[-1,-1]]    (c,d) -> (-d,c-d)  P -> P(Y, -X-Y)
 
 
-def _heilbronn(n: int) -> list[tuple[int, int, int, int]]:
-    """Merel's set X_n: all (a, b, e, f) with a > b >= 0, f > e >= 0 and
-    af - be = n.  Since be <= (a-1)(f-1), a + f <= n + 1."""
-    out = []
-    for a in range(1, n + 1):
-        for f in range(-(-n // a), n + 2 - a):
-            m = a * f - n
-            if m == 0:
-                out += [(a, 0, e, f) for e in range(f)]
-                out += [(a, b, 0, f) for b in range(1, a)]
-            else:
-                out += [(a, b, m // b, f) for b in range(1, a) if m % b == 0 and m // b < f]
+def _heilbronn(l: int) -> list[tuple[int, int, int, int]]:
+    """Cremona's Heilbronn matrices (a, b, e, f), af - be = l, for T_l at a
+    prime l (Algorithms for Modular Elliptic Curves, 2.4): Merel's X_2 at
+    2; at odd l, [[1, 0], [0, l]] and, for each |r| <= (l-1)/2, every
+    step of the nearest-integer continued fraction of -l/r."""
+    if l == 2:
+        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    out = [(1, 0, 0, l)]
+    for r in range(-(l // 2), l // 2 + 1):
+        x1, x2, y1, y2, a, b = l, -r, 0, 1, -l, r
+        out.append((x1, x2, y1, y2))
+        while b:
+            q = round(Fraction(a, b))  # the integer nearest a/b, ties to even
+            a, b, x1, x2, y1, y2 = -b, a - q * b, x2, q * x2 - x1, y2, q * y2 - y1
+            out.append((x1, x2, y1, y2))
     return out
 
 
@@ -723,33 +726,30 @@ class ManinBasisSpace:
 
     # -- Hecke action -----------------------------------------------------
 
-    def hecke_matrix(self, n: int) -> FieldMatrix:
-        """Matrix of T_n on the quotient basis, n coprime to the level.
+    def hecke_matrix(self, l: int) -> FieldMatrix:
+        """Matrix of T_l on the quotient basis; BadPrime unless l is a
+        prime not dividing the level.  Cremona's Heilbronn matrices H_l =
+        `_heilbronn(l)` act on Manin symbols directly, with no continued
+        fractions (Merel, LNM 1585, 1994; Stein, Modular Forms, 8.3):
 
-        Merel's formula acts on Manin symbols directly, with no
-        continued fractions:
+            T_l (P, (c:d)) = sum over h = [[a, b], [e, f]] in H_l of
+                             (P(aX + bY, eX + fY), (ca + de : cb + df)).
 
-            T_n (P, (c:d)) = sum over h = [[a, b], [e, f]] in X_n of
-                             (P(aX + bY, eX + fY), (ca + de : cb + df)),
-
-        where X_n = {a > b >= 0, f > e >= 0, af - be = n} (Merel,
-        LNM 1585, 1994; Stein, Modular Forms, Section 8.3).  The image
-        of each free generator is accumulated as integers on Manin
-        generators; each distinct generator's value v, times its sign,
-        then adds -v times its representative's row of the expression
-        table into one list over the representative columns, and the
-        column of the matrix is that list read at the free columns.
+        The image of each free generator is accumulated as integers on
+        Manin generators; each distinct generator's value v, times its
+        sign, then adds -v times its representative's row of the
+        expression table into one list over the representative columns,
+        and the column of the matrix is that list read at the free columns.
         """
-        if gcd(n, self.level) != 1:
-            raise BadPrime(f"T_{n} undefined: {n} shares a factor with level {self.level}")
-        cached = self._hecke_cache.get(n)
+        cached = self._hecke_cache.get(l)
         if cached is not None:
             return cached
+        _check_hecke_primes(self.level, [l])
         p = self.field.p
         half = p // 2
         p1 = self.p1
         npts = len(p1)
-        heil = _heilbronn(n)
+        heil = _heilbronn(l)
         # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under
         # heil[t], for the monomials i of the free generators only
         monos = self.module.monomials()
@@ -793,7 +793,7 @@ class ManinBasisSpace:
                     if v:
                         rows[r][pos] = v
         mat = FieldMatrix(self.field, dim, dim, rows)
-        self._hecke_cache[n] = mat
+        self._hecke_cache[l] = mat
         return mat
 
     # -- the partner space and the sign quotients ------------------------
@@ -849,8 +849,7 @@ def _check_hecke_primes(level: int, primes: Iterable[int]) -> None:
 
 
 def hecke_operator(space: ManinBasisSpace, l: int) -> FieldMatrix:
-    """T_l for a prime l not dividing the level."""
-    _check_hecke_primes(space.level, [l])
+    """T_l for a prime l not dividing the level (BadPrime otherwise)."""
     return space.hecke_matrix(l)
 
 

@@ -29,6 +29,7 @@ from heckeledger.exactlin import (
 from heckeledger.modsym import build_space, hecke_operator
 
 from conftest import span
+from oracles import primes_upto
 
 F = PrimeField(DEFAULT_PRIME)
 P = F.p
@@ -89,6 +90,12 @@ def test_is_prime_rejects_every_psi(t):
     n, factors = STRONG_PSEUDOPRIMES[t - 1]
     assert math.prod(factors) == n
     assert not exactlin._is_prime(n)
+
+
+def test_is_prime_matches_sieve_below_1e5():
+    # Below psi_1 = 2047 one base decides, below psi_2 two do; the trial
+    # division of primes_upto shares no code with Miller-Rabin.
+    assert [n for n in range(10**5) if exactlin._is_prime(n)] == primes_upto(10**5 - 1)
 
 
 def test_is_prime_accepts_primes():

@@ -455,9 +455,47 @@ def test_even_k_rejected():
 # -- Hecke operators ---------------------------------------------------------
 
 
+def merel_heilbronn(n):
+    """Merel's set X_n: all (a, b, e, f) with a > b >= 0, f > e >= 0 and
+    af - be = n (LNM 1585, 1994).  Since be <= (a-1)(f-1), a + f <= n + 1."""
+    out = []
+    for a in range(1, n + 1):
+        for f in range(-(-n // a), n + 2 - a):
+            m = a * f - n
+            if m == 0:
+                out += [(a, 0, e, f) for e in range(f)]
+                out += [(a, b, 0, f) for b in range(1, a)]
+            else:
+                out += [(a, b, m // b, f) for b in range(1, a) if m % b == 0 and m // b < f]
+    return out
+
+
+def heilbronn_hecke_matrix(space, heil):
+    """The matrix of sum over h in heil of h acting on Manin symbols (the
+    `hecke_matrix` formula), each image generator projected on its own by
+    `project_generator`.  With merel_heilbronn(n) it is T_n for every n
+    prime to the level."""
+    npts = len(space.p1)
+    p = space.field.p
+    monos = space.module.monomials()
+    entries = []
+    for pos, col in enumerate(space.free_columns):
+        i, j = divmod(col, npts)
+        c, d = space.p1.points[j]
+        column = {}
+        for a, b, e, f in heil:
+            t = space.p1.index(c * a + d * e, c * b + d * f)
+            for m, cm in enumerate(monos[i].subst(a, b, e, f).coeffs):
+                for r, v in space.project_generator(m * npts + t).items():
+                    column[r] = (column.get(r, 0) + cm * v) % p
+        entries += [(r, pos, v) for r, v in column.items() if v]
+    return FieldMatrix.from_entries(space.field, space.dim, space.dim, entries)
+
+
 def test_hecke_identity_coset():
     space = build_space(11, 1)
-    assert space.hecke_matrix(1) == FieldMatrix.identity(space.field, space.dim)
+    assert heilbronn_hecke_matrix(space, merel_heilbronn(1)) == \
+        FieldMatrix.identity(space.field, space.dim)
 
 
 def test_heilbronn_matches_brute_force():
@@ -469,11 +507,41 @@ def test_heilbronn_matches_brute_force():
                 for e in range(f):
                     if 0 < a * f - b * e <= 30:
                         brute[a * f - b * e].append((a, b, e, f))
-    assert [len(_heilbronn(n)) for n in range(1, 6)] == [1, 4, 7, 13, 15]
+    assert [len(merel_heilbronn(n)) for n in range(1, 6)] == [1, 4, 7, 13, 15]
     for n in range(1, 31):
-        got = _heilbronn(n)
+        got = merel_heilbronn(n)
         assert len(set(got)) == len(got), n
         assert sorted(got) == sorted(brute[n]), n
+
+
+def test_cremona_heilbronn_sizes_and_determinants():
+    # At l = 2 Cremona's list is Merel's X_2; at odd l it is shorter.
+    assert sorted(_heilbronn(2)) == sorted(merel_heilbronn(2))
+    for l, size in [(2, 4), (3, 6), (5, 12), (7, 18), (11, 30), (13, 38)]:
+        got = _heilbronn(l)
+        assert len(got) == size, l
+        assert len(set(got)) == size, l
+        assert all(a * f - b * e == l for a, b, e, f in got), l
+
+
+def test_every_cremona_heilbronn_matrix_counts(monkeypatch):
+    # Dropping any one matrix of the list changes T_l on one of three
+    # spaces, so a list that lost a matrix cannot pass for T_l.
+    spaces = [build_space(level, k) for level, k in [(37, 3), (11, 1), (13, 3)]]
+    lists = {l: _heilbronn(l) for l in (3, 5, 7, 11)}
+    wants = {l: [sp.hecke_matrix(l) if sp.level % l else None for sp in spaces] for l in lists}
+    for l, full in lists.items():
+        want = wants[l]
+        for drop in range(len(full)):
+            monkeypatch.setattr(modsym, "_heilbronn", lambda _l: full[:drop] + full[drop + 1:])
+            changed = False
+            for sp, t in zip(spaces, want):
+                if t is None:
+                    continue
+                del sp._hecke_cache[l]
+                changed = changed or sp.hecke_matrix(l) != t
+                sp._hecke_cache[l] = t
+            assert changed, (l, full[drop])
 
 
 def reference_hecke_matrix(space, n):
@@ -512,9 +580,12 @@ def test_hecke_matches_continued_fraction_reference(k):
             for space in (primary, primary.partner()):
                 fld = space.field
                 for n in (1, 2, 3, 4, 5, 6, 7, 9):
-                    if math.gcd(n, level) == 1:
-                        assert space.hecke_matrix(n) == reference_hecke_matrix(space, n), \
-                            (level, k, space.sign, n, fld.p)
+                    if math.gcd(n, level) != 1:
+                        continue
+                    # Cremona's matrices at a prime, Merel's at any other n
+                    got = (space.hecke_matrix(n) if n in (2, 3, 5, 7)
+                           else heilbronn_hecke_matrix(space, merel_heilbronn(n)))
+                    assert got == reference_hecke_matrix(space, n), (level, k, space.sign, n, fld.p)
 
 
 def test_projected_generator_is_a_copy():
@@ -539,6 +610,11 @@ def test_bad_prime_rejected():
         hecke_operator(space, 11)
     with pytest.raises(BadPrime, match="4 is not prime"):
         hecke_operator(space, 4)
+    for n in (1, 4, 9):
+        with pytest.raises(BadPrime, match=f"{n} is not prime"):
+            space.hecke_matrix(n)
+    with pytest.raises(BadPrime, match="11 divides the level 11"):
+        space.hecke_matrix(11)
 
 
 def test_level11_cuspidal_scalars_match_point_counts():
@@ -595,11 +671,12 @@ def test_cuspidal_subspace_hecke_stable():
 def test_hecke_trace_matches_eichler_selberg(weight, levels):
     # The cuspidal part of H^1 is S_w twice over (plus and minus
     # symbols), so tr T_l there is twice the Eichler-Selberg trace; the
-    # trace formula shares no code with Merel's Hecke matrices.
+    # trace formula shares no code with the Heilbronn Hecke matrices.
     for level in levels:
         space = build_space(level, weight - 1)
         p = space.field.p
-        for l in (2, 3, 5, 7):
+        # 11 and 13: Cremona's list has 30 and 38 matrices, Merel's 49 and 63
+        for l in (2, 3, 5, 7, 11, 13):
             if level % l == 0:
                 continue
             t = restrict_operator([hecke_operator(space, l)], space.cuspidal_subspace)[0]
@@ -659,6 +736,11 @@ def test_level37_two_systems():
     assert all(s.dim == 2 for s in systems)
 
 
+def merel_t4(space):
+    """T_4 from Merel's X_4: Cremona's list serves primes only."""
+    return heilbronn_hecke_matrix(space, merel_heilbronn(4))
+
+
 def test_weight4_level5_system_and_recursion():
     space = build_space(5, 3)
     cov = cuspidal_coverage(space, [2, 3])
@@ -668,7 +750,7 @@ def test_weight4_level5_system_and_recursion():
     assert s.eigenvalues[2] == Fraction(-4)
     assert s.eigenvalues[3] == Fraction(2)
     # Hecke recursion at weight 4: T_4 = T_2^2 - 8 on the cuspidal part.
-    t2, t4 = restrict_operator([space.hecke_matrix(2), space.hecke_matrix(4)],
+    t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
                                space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
 
@@ -682,7 +764,7 @@ def test_weight4_level11_irrational_orbit():
     cov = cuspidal_coverage(space, [2])
     assert cov.systems == []
     assert cov.unresolved_dim == 4
-    t2, t4 = restrict_operator([space.hecke_matrix(2), space.hecke_matrix(4)],
+    t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
                                space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
     from heckeledger.exactlin import charpoly
@@ -713,7 +795,7 @@ def test_level61_rank_one_curve_system():
     s = cov.systems[0]
     assert s.eigenvalues == {2: Fraction(-1), 3: Fraction(-2), 5: Fraction(-3)}
     assert cov.unresolved_dim == 6 and cov.cuspidal_dim == 8
-    t2, t4 = restrict_operator([space.hecke_matrix(2), space.hecke_matrix(4)],
+    t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
                                space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -2)
 
@@ -748,7 +830,7 @@ def test_discriminant_form_tau_values():
         3: Fraction(252),
         5: Fraction(4830),
     }
-    t2, t4 = restrict_operator([space.hecke_matrix(2), space.hecke_matrix(4)],
+    t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
                                space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -2**11)
 
@@ -855,7 +937,7 @@ def test_winding_partner_disagreement_raises():
 def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
     # Each sign quotient's cuspidal part is one copy of S_(k+1)(Gamma0(N)),
     # so its dimension and its traces come from formulas that share no
-    # code with the presentation or Merel's Hecke matrices.  The summary,
+    # code with the presentation or the Heilbronn Hecke matrices.  The summary,
     # read off the quotients, gives the whole presentation's dimensions.
     for level in levels:
         space = build_space(level, k)
@@ -866,7 +948,7 @@ def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
         for q in quotients:
             assert q.cuspidal_dim == dim_cusp_forms(level, k + 1), (level, k, q.sign)
             p = q.field.p
-            for l in (2, 3, 5, 7):
+            for l in (2, 3, 5, 7, 11, 13):
                 if level % l == 0:
                     continue
                 t = restrict_operator([q.hecke_matrix(l)], q.cuspidal_subspace)[0]
