@@ -9,18 +9,21 @@ identical inputs give bit-identical outputs.
 
 The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (its reduced row echelon basis, as sparse
-vectors).  On top of those sit one row-insertion reduced row echelon
-form for every matrix, sparse or dense, rank and a kernel basis that
-one echelon gives already reduced, restriction of operators to an
-invariant subspace by reading the images at the basis's pivot
-coordinates, one step down a joint eigenspace (`eigen_step`: the
-kernel of one operator minus a value, with the other operators
-restricted to it, so that a tuple of values is followed down without
-leaving the current node's coordinates), simultaneous eigenspace
-splitting at bounded integer eigenvalues of a commuting family, or of
-several isomorphic families in lockstep with one root finding per
-refinement node (each node takes that step, and only eigenvalues and
-dimensions come out), and rational reconstruction of field elements.
+vectors).  On top of those sit one row-insertion elimination for every
+matrix, sparse or dense, in two steps: its forward phase gives a row
+echelon form (`echelonize`, which the Manin presentation keeps) and
+back-substitution finishes it to the reduced form (`reduced_echelon`);
+rank and a kernel basis that one reduced echelon gives already
+reduced, restriction of operators to an invariant subspace by reading
+the images at the basis's pivot coordinates, one step down a joint
+eigenspace (`eigen_step`: the kernel of one operator minus a value,
+with the other operators restricted to it, so that a tuple of values
+is followed down without leaving the current node's coordinates),
+simultaneous eigenspace splitting at bounded integer eigenvalues of a
+commuting family, or of several isomorphic families in lockstep with
+one root finding per refinement node (each node takes that step, and
+only eigenvalues and dimensions come out), and rational
+reconstruction of field elements.
 The dense kernels run on packed integers (Kronecker substitution; von
 zur Gathen and Gerhard, Modern Computer Algebra, 8.4): a row, a column
 or a coefficient list becomes one Python int with fixed-width slots,
@@ -423,24 +426,18 @@ def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[in
 
 
 def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
-    """(pivots, rows): the reduced row echelon form of m, which is left
-    unmodified.
+    """(pivots, rows): a row echelon form of m, which is left unmodified.
 
-    One row-insertion elimination for every matrix, sparse or dense.
-    Rows go in one at a time; each is reduced against the pivot rows
-    found so far, and its leftmost surviving column becomes a new pivot
-    with entry 1.  Back-substitution, right to left, then clears every
-    pivot column from the rows above its pivot, in one pass over the
-    row's pivot columns to its right: their rows are already fully
-    reduced, so subtracting one never brings in another pivot column,
-    and each multiplier is the row's own entry there.  The pivot
-    columns are the leftmost independent columns, and a reduced echelon
-    form depends only on the row space, never on the row order or the
-    elimination order (the row order changes only the fill-in); this
-    keeps quotient bases stable when the same integer matrix is reduced
-    modulo two different primes.  `pivots` ascend and `rows[i]` is the
-    reduced row of pivots[i], a new dict; the zero rows are not
-    returned.
+    The forward phase of one row-insertion elimination for every matrix,
+    sparse or dense.  Rows go in one at a time; each is reduced against
+    the pivot rows found so far, and its leftmost surviving column
+    becomes a new pivot with entry 1.  Each returned row is 1 at its
+    pivot and zero left of it; it may be nonzero at pivots found after
+    it.  The pivots are the leftmost independent columns, the pivots of
+    the reduced form, whatever the row order; the rows themselves depend
+    on the row order.  `pivots` ascend and `rows[i]` is the row of
+    pivots[i], a new dict; the zero rows are not returned.
+    `reduced_echelon` finishes the same elimination.
     """
     p = m.field.p
     pivot_rows: dict[int, dict[int, int]] = {}
@@ -451,6 +448,21 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
             inv = pow(row[lead], -1, p)
             pivot_rows[lead] = {j: v * inv % p for j, v in row.items()} if inv != 1 else row
     pivots = sorted(pivot_rows)
+    return pivots, [pivot_rows[c] for c in pivots]
+
+
+def _back_substitute(pivots: list[int], rows: list[dict[int, int]],
+                     p: int) -> list[dict[int, int]]:
+    """The reduced rows of the row echelon form (pivots, rows), which is
+    left unmodified.
+
+    Right to left, every pivot column is cleared from the rows above its
+    pivot, in one pass over the row's pivot columns to its right: their
+    rows are already fully reduced, so subtracting one never brings in
+    another pivot column, and each multiplier is the row's own entry
+    there.
+    """
+    pivot_rows = dict(zip(pivots, rows))
     for col in reversed(pivots):
         row = pivot_rows[col]
         hits = [j for j in row if j != col and j in pivot_rows]
@@ -462,7 +474,21 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
             for j, w in pivot_rows[h].items():
                 acc[j] = acc.get(j, 0) + c * w
         pivot_rows[col] = {j: x for j, v in acc.items() if (x := v % p)}
-    return pivots, [pivot_rows[c] for c in pivots]
+    return [pivot_rows[c] for c in pivots]
+
+
+def reduced_echelon(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
+    """(pivots, rows): the reduced row echelon form of m, which is left
+    unmodified: `echelonize`'s forward phase, then back-substitution.
+
+    A reduced echelon form depends only on the row space, never on the
+    row order or the elimination order (the row order changes only the
+    fill-in); this keeps kernel bases stable when the same integer
+    matrix is reduced modulo two different primes.  `rows[i]` is the
+    reduced row of pivots[i]: 1 there, 0 at every other pivot.
+    """
+    pivots, rows = echelonize(m)
+    return pivots, _back_substitute(pivots, rows, m.field.p)
 
 
 def _is_reduced_echelon(vectors: Sequence[dict[int, int]], n: int, p: int) -> bool:
@@ -511,10 +537,10 @@ class Subspace:
 def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     """Rank of m and the reduced echelon basis of its kernel.
 
-    m is echelonized with its columns reversed (j -> n-1-j), so the
-    pivots are the rightmost independent columns and the reduced row of
-    pivot c is 1 at c and otherwise nonzero only at free columns left of
-    c.  The kernel vector of free column f, 1 at f and minus row c's
+    m is brought to reduced echelon form (`reduced_echelon`) with its
+    columns reversed (j -> n-1-j), so the pivots are the rightmost
+    independent columns and the reduced row of pivot c is 1 at c and
+    otherwise nonzero only at free columns left of c.  The kernel vector of free column f, 1 at f and minus row c's
     entry at f at each pivot c, is then 0 at every other free column and
     nonzero only at pivots right of f: in ascending f these vectors are
     already the reduced echelon basis, which the Subspace constructor
@@ -524,7 +550,7 @@ def rank_and_kernel(m: FieldMatrix) -> tuple[int, Subspace]:
     p = m.field.p
     last = m.ncols - 1
     flipped = [{last - j: v for j, v in r.items()} for r in m.rows]
-    pivots, rows = echelonize(FieldMatrix(m.field, m.nrows, m.ncols, flipped))
+    pivots, rows = reduced_echelon(FieldMatrix(m.field, m.nrows, m.ncols, flipped))
     pivset = {last - c for c in pivots}
     kernel = {f: {f: 1} for f in range(m.ncols) if f not in pivset}
     for c, row in zip(pivots, rows):

@@ -6,11 +6,16 @@ relation (from the order-4 element S) and the triangle relation (from
 the order-3 element sigma).  The presentation is the two-term quotient
 first (each S pair of generators collapses to one representative, or
 to zero) followed by one set of three-term relations per sigma-orbit
-of P^1(Z/N), echelonized on the representatives; its free generators
-and their expressions are those of the full relation matrix.
+of P^1(Z/N), brought to row echelon form on the representatives (the
+forward phase only, no back-substitution); its free generators are
+those of the full relation matrix, and each pivot's row, negated, is a
+list of pushes to free columns and to later pivots, which, followed in
+ascending pivot order, give the expressions of the full relation matrix.
 Hecke operators T_l at primes l act on Manin symbols directly through
-Cremona's Heilbronn matrices; continued fractions are used only to
-write an arbitrary symbol on the Manin generators (`project_symbol`).
+Cremona's Heilbronn matrices, and the images of all free generators go
+through the pushes together, one transposed triangular solve (Stein,
+Modular Forms, 8.3); continued fractions are used only to write an
+arbitrary symbol on the Manin generators (`project_symbol`).
 Everything is computed over a large prime field.  A rational Hecke
 eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
 (Deligne), so only roots whose signed lift meets that bound are found
@@ -50,6 +55,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -514,7 +520,7 @@ class ManinBasisSpace:
     # -- presentation ---------------------------------------------------
 
     _PRESENTATION = frozenset(
-        {"free_columns", "_free_cols", "_rep_of", "_rep_expr", "boundary_matrix",
+        {"free_columns", "_free_pos", "_rep_of", "_pushes", "boundary_matrix",
          "cuspidal_subspace"})
 
     def __getattr__(self, name: str):
@@ -523,7 +529,7 @@ class ManinBasisSpace:
         in one step, after which they are plain instance attributes."""
         if name not in ManinBasisSpace._PRESENTATION:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.free_columns, self._free_cols, self._rep_of, self._rep_expr = self._present()
+        self.free_columns, self._free_pos, self._rep_of, self._pushes = self._present()
         self.boundary_matrix = self._build_boundary()
         _, self.cuspidal_subspace = rank_and_kernel(self.boundary_matrix)
         return self.__dict__[name]
@@ -540,14 +546,16 @@ class ManinBasisSpace:
     def eisenstein_dim(self) -> int:
         return self.dim - self.cuspidal_dim
 
-    def _present(self) -> tuple[list[int], list[int], dict[int, tuple[int, int]],
-                                dict[int, dict[int, int]]]:
-        """Free generators; their representative columns; (representative
-        column, +-1) of every generator that survives the two-term
-        relations; and the expression table: each representative column's
-        reduced relation row without its pivot entry, {t: p - 1} for a
-        free column t, so that every representative is minus its row read
-        at the free columns.
+    def _present(self) -> tuple[list[int], dict[int, int], dict[int, tuple[int, int]],
+                                dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]]:
+        """Free generators; the position of each free representative
+        column among them; (representative column, +-1) of every
+        generator that survives the two-term relations; and the
+        expression table as pushes: for each pivot column c, ascending,
+        its row echelon row, 1 at c and u_j at columns j > c, as the
+        multipliers -u_j (signed least residues), split into
+        (free position, -u_j) and (later pivot column, -u_j), so that
+        x_c = sum of -u_j x_j.
 
         For odd k (all that `build_space` accepts) the two-term relations
         are x_g = (-1)^(i+1) x_(S g), S g = (k-1-i, (d:-c)) for
@@ -558,15 +566,18 @@ class ManinBasisSpace:
         The triangle relations are then echelonized on the representatives,
         k rows for one point j of each sigma-orbit {j, sigma.j, sigma^2.j}
         of P^1, since the rows at the three points span the same space.
-        Reduced echelon form depends only on the row space and every
-        non-representative has an orbit partner of larger index, so the
-        free generators are those of the full relation matrix, the greedy
-        basis taken from the right, and the sign times its
-        representative's expression is each generator's expression there.
-        For the same reason the triangle rows may go in in any order; they
-        are sorted by last column, descending, which cuts the fill-in of
-        the echelon (a fifth fewer multiply-adds than in sigma-orbit
-        order).
+        The leads of any echelon form are those of the reduced form, which
+        depends only on the row space, and every non-representative has an
+        orbit partner of larger index, so the free generators are those of
+        the full relation matrix, the greedy basis taken from the right.
+        Only the forward phase runs: a pivot's row echelon row writes it
+        on columns to its right, so following the pushes in ascending
+        pivot order ends on the free columns, where it meets the
+        expression of the full relation matrix, with no back-substitution.
+        Leads and expressions depend only on the row space, so the
+        triangle rows may go in in any order; they are sorted by last
+        column, descending, which leaves fewer pushes per Hecke operator
+        than sigma-orbit order, at the price of a longer forward phase.
         """
         k = self.module.k
         p = self.field.p
@@ -623,15 +634,27 @@ class ManinBasisSpace:
                 if row:
                     rows.append(row)
         rows.sort(key=max, reverse=True)
-        pivots, reduced = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
+        pivots, echelon = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
 
-        # The reduced rows, without their pivot entries, are the expressions.
-        table = dict(zip(pivots, reduced))
-        for t, row in table.items():
-            del row[t]
-        free_cols = [t for t in range(len(reps)) if t not in table]
-        table.update((t, {t: p - 1}) for t in free_cols)
-        return [reps[t] for t in free_cols], free_cols, rep, table
+        # Each echelon row, without its pivot entry, negated, is that
+        # pivot's pushes.
+        pivot_set = set(pivots)
+        free_cols = [t for t in range(len(reps)) if t not in pivot_set]
+        free_pos = {t: pos for pos, t in enumerate(free_cols)}
+        half = p // 2
+        pushes = {}
+        for c, row in zip(pivots, echelon):
+            to_free, to_pivots = [], []
+            for j, u in row.items():
+                if j != c:
+                    m = p - u if u > half else -u
+                    pos = free_pos.get(j)
+                    if pos is None:
+                        to_pivots.append((j, m))
+                    else:
+                        to_free.append((pos, m))
+            pushes[c] = (to_free, to_pivots)
+        return [reps[t] for t in free_cols], free_pos, rep, pushes
 
     def _build_boundary(self) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
@@ -673,16 +696,36 @@ class ManinBasisSpace:
 
     def project_generator(self, gen: int) -> dict[int, int]:
         """Quotient coordinates of one Manin generator ({} if killed), as a
-        new dict: minus its sign times its representative's row of the
-        expression table, read at the free columns."""
+        new dict: its sign at its representative, pushed along the
+        expression table pivot by pivot, smallest first (a heap), until
+        only free positions hold values."""
         rep = self._rep_of.get(gen)
         if rep is None:
             return {}
         h, sign = rep
-        row = self._rep_expr[h]
         p = self.field.p
-        c = -sign % p
-        return {pos: w * c % p for pos, f in enumerate(self._free_cols) if (w := row.get(f))}
+        pos = self._free_pos.get(h)
+        if pos is not None:
+            return {pos: sign % p}
+        pushes = self._pushes
+        coords: dict[int, int] = {}
+        pending = {h: sign}
+        heap = [h]
+        while heap:
+            c = heappop(heap)
+            v = pending.pop(c) % p
+            if not v:
+                continue
+            to_free, to_pivots = pushes[c]
+            for pos, m in to_free:
+                coords[pos] = coords.get(pos, 0) + m * v
+            for j, m in to_pivots:
+                if j in pending:
+                    pending[j] += m * v
+                else:
+                    pending[j] = m * v
+                    heappush(heap, j)
+        return {pos: x for pos, v in coords.items() if (x := v % p)}
 
     def _accumulate_manin(self, vec: dict[int, int], q1: Cusp, q2: Cusp,
                           poly: HomogeneousPoly, scale: int) -> None:
@@ -736,10 +779,16 @@ class ManinBasisSpace:
                              (P(aX + bY, eX + fY), (ca + de : cb + df)).
 
         The image of each free generator is accumulated as integers on
-        Manin generators; each distinct generator's value v, times its
-        sign, then adds -v times its representative's row of the
-        expression table into one list over the representative columns,
-        and the column of the matrix is that list read at the free columns.
+        Manin generators, and each distinct generator's value, times its
+        sign, goes to its representative, for all columns at once: a free
+        representative's straight into its dense row of the matrix, a
+        pivot's into a sparse {column: value} accumulator.  The pivots
+        are then visited in ascending order, and each accumulator is
+        pushed along its row of the expression table, reduced to signed
+        residues first if an earlier pivot pushed into it.  That is
+        M = A_F - U_PF^T (U_PP^-T A_P) for the echelon rows U and the
+        image coefficients A on the free (F) and pivot (P) columns: one
+        transposed unit-triangular solve, each echelon entry read once.
         """
         cached = self._hecke_cache.get(l)
         if cached is not None:
@@ -758,10 +807,10 @@ class ManinBasisSpace:
             for i in {col // npts for col in self.free_columns}
         }
         dim = self.dim
-        rep_of, rep_expr, free_cols = self._rep_of, self._rep_expr, self._free_cols
-        ncols = len(rep_expr)
+        rep_of, free_pos = self._rep_of, self._free_pos
         targets: dict[int, list[int]] = {}
-        rows: list[dict[int, int]] = [{} for _ in range(dim)]
+        dense = [[0] * dim for _ in range(dim)]  # dense[r][pos]: row r, column pos
+        pending: dict[int, dict[int, int]] = {}  # pivot column -> {column: value}
         for pos, col in enumerate(self.free_columns):
             i, j = divmod(col, npts)
             pts = targets.get(j)
@@ -773,25 +822,43 @@ class ManinBasisSpace:
                 for m, cm in img:
                     g = m * npts + t
                     acc[g] = acc.get(g, 0) + cm
-            out = [0] * ncols
             for g, v in acc.items():
                 rep = rep_of.get(g)
-                if rep is None:
+                if rep is None or not v:
                     continue
                 h, sign = rep
-                v = -v * sign % p
-                if not v:
-                    continue
-                if v > half:
-                    v -= p  # a small signed residue keeps v * w short
-                for f, w in rep_expr[h].items():
-                    out[f] += v * w
-            for r, f in enumerate(free_cols):
-                v = out[f]
-                if v:
-                    v %= p
-                    if v:
-                        rows[r][pos] = v
+                r = free_pos.get(h)
+                if r is not None:
+                    dense[r][pos] += v * sign
+                elif h in pending:
+                    a = pending[h]
+                    x = a.get(pos, 0) + v * sign
+                    if x:
+                        a[pos] = x
+                    else:
+                        del a[pos]
+                else:
+                    pending[h] = {pos: v * sign}
+        pushed = set()
+        for c, (to_free, to_pivots) in self._pushes.items():
+            a = pending.pop(c, None)
+            if a is None:
+                continue
+            if c in pushed:
+                a = {pos: v - p if v > half else v for pos, x in a.items() if (v := x % p)}
+            for r, m in to_free:
+                row = dense[r]
+                for pos, v in a.items():
+                    row[pos] += m * v
+            for j, m in to_pivots:
+                t = pending.get(j)
+                if t is None:
+                    pending[j] = {pos: m * v for pos, v in a.items()}
+                else:
+                    for pos, v in a.items():
+                        t[pos] = t.get(pos, 0) + m * v
+                pushed.add(j)
+        rows = [{pos: x for pos, v in enumerate(row) if v and (x := v % p)} for row in dense]
         mat = FieldMatrix(self.field, dim, dim, rows)
         self._hecke_cache[l] = mat
         return mat

@@ -2,15 +2,15 @@ from collections import Counter
 
 import pytest
 
-from heckeledger.exactlin import FieldMatrix, Subspace, echelonize
+from heckeledger.exactlin import FieldMatrix, Subspace, reduced_echelon
 from heckeledger.modsym import ManinBasisSpace
 
 
 def span(ambient_dim, vectors, field):
     """The Subspace spanned by independent vectors: their reduced echelon
-    basis, from one echelon; ValueError if they are dependent."""
-    pivots, rows = echelonize(FieldMatrix(field, len(vectors), ambient_dim,
-                                          [dict(v) for v in vectors]))
+    basis, from one reduced echelon; ValueError if they are dependent."""
+    pivots, rows = reduced_echelon(FieldMatrix(field, len(vectors), ambient_dim,
+                                               [dict(v) for v in vectors]))
     if len(pivots) != len(vectors):
         raise ValueError("vectors are linearly dependent")
     return Subspace(ambient_dim, rows, field)

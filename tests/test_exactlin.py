@@ -23,6 +23,7 @@ from heckeledger.exactlin import (
     next_field_prime,
     rank_and_kernel,
     rational_reconstruct,
+    reduced_echelon,
     restrict_operator,
     split_eigenspaces,
 )
@@ -138,7 +139,7 @@ def test_rank_of_known_rank_product():
     while True:
         a = dense([[rng.randrange(P) for _ in range(30)] for _ in range(50)])
         b = dense([[rng.randrange(P) for _ in range(80)] for _ in range(30)])
-        if len(echelonize(a)[0]) == 30 and len(echelonize(b)[0]) == 30:
+        if len(reduced_echelon(a)[0]) == 30 and len(reduced_echelon(b)[0]) == 30:
             break
     m = a.matmul(b)
     rank, ker = rank_and_kernel(m)
@@ -164,7 +165,7 @@ def test_rank_invariant_under_permutation():
     m = FieldMatrix(F, 10, 14)
     for _ in range(35):
         m.add_at(rng.randrange(10), rng.randrange(14), rng.randrange(1, P))
-    base_rank = len(echelonize(m)[0])
+    base_rank = len(reduced_echelon(m)[0])
     for _ in range(5):
         rows = list(range(10))
         cols = list(range(14))
@@ -174,7 +175,7 @@ def test_rank_invariant_under_permutation():
         for i, row in enumerate(m.rows):
             for j, v in row.items():
                 perm.add_at(rows[i], cols[j], v)
-        assert len(echelonize(perm)[0]) == base_rank
+        assert len(reduced_echelon(perm)[0]) == base_rank
 
 
 def test_canonical_subspace(monkeypatch):
@@ -1041,13 +1042,13 @@ def test_echelonize_matches_reference(p):
     cases.append(stack)
     for m in cases:
         before = [dict(r) for r in m.rows]
-        got_pivots, rows = echelonize(m)
+        got_pivots, rows = reduced_echelon(m)
         pivots, ref = ref_rref([[r.get(j, 0) for j in range(m.ncols)] for r in m.rows], m.ncols, p)
         assert got_pivots == pivots
         # the pivot rows by column; Gauss-Jordan's zero rows are not returned
         assert rows == [{j: v for j, v in enumerate(r) if v} for r in ref[:len(pivots)]]
         assert m.rows == before
-    assert len(echelonize(stack)[0]) == 6
+    assert len(reduced_echelon(stack)[0]) == 6
 
 
 def reordered(m):
@@ -1085,8 +1086,8 @@ def relation_matrices(monkeypatch):
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_echelonize_independent_of_row_order(p):
-    # The presentation sorts its triangle rows before the echelon, which
-    # is only sound if the reduced echelon form depends on the row space
+    # Kernel bases are compared across primes and computations, which is
+    # only sound if the reduced echelon form depends on the row space
     # alone: every reordering must give the same (pivots, rows).
     fld = PrimeField(p)
     rng = random.Random(p % 997)
@@ -1101,20 +1102,77 @@ def test_echelonize_independent_of_row_order(p):
     n = 30
     upper = FieldMatrix(fld, n, n, [{i: 1, **{j: rng.randrange(1, p) for j in range(i + 1, n)}}
                                     for i in range(n)])
-    assert echelonize(upper) == (list(range(n)), [{i: 1} for i in range(n)])
+    assert reduced_echelon(upper) == (list(range(n)), [{i: 1} for i in range(n)])
     cases.append(upper)
     for m in cases:
-        want = echelonize(m)
+        want = reduced_echelon(m)
         for other in reordered(m):
-            assert echelonize(other) == want
+            assert reduced_echelon(other) == want
 
 
 def test_relation_echelon_independent_of_row_order(monkeypatch):
     for m in relation_matrices(monkeypatch):
-        want = echelonize(m)
+        want = reduced_echelon(m)
         assert want[0]
         for other in reordered(m):
-            assert echelonize(other) == want
+            assert reduced_echelon(other) == want
+
+
+def check_row_echelon(m):
+    """`echelonize(m)` against its contract, with Gauss-Jordan's rref as
+    the reference: each row is 1 at its lead and zero left of it, the
+    leads are the reduced form's pivots, back-substitution gives exactly
+    the reduced rows, and neither step modifies its input."""
+    p = m.field.p
+    before = [dict(r) for r in m.rows]
+    pivots, rows = echelonize(m)
+    ref_pivots, ref = ref_rref([[r.get(j, 0) for j in range(m.ncols)] for r in m.rows], m.ncols, p)
+    assert pivots == ref_pivots
+    for c, row in zip(pivots, rows, strict=True):
+        assert min(row) == c and row[c] == 1
+        assert max(row) < m.ncols and all(0 < v < p for v in row.values())
+    forward = [dict(r) for r in rows]
+    reduced = exactlin._back_substitute(pivots, rows, p)
+    assert reduced == [{j: v for j, v in enumerate(r) if v} for r in ref[:len(pivots)]]
+    assert rows == forward
+    assert m.rows == before
+    return rows
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_row_echelon_form_contract(p):
+    fld = PrimeField(p)
+    rng = random.Random(p % 983)
+    cases = []
+    for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+        for nrows, ncols in ((0, 5), (5, 0), (1, 1), (6, 20), (25, 8), (15, 15)):
+            cases.append(random_matrix(fld, rng, nrows, ncols, density))
+        base = random_matrix(fld, rng, 5, 12, density)
+        cases.append(FieldMatrix(fld, 18, 12, [dict(base.rows[rng.randrange(5)]) for _ in range(18)]))
+    cases.append(commuting_stack(fld, rng, 8))
+    # Unit upper triangular and dense: the forward phase keeps every row
+    # as it is, and back-substitution clears everything right of the
+    # diagonal.
+    n = 30
+    upper = FieldMatrix(fld, n, n, [{i: 1, **{j: rng.randrange(1, p) for j in range(i + 1, n)}}
+                                    for i in range(n)])
+    assert check_row_echelon(upper) == upper.rows
+    cases.append(upper)
+    for m in cases:
+        for other in [m, *reordered(m)]:
+            check_row_echelon(other)
+
+
+def test_relation_row_echelon_contract(monkeypatch):
+    # The triangle rows' row echelon form is the presentation's
+    # expression table; rows that differ from their reduced rows are what
+    # the pushes to later pivots follow.
+    chained = 0
+    for m in relation_matrices(monkeypatch):
+        rows = check_row_echelon(m)
+        pivots = {min(r) for r in rows}
+        chained += sum(len(pivots.intersection(r)) > 1 for r in rows)
+    assert chained
 
 
 def ref_kernel(m):

@@ -11,11 +11,11 @@ from heckeledger.exactlin import (
     NotInvariant,
     Subspace,
     charpoly,
-    echelonize,
     frac_str,
     NoReconstruction,
     rank_and_kernel,
     rational_reconstruct,
+    reduced_echelon,
     restrict_operator,
     signed_lift,
     split_eigenspaces,
@@ -367,7 +367,7 @@ def reference_presentation(space):
     its S row, x + (S.x) = 0, and its triangle row,
     x + (sigma.x) + (sigma^2.x) = 0; on a sign quotient with sign e it
     also contributes its star row x - e (-1)^i x_(i, (-c:d)) = 0.  All
-    the rows are echelonized in one piece.
+    the rows are brought to reduced echelon form in one piece.
     """
     p1, k, fld = space.p1, space.module.k, space.field
     npts = len(p1)
@@ -389,7 +389,7 @@ def reference_presentation(space):
                 entries.append((nrows, i * npts + j, 1))
                 entries.append((nrows, i * npts + p1.index(-c, d), -space.sign * (-1) ** i))
                 nrows += 1
-    pivots, rows = echelonize(FieldMatrix.from_entries(fld, nrows, k * npts, entries))
+    pivots, rows = reduced_echelon(FieldMatrix.from_entries(fld, nrows, k * npts, entries))
     pivset = set(pivots)
     free = [g for g in range(k * npts) if g not in pivset]
     free_pos = {g: t for t, g in enumerate(free)}
@@ -470,11 +470,12 @@ def merel_heilbronn(n):
     return out
 
 
-def heilbronn_hecke_matrix(space, heil):
+def heilbronn_hecke_matrix(space, heil, project=None):
     """The matrix of sum over h in heil of h acting on Manin symbols (the
     `hecke_matrix` formula), each image generator projected on its own by
-    `project_generator`.  With merel_heilbronn(n) it is T_n for every n
-    prime to the level."""
+    `project` (`project_generator` by default).  With merel_heilbronn(n)
+    it is T_n for every n prime to the level."""
+    project = project or space.project_generator
     npts = len(space.p1)
     p = space.field.p
     monos = space.module.monomials()
@@ -486,7 +487,7 @@ def heilbronn_hecke_matrix(space, heil):
         for a, b, e, f in heil:
             t = space.p1.index(c * a + d * e, c * b + d * f)
             for m, cm in enumerate(monos[i].subst(a, b, e, f).coeffs):
-                for r, v in space.project_generator(m * npts + t).items():
+                for r, v in project(m * npts + t).items():
                     column[r] = (column.get(r, 0) + cm * v) % p
         entries += [(r, pos, v) for r, v in column.items() if v]
     return FieldMatrix.from_entries(space.field, space.dim, space.dim, entries)
@@ -586,6 +587,28 @@ def test_hecke_matches_continued_fraction_reference(k):
                     got = (space.hecke_matrix(n) if n in (2, 3, 5, 7)
                            else heilbronn_hecke_matrix(space, merel_heilbronn(n)))
                     assert got == reference_hecke_matrix(space, n), (level, k, space.sign, n, fld.p)
+
+
+@pytest.mark.parametrize("level,k,l", [(90, 3, 7), (84, 3, 5), (96, 3, 5), (78, 3, 5)])
+def test_hecke_follows_long_push_chains(level, k, l):
+    # The heaviest presentation-sparse items, where the expression table
+    # chains pivot to pivot nine to fourteen deep.  The reference acts by
+    # Merel's Heilbronn matrices and projects each image generator by the
+    # reduced echelon of the full relation matrix, sharing no code with
+    # the pushes; at N = 84 also on both sign quotients at both field primes.
+    whole = build_space(level, k)
+    spaces = [whole]
+    if level == 84:
+        spaces += [s for e in (1, -1) for s in (whole.sign_quotient(e), whole.sign_quotient(e).partner())]
+    for space in spaces:
+        depth = {}
+        for c, (_, to_pivots) in reversed(space._pushes.items()):
+            depth[c] = 1 + max((depth[j] for j, _ in to_pivots), default=0)
+        assert max(depth.values()) >= 4, (level, space.sign)
+        free, expr = reference_presentation(space)
+        expr.update({g: {t: 1} for t, g in enumerate(free)})
+        want = heilbronn_hecke_matrix(space, merel_heilbronn(l), expr.__getitem__)
+        assert space.hecke_matrix(l) == want, (level, k, l, space.sign, space.field.p)
 
 
 def test_projected_generator_is_a_copy():
@@ -1202,7 +1225,7 @@ def test_census_does_not_present_the_whole_space(presentations):
     assert space.cuspidal_dim == cov.cuspidal_dim
     assert space.dim == space.cuspidal_dim + num_cusps(211)
     assert presentations[None] == 1
-    assert {"free_columns", "_rep_of", "_rep_expr", "boundary_matrix",
+    assert {"free_columns", "_rep_of", "_pushes", "boundary_matrix",
             "cuspidal_subspace"} <= set(vars(space))
     with pytest.raises(AttributeError):
         space.not_an_attribute
