@@ -12,7 +12,12 @@ and :class:`Subspace` (its reduced row echelon basis, as sparse
 vectors).  On top of those sit one row-insertion elimination for every
 matrix, sparse or dense, in two steps: its forward phase gives a row
 echelon form (`echelonize`, which the Manin presentation keeps) and
-back-substitution finishes it to the reduced form (`reduced_echelon`);
+back-substitution finishes it to the reduced form (`reduced_echelon`).
+The forward phase reads any integer representatives and carries signed
+least residues, in (-p/2, p/2), so the Manin relations' small
+coefficients stay small integers and a lead of -1 costs a negation.
+Only the forward echelon rows are signed: back-substitution, and so
+every reduced form, kernel basis and `Subspace`, is in [0, p).  Then come
 rank and a kernel basis that one reduced echelon gives already
 reduced, restriction of operators to an invariant subspace by reading
 the images at the basis's pivot coordinates, one step down a joint
@@ -152,8 +157,10 @@ def next_field_prime(start: int) -> int:
 class PrimeField:
     """The field Z/p for a word-sized prime p > FIELD_PRIME_FLOOR = 2**60.
 
-    Elements are plain ints in [0, p).  Primality is checked at
-    construction so a typo in a configured modulus fails loudly.
+    Elements are plain ints in [0, p), except in the forward echelon
+    rows of `echelonize`, which hold signed least residues in
+    (-p/2, p/2).  Primality is checked at construction so a typo in a
+    configured modulus fails loudly.
     """
 
     __slots__ = ("p",)
@@ -399,13 +406,17 @@ class FieldMatrix:
 
 def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[int, int]],
              p: int) -> dict[int, int]:
-    """row with the pivot columns on the heap cleared, as a new dict.
+    """row with the pivot columns on the heap cleared, as a new dict of
+    signed least residues, in (-p/2, p/2).
 
     Columns go smallest-first.  A pivot row has no entry left of its
     pivot, so a subtraction only adds columns to the right of the one
-    it clears, and each pivot column it adds joins the heap.  Entries
-    are reduced mod p once, at the end.
+    it clears, and each pivot column it adds joins the heap.  Any
+    integer representatives may come in; each multiplier is a signed
+    least residue, so small entries stay small integers, and entries are
+    reduced mod p once, at the end.
     """
+    half = p >> 1
     acc = dict(row)
     heapify(heap)
     while heap:
@@ -413,7 +424,7 @@ def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[in
         v = acc[col] % p
         if not v:
             continue
-        c = p - v
+        c = p - v if v > half else -v
         for j, w in pivot_rows[col].items():
             x = acc.get(j)
             if x is None:
@@ -422,7 +433,7 @@ def _reduced(row: dict[int, int], heap: list[int], pivot_rows: dict[int, dict[in
                     heappush(heap, j)
             else:
                 acc[j] = x + c * w
-    return {j: x for j, v in acc.items() if (x := v % p)}
+    return {j: x - p if x > half else x for j, v in acc.items() if (x := v % p)}
 
 
 def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
@@ -431,22 +442,33 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
     The forward phase of one row-insertion elimination for every matrix,
     sparse or dense.  Rows go in one at a time; each is reduced against
     the pivot rows found so far, and its leftmost surviving column
-    becomes a new pivot with entry 1.  Each returned row is 1 at its
-    pivot and zero left of it; it may be nonzero at pivots found after
-    it.  The pivots are the leftmost independent columns, the pivots of
-    the reduced form, whatever the row order; the rows themselves depend
-    on the row order.  `pivots` ascend and `rows[i]` is the row of
-    pivots[i], a new dict; the zero rows are not returned.
-    `reduced_echelon` finishes the same elimination.
+    becomes a new pivot with entry 1.  m's entries may be any integer
+    representatives (the Manin presentation hands over small signed
+    integers), and every returned entry is a nonzero signed least
+    residue, in (-p/2, p/2): a row with lead +-1 is normalized by at
+    most a negation, and only other leads pay for an inverse.  Each
+    returned row is 1 at its pivot and zero left of it; it may be
+    nonzero at pivots found after it.  The pivots are the leftmost
+    independent columns, the pivots of the reduced form, whatever the
+    row order; the rows themselves depend on the row order.  `pivots`
+    ascend and `rows[i]` is the row of pivots[i], a new dict; the zero
+    rows are not returned.  `reduced_echelon` finishes the same
+    elimination.
     """
     p = m.field.p
+    half = p >> 1
     pivot_rows: dict[int, dict[int, int]] = {}
     for src in m.rows:
         row = _reduced(src, [j for j in src if j in pivot_rows], pivot_rows, p)
         if row:
             lead = min(row)
-            inv = pow(row[lead], -1, p)
-            pivot_rows[lead] = {j: v * inv % p for j, v in row.items()} if inv != 1 else row
+            u = row[lead]
+            if u == -1:
+                row = {j: -v for j, v in row.items()}
+            elif u != 1:
+                inv = pow(u, -1, p)
+                row = {j: x - p if (x := v * inv % p) > half else x for j, v in row.items()}
+            pivot_rows[lead] = row
     pivots = sorted(pivot_rows)
     return pivots, [pivot_rows[c] for c in pivots]
 
@@ -454,25 +476,25 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
 def _back_substitute(pivots: list[int], rows: list[dict[int, int]],
                      p: int) -> list[dict[int, int]]:
     """The reduced rows of the row echelon form (pivots, rows), which is
-    left unmodified.
+    left unmodified, with every entry in [0, p).
 
     Right to left, every pivot column is cleared from the rows above its
     pivot, in one pass over the row's pivot columns to its right: their
     rows are already fully reduced, so subtracting one never brings in
     another pivot column, and each multiplier is the row's own entry
-    there.
+    there.  The forward rows may hold any integer representatives
+    (`echelonize` gives signed ones); the output rows are reduced to
+    [0, p), the contract of `reduced_echelon` and of `Subspace`.
     """
     pivot_rows = dict(zip(pivots, rows))
     for col in reversed(pivots):
         row = pivot_rows[col]
-        hits = [j for j in row if j != col and j in pivot_rows]
-        if not hits:
-            continue
         acc = dict(row)
-        for h in hits:
-            c = p - row[h]
-            for j, w in pivot_rows[h].items():
-                acc[j] = acc.get(j, 0) + c * w
+        for h in row:
+            if h != col and h in pivot_rows:
+                c = -row[h]
+                for j, w in pivot_rows[h].items():
+                    acc[j] = acc.get(j, 0) + c * w
         pivot_rows[col] = {j: x for j, v in acc.items() if (x := v % p)}
     return [pivot_rows[c] for c in pivots]
 

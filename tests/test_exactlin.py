@@ -1120,9 +1120,10 @@ def test_relation_echelon_independent_of_row_order(monkeypatch):
 
 def check_row_echelon(m):
     """`echelonize(m)` against its contract, with Gauss-Jordan's rref as
-    the reference: each row is 1 at its lead and zero left of it, the
-    leads are the reduced form's pivots, back-substitution gives exactly
-    the reduced rows, and neither step modifies its input."""
+    the reference: each row is 1 at its lead and zero left of it, every
+    entry is a nonzero signed least residue, the leads are the reduced
+    form's pivots, back-substitution gives exactly the reduced rows, and
+    neither step modifies its input."""
     p = m.field.p
     before = [dict(r) for r in m.rows]
     pivots, rows = echelonize(m)
@@ -1130,7 +1131,7 @@ def check_row_echelon(m):
     assert pivots == ref_pivots
     for c, row in zip(pivots, rows, strict=True):
         assert min(row) == c and row[c] == 1
-        assert max(row) < m.ncols and all(0 < v < p for v in row.values())
+        assert max(row) < m.ncols and all(v and abs(2 * v) < p for v in row.values())
     forward = [dict(r) for r in rows]
     reduced = exactlin._back_substitute(pivots, rows, p)
     assert reduced == [{j: v for j, v in enumerate(r) if v} for r in ref[:len(pivots)]]
@@ -1156,11 +1157,39 @@ def test_row_echelon_form_contract(p):
     n = 30
     upper = FieldMatrix(fld, n, n, [{i: 1, **{j: rng.randrange(1, p) for j in range(i + 1, n)}}
                                     for i in range(n)])
-    assert check_row_echelon(upper) == upper.rows
+    assert [{j: v % p for j, v in r.items()} for r in check_row_echelon(upper)] == upper.rows
     cases.append(upper)
     for m in cases:
         for other in [m, *reordered(m)]:
             check_row_echelon(other)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_echelonize_reads_any_integer_representatives(p):
+    # The Manin presentation hands `echelonize` small signed integers, not
+    # residues in [0, p): entries given as v, v - p or v + 3p must give
+    # the same pivots and rows, and the reduced forms built on it must
+    # still come out in [0, p).
+    fld = PrimeField(p)
+    rng = random.Random(p % 971)
+    cases = [random_matrix(fld, rng, nrows, ncols, density)
+             for density in (0.1, 0.4, 1.0) for nrows, ncols in ((6, 20), (25, 8), (15, 15))]
+    # leads of +-1 and +-2; the first row's -1 is the only entry in column 0
+    cases.append(FieldMatrix(fld, 13, 10, [{0: p - 1, 4: 2}] + [
+        {j: rng.choice((1, 2, p - 1, p - 2)) for j in rng.sample(range(1, 10), 3)} for _ in range(12)]))
+    for m in cases:
+        want = echelonize(m)
+        want_reduced = reduced_echelon(m)
+        want_kernel = rank_and_kernel(m)
+        for shifts in ((-p,), (3 * p,), (0, -p, 3 * p)):
+            other = FieldMatrix(fld, m.nrows, m.ncols,
+                                [{j: v + rng.choice(shifts) for j, v in r.items()} for r in m.rows])
+            assert echelonize(other) == want
+            check_row_echelon(other)
+            assert reduced_echelon(other) == want_reduced
+            assert rank_and_kernel(other) == want_kernel
+        assert all(0 < v < p for r in want_reduced[1] for v in r.values())
+        assert all(0 < v < p for r in want_kernel[1].basis for v in r.values())
 
 
 def test_relation_row_echelon_contract(monkeypatch):

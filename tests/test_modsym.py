@@ -1366,8 +1366,13 @@ def test_winding_pairing_above_the_height_raises(monkeypatch):
     space = build_space(5, 3)
     (system,) = eigensystems(space, [2, 3])
     monkeypatch.setattr(modsym, "RECONSTRUCT_BOUND", 3)
-    with pytest.raises(NoReconstruction, match="height 3"):
+    with pytest.raises(NoReconstruction, match="height 3") as err:
         winding_pairing(space, system)
+    # The error names the system and the prime it failed at.
+    eigen = ", ".join(f"a_{l} = {a}" for l, a in sorted(system.eigenvalues.items()))
+    assert str(err.value).startswith(
+        f"winding pairing at level 5, weight 4 ({eigen}), prime {space.field.p}: "
+        "no rational of height 3 lifts ")
 
 
 def test_winding_vanishing_on_whole_space_only_raises(monkeypatch):
