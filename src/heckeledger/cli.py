@@ -285,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, format_help):
         p.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                       help="output format (default text)")
+                       help=format_help)
         p.add_argument("--field-prime", type=int, default=None,
                        help=f"override the working field prime (or ${ENV_FIELD_PRIME})")
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="modular forms weight (k+1); even weights only")
     p_mod.add_argument("--primes", default="",
                        help="comma-separated Hecke primes, e.g. 2,3,5")
-    add_common(p_mod)
+    add_common(p_mod, "output format (default text)")
     p_mod.set_defaults(func=cmd_modsym)
 
     p_par = sub.add_parser("paramodular", help="weight-3 paramodular dimensions")
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--prime", type=int, help="a single prime level")
     group.add_argument("--range", help="an inclusive prime range, e.g. 2..100")
     p_par.add_argument("--gritsenko", help="CSV file `p,dim_gritsenko`")
-    add_common(p_par)
+    add_common(p_par, "output format (default text)")
     p_par.set_defaults(func=cmd_paramodular)
 
     p_led = sub.add_parser("ledger", help="decomposition ledger at a prime level")
@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_led.add_argument("--compare", help="external polynomial JSON to compare against")
     p_led.add_argument("--tscale",
                        help="change-of-variable hook: rewrite external data by T -> s*T")
-    add_common(p_led)
+    add_common(p_led, "accepted for symmetry with the other subcommands; ledger "
+                      "always writes JSON (the report or the --compare summary)")
     p_led.set_defaults(func=cmd_ledger)
     return parser
 

@@ -11,11 +11,13 @@ forward phase only, no back-substitution); its free generators are
 those of the full relation matrix, and each pivot's row, negated, is a
 list of pushes to free columns and to later pivots, which, followed in
 ascending pivot order, give the expressions of the full relation matrix.
-Hecke operators T_l at primes l act on Manin symbols directly through
-Cremona's Heilbronn matrices, and the images of all free generators go
-through the pushes together, one transposed triangular solve (Stein,
-Modular Forms, 8.3); continued fractions are used only to write an
-arbitrary symbol on the Manin generators (`project_symbol`).
+Every projection onto the quotient basis is one call of
+`ManinBasisSpace._project`, which pushes integer combinations of Manin
+generators, one per column, through the pushes together: one transposed
+triangular solve.  Hecke operators T_l at primes l act on Manin symbols
+directly through Cremona's Heilbronn matrices, and the images of all
+free generators are its columns; continued fractions are used only to
+write an arbitrary symbol on the Manin generators (`project_symbol`).
 Everything is computed over a large prime field.  A rational Hecke
 eigenvalue a_l (l prime to N) is an integer with a_l^2 <= 4 l^(w-1)
 (Deligne), so only roots whose signed lift meets that bound are found
@@ -55,7 +57,6 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -543,10 +544,6 @@ class ManinBasisSpace:
     def cuspidal_dim(self) -> int:
         return self.cuspidal_subspace.dim
 
-    @property
-    def eisenstein_dim(self) -> int:
-        return self.dim - self.cuspidal_dim
-
     def _present(self) -> tuple[list[int], dict[int, int], dict[int, tuple[int, int]],
                                 dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]]:
         """Free generators; the position of each free representative
@@ -699,137 +696,30 @@ class ManinBasisSpace:
 
     # -- projection to quotient coordinates ------------------------------
 
-    def project_generator(self, gen: int) -> dict[int, int]:
-        """Quotient coordinates of one Manin generator ({} if killed), as a
-        new dict: its sign at its representative, pushed along the
-        expression table pivot by pivot, smallest first (a heap), until
-        only free positions hold values."""
-        rep = self._rep_of.get(gen)
-        if rep is None:
-            return {}
-        h, sign = rep
-        p = self.field.p
-        pos = self._free_pos.get(h)
-        if pos is not None:
-            return {pos: sign % p}
-        pushes = self._pushes
-        coords: dict[int, int] = {}
-        pending = {h: sign}
-        heap = [h]
-        while heap:
-            c = heappop(heap)
-            v = pending.pop(c) % p
-            if not v:
-                continue
-            to_free, to_pivots = pushes[c]
-            for pos, m in to_free:
-                coords[pos] = coords.get(pos, 0) + m * v
-            for j, m in to_pivots:
-                if j in pending:
-                    pending[j] += m * v
-                else:
-                    pending[j] = m * v
-                    heappush(heap, j)
-        return {pos: x for pos, v in coords.items() if (x := v % p)}
+    def _project(self, columns: Sequence[dict[int, int]]) -> FieldMatrix:
+        """Quotient coordinates of integer combinations of Manin
+        generators, one {generator: integer} dict per column, as the
+        columns of a dim x len(columns) matrix over the field.
 
-    def _accumulate_manin(self, vec: dict[int, int], q1: Cusp, q2: Cusp,
-                          poly: HomogeneousPoly, scale: int) -> None:
-        """Add scale * (the Manin expansion of poly tensor [q1, q2]) to vec."""
-        p = self.field.p
-        npts = len(self.p1)
-        for piece in unimodularize(ModularSymbol(q1, q2, poly)):
-            x1, y1 = piece.q1.num, piece.q1.den
-            x2, y2 = piece.q2.num, piece.q2.den
-            det = x2 * y1 - x1 * y2
-            if det == -1:
-                x2, y2 = -x2, -y2
-            elif det != 1:
-                raise AssertionError("non-unimodular piece from unimodularize")
-            transported = piece.coeff.subst(x2, x1, y2, y1)
-            cls_idx = self.p1.index(y2, y1)
-            for i, ci in enumerate(transported.coeffs):
-                if not ci:
-                    continue
-                c = ci * scale % p
-                if not c:
-                    continue
-                for pos, w in self.project_generator(i * npts + cls_idx).items():
-                    vec[pos] = (vec.get(pos, 0) + c * w) % p
-
-    def project_symbol(self, s: ModularSymbol) -> dict[int, int]:
-        """Quotient coordinates of an arbitrary modular symbol.
-
-        Rational coefficients are cleared to a common denominator first;
-        the denominator must be a unit modulo the working prime.
-        """
-        if s.coeff.k != self.module.k:
-            raise ValueError("coefficient polynomial has the wrong degree")
-        ints, den = s.coeff.cleared()
-        if den % self.field.p == 0:
-            raise ArithmeticError("coefficient denominator vanishes in the field")
-        scale = pow(den, -1, self.field.p)
-        vec: dict[int, int] = {}
-        self._accumulate_manin(vec, s.q1, s.q2, ints, scale)
-        return {k2: v for k2, v in vec.items() if v}
-
-    # -- Hecke action -----------------------------------------------------
-
-    def hecke_matrix(self, l: int) -> FieldMatrix:
-        """Matrix of T_l on the quotient basis; BadPrime unless l is a
-        prime not dividing the level.  Cremona's Heilbronn matrices H_l =
-        `_heilbronn(l)` act on Manin symbols directly, with no continued
-        fractions (Merel, LNM 1585, 1994; Stein, Modular Forms, 8.3):
-
-            T_l (P, (c:d)) = sum over h = [[a, b], [e, f]] in H_l of
-                             (P(aX + bY, eX + fY), (ca + de : cb + df)).
-
-        The image of each free generator is accumulated as integers on
-        Manin generators, and each distinct generator's value, times its
-        sign, goes to its representative, for all columns at once: a free
-        representative's straight into the matrix, kept as dense columns,
-        a pivot's into a sparse {column: value} accumulator.  The pivots
-        are then visited in ascending order, and each accumulator is
-        pushed along its row of the expression table, reduced to signed
+        Each generator's value, times its sign, goes to its representative,
+        for all columns at once: a free representative's straight into the
+        matrix, kept as dense columns, a pivot's into a sparse
+        {column: value} accumulator (killed generators drop out).  The
+        pivots are then visited in ascending order, and each accumulator
+        is pushed along its row of the expression table, reduced to signed
         residues first if an earlier pivot pushed into it; each of its
         columns takes the whole row's pushes to free positions in one
-        dense column.  That is
-        M = A_F - U_PF^T (U_PP^-T A_P) for the echelon rows U and the
-        image coefficients A on the free (F) and pivot (P) columns: one
-        transposed unit-triangular solve, each echelon entry read once.
+        dense column.  That is M = A_F - U_PF^T (U_PP^-T A_P) for the
+        echelon rows U and the coefficients A on the free (F) and pivot
+        (P) columns: one transposed unit-triangular solve (Stein, Modular
+        Forms, 8.3), each echelon entry read once.
         """
-        cached = self._hecke_cache.get(l)
-        if cached is not None:
-            return cached
-        _check_hecke_primes(self.level, [l])
         p = self.field.p
         half = p // 2
-        p1 = self.p1
-        npts = len(p1)
-        heil = _heilbronn(l)
-        # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under
-        # heil[t], for the monomials i of the free generators only
-        monos = self.module.monomials()
-        images = {
-            i: [[(m, cm) for m, cm in enumerate(monos[i].subst(*h).coeffs) if cm] for h in heil]
-            for i in {col // npts for col in self.free_columns}
-        }
-        dim = self.dim
         rep_of, free_pos = self._rep_of, self._free_pos
-        targets: dict[int, list[int]] = {}
-        dense = [[0] * dim for _ in range(dim)]  # dense[pos][r]: column pos, row r
+        dense = [[0] * self.dim for _ in columns]  # dense[pos][r]: column pos, row r
         pending: dict[int, dict[int, int]] = {}  # pivot column -> {column: value}
-        for pos, col in enumerate(self.free_columns):
-            column = dense[pos]
-            i, j = divmod(col, npts)
-            pts = targets.get(j)
-            if pts is None:
-                c, d = p1.points[j]
-                pts = targets[j] = [p1.index(c * a + d * e, c * b + d * f) for a, b, e, f in heil]
-            acc: dict[int, int] = {}
-            for img, t in zip(images[i], pts):
-                for m, cm in img:
-                    g = m * npts + t
-                    acc[g] = acc.get(g, 0) + cm
+        for pos, (column, acc) in enumerate(zip(dense, columns)):
             for g, v in acc.items():
                 rep = rep_of.get(g)
                 if rep is None or not v:
@@ -867,7 +757,91 @@ class ManinBasisSpace:
                         t[pos] = t.get(pos, 0) + m * v
                 pushed.add(j)
         rows = [{pos: x for pos, v in enumerate(row) if v and (x := v % p)} for row in zip(*dense)]
-        mat = FieldMatrix(self.field, dim, dim, rows)
+        return FieldMatrix(self.field, self.dim, len(columns), rows)
+
+    def project_generator(self, gen: int) -> dict[int, int]:
+        """Quotient coordinates of one Manin generator ({} if killed), as a
+        new dict: a one-column `_project`."""
+        return {r: row[0] for r, row in enumerate(self._project([{gen: 1}]).rows) if row}
+
+    def project_symbol(self, s: ModularSymbol) -> dict[int, int]:
+        """Quotient coordinates of an arbitrary modular symbol.
+
+        Rational coefficients are cleared to a common denominator first;
+        the denominator must be a unit modulo the working prime.  Each
+        unimodular piece of the symbol is one Manin generator per monomial
+        of its transported coefficient; their integer coefficients are
+        gathered into one column, projected once by `_project`, and
+        divided by the denominator.
+        """
+        if s.coeff.k != self.module.k:
+            raise ValueError("coefficient polynomial has the wrong degree")
+        ints, den = s.coeff.cleared()
+        p = self.field.p
+        if den % p == 0:
+            raise ArithmeticError("coefficient denominator vanishes in the field")
+        scale = pow(den, -1, p)
+        npts = len(self.p1)
+        column: dict[int, int] = {}
+        for piece in unimodularize(ModularSymbol(s.q1, s.q2, ints)):
+            x1, y1 = piece.q1.num, piece.q1.den
+            x2, y2 = piece.q2.num, piece.q2.den
+            det = x2 * y1 - x1 * y2
+            if det == -1:
+                x2, y2 = -x2, -y2
+            elif det != 1:
+                raise AssertionError("non-unimodular piece from unimodularize")
+            transported = piece.coeff.subst(x2, x1, y2, y1)
+            cls_idx = self.p1.index(y2, y1)
+            for i, ci in enumerate(transported.coeffs):
+                g = i * npts + cls_idx
+                column[g] = column.get(g, 0) + ci
+        return {r: row[0] * scale % p for r, row in enumerate(self._project([column]).rows) if row}
+
+    # -- Hecke action -----------------------------------------------------
+
+    def hecke_matrix(self, l: int) -> FieldMatrix:
+        """Matrix of T_l on the quotient basis; BadPrime unless l is a
+        prime not dividing the level.  Cremona's Heilbronn matrices H_l =
+        `_heilbronn(l)` act on Manin symbols directly, with no continued
+        fractions (Merel, LNM 1585, 1994; Stein, Modular Forms, 8.3):
+
+            T_l (P, (c:d)) = sum over h = [[a, b], [e, f]] in H_l of
+                             (P(aX + bY, eX + fY), (ca + de : cb + df)).
+
+        The image of each free generator is accumulated as integers on
+        Manin generators, and the images of all free generators are
+        projected together, one column each, by `_project`.
+        """
+        cached = self._hecke_cache.get(l)
+        if cached is not None:
+            return cached
+        _check_hecke_primes(self.level, [l])
+        p1 = self.p1
+        npts = len(p1)
+        heil = _heilbronn(l)
+        # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under
+        # heil[t], for the monomials i of the free generators only
+        monos = self.module.monomials()
+        images = {
+            i: [[(m, cm) for m, cm in enumerate(monos[i].subst(*h).coeffs) if cm] for h in heil]
+            for i in {col // npts for col in self.free_columns}
+        }
+        targets: dict[int, list[int]] = {}
+        columns = []
+        for col in self.free_columns:
+            i, j = divmod(col, npts)
+            pts = targets.get(j)
+            if pts is None:
+                c, d = p1.points[j]
+                pts = targets[j] = [p1.index(c * a + d * e, c * b + d * f) for a, b, e, f in heil]
+            acc: dict[int, int] = {}
+            for img, t in zip(images[i], pts):
+                for m, cm in img:
+                    g = m * npts + t
+                    acc[g] = acc.get(g, 0) + cm
+            columns.append(acc)
+        mat = self._project(columns)
         self._hecke_cache[l] = mat
         return mat
 
@@ -1058,8 +1032,8 @@ def _winding_pairings(space: ManinBasisSpace, system: EigenSystem,
         p = sp.field.p
         target = tuple(sp.field.elem(system.eigenvalues[l]) for l in primes)
         # The winding symbol is the Manin generator (X^m Y^m, (0:1)).
-        winding = sp.project_generator(m * len(sp.p1) + sp.p1.index(0, 1))
-        pairings = [winding.get(i, 0) for i in range(sp.dim)]
+        winding = sp._project([{m * len(sp.p1) + sp.p1.index(0, 1): 1}])
+        pairings = [row.get(0, 0) for row in winding.rows]
         ops = [sp.hecke_matrix(l).transpose() for l in primes]
         for lam in target:
             kernel, ops = eigen_step(ops, lam)

@@ -24,6 +24,14 @@ def test_help_exits_zero(capsys):
         capsys.readouterr()
 
 
+def test_ledger_help_says_it_writes_json(capsys):
+    # cmd_ledger ignores --format; its help must not promise a text default.
+    assert main(["ledger", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "always writes JSON" in out
+    assert "default text" not in out
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -280,6 +280,59 @@ def test_projection_roundtrip_on_free_generators():
         assert space.project_symbol(s) == {pos: 1}
 
 
+def _random_symbols(rng, k, count):
+    """count symbols between random cusps, each on a random monomial."""
+    out = []
+    while len(out) < count:
+        q1 = Cusp(rng.randint(-200, 200), rng.randint(0, 200) or 1)
+        q2 = Cusp(rng.randint(-200, 200) or 1, rng.randint(0, 200))
+        if q1 != q2:
+            out.append(ModularSymbol(q1, q2, HomogeneousPoly.monomial(k, rng.randrange(k))))
+    return out
+
+
+def test_project_symbol_rational_coefficient_scales_the_integer_projection():
+    # (1/3) X^i Y^(k-1-i) tensor [q1, q2] is (1/3 mod p) times the
+    # projection of the integer symbol, on V and on both sign quotients.
+    rng = random.Random(29)
+    whole = build_space(11, 3)
+    for space in (whole, whole.sign_quotient(1), whole.sign_quotient(-1)):
+        p = space.field.p
+        third = pow(3, -1, p)
+        for s in _random_symbols(rng, space.module.k, 15):
+            scaled = ModularSymbol(s.q1, s.q2, HomogeneousPoly([Fraction(c, 3) for c in s.coeff.coeffs]))
+            want = {r: v * third % p for r, v in space.project_symbol(s).items()}
+            assert space.project_symbol(scaled) == want, (space.sign, s)
+
+
+def test_project_symbol_agrees_at_both_field_primes():
+    # The quotient coordinates of a symbol with rational coefficients are
+    # rationals of small height; both field primes must give the same ones.
+    rng = random.Random(31)
+    for level, k in ((11, 1), (37, 1), (11, 3)):
+        space = build_space(level, k)
+        twin = space.partner()
+        assert space.free_columns == twin.free_columns
+        for s in _random_symbols(rng, k, 10):
+            coeff = HomogeneousPoly([Fraction(c * rng.choice((1, -2, 5)), rng.choice((1, 3, 7)))
+                                     for c in s.coeff.coeffs])
+            s = ModularSymbol(s.q1, s.q2, coeff)
+            coords = [sp.project_symbol(s) for sp in (space, twin)]
+            assert coords[0].keys() == coords[1].keys(), (level, k, s)
+            for r, v in coords[0].items():
+                assert (rational_reconstruct(v, 10**8, space.field)
+                        == rational_reconstruct(coords[1][r], 10**8, twin.field)), (level, k, s, r)
+
+
+def test_project_symbol_rejects_wrong_degree_and_vanishing_denominator():
+    space = build_space(11, 3)
+    p = space.field.p
+    with pytest.raises(ValueError, match="wrong degree"):
+        space.project_symbol(sym(0, 1, 1, 0, ONE))
+    with pytest.raises(ArithmeticError, match="denominator"):
+        space.project_symbol(sym(0, 1, 1, 0, HomogeneousPoly((0, Fraction(1, p), 0))))
+
+
 # -- the projective line -----------------------------------------------------
 
 
@@ -440,11 +493,11 @@ def test_dimension_oracle_small_composite_levels():
     for level in (2, 3, 4, 6, 9, 12, 15):
         space = build_space(level, 1)
         assert space.cuspidal_dim == 2 * dim_cusp_forms(level, 2)
-        assert space.eisenstein_dim == dim_eisenstein(level, 2)
+        assert space.dim - space.cuspidal_dim == dim_eisenstein(level, 2)
     for level in (4, 6, 9, 10):
         space = build_space(level, 3)
         assert space.cuspidal_dim == 2 * dim_cusp_forms(level, 4)
-        assert space.eisenstein_dim == dim_eisenstein(level, 4)
+        assert space.dim - space.cuspidal_dim == dim_eisenstein(level, 4)
 
 
 def test_even_k_rejected():
@@ -966,7 +1019,7 @@ def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
         space = build_space(level, k)
         summary = space_summary(space)
         assert (summary["quotient_dim"], summary["cuspidal_dim"], summary["eisenstein_dim"]) == (
-            space.dim, space.cuspidal_dim, space.eisenstein_dim), (level, k)
+            space.dim, space.cuspidal_dim, space.dim - space.cuspidal_dim), (level, k)
         quotients = [space.sign_quotient(sign) for sign in (1, -1)]
         for q in quotients:
             assert q.cuspidal_dim == dim_cusp_forms(level, k + 1), (level, k, q.sign)
