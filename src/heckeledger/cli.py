@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--prime", type=int, help="a single prime level")
     group.add_argument("--range", help="an inclusive prime range, e.g. 2..100")
     p_par.add_argument("--gritsenko", help="CSV file `p,dim_gritsenko`")
-    add_common(p_par, "output format (default text)")
+    add_common(p_par, "json writes JSON; csv and text (the default) both write "
+                      "the same CSV")
     p_par.set_defaults(func=cmd_paramodular)
 
     p_led = sub.add_parser("ledger", help="decomposition ledger at a prime level")

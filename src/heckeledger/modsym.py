@@ -11,6 +11,9 @@ forward phase only, no back-substitution); its free generators are
 those of the full relation matrix, and each pivot's row, negated, is a
 list of pushes to free columns and to later pivots, which, followed in
 ascending pivot order, give the expressions of the full relation matrix.
+The two-term quotient, the triangle rows and the Heilbronn images of the
+free generators are small integers that do not depend on the prime: a
+space and its partner at the other working prime share them.
 Every projection onto the quotient basis is one call of
 `ManinBasisSpace._project`, which pushes integer combinations of Manin
 generators, one per column, through the pushes together: one transposed
@@ -501,7 +504,11 @@ class ManinBasisSpace:
     e-eigenspace of iota, so the two quotients' dimensions, cuspidal
     parts and Hecke eigenvalues add up to those of V.  The presentation
     is built on first use (`__getattr__`), and Hecke matrices are cached
-    per operator index.
+    per operator index.  The integer relations and the Hecke image
+    columns are built by whichever of the space and its partner needs
+    them first and kept for the other (`_partner_may_take`); the echelon,
+    the boundary, the cuspidal kernel and every projection run at each
+    space's own prime.
     """
 
     def __init__(self, level: int, module: CoefficientModule, field: PrimeField,
@@ -516,6 +523,9 @@ class ManinBasisSpace:
         self.sign = sign
         self.p1 = p1 if p1 is not None else ProjectiveLine(level)
         self._hecke_cache: dict[int, FieldMatrix] = {}
+        # prime-free results kept for the partner to take
+        self._kept_relations: Optional[tuple] = None
+        self._images: dict[int, list[dict[int, int]]] = {}
         self._partner: Optional["ManinBasisSpace"] = None
         self._quotients: dict[int, "ManinBasisSpace"] = {}
 
@@ -544,38 +554,32 @@ class ManinBasisSpace:
     def cuspidal_dim(self) -> int:
         return self.cuspidal_subspace.dim
 
-    def _present(self) -> tuple[list[int], dict[int, int], dict[int, tuple[int, int]],
-                                dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]]:
-        """Free generators; the position of each free representative
-        column among them; (representative column, +-1) of every
-        generator that survives the two-term relations; and the
-        expression table as pushes: for each pivot column c, ascending,
-        its row echelon row, 1 at c and u_j at columns j > c, as the
-        multipliers -u_j (signed least residues, as `echelonize` returns
-        them), split into
-        (free position, -u_j) and (later pivot column, -u_j), so that
-        x_c = sum of -u_j x_j.
+    def _integer_relations(self) -> tuple[dict[int, tuple[int, int]], list[int],
+                                          list[dict[int, int]]]:
+        """The prime-free half of the presentation, as small integers:
+        (representative column, +-1) of every generator that survives the
+        two-term relations, the representative generator of each column,
+        and the triangle rows on representative columns, in echelon order.
 
         For odd k (all that `build_space` accepts) the two-term relations
         are x_g = (-1)^(i+1) x_(S g), S g = (k-1-i, (d:-c)) for
         g = (i, (c:d)), and on a sign quotient also x_g = e (-1)^i x_(iota g),
         iota g = (i, (-c:d)), hence x_g = -e x_(iota S g).  Each orbit
         (at most 4 generators) is written on its largest index, or killed
-        when it reaches a generator with both signs.
-        The triangle relations are then echelonized on the representatives,
-        k rows for one point j of each sigma-orbit {j, sigma.j, sigma^2.j}
-        of P^1, since the rows at the three points span the same space.
-        Their coefficients are small integers and go in as they are, with
-        no reduction mod p; the echelon carries signed least residues, so
-        most entries stay small through the elimination.
+        when it reaches a generator with both signs, that is when a
+        generator fixed by S, iota or iota S has the coefficient -1 there.
+        Going up the generators, each one that is the largest of its orbit
+        and not killed is the next representative column, and its orbit is
+        written on it.
+        The triangle relations follow, k rows for one point j of each
+        sigma-orbit {j, sigma.j, sigma^2.j} of P^1, since the rows at the
+        three points span the same space: x_(i, j) plus the images of
+        X^i Y^(k-1-i) under sigma and sigma^2 at their points, each
+        monomial's images tabulated once as (m #P^1, coefficient) terms.
         The leads of any echelon form are those of the reduced form, which
         depends only on the row space, and every non-representative has an
         orbit partner of larger index, so the free generators are those of
         the full relation matrix, the greedy basis taken from the right.
-        Only the forward phase runs: a pivot's row echelon row writes it
-        on columns to its right, so following the pushes in ascending
-        pivot order ends on the free columns, where it meets the
-        expression of the full relation matrix, with no back-substitution.
         Leads and expressions depend only on the row space, so the
         triangle rows may go in in any order; they go shortest first, then
         by last column and first column, both descending (a Markowitz-style
@@ -588,56 +592,100 @@ class ManinBasisSpace:
         sign = self.sign
         p1 = self.p1
         npts = len(p1)
-        monos = self.module.monomials()
-        u_img = [m.subst(-1, -1, 1, 0) for m in monos]      # P(-X-Y, X)
-        u2_img = [m.subst(0, 1, -1, -1) for m in monos]     # P(Y, -X-Y)
+        index = p1.index
+        s_pt = [index(d, -c) for c, d in p1.points]
+        s_gen = [(k - 1 - i) * npts + t for i in range(k) for t in s_pt]
+        if sign is not None:
+            i_pt = [index(-c, d) for c, d in p1.points]
+            i_gen = [i * npts + t for i in range(k) for t in i_pt]
 
-        # Two-term quotient: generator -> (representative, sign); the
+        # Two-term quotient: generator -> (representative column, sign); the
         # killed generators are absent.
-        s_pt = [p1.index(d, -c) for c, d in p1.points]
-        i_pt = [p1.index(-c, d) for c, d in p1.points]
         rep: dict[int, tuple[int, int]] = {}
-        for i in range(k):
-            base, flip, c_s = i * npts, (k - 1 - i) * npts, (-1) ** (i + 1)
-            for j in range(npts):
-                if base + j in rep:
+        reps: list[int] = []
+        for g, h in enumerate(s_gen):
+            c_s = 1 if g // npts % 2 else -1  # x_g = c_s x_h
+            if sign is None:
+                if h > g or (h == g and c_s < 0):
                     continue
-                orbit = [(base + j, 1), (flip + s_pt[j], c_s)]  # (h, c): x_g = c x_h
-                if sign is not None:
-                    orbit += [(base + i_pt[j], -sign * c_s), (flip + i_pt[s_pt[j]], -sign)]
-                coef = dict(orbit)
-                if len(coef) == len(set(orbit)):  # no generator reached with both signs
-                    r = max(coef)
-                    for h, c in coef.items():
-                        rep[h] = (r, c * coef[r])
-        reps = sorted({r for r, _ in rep.values()})
-        col_of = {r: t for t, r in enumerate(reps)}
-        rep = {g: (col_of[r], c) for g, (r, c) in rep.items()}
+                rep[h] = (len(reps), c_s)
+            else:
+                h_i, h_is = i_gen[g], i_gen[h]
+                if (h > g or h_i > g or h_is > g or (h == g and c_s < 0)
+                        or (h_i == g and sign == c_s) or (h_is == g and sign > 0)):
+                    continue
+                t = len(reps)
+                rep[h_is] = (t, -sign)
+                rep[h_i] = (t, -sign * c_s)
+                rep[h] = (t, c_s)
+            rep[g] = (len(reps), 1)
+            reps.append(g)
 
-        # Triangle relations on representative columns, one orbit at a time.
+        # Triangle relations on representative columns, one orbit at a time:
+        # terms[i] holds the (m #P^1, coefficient) terms of X^i Y^(k-1-i) at
+        # j, sigma.j and sigma^2.j.
+        terms = [([(i * npts, 1)],
+                  [(m * npts, cm) for m, cm in enumerate(mono.subst(-1, -1, 1, 0).coeffs) if cm],
+                  [(m * npts, cm) for m, cm in enumerate(mono.subst(0, 1, -1, -1).coeffs) if cm])
+                 for i, mono in enumerate(self.module.monomials())]  # P(-X-Y, X), P(Y, -X-Y)
+        get = rep.get
         rows: list[dict[int, int]] = []
-        seen = [False] * npts
+        seen = bytearray(npts)
         for j, (c, d) in enumerate(p1.points):
             if seen[j]:
                 continue
-            j_u = p1.index(d - c, -c)
-            j_u2 = p1.index(-d, c - d)
-            seen[j] = seen[j_u] = seen[j_u2] = True
-            for i in range(k):
-                terms = [(i * npts + j, 1)]
-                terms += [(m * npts + j_u, cm) for m, cm in enumerate(u_img[i].coeffs) if cm]
-                terms += [(m * npts + j_u2, cm) for m, cm in enumerate(u2_img[i].coeffs) if cm]
+            pts = (j, index(d - c, -c), index(-d, c - d))
+            for t in pts:
+                seen[t] = 1
+            for orbit_terms in terms:
                 row: dict[int, int] = {}
-                for g, v in terms:
-                    r = rep.get(g)
-                    if r is None:
-                        continue
-                    col, s = r
-                    row[col] = row.get(col, 0) + v * s
-                row = {col: v for col, v in row.items() if v}
+                cancelled = False
+                for t, ts in zip(pts, orbit_terms):
+                    for off, v in ts:
+                        r = get(off + t)
+                        if r is not None:
+                            col, s = r
+                            x = row.get(col)
+                            if x is None:
+                                row[col] = v * s
+                            else:
+                                row[col] = x = x + v * s
+                                cancelled = cancelled or not x
+                if cancelled:
+                    row = {col: v for col, v in row.items() if v}
                 if row:
                     rows.append(row)
         rows.sort(key=lambda r: (len(r), -max(r), -min(r)))
+        return rep, reps, rows
+
+    def _present(self) -> tuple[list[int], dict[int, int], dict[int, tuple[int, int]],
+                                dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]]:
+        """Free generators; the position of each free representative
+        column among them; (representative column, +-1) of every
+        generator that survives the two-term relations; and the
+        expression table as pushes: for each pivot column c, ascending,
+        its row echelon row at this space's prime, 1 at c and u_j at
+        columns j > c, as the multipliers -u_j (signed least residues, as
+        `echelonize` returns them), split into (free position, -u_j) and
+        (later pivot column, -u_j), so that x_c = sum of -u_j x_j.
+
+        The integer relations are those the partner kept for this space,
+        or else `_integer_relations`' (kept for the partner if it may take
+        them).  Their small integers go into the echelon as they are, with
+        no reduction mod p, and only its forward phase runs: a pivot's row
+        writes it on columns to its right, so following the pushes in
+        ascending pivot order ends on the free columns, with no
+        back-substitution.
+        """
+        twin = self._partner
+        relations = None
+        if twin is not None:
+            relations, twin._kept_relations = twin._kept_relations, None
+        if relations is None:
+            relations = self._integer_relations()
+            if self._partner_may_take(twin is not None and "_rep_of" in twin.__dict__):
+                self._kept_relations = relations
+        rep, reps, rows = relations
         pivots, echelon = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
 
         # Each echelon row, without its pivot entry, negated, is that
@@ -802,21 +850,44 @@ class ManinBasisSpace:
 
     def hecke_matrix(self, l: int) -> FieldMatrix:
         """Matrix of T_l on the quotient basis; BadPrime unless l is a
-        prime not dividing the level.  Cremona's Heilbronn matrices H_l =
-        `_heilbronn(l)` act on Manin symbols directly, with no continued
-        fractions (Merel, LNM 1585, 1994; Stein, Modular Forms, 8.3):
-
-            T_l (P, (c:d)) = sum over h = [[a, b], [e, f]] in H_l of
-                             (P(aX + bY, eX + fY), (ca + de : cb + df)).
-
-        The image of each free generator is accumulated as integers on
-        Manin generators, and the images of all free generators are
-        projected together, one column each, by `_project`.
+        prime not dividing the level.  The integer image columns
+        (`_hecke_images`) are projected together by `_project`.  They do
+        not depend on the prime: the partner takes them, if they were kept
+        for it, instead of building its own when its free generators are
+        the same.
         """
         cached = self._hecke_cache.get(l)
         if cached is not None:
             return cached
         _check_hecke_primes(self.level, [l])
+        twin = self._partner
+        columns = None
+        if twin is not None and twin.__dict__.get("free_columns") == self.free_columns:
+            columns = twin._images.pop(l, None)
+        if columns is None:
+            columns = self._hecke_images(l)
+            if self._partner_may_take(twin is not None and l in twin._hecke_cache):
+                self._images[l] = columns
+        mat = self._project(columns)
+        self._hecke_cache[l] = mat
+        return mat
+
+    def _partner_may_take(self, built: bool) -> bool:
+        """Whether to keep a prime-free result for the partner: it
+        exists and has not `built` its own, or, on a sign quotient,
+        `cuspidal_coverage` may build it after its split (the winding
+        pairing builds the whole space's partner before presenting it)."""
+        return self.sign is not None if self._partner is None else not built
+
+    def _hecke_images(self, l: int) -> list[dict[int, int]]:
+        """The image of each free generator under T_l, as a {Manin
+        generator: integer} dict.  Cremona's Heilbronn matrices H_l =
+        `_heilbronn(l)` act on Manin symbols directly, with no continued
+        fractions (Merel, LNM 1585, 1994; Stein, Modular Forms, 8.3):
+
+            T_l (P, (c:d)) = sum over h = [[a, b], [e, f]] in H_l of
+                             (P(aX + bY, eX + fY), (ca + de : cb + df)).
+        """
         p1 = self.p1
         npts = len(p1)
         heil = _heilbronn(l)
@@ -841,15 +912,14 @@ class ManinBasisSpace:
                     g = m * npts + t
                     acc[g] = acc.get(g, 0) + cm
             columns.append(acc)
-        mat = self._project(columns)
-        self._hecke_cache[l] = mat
-        return mat
+        return columns
 
     # -- the partner space and the sign quotients ------------------------
 
     def partner(self) -> "ManinBasisSpace":
-        """The same presentation, with the same sign, rebuilt modulo the
-        other working prime."""
+        """The same presentation, with the same sign, modulo the other
+        working prime: it shares P^1, the integer relations and the Hecke
+        image columns with this space, and echelonizes at its own prime."""
         if self._partner is None:
             other = (
                 self.context.secondary
@@ -990,6 +1060,10 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
             if dim == sum(eigenspace_dim(ops, [t.field.elem(f) for f in fracs])
                           for t, ops in zip(twins, twin_ops))
         )
+    else:  # drop what the quotients kept for the partners not built
+        for q in quotients:
+            q._kept_relations = None
+            q._images.clear()
     covered = sum(dim for _, dim in confirmed)
     return CuspidalSplit(
         systems=[EigenSystem(space.level, w, dict(zip(primes, fracs)), cuspidal=True, dim=dim)

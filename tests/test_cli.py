@@ -32,6 +32,14 @@ def test_ledger_help_says_it_writes_json(capsys):
     assert "default text" not in out
 
 
+def test_paramodular_help_says_text_writes_csv(capsys):
+    # cmd_paramodular writes CSV for both csv and text; its help must say so.
+    assert main(["paramodular", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "csv and text (the default) both write the same CSV" in out
+    assert "output format (default text)" not in out
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from heckeledger.ledger import (
     report_families,
     report_to_json,
 )
-from heckeledger.modsym import BadPrime
+from heckeledger.modsym import BadPrime, ManinBasisSpace
 
 # Column-by-column transcription of the rank table used in the tests:
 # n, dim X, vcd, cusp top, cusp bottom.
@@ -126,14 +127,35 @@ def test_report_weight4_excluded_nonvanishing():
     assert Fraction(entry["winding"]) != 0
 
 
+LEDGER_LEVELS = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
+
+
 def test_report_presents_only_the_sign_quotients(presentations):
     # The census and the space summary read the two sign quotients (and
     # their partners); with every weight-4 winding pairing zero at these
     # levels, nothing reads the whole space, so it is never presented.
-    for level in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89):
+    for level in LEDGER_LEVELS:
         build_report(level, [2, 3])
     assert presentations[None] == 0
     assert presentations[1] + presentations[-1] == 120
+
+
+def test_report_builds_the_integer_relations_and_images_once_per_prime_pair(
+        presentations, monkeypatch):
+    # 80 sign quotients at the primary prime and 40 partners are
+    # presented; a partner takes its primary's integer relations and its
+    # T_2 and T_3 image columns, so only the primaries build them.
+    builds = Counter()
+    for name in ("_integer_relations", "_hecke_images"):
+        def counted(space, *args, _name=name, _build=getattr(ManinBasisSpace, name)):
+            builds[_name] += 1
+            return _build(space, *args)
+        monkeypatch.setattr(ManinBasisSpace, name, counted)
+    for level in LEDGER_LEVELS:
+        build_report(level, [2, 3])
+    assert presentations[None] == 0
+    assert presentations[1] + presentations[-1] == 120
+    assert builds == {"_integer_relations": 80, "_hecke_images": 160}
 
 
 def test_report_presents_the_whole_space_for_a_nonzero_winding(presentations):

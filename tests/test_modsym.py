@@ -6,6 +6,7 @@ import pytest
 
 from heckeledger.exactlin import (
     FamilyMismatch,
+    FieldContext,
     FieldMatrix,
     NonCommuting,
     NotInvariant,
@@ -469,6 +470,81 @@ def test_presentation_matches_full_relation_echelon(k):
                 expr.update({g: {t: 1} for t, g in enumerate(free)})
                 for g in range(k * len(space.p1)):
                     assert space.project_generator(g) == expr[g], (n, k, fld.p, space.sign, g)
+
+
+
+def reference_relations(space):
+    """The integer relations, built orbit by orbit: (rep, reps, rows) as
+    `ManinBasisSpace._integer_relations` returns them.
+
+    Each two-term orbit of <S> (or <S, iota> on a sign quotient) is
+    listed with its coefficients and written on its largest generator,
+    or killed when a generator occurs in it with both signs.  Each
+    sigma-orbit's k triangle rows are summed term by term on the
+    representative columns, zero entries dropped, and all the rows are
+    sorted by (len, -max, -min).
+    """
+    k, sign, p1 = space.module.k, space.sign, space.p1
+    npts = len(p1)
+    monos = space.module.monomials()
+    u_img = [m.subst(-1, -1, 1, 0) for m in monos]
+    u2_img = [m.subst(0, 1, -1, -1) for m in monos]
+    s_pt = [p1.index(d, -c) for c, d in p1.points]
+    i_pt = [p1.index(-c, d) for c, d in p1.points]
+    rep = {}
+    for i in range(k):
+        base, flip, c_s = i * npts, (k - 1 - i) * npts, (-1) ** (i + 1)
+        for j in range(npts):
+            if base + j in rep:
+                continue
+            orbit = [(base + j, 1), (flip + s_pt[j], c_s)]  # (h, c): x_g = c x_h
+            if sign is not None:
+                orbit += [(base + i_pt[j], -sign * c_s), (flip + i_pt[s_pt[j]], -sign)]
+            coef = dict(orbit)
+            if len(coef) == len(set(orbit)):
+                r = max(coef)
+                for h, c in coef.items():
+                    rep[h] = (r, c * coef[r])
+    reps = sorted({r for r, _ in rep.values()})
+    col_of = {r: t for t, r in enumerate(reps)}
+    rep = {g: (col_of[r], c) for g, (r, c) in rep.items()}
+    rows = []
+    seen = [False] * npts
+    for j, (c, d) in enumerate(p1.points):
+        if seen[j]:
+            continue
+        j_u = p1.index(d - c, -c)
+        j_u2 = p1.index(-d, c - d)
+        seen[j] = seen[j_u] = seen[j_u2] = True
+        for i in range(k):
+            terms = [(i * npts + j, 1)]
+            terms += [(m * npts + j_u, cm) for m, cm in enumerate(u_img[i].coeffs) if cm]
+            terms += [(m * npts + j_u2, cm) for m, cm in enumerate(u2_img[i].coeffs) if cm]
+            row = {}
+            for g, v in terms:
+                if g in rep:
+                    col, s = rep[g]
+                    row[col] = row.get(col, 0) + v * s
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                rows.append(row)
+    rows.sort(key=lambda r: (len(r), -max(r), -min(r)))
+    return rep, reps, rows
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_integer_relations_match_orbit_by_orbit_reference(k):
+    # The same representatives, signs and triangle rows, in the same row
+    # order (which fixes the echelon's rows), on V, V+ and V-.
+    for n in range(1, 61):
+        whole = build_space(n, k)
+        for space in (whole, whole.sign_quotient(1), whole.sign_quotient(-1)):
+            rep, reps, rows = space._integer_relations()
+            want_rep, want_reps, want_rows = reference_relations(space)
+            assert rep == want_rep, (n, k, space.sign)
+            assert reps == want_reps, (n, k, space.sign)
+            assert rows == want_rows, (n, k, space.sign)
+            assert [list(r) for r in rows] == [list(r) for r in want_rows], (n, k, space.sign)
 
 
 # -- space dimensions (Eichler-Shimura cross-check) --------------------------
@@ -1282,6 +1358,76 @@ def test_census_does_not_present_the_whole_space(presentations):
             "cuspidal_subspace"} <= set(vars(space))
     with pytest.raises(AttributeError):
         space.not_an_attribute
+
+
+
+@pytest.mark.parametrize("level", [11, 37, 89])
+def test_partner_shares_the_integer_relations(level):
+    # A partner presented after its primary takes the very same integer
+    # relations (its representative table is the primary's object) and
+    # the primary's T_2 and T_3 image columns, which the primary then no
+    # longer keeps; its
+    # T_2, T_3 and cuspidal subspace are those of a space built fresh at
+    # the partner prime.
+    for k in (1, 3):
+        whole = build_space(level, k)
+        fresh = build_space(level, k, context=FieldContext.default(whole.context.secondary.p))
+        for sign in (1, -1):
+            primary = whole.sign_quotient(sign)
+            for l in (2, 3):
+                primary.hecke_matrix(l)
+            twin = primary.partner()
+            ref = fresh.sign_quotient(sign)
+            assert twin.field == ref.field
+            for l in (2, 3):
+                assert twin.hecke_matrix(l) == ref.hecke_matrix(l), (level, k, sign, l)
+            assert twin._rep_of is primary._rep_of
+            assert primary._kept_relations is None and primary._images == {}
+            assert twin.cuspidal_subspace == ref.cuspidal_subspace, (level, k, sign)
+
+
+def test_partner_presents_first_without_presenting_its_primary():
+    # Whichever space presents first builds the integer relations; the
+    # other takes them when it is presented, and not before.
+    primary = build_space(37, 3).sign_quotient(-1)
+    twin = primary.partner()
+    twin.hecke_matrix(2)
+    assert "_rep_of" in vars(twin) and "free_columns" not in vars(primary)
+    assert primary.hecke_matrix(2) == build_space(37, 3).sign_quotient(-1).hecke_matrix(2)
+    assert primary._rep_of is twin._rep_of
+
+
+def test_partner_builds_its_own_images_when_its_free_generators_differ():
+    # The image columns are taken from the partner only when both spaces
+    # have the same free generators.  Here the primary's kept T_2 images
+    # are spoilt and its free generators made to differ, so the partner
+    # must build its own.
+    primary = build_space(37, 3).sign_quotient(1)
+    primary.hecke_matrix(2)
+    primary._images[2] = [{} for _ in primary._images[2]]
+    primary.free_columns = primary.free_columns[:-1]
+    twin = primary.partner()
+    ref = build_space(37, 3, context=FieldContext.default(twin.field.p)).sign_quotient(1)
+    assert twin.hecke_matrix(2) == ref.hecke_matrix(2)
+
+
+
+def test_prime_free_results_are_kept_only_for_a_partner_that_may_take_them():
+    # A whole space keeps no relations or image columns without a
+    # partner; a sign quotient keeps them for the partner the census may
+    # build, and a census that confirms nothing (level 23, weight 2: a_2
+    # is irrational) builds no partner and drops them.
+    whole = build_space(37, 3)
+    whole.hecke_matrix(2)
+    assert whole._kept_relations is None and whole._images == {}
+    quotient = whole.sign_quotient(1)
+    quotient.hecke_matrix(2)
+    assert quotient._kept_relations is not None and list(quotient._images) == [2]
+    space = build_space(23, 1)
+    assert cuspidal_coverage(space, [2, 3]).systems == []
+    for sign in (1, -1):
+        q = space.sign_quotient(sign)
+        assert q._partner is None and q._kept_relations is None and q._images == {}
 
 
 # -- reference: the full split at both primes --------------------------------
