@@ -33,9 +33,9 @@ are isomorphic Hecke modules (Stein, Modular Forms, ch. 8; Cremona,
 Algorithms for Modular Elliptic Curves, ch. II), so they are split in
 lockstep and their counts are summed.  Each cuspidal part is one copy
 of S_w(Gamma0(N)), which the classical dimension formula of
-`eichler_selberg` checks.  `build_space` returns the whole space, which
-is presented only when something reads it: its dimensions, its Hecke
-matrices or the value of a nonzero winding pairing.
+`eichler_selberg` checks.  `build_space` returns the whole space, whose
+`presentation` is built only when something reads it: its dimensions,
+its Hecke matrices or the value of a nonzero winding pairing.
 
 Conventions, fixed once and used everywhere:
 
@@ -60,6 +60,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -69,6 +70,7 @@ from .exactlin import (
     FieldMatrix,
     NoReconstruction,
     PrimeField,
+    Subspace,
     _is_prime,
     echelonize,
     eigen_step,
@@ -494,6 +496,48 @@ class CuspidalSplit:
     unresolved: dict[str, int]
 
 
+@dataclass(frozen=True)
+class Presentation:
+    """A space's presentation at its prime (`ManinBasisSpace._present`): the
+    free generators, in the order of the quotient basis; the position of
+    each free representative column among them; (representative column,
+    +-1) of every generator that survives the two-term relations; the
+    pushes of each pivot column, ascending, to free positions and to later
+    pivots; the boundary map on the free generators, and its kernel."""
+
+    free_columns: list[int]
+    free_pos: dict[int, int]
+    rep_of: dict[int, tuple[int, int]]
+    pushes: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+    boundary_matrix: FieldMatrix
+    cuspidal_subspace: Subspace
+
+
+class PrimeFreeCache:
+    """The prime-free half of the presentations of a space and its partner,
+    one object both hold: the integer relations (key "relations") and the
+    image columns of T_l (key (l, free columns)).  The first space to need
+    an entry builds it and, while `keep` holds (on a sign quotient, whose
+    partner the census may build, or once a partner exists), keeps it for
+    the other, which takes it out; `release` keeps nothing more."""
+
+    def __init__(self, keep: bool):
+        self.keep = keep
+        self.entries: dict = {}
+
+    def take(self, key, build):
+        value = self.entries.pop(key, None)
+        if value is None:
+            value = build()
+            if self.keep:
+                self.entries[key] = value
+        return value
+
+    def release(self) -> None:
+        self.keep = False
+        self.entries.clear()
+
+
 class ManinBasisSpace:
     """The quotient presentation of H^1(Gamma0(N); E_k) over one prime field.
 
@@ -502,12 +546,12 @@ class ManinBasisSpace:
     iota (X^i Y^(k-1-i), (c:d)) = (-1)^i (X^i Y^(k-1-i), (-c:d)), which
     commutes with every T_l.  As p is odd, V_e is isomorphic to the
     e-eigenspace of iota, so the two quotients' dimensions, cuspidal
-    parts and Hecke eigenvalues add up to those of V.  The presentation
-    is built on first use (`__getattr__`), and Hecke matrices are cached
-    per operator index.  The integer relations and the Hecke image
-    columns are built by whichever of the space and its partner needs
-    them first and kept for the other (`_partner_may_take`); the echelon,
-    the boundary, the cuspidal kernel and every projection run at each
+    parts and Hecke eigenvalues add up to those of V.  `presentation` is
+    built the first time it is read, by whatever needs it first, and
+    Hecke matrices are cached per operator index.  The space and its
+    partner share P^1 and one `PrimeFreeCache` (`prime_free`) for the
+    integer relations and the Hecke image columns; the echelon, the
+    boundary, the cuspidal kernel and every projection run at each
     space's own prime.
     """
 
@@ -522,37 +566,24 @@ class ManinBasisSpace:
         self.context = context
         self.sign = sign
         self.p1 = p1 if p1 is not None else ProjectiveLine(level)
+        self.prime_free = PrimeFreeCache(keep=sign is not None)
         self._hecke_cache: dict[int, FieldMatrix] = {}
-        # prime-free results kept for the partner to take
-        self._kept_relations: Optional[tuple] = None
-        self._images: dict[int, list[dict[int, int]]] = {}
         self._partner: Optional["ManinBasisSpace"] = None
         self._quotients: dict[int, "ManinBasisSpace"] = {}
 
     # -- presentation ---------------------------------------------------
 
-    _PRESENTATION = frozenset(
-        {"free_columns", "_free_pos", "_rep_of", "_pushes", "boundary_matrix",
-         "cuspidal_subspace"})
-
-    def __getattr__(self, name: str):
-        """Present the space the first time one of `_PRESENTATION` is read:
-        the relation echelon, the boundary map and the cuspidal kernel,
-        in one step, after which they are plain instance attributes."""
-        if name not in ManinBasisSpace._PRESENTATION:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.free_columns, self._free_pos, self._rep_of, self._pushes = self._present()
-        self.boundary_matrix = self._build_boundary()
-        _, self.cuspidal_subspace = rank_and_kernel(self.boundary_matrix)
-        return self.__dict__[name]
+    @cached_property
+    def presentation(self) -> Presentation:
+        return self._present()
 
     @property
     def dim(self) -> int:
-        return len(self.free_columns)
+        return len(self.presentation.free_columns)
 
     @property
     def cuspidal_dim(self) -> int:
-        return self.cuspidal_subspace.dim
+        return self.presentation.cuspidal_subspace.dim
 
     def _integer_relations(self) -> tuple[dict[int, tuple[int, int]], list[int],
                                           list[dict[int, int]]]:
@@ -583,10 +614,9 @@ class ManinBasisSpace:
         Leads and expressions depend only on the row space, so the
         triangle rows may go in in any order; they go shortest first, then
         by last column and first column, both descending (a Markowitz-style
-        order: the sparsest rows become pivot rows first).  Over the
-        perfbench presentation-sparse items (2 <= N <= 100, k = 1 and 3, one
-        T_l each) that is 281,766 forward multiply-adds and 1,040,967 in the
-        pushes, against 323,977 and 1,101,724 sorted by last column alone.
+        order: the sparsest rows become pivot rows first), which costs
+        fewer multiply-adds, in the echelon and in the pushes, than sorting
+        by last column alone.
         """
         k = self.module.k
         sign = self.sign
@@ -658,38 +688,19 @@ class ManinBasisSpace:
         rows.sort(key=lambda r: (len(r), -max(r), -min(r)))
         return rep, reps, rows
 
-    def _present(self) -> tuple[list[int], dict[int, int], dict[int, tuple[int, int]],
-                                dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]]:
-        """Free generators; the position of each free representative
-        column among them; (representative column, +-1) of every
-        generator that survives the two-term relations; and the
-        expression table as pushes: for each pivot column c, ascending,
-        its row echelon row at this space's prime, 1 at c and u_j at
-        columns j > c, as the multipliers -u_j (signed least residues, as
-        `echelonize` returns them), split into (free position, -u_j) and
-        (later pivot column, -u_j), so that x_c = sum of -u_j x_j.
-
-        The integer relations are those the partner kept for this space,
-        or else `_integer_relations`' (kept for the partner if it may take
-        them).  Their small integers go into the echelon as they are, with
-        no reduction mod p, and only its forward phase runs: a pivot's row
-        writes it on columns to its right, so following the pushes in
-        ascending pivot order ends on the free columns, with no
-        back-substitution.
+    def _present(self) -> Presentation:
+        """The presentation at this space's prime, in one step: the integer
+        relations from `prime_free`, their echelon, the boundary map and
+        the cuspidal kernel.  The small integers go into the echelon as they
+        are, with no reduction mod p, and only its forward phase runs: pivot
+        c's row, 1 at c and u_j at columns j > c, gives the pushes (free
+        position, -u_j) and (later pivot column, -u_j), signed least
+        residues as `echelonize` returns them, so x_c = sum of -u_j x_j, and
+        following them in ascending pivot order ends on the free columns.
         """
-        twin = self._partner
-        relations = None
-        if twin is not None:
-            relations, twin._kept_relations = twin._kept_relations, None
-        if relations is None:
-            relations = self._integer_relations()
-            if self._partner_may_take(twin is not None and "_rep_of" in twin.__dict__):
-                self._kept_relations = relations
-        rep, reps, rows = relations
+        rep, reps, rows = self.prime_free.take("relations", self._integer_relations)
         pivots, echelon = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
 
-        # Each echelon row, without its pivot entry, negated, is that
-        # pivot's pushes.
         pivot_set = set(pivots)
         free_cols = [t for t in range(len(reps)) if t not in pivot_set]
         free_pos = {t: pos for pos, t in enumerate(free_cols)}
@@ -704,9 +715,13 @@ class ManinBasisSpace:
                     else:
                         to_free.append((pos, -u))
             pushes[c] = (to_free, to_pivots)
-        return [reps[t] for t in free_cols], free_pos, rep, pushes
+        free_columns = [reps[t] for t in free_cols]
+        del rows, echelon  # freed before the boundary's kernel is taken, for peak memory
+        boundary = self._build_boundary(free_columns)
+        _, cuspidal = rank_and_kernel(boundary)
+        return Presentation(free_columns, free_pos, rep, pushes, boundary, cuspidal)
 
-    def _build_boundary(self) -> FieldMatrix:
+    def _build_boundary(self, free_columns: list[int]) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
 
         For the Manin generator (X^i Y^(k-1-i), (c:d)) the boundary is
@@ -725,7 +740,7 @@ class ManinBasisSpace:
         classes: dict[tuple[int, int], Optional[tuple[int, int]]] = {}  # key -> (row, sign)
         nrows = 0
         entries = []
-        for pos, col in enumerate(self.free_columns):
+        for pos, col in enumerate(free_columns):
             i, j = divmod(col, npts)
             c, d = self.p1.points[j]
             for den, inv, v in [(c, d, 1)] * (i == k - 1) + [(d, -c, -1)] * (i == 0):
@@ -740,7 +755,7 @@ class ManinBasisSpace:
                         nrows += classes[key] is not None
                 if classes[key] is not None:
                     entries.append((classes[key][0], pos, v * classes[key][1]))
-        return FieldMatrix.from_entries(self.field, nrows, self.dim, entries)
+        return FieldMatrix.from_entries(self.field, nrows, len(free_columns), entries)
 
     # -- projection to quotient coordinates ------------------------------
 
@@ -764,8 +779,9 @@ class ManinBasisSpace:
         """
         p = self.field.p
         half = p // 2
-        rep_of, free_pos = self._rep_of, self._free_pos
-        dense = [[0] * self.dim for _ in columns]  # dense[pos][r]: column pos, row r
+        pres = self.presentation
+        rep_of, free_pos, dim = pres.rep_of, pres.free_pos, len(pres.free_columns)
+        dense = [[0] * dim for _ in columns]  # dense[pos][r]: column pos, row r
         pending: dict[int, dict[int, int]] = {}  # pivot column -> {column: value}
         for pos, (column, acc) in enumerate(zip(dense, columns)):
             for g, v in acc.items():
@@ -786,7 +802,7 @@ class ManinBasisSpace:
                 else:
                     pending[h] = {pos: v * sign}
         pushed = set()
-        for c, (to_free, to_pivots) in self._pushes.items():
+        for c, (to_free, to_pivots) in pres.pushes.items():
             a = pending.pop(c, None)
             if a is None:
                 continue
@@ -805,12 +821,7 @@ class ManinBasisSpace:
                         t[pos] = t.get(pos, 0) + m * v
                 pushed.add(j)
         rows = [{pos: x for pos, v in enumerate(row) if v and (x := v % p)} for row in zip(*dense)]
-        return FieldMatrix(self.field, self.dim, len(columns), rows)
-
-    def project_generator(self, gen: int) -> dict[int, int]:
-        """Quotient coordinates of one Manin generator ({} if killed), as a
-        new dict: a one-column `_project`."""
-        return {r: row[0] for r, row in enumerate(self._project([{gen: 1}]).rows) if row}
+        return FieldMatrix(self.field, dim, len(columns), rows)
 
     def project_symbol(self, s: ModularSymbol) -> dict[int, int]:
         """Quotient coordinates of an arbitrary modular symbol.
@@ -851,33 +862,18 @@ class ManinBasisSpace:
     def hecke_matrix(self, l: int) -> FieldMatrix:
         """Matrix of T_l on the quotient basis; BadPrime unless l is a
         prime not dividing the level.  The integer image columns
-        (`_hecke_images`) are projected together by `_project`.  They do
-        not depend on the prime: the partner takes them, if they were kept
-        for it, instead of building its own when its free generators are
-        the same.
+        (`_hecke_images`) come from `prime_free` under (l, free columns),
+        so the partner's are read only when its free generators are the
+        same, and are projected together by `_project`.
         """
         cached = self._hecke_cache.get(l)
         if cached is not None:
             return cached
         _check_hecke_primes(self.level, [l])
-        twin = self._partner
-        columns = None
-        if twin is not None and twin.__dict__.get("free_columns") == self.free_columns:
-            columns = twin._images.pop(l, None)
-        if columns is None:
-            columns = self._hecke_images(l)
-            if self._partner_may_take(twin is not None and l in twin._hecke_cache):
-                self._images[l] = columns
-        mat = self._project(columns)
+        key = (l, tuple(self.presentation.free_columns))
+        mat = self._project(self.prime_free.take(key, lambda: self._hecke_images(l)))
         self._hecke_cache[l] = mat
         return mat
-
-    def _partner_may_take(self, built: bool) -> bool:
-        """Whether to keep a prime-free result for the partner: it
-        exists and has not `built` its own, or, on a sign quotient,
-        `cuspidal_coverage` may build it after its split (the winding
-        pairing builds the whole space's partner before presenting it)."""
-        return self.sign is not None if self._partner is None else not built
 
     def _hecke_images(self, l: int) -> list[dict[int, int]]:
         """The image of each free generator under T_l, as a {Manin
@@ -890,17 +886,18 @@ class ManinBasisSpace:
         """
         p1 = self.p1
         npts = len(p1)
+        free_columns = self.presentation.free_columns
         heil = _heilbronn(l)
         # images[i][t]: the nonzero (m, coefficient) of X^i Y^(k-1-i) under
         # heil[t], for the monomials i of the free generators only
         monos = self.module.monomials()
         images = {
             i: [[(m, cm) for m, cm in enumerate(monos[i].subst(*h).coeffs) if cm] for h in heil]
-            for i in {col // npts for col in self.free_columns}
+            for i in {col // npts for col in free_columns}
         }
         targets: dict[int, list[int]] = {}
         columns = []
-        for col in self.free_columns:
+        for col in free_columns:
             i, j = divmod(col, npts)
             pts = targets.get(j)
             if pts is None:
@@ -917,9 +914,10 @@ class ManinBasisSpace:
     # -- the partner space and the sign quotients ------------------------
 
     def partner(self) -> "ManinBasisSpace":
-        """The same presentation, with the same sign, modulo the other
-        working prime: it shares P^1, the integer relations and the Hecke
-        image columns with this space, and echelonizes at its own prime."""
+        """The same space, with the same sign, over the other working
+        prime, built once: it holds this space's P^1 and its `prime_free`
+        cache, which keeps from then on what one of the two builds for the
+        other, and presents itself at its own prime."""
         if self._partner is None:
             other = (
                 self.context.secondary
@@ -927,6 +925,8 @@ class ManinBasisSpace:
                 else self.context.primary
             )
             twin = ManinBasisSpace(self.level, self.module, other, self.context, self.sign, self.p1)
+            self.prime_free.keep = True
+            twin.prime_free = self.prime_free
             twin._partner = self
             self._partner = twin
         return self._partner
@@ -1036,7 +1036,8 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     cuspidal_dim = sum(q.cuspidal_dim for q in quotients)
 
     def cuspidal_ops(q: ManinBasisSpace) -> list[FieldMatrix]:
-        return restrict_operator([q.hecke_matrix(l) for l in primes], q.cuspidal_subspace)
+        return restrict_operator([q.hecke_matrix(l) for l in primes],
+                                 q.presentation.cuspidal_subspace)
 
     def eigenspace_dim(ops: list[FieldMatrix], values: Iterable[int]) -> int:
         for lam in values:
@@ -1060,10 +1061,8 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
             if dim == sum(eigenspace_dim(ops, [t.field.elem(f) for f in fracs])
                           for t, ops in zip(twins, twin_ops))
         )
-    else:  # drop what the quotients kept for the partners not built
-        for q in quotients:
-            q._kept_relations = None
-            q._images.clear()
+    for q in quotients:  # both primes are done, or no partner was built
+        q.prime_free.release()
     covered = sum(dim for _, dim in confirmed)
     return CuspidalSplit(
         systems=[EigenSystem(space.level, w, dict(zip(primes, fracs)), cuspidal=True, dim=dim)

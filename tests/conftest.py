@@ -29,3 +29,17 @@ def presentations(monkeypatch):
 
     monkeypatch.setattr(ManinBasisSpace, "_present", counted)
     return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the prime-free builds made while the test runs, by name:
+    `ManinBasisSpace._integer_relations` and `ManinBasisSpace._hecke_images`."""
+    calls = Counter()
+    for name in ("_integer_relations", "_hecke_images"):
+        def counted(space, *args, _name=name, _build=getattr(ManinBasisSpace, name)):
+            calls[_name] += 1
+            return _build(space, *args)
+
+        monkeypatch.setattr(ManinBasisSpace, name, counted)
+    return calls

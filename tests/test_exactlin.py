@@ -269,7 +269,7 @@ def test_restrict_packs_the_basis_once(monkeypatch):
     # its basis, and each comes out as it would alone.
     space = build_space(37, 3)
     ops = [hecke_operator(space, l) for l in (2, 3, 5)]
-    cusp = space.cuspidal_subspace
+    cusp = space.presentation.cuspidal_subspace
     packed = []
     packed_rows = exactlin._packed_rows
 
@@ -464,7 +464,8 @@ def census_families(level, k, primes):
     """(plus, Deligne bounds, minus): each sign quotient's T_l on its
     cuspidal subspace, as the census splits them."""
     space = build_space(level, k)
-    plus, minus = (restrict_operator([q.hecke_matrix(l) for l in primes], q.cuspidal_subspace)
+    plus, minus = (restrict_operator([q.hecke_matrix(l) for l in primes],
+                                     q.presentation.cuspidal_subspace)
                    for q in (space.sign_quotient(1), space.sign_quotient(-1)))
     return plus, [math.isqrt(4 * l ** k) for l in primes], minus
 
@@ -1375,7 +1376,7 @@ def test_restrict_matches_reference(p):
         space = build_space(level, k, context=FieldContext.default(p))
         primes = [l for l in (2, 3, 5, 7) if level % l][:2]
         ops = [hecke_operator(space, l) for l in primes]
-        cusp = space.cuspidal_subspace
+        cusp = space.presentation.cuspidal_subspace
         restricted = restrict_operator(ops, cusp)
         for op, got in zip(ops, restricted):
             assert got.rows == ref_restrict(op, cusp), (level, k)

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ from heckeledger.ledger import (
     report_families,
     report_to_json,
 )
-from heckeledger.modsym import BadPrime, ManinBasisSpace
+from heckeledger.modsym import BadPrime
 
 # Column-by-column transcription of the rank table used in the tests:
 # n, dim X, vcd, cusp top, cusp bottom.
@@ -141,16 +140,10 @@ def test_report_presents_only_the_sign_quotients(presentations):
 
 
 def test_report_builds_the_integer_relations_and_images_once_per_prime_pair(
-        presentations, monkeypatch):
+        presentations, builds):
     # 80 sign quotients at the primary prime and 40 partners are
     # presented; a partner takes its primary's integer relations and its
     # T_2 and T_3 image columns, so only the primaries build them.
-    builds = Counter()
-    for name in ("_integer_relations", "_hecke_images"):
-        def counted(space, *args, _name=name, _build=getattr(ManinBasisSpace, name)):
-            builds[_name] += 1
-            return _build(space, *args)
-        monkeypatch.setattr(ManinBasisSpace, name, counted)
     for level in LEDGER_LEVELS:
         build_report(level, [2, 3])
     assert presentations[None] == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -54,6 +55,17 @@ ONE = HomogeneousPoly((1,))
 
 def sym(n1, d1, n2, d2, coeff=ONE):
     return ModularSymbol(Cusp(n1, d1), Cusp(n2, d2), coeff)
+
+
+def project_generator(space, gen):
+    """Quotient coordinates of one Manin generator ({} if killed), as a
+    new dict: a one-column `_project`."""
+    return {r: row[0] for r, row in enumerate(space._project([{gen: 1}]).rows) if row}
+
+
+def replace_presentation(space, **fields):
+    """Give space its presentation with some fields replaced, to set off a guard."""
+    space.presentation = dataclasses.replace(space.presentation, **fields)
 
 
 def moebius(q, a, b, c, d):
@@ -272,7 +284,7 @@ def test_unimodularize_sum_in_quotient():
 
 def test_projection_roundtrip_on_free_generators():
     space = build_space(11, 3)
-    for pos, col in enumerate(space.free_columns):
+    for pos, col in enumerate(space.presentation.free_columns):
         i, j = divmod(col, len(space.p1))
         a, b, c, d = sl2_lift(*space.p1.points[j], space.level)
         mono = HomogeneousPoly.monomial(space.module.k, i)
@@ -313,7 +325,7 @@ def test_project_symbol_agrees_at_both_field_primes():
     for level, k in ((11, 1), (37, 1), (11, 3)):
         space = build_space(level, k)
         twin = space.partner()
-        assert space.free_columns == twin.free_columns
+        assert space.presentation.free_columns == twin.presentation.free_columns
         for s in _random_symbols(rng, k, 10):
             coeff = HomogeneousPoly([Fraction(c * rng.choice((1, -2, 5)), rng.choice((1, 3, 7)))
                                      for c in s.coeff.coeffs])
@@ -466,10 +478,10 @@ def test_presentation_matches_full_relation_echelon(k):
             for space in (primary, primary.partner()):
                 fld = space.field
                 free, expr = reference_presentation(space)
-                assert space.free_columns == free, (n, k, fld.p, space.sign)
+                assert space.presentation.free_columns == free, (n, k, fld.p, space.sign)
                 expr.update({g: {t: 1} for t, g in enumerate(free)})
                 for g in range(k * len(space.p1)):
-                    assert space.project_generator(g) == expr[g], (n, k, fld.p, space.sign, g)
+                    assert project_generator(space, g) == expr[g], (n, k, fld.p, space.sign, g)
 
 
 
@@ -604,12 +616,12 @@ def heilbronn_hecke_matrix(space, heil, project=None):
     `hecke_matrix` formula), each image generator projected on its own by
     `project` (`project_generator` by default).  With merel_heilbronn(n)
     it is T_n for every n prime to the level."""
-    project = project or space.project_generator
+    project = project or (lambda g: project_generator(space, g))
     npts = len(space.p1)
     p = space.field.p
     monos = space.module.monomials()
     entries = []
-    for pos, col in enumerate(space.free_columns):
+    for pos, col in enumerate(space.presentation.free_columns):
         i, j = divmod(col, npts)
         c, d = space.p1.points[j]
         column = {}
@@ -683,7 +695,7 @@ def reference_hecke_matrix(space, n):
     """
     cosets = [(a, b, 0, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(n // a)]
     columns = []
-    for col in space.free_columns:
+    for col in space.presentation.free_columns:
         i, j = divmod(col, len(space.p1))
         mono = HomogeneousPoly.monomial(space.module.k, i)
         g11, g12, g21, g22 = sl2_lift(*space.p1.points[j], space.level)
@@ -731,7 +743,7 @@ def test_hecke_follows_long_push_chains(level, k, l):
         spaces += [s for e in (1, -1) for s in (whole.sign_quotient(e), whole.sign_quotient(e).partner())]
     for space in spaces:
         depth = {}
-        for c, (_, to_pivots) in reversed(space._pushes.items()):
+        for c, (_, to_pivots) in reversed(space.presentation.pushes.items()):
             depth[c] = 1 + max((depth[j] for j, _ in to_pivots), default=0)
         assert max(depth.values()) >= 4, (level, space.sign)
         free, expr = reference_presentation(space)
@@ -741,17 +753,23 @@ def test_hecke_follows_long_push_chains(level, k, l):
 
 
 def test_projected_generator_is_a_copy():
-    # project_generator hands out a new dict: mutating it must not reach
-    # the expression table that a later Hecke matrix reads.
+    # project_generator hands out a new dict, and `_project` new rows:
+    # mutating either must not reach the presentation that a later Hecke
+    # matrix reads.
     for sign in (None, 1, -1):
         space, ref = (s if sign is None else s.sign_quotient(sign)
                       for s in (build_space(37, 3), build_space(37, 3)))
         for g in range(space.module.k * len(space.p1)):
-            coords = space.project_generator(g)
-            assert coords == ref.project_generator(g)
+            coords = project_generator(space, g)
+            assert coords == project_generator(ref, g)
             for pos in list(coords):
                 coords[pos] = 12345
             coords[space.dim] = 1
+            for row in space._project([{g: 1}]).rows:
+                for pos in list(row):
+                    row[pos] = 12345
+                row[1] = 1
+        assert space.presentation == ref.presentation
         assert space.hecke_matrix(2) == ref.hecke_matrix(2)
         assert space.hecke_matrix(2) == reference_hecke_matrix(space, 2)
 
@@ -773,7 +791,8 @@ def test_level11_cuspidal_scalars_match_point_counts():
     space = build_space(11, 1)
     p = space.field.p
     for l in (2, 3, 5, 7, 13):
-        t = restrict_operator([hecke_operator(space, l)], space.cuspidal_subspace)[0]
+        t = restrict_operator([hecke_operator(space, l)],
+                              space.presentation.cuspidal_subspace)[0]
         want = scaled(FieldMatrix.identity(space.field, 2), curve11_ap(l) % p)
         assert t == want
 
@@ -783,7 +802,7 @@ def test_restrict_to_eigenline_is_1x1():
     space = build_space(11, 1)
     p = space.field.p
     t2 = hecke_operator(space, 2)
-    line_vec = space.cuspidal_subspace.basis[0]
+    line_vec = space.presentation.cuspidal_subspace.basis[0]
     from heckeledger.exactlin import Subspace
 
     line = Subspace(space.dim, (line_vec,), space.field)
@@ -806,7 +825,7 @@ def test_cuspidal_subspace_hecke_stable():
         space = build_space(level, k)
         for l in (2, 3):
             # would raise NotInvariant on failure
-            restrict_operator([hecke_operator(space, l)], space.cuspidal_subspace)[0]
+            restrict_operator([hecke_operator(space, l)], space.presentation.cuspidal_subspace)[0]
 
 
 @pytest.mark.parametrize(
@@ -831,7 +850,8 @@ def test_hecke_trace_matches_eichler_selberg(weight, levels):
         for l in (2, 3, 5, 7, 11, 13):
             if level % l == 0:
                 continue
-            t = restrict_operator([hecke_operator(space, l)], space.cuspidal_subspace)[0]
+            t = restrict_operator([hecke_operator(space, l)],
+                                  space.presentation.cuspidal_subspace)[0]
             got = sum(t.rows[i].get(i, 0) for i in range(t.nrows)) % p
             assert got == 2 * hecke_trace(l, level, weight) % p, (level, weight, l)
 
@@ -845,7 +865,8 @@ def test_eisenstein_boundary_eigenvalue():
             if level % l == 0:
                 continue
             t = hecke_operator(space, l)
-            assert space.boundary_matrix.matmul(t) == scaled(space.boundary_matrix, l + 1)
+            boundary = space.presentation.boundary_matrix
+            assert boundary.matmul(t) == scaled(boundary, l + 1)
 
 
 # -- eigensystems ------------------------------------------------------------
@@ -903,7 +924,7 @@ def test_weight4_level5_system_and_recursion():
     assert s.eigenvalues[3] == Fraction(2)
     # Hecke recursion at weight 4: T_4 = T_2^2 - 8 on the cuspidal part.
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.cuspidal_subspace)
+                               space.presentation.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
 
 
@@ -917,7 +938,7 @@ def test_weight4_level11_irrational_orbit():
     assert cov.systems == []
     assert cov.unresolved_dim == 4
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.cuspidal_subspace)
+                               space.presentation.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
     from heckeledger.exactlin import charpoly
 
@@ -948,7 +969,7 @@ def test_level61_rank_one_curve_system():
     assert s.eigenvalues == {2: Fraction(-1), 3: Fraction(-2), 5: Fraction(-3)}
     assert cov.unresolved_dim == 6 and cov.cuspidal_dim == 8
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.cuspidal_subspace)
+                               space.presentation.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -2)
 
 
@@ -960,7 +981,7 @@ def test_level199_all_orbits_irrational():
 
     space = build_space(199, 1)
     for sp in (space, space.partner()):
-        t2 = restrict_operator([sp.hecke_matrix(2)], sp.cuspidal_subspace)[0]
+        t2 = restrict_operator([sp.hecke_matrix(2)], sp.presentation.cuspidal_subspace)[0]
         f, _ = charpoly(t2)
         p = sp.field.p
         for a in range(-2, 3):
@@ -983,7 +1004,7 @@ def test_discriminant_form_tau_values():
         5: Fraction(4830),
     }
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.cuspidal_subspace)
+                               space.presentation.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -2**11)
 
 
@@ -1103,7 +1124,7 @@ def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
             for l in (2, 3, 5, 7, 11, 13):
                 if level % l == 0:
                     continue
-                t = restrict_operator([q.hecke_matrix(l)], q.cuspidal_subspace)[0]
+                t = restrict_operator([q.hecke_matrix(l)], q.presentation.cuspidal_subspace)[0]
                 got = sum(t.rows[i].get(i, 0) for i in range(t.nrows)) % p
                 assert got == hecke_trace(l, level, k + 1) % p, (level, k, q.sign, l)
 
@@ -1142,11 +1163,11 @@ def _star_involution(space):
     p1 = space.p1
     npts = len(p1)
     rows = [{} for _ in range(space.dim)]
-    for pos, col in enumerate(space.free_columns):
+    for pos, col in enumerate(space.presentation.free_columns):
         i, j = divmod(col, npts)
         c, d = p1.points[j]
         sign = 1 if i % 2 == 0 else p - 1
-        for r, w in space.project_generator(i * npts + p1.index(-c, d)).items():
+        for r, w in project_generator(space, i * npts + p1.index(-c, d)).items():
             rows[r][pos] = w * sign % p
     return FieldMatrix(space.field, space.dim, space.dim, rows)
 
@@ -1162,7 +1183,7 @@ def _stacked_kernel(ops, values, boundary):
 
 def _star_halves(space):
     star = _star_involution(space)
-    return [_stacked_kernel([star], [sign], space.boundary_matrix) for sign in (1, -1)]
+    return [_stacked_kernel([star], [sign], space.presentation.boundary_matrix) for sign in (1, -1)]
 
 
 def _halves_coverage(space, primes):
@@ -1180,7 +1201,7 @@ def _halves_coverage(space, primes):
     confirmed = sorted(
         (fracs, dim) for fracs, dim in candidates
         if _stacked_kernel(twin_ops, [twin.field.elem(f) for f in fracs],
-                           twin.boundary_matrix).dim == dim
+                           twin.presentation.boundary_matrix).dim == dim
     )
     covered = sum(dim for _, dim in confirmed)
     return confirmed, {
@@ -1216,7 +1237,7 @@ def test_star_involution_halves(level, k):
             if level % l:
                 on_half = restrict_operator([hecke_operator(space, l)], half)[0]
                 on_quotient = restrict_operator([quotient.hecke_matrix(l)],
-                                                quotient.cuspidal_subspace)[0]
+                                                quotient.presentation.cuspidal_subspace)[0]
                 assert charpoly(on_half)[0] == charpoly(on_quotient)[0], l
 
 
@@ -1243,9 +1264,9 @@ def test_coverage_matches_halves_reference(level, k, primes):
 
 def _shrink_cuspidal(quotient, by):
     """Drop the last `by` basis vectors of a quotient's cuspidal subspace."""
-    cusp = quotient.cuspidal_subspace
-    quotient.cuspidal_subspace = Subspace(cusp.ambient_dim, cusp.basis[:cusp.dim - by],
-                                          cusp.field)
+    cusp = quotient.presentation.cuspidal_subspace
+    replace_presentation(quotient, cuspidal_subspace=Subspace(
+        cusp.ambient_dim, cusp.basis[:cusp.dim - by], cusp.field))
 
 
 def test_star_halves_are_checked():
@@ -1270,8 +1291,8 @@ def test_quotient_operator_guards_fire():
     # own operators, so each guard fires there.
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    lead = min(plus.cuspidal_subspace.basis[0])
-    off = next(j for row in plus.boundary_matrix.rows for j in row)
+    lead = min(plus.presentation.cuspidal_subspace.basis[0])
+    off = next(j for row in plus.presentation.boundary_matrix.rows for j in row)
     bent = scaled(plus.hecke_matrix(2), 1)
     bent.add_at(off, lead, 1)
     plus._hecke_cache[2] = bent
@@ -1279,7 +1300,7 @@ def test_quotient_operator_guards_fire():
         cuspidal_coverage(space, [2])
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    first, second = plus.cuspidal_subspace.basis
+    first, second = plus.presentation.cuspidal_subspace.basis
     bent = scaled(plus.hecke_matrix(3), 1)
     for r, v in first.items():  # + first * (coordinate at second's lead)
         bent.add_at(r, min(second), v)
@@ -1295,8 +1316,8 @@ def test_partner_cuspidal_subspace_must_be_stable():
     # of counting as a prime disagreement.
     space = build_space(11, 1)
     twin = space.sign_quotient(1).partner()
-    lead = min(twin.cuspidal_subspace.basis[0])
-    off = next(j for row in twin.boundary_matrix.rows for j in row)
+    lead = min(twin.presentation.cuspidal_subspace.basis[0])
+    off = next(j for row in twin.presentation.boundary_matrix.rows for j in row)
     bent = scaled(twin.hecke_matrix(2), 1)
     bent.add_at(off, lead, 1)
     twin._hecke_cache[2] = bent
@@ -1313,9 +1334,10 @@ def test_sign_quotient_halves_must_be_equal():
     # column-space step the census no longer has.
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    eisenstein = {next(j for row in plus.boundary_matrix.rows for j in row): 1}
-    cusp = plus.cuspidal_subspace
-    plus.cuspidal_subspace = span(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
+    eisenstein = {next(j for row in plus.presentation.boundary_matrix.rows for j in row): 1}
+    cusp = plus.presentation.cuspidal_subspace
+    replace_presentation(plus, cuspidal_subspace=span(
+        cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field))
     _shrink_cuspidal(space.sign_quotient(-1), 1)
     assert plus.cuspidal_dim + space.sign_quotient(-1).cuspidal_dim == space.cuspidal_dim
     with pytest.raises(HalvesMismatch, match="halves"):
@@ -1328,9 +1350,10 @@ def test_space_summary_checks_the_halves(monkeypatch):
     # quotient whose cuspidal subspace gains an Eisenstein vector ...
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    eisenstein = {next(j for row in plus.boundary_matrix.rows for j in row): 1}
-    cusp = plus.cuspidal_subspace
-    plus.cuspidal_subspace = span(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
+    eisenstein = {next(j for row in plus.presentation.boundary_matrix.rows for j in row): 1}
+    cusp = plus.presentation.cuspidal_subspace
+    replace_presentation(plus, cuspidal_subspace=span(
+        cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field))
     with pytest.raises(HalvesMismatch, match="halves"):
         space_summary(space)
     # ... and quotients whose dimensions do not add up to 2 dim S_w plus
@@ -1349,26 +1372,64 @@ def test_census_does_not_present_the_whole_space(presentations):
     assert presentations[None] == 0 and presentations[1] == presentations[-1] > 0
     assert space_summary(space)["cuspidal_dim"] == cov.cuspidal_dim
     assert presentations[None] == 0
-    # The first read of the whole space presents it once, and every
-    # presentation attribute is then a plain instance attribute.
+    # The first read of the whole space presents it once, and its
+    # presentation is then a plain instance attribute.
     assert space.cuspidal_dim == cov.cuspidal_dim
     assert space.dim == space.cuspidal_dim + num_cusps(211)
     assert presentations[None] == 1
-    assert {"free_columns", "_rep_of", "_pushes", "boundary_matrix",
-            "cuspidal_subspace"} <= set(vars(space))
+    assert vars(space)["presentation"] is space.presentation
     with pytest.raises(AttributeError):
         space.not_an_attribute
 
 
+_READS = {
+    "dim": lambda sp: sp.dim,
+    "cuspidal_dim": lambda sp: sp.cuspidal_dim,
+    "hecke_matrix": lambda sp: sp.hecke_matrix(2),
+    "_project": lambda sp: sp._project([{sp.p1.index(0, 1): 1}]),  # the winding symbol
+}
+
+
+@pytest.mark.parametrize("first", list(_READS))
+def test_a_space_is_presented_once_whatever_reads_it_first(first, presentations):
+    # Whichever read comes first presents the space, and no other read
+    # presents it again; a partner holds the very cache of its primary.
+    whole = build_space(11, 1)
+    for space in (whole, whole.sign_quotient(-1), whole.sign_quotient(-1).partner()):
+        before = sum(presentations.values())
+        _READS[first](space)
+        assert sum(presentations.values()) == before + 1, (first, space.sign)
+        for read in _READS.values():
+            read(space)
+        assert sum(presentations.values()) == before + 1, (first, space.sign)
+    assert whole.partner().prime_free is whole.prime_free
+    assert whole.sign_quotient(-1).partner().prime_free is whole.sign_quotient(-1).prime_free
+
+
+@pytest.mark.parametrize("level, partners", [(11, True), (23, False)])
+def test_census_releases_the_quotients_prime_free_cache(level, partners):
+    # Weight 2: the census confirms 11a and builds the partners, while at
+    # level 23 a_2 is irrational and no partner is built.  Either way the
+    # quotients' cache is empty afterwards and keeps nothing more.
+    space = build_space(level, 1)
+    assert bool(cuspidal_coverage(space, [2, 3]).systems) == partners
+    for sign in (1, -1):
+        q = space.sign_quotient(sign)
+        assert (q._partner is not None) == partners
+        q.hecke_matrix(5)
+        assert q.prime_free.entries == {}, (level, sign)
+        if partners:
+            assert q.partner().prime_free is q.prime_free
+
 
 @pytest.mark.parametrize("level", [11, 37, 89])
-def test_partner_shares_the_integer_relations(level):
-    # A partner presented after its primary takes the very same integer
-    # relations (its representative table is the primary's object) and
-    # the primary's T_2 and T_3 image columns, which the primary then no
-    # longer keeps; its
-    # T_2, T_3 and cuspidal subspace are those of a space built fresh at
-    # the partner prime.
+def test_partner_shares_the_integer_relations(level, builds):
+    # A partner presented after its primary builds nothing: it takes the
+    # very same integer relations (its representative table is the
+    # primary's object) and the primary's T_2 and T_3 image columns out
+    # of the cache they share, which then keeps nothing.  Its T_2, T_3
+    # and cuspidal subspace are those of a space built fresh at the
+    # partner prime.
     for k in (1, 3):
         whole = build_space(level, k)
         fresh = build_space(level, k, context=FieldContext.default(whole.context.secondary.p))
@@ -1377,57 +1438,80 @@ def test_partner_shares_the_integer_relations(level):
             for l in (2, 3):
                 primary.hecke_matrix(l)
             twin = primary.partner()
+            builds.clear()
+            got = [twin.hecke_matrix(l) for l in (2, 3)]
+            assert builds == {}, (level, k, sign)
+            assert twin.presentation.rep_of is primary.presentation.rep_of
+            assert twin.prime_free is primary.prime_free and primary.prime_free.entries == {}
             ref = fresh.sign_quotient(sign)
             assert twin.field == ref.field
-            for l in (2, 3):
-                assert twin.hecke_matrix(l) == ref.hecke_matrix(l), (level, k, sign, l)
-            assert twin._rep_of is primary._rep_of
-            assert primary._kept_relations is None and primary._images == {}
-            assert twin.cuspidal_subspace == ref.cuspidal_subspace, (level, k, sign)
+            assert got == [ref.hecke_matrix(l) for l in (2, 3)], (level, k, sign)
+            assert (twin.presentation.cuspidal_subspace
+                    == ref.presentation.cuspidal_subspace), (level, k, sign)
 
 
-def test_partner_presents_first_without_presenting_its_primary():
+def test_partner_presents_first_without_presenting_its_primary(builds):
     # Whichever space presents first builds the integer relations; the
     # other takes them when it is presented, and not before.
     primary = build_space(37, 3).sign_quotient(-1)
     twin = primary.partner()
     twin.hecke_matrix(2)
-    assert "_rep_of" in vars(twin) and "free_columns" not in vars(primary)
-    assert primary.hecke_matrix(2) == build_space(37, 3).sign_quotient(-1).hecke_matrix(2)
-    assert primary._rep_of is twin._rep_of
+    assert "presentation" in vars(twin) and "presentation" not in vars(primary)
+    assert set(primary.prime_free.entries) == {
+        "relations", (2, tuple(twin.presentation.free_columns))}
+    got = primary.hecke_matrix(2)
+    assert builds == {"_integer_relations": 1, "_hecke_images": 1}
+    assert primary.presentation.rep_of is twin.presentation.rep_of
+    assert primary.prime_free.entries == {}
+    assert got == build_space(37, 3).sign_quotient(-1).hecke_matrix(2)
 
 
-def test_partner_builds_its_own_images_when_its_free_generators_differ():
-    # The image columns are taken from the partner only when both spaces
-    # have the same free generators.  Here the primary's kept T_2 images
-    # are spoilt and its free generators made to differ, so the partner
-    # must build its own.
+def test_partner_builds_its_own_images_when_its_free_generators_differ(builds, monkeypatch):
+    # Image columns are shared under their free generators.  Here the
+    # primary's free generators are made to differ from the partner's and
+    # the T_2 images it keeps under them are spoilt, so the partner must
+    # not read them but build its own.
     primary = build_space(37, 3).sign_quotient(1)
+    free = primary.presentation.free_columns
+    other = next(g for g in range(primary.module.k * len(primary.p1)) if g not in free)
+    replace_presentation(primary, free_columns=free[:-1] + [other])
+    monkeypatch.setattr(primary, "_hecke_images", lambda l: [{} for _ in free])
     primary.hecke_matrix(2)
-    primary._images[2] = [{} for _ in primary._images[2]]
-    primary.free_columns = primary.free_columns[:-1]
     twin = primary.partner()
+    builds.clear()
+    got = twin.hecke_matrix(2)
+    assert builds == {"_hecke_images": 1}
+    assert (2, tuple(primary.presentation.free_columns)) in primary.prime_free.entries
     ref = build_space(37, 3, context=FieldContext.default(twin.field.p)).sign_quotient(1)
-    assert twin.hecke_matrix(2) == ref.hecke_matrix(2)
-
+    assert got == ref.hecke_matrix(2)
 
 
 def test_prime_free_results_are_kept_only_for_a_partner_that_may_take_them():
     # A whole space keeps no relations or image columns without a
-    # partner; a sign quotient keeps them for the partner the census may
-    # build, and a census that confirms nothing (level 23, weight 2: a_2
-    # is irrational) builds no partner and drops them.
+    # partner, and keeps them once it has one (the winding pairing builds
+    # the whole space's partner before presenting it); a sign quotient
+    # keeps them for the partner the census may build, and a census that
+    # confirms nothing (level 23, weight 2: a_2 is irrational) builds no
+    # partner and releases them.
     whole = build_space(37, 3)
     whole.hecke_matrix(2)
-    assert whole._kept_relations is None and whole._images == {}
-    quotient = whole.sign_quotient(1)
+    assert whole.prime_free.entries == {}
+    whole = build_space(37, 3)
+    twin = whole.partner()
+    whole.hecke_matrix(2)
+    assert set(whole.prime_free.entries) == {
+        "relations", (2, tuple(whole.presentation.free_columns))}
+    twin.hecke_matrix(2)
+    assert whole.prime_free.entries == {}
+    quotient = build_space(37, 3).sign_quotient(1)
     quotient.hecke_matrix(2)
-    assert quotient._kept_relations is not None and list(quotient._images) == [2]
+    assert set(quotient.prime_free.entries) == {
+        "relations", (2, tuple(quotient.presentation.free_columns))}
     space = build_space(23, 1)
     assert cuspidal_coverage(space, [2, 3]).systems == []
     for sign in (1, -1):
         q = space.sign_quotient(sign)
-        assert q._partner is None and q._kept_relations is None and q._images == {}
+        assert q._partner is None and q.prime_free.entries == {}
 
 
 # -- reference: the full split at both primes --------------------------------
@@ -1449,7 +1533,8 @@ def _reference_coverage(space, primes):
     """
     censuses = []
     for sp in (space, space.partner()):
-        ops = restrict_operator([hecke_operator(sp, l) for l in primes], sp.cuspidal_subspace)
+        ops = restrict_operator([hecke_operator(sp, l) for l in primes],
+                                sp.presentation.cuspidal_subspace)
         height = math.isqrt(sp.field.p // 2)
         census = set()
         for eig in split_eigenspaces(ops, [sp.field.p // 2] * len(ops)).eigenspaces:
@@ -1475,7 +1560,7 @@ def _reference_winding_pairings(space, primes, target):
     """The winding symbol's pairings with the stacked reference's left
     eigenbasis, one dot product per basis vector."""
     m = (space.module.k - 1) // 2
-    winding = space.project_generator(m * len(space.p1) + space.p1.index(0, 1))
+    winding = project_generator(space, m * len(space.p1) + space.p1.index(0, 1))
     return [sum(v * winding.get(i, 0) for i, v in u.items()) % space.field.p
             for u in _reference_left_eigenbasis(space, primes, target)]
 
@@ -1499,7 +1584,8 @@ def test_coverage_matches_split_reference(level, k, primes):
     # The causes are those of one split of the whole cuspidal space.
     w = space.module.weight
     whole = split_eigenspaces(
-        restrict_operator([hecke_operator(space, l) for l in primes], space.cuspidal_subspace),
+        restrict_operator([hecke_operator(space, l) for l in primes],
+                          space.presentation.cuspidal_subspace),
         [math.isqrt(4 * l ** (w - 1)) for l in primes],
     )
     assert cov.unresolved == {
