@@ -8,10 +8,10 @@ by `modsym._check_hecke_primes` at every entry point, so its error is
 always `l is not prime` or `l divides the level N`.
 
 Exit codes: 0 success, 2 usage or validation error, 1 computation
-error.  `main` classifies every subcommand's errors in one place:
-`BadPrime` and `BadLevel` are `ValueError`s raised by the entry checks
-and exit 2; any other `ValueError` comes from behind those checks and
-exits 1 with the computation errors.  All numeric output is exact;
+error.  Each error declares its kind where it is defined: an
+`InputError`, raised by an entry check, exits 2; a `ComputationError`,
+or any other `ValueError` or `ArithmeticError`, comes from behind those
+checks and exits 1.  All numeric output is exact;
 values that may exceed 2**53 travel as decimal strings so JSON
 consumers cannot lose precision.
 """
@@ -27,17 +27,8 @@ from itertools import compress
 from math import isqrt
 from typing import Optional
 
-from .exactlin import (
-    FamilyMismatch,
-    FieldContext,
-    NoReconstruction,
-    NonCommuting,
-    NotInvariant,
-    _is_prime,
-    frac_str,
-)
+from .exactlin import ComputationError, FieldContext, InputError, frac_str
 from .ledger import (
-    BadLevel,
     FormatError,
     build_report,
     canonical_json,
@@ -47,22 +38,13 @@ from .ledger import (
     report_to_json,
 )
 from .modsym import (
-    BadPrime,
-    HalvesMismatch,
-    MultiPrimeMismatch,
-    UnsupportedWeight,
     _check_hecke_primes,
     build_space,
     eigensystems,
     eigensystems_csv,
     space_summary,
 )
-from .paramodular import (
-    GritsenkoExceedsTotal,
-    NonIntegralResult,
-    complement_dims,
-    load_gritsenko_csv,
-)
+from .paramodular import complement_dims, load_gritsenko_csv
 
 ENV_FIELD_PRIME = "HECKE_FIELD_PRIME"
 
@@ -70,7 +52,7 @@ USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
 
 
@@ -116,10 +98,7 @@ def _field_prime(args) -> Optional[int]:
 def _context(args) -> Optional[FieldContext]:
     """The working field pair for `_field_prime(args)`; None keeps the default."""
     prime = _field_prime(args)
-    try:
-        return None if prime is None else FieldContext.default(prime)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return None if prime is None else FieldContext.default(prime)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +191,8 @@ def _load_gritsenko(path: Optional[str]) -> Optional[dict[int, int]]:
 def cmd_paramodular(args) -> int:
     _field_prime(args)  # a bad $HECKE_FIELD_PRIME is still an error; no field is used
     gritsenko = _load_gritsenko(args.gritsenko)
-    if args.prime is not None:
-        if not _is_prime(args.prime):
-            raise UsageError(f"{args.prime} is not prime")
-        ps = [args.prime]
-    else:
-        ps = _primes_in(*_parse_range(args.range))
+    # `dim_S3` refuses a composite --prime, as an InputError
+    ps = [args.prime] if args.prime is not None else _primes_in(*_parse_range(args.range))
     rows = [complement_dims(p, gritsenko.get(p) if gritsenko else None) for p in ps]
     if args.format == "json":
         obj = {
@@ -333,13 +308,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, UnsupportedWeight, BadLevel, BadPrime, GritsenkoExceedsTotal,
-            FormatError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, NonIntegralResult, MultiPrimeMismatch, NotInvariant,
-            NonCommuting, FamilyMismatch, HalvesMismatch, NoReconstruction,
-            ArithmeticError) as exc:
+    except (ComputationError, ValueError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
 

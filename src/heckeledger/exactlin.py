@@ -50,6 +50,11 @@ degree at most 2, which are solved in closed form (a Tonelli-Shanks
 square root of the discriminant); a modular power packs and unpacks
 twice per squaring and multiplies by its (usually linear) base term by
 term.
+
+Every error the package defines is of one of two kinds, both defined
+here, as every module imports this one: an `InputError` refuses an
+input at the check where it enters, and a `ComputationError` is a
+failed check behind those, which leaves a result uncertified.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ __all__ = [
     "Eigenspace",
     "SplitResult",
     "FieldContext",
+    "InputError",
+    "ComputationError",
     "NotInvariant",
     "NonCommuting",
     "FamilyMismatch",
@@ -86,19 +93,27 @@ __all__ = [
 ]
 
 
-class NotInvariant(Exception):
+class InputError(ValueError):
+    """An input refused where it enters: a usage error, exit code 2."""
+
+
+class ComputationError(Exception):
+    """A failed check behind the input checks: exit code 1."""
+
+
+class NotInvariant(ComputationError):
     """An operator maps a vector of the subspace outside its span."""
 
 
-class NonCommuting(Exception):
+class NonCommuting(ComputationError):
     """Two operators handed to the eigenspace splitter do not commute."""
 
 
-class FamilyMismatch(Exception):
+class FamilyMismatch(ComputationError):
     """Families split in lockstep have different characteristic polynomials."""
 
 
-class NoReconstruction(Exception):
+class NoReconstruction(ComputationError):
     """No rational of the requested height lifts the field element."""
 
 
@@ -167,9 +182,9 @@ class PrimeField:
 
     def __init__(self, modulus: int):
         if not _is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+            raise InputError(f"modulus {modulus} is not prime")
         if modulus <= FIELD_PRIME_FLOOR:
-            raise ValueError(f"modulus {modulus} too small, need > 2**60")
+            raise InputError(f"modulus {modulus} too small, need > 2**60")
         self.p = modulus
 
     def __eq__(self, other) -> bool:

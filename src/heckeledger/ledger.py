@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import heckepoly
-from .exactlin import FieldContext, _is_prime, frac_str
+from .exactlin import FieldContext, InputError, _is_prime, frac_str
 from .heckepoly import HeckePolynomial, LiftClass, SL3Datum, poly_to_json
 from .modsym import (
     CuspidalSplit,
@@ -49,15 +49,15 @@ __all__ = [
 ]
 
 
-class CuspRangeUnknown(Exception):
+class CuspRangeUnknown(InputError):
     """Cuspidal range is only tabulated for ranks 2 through 9."""
 
 
-class FormatError(Exception):
+class FormatError(InputError):
     """External polynomial data does not parse as the documented format."""
 
 
-class BadLevel(ValueError):
+class BadLevel(InputError):
     """The ledger level is not prime."""
 
 

@@ -66,8 +66,10 @@ from typing import Iterable, Optional, Sequence
 
 from .eichler_selberg import dim_cusp_forms, num_cusps
 from .exactlin import (
+    ComputationError,
     FieldContext,
     FieldMatrix,
+    InputError,
     NoReconstruction,
     PrimeField,
     Subspace,
@@ -93,7 +95,6 @@ __all__ = [
     "CuspidalSplit",
     "UnsupportedWeight",
     "BadPrime",
-    "NoCentralMonomial",
     "MultiPrimeMismatch",
     "HalvesMismatch",
     "determinant",
@@ -108,23 +109,19 @@ __all__ = [
 ]
 
 
-class UnsupportedWeight(Exception):
+class UnsupportedWeight(InputError):
     """Raised for coefficient modules this implementation does not cover."""
 
 
-class BadPrime(ValueError):
+class BadPrime(InputError):
     """Hecke operator requested at a prime dividing the level, or not prime."""
 
 
-class NoCentralMonomial(Exception):
-    """Winding pairing needs odd k so the central monomial X^m Y^m exists."""
-
-
-class MultiPrimeMismatch(Exception):
+class MultiPrimeMismatch(ComputationError):
     """The two working primes disagree; the result cannot be certified."""
 
 
-class HalvesMismatch(Exception):
+class HalvesMismatch(ComputationError):
     """The sign quotients are not halves of the dimensions that the
     classical formula gives the whole space, or the whole space pairs
     the winding symbol to zero where its sign quotient does not."""
@@ -1145,8 +1142,6 @@ def winding_pairing(space: ManinBasisSpace, system: EigenSystem) -> Fraction:
     pairing that fails to lift at either prime raises NoReconstruction,
     naming the level, the weight, the eigenvalues and that prime.
     """
-    if space.module.k % 2 == 0:
-        raise NoCentralMonomial("even k has no central monomial X^m Y^m")
     if not system.cuspidal:
         raise ValueError("winding pairing is defined for cuspidal systems")
     primes = sorted(system.eigenvalues)

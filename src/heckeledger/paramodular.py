@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactlin import _is_prime
+from .exactlin import ComputationError, InputError, _is_prime
 
 __all__ = [
     "ParamodularDims",
@@ -26,11 +26,11 @@ __all__ = [
 ]
 
 
-class NonIntegralResult(Exception):
+class NonIntegralResult(ComputationError):
     """The rational total failed to cancel to a nonnegative integer."""
 
 
-class GritsenkoExceedsTotal(Exception):
+class GritsenkoExceedsTotal(InputError):
     """Ingested Gritsenko dimension exceeds the total dimension."""
 
 
@@ -65,7 +65,7 @@ def dim_S3(p: int) -> int:
     (or a misread formula) if they ever do not.
     """
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if p in (2, 3):
         return 0
     k1 = kronecker_euler(-1, p)

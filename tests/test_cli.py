@@ -1,9 +1,15 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import heckeledger
 from heckeledger import cli, paramodular
 from heckeledger.cli import main
+from heckeledger.exactlin import ComputationError, InputError
+
+from oracles import is_prime, primes_upto
 
 SL3_TEXT = "level,prime,gamma,gamma_prime\n11,2,0,0\n11,3,1/2,-3\n"
 GRIT_TEXT = "# test data\np,dim_gritsenko\n2,0\n5,0\n11,0\n"
@@ -13,6 +19,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_modules() -> list:
+    """Every module of the heckeledger package but `__main__`, imported."""
+    return [importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(heckeledger.__path__, "heckeledger.")
+            if info.name != "heckeledger.__main__"]
+
+
+def error_classes() -> list[type]:
+    """Each exception class defined in a heckeledger module, but the two kinds."""
+    return [obj for module in package_modules() for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+            and obj not in (InputError, ComputationError)]
+
+
+ERRORS = error_classes()
 
 
 # -- help and exit codes -----------------------------------------------------
@@ -43,6 +67,31 @@ def test_paramodular_help_says_text_writes_csv(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_every_error_declares_exactly_one_kind():
+    names = {cls.__name__ for cls in ERRORS}
+    assert names >= {"UsageError", "BadPrime", "BadLevel", "UnsupportedWeight", "FormatError",
+                     "GritsenkoExceedsTotal", "CuspRangeUnknown", "NotInvariant",
+                     "NonCommuting", "FamilyMismatch", "NoReconstruction",
+                     "MultiPrimeMismatch", "HalvesMismatch", "NonIntegralResult"}
+    for cls in ERRORS:
+        assert issubclass(cls, InputError) != issubclass(cls, ComputationError), cls
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=[cls.__name__ for cls in ERRORS])
+def test_error_kind_sets_exit_code(capsys, monkeypatch, cls):
+    # raised from behind the entry checks, each error exits by its kind alone
+    def fail(*args, **kwargs):
+        raise cls("a message")
+
+    monkeypatch.setattr(cli, "build_report", fail)
+    code, out, err = run(capsys, "ledger", "--level", "11", "--primes", "2")
+    if issubclass(cls, InputError):
+        assert (code, err) == (2, "error: a message\n")
+    else:
+        assert (code, err) == (1, "computation error: a message\n")
+    assert out == ""
 
 
 # -- modsym ------------------------------------------------------------------
@@ -115,15 +164,23 @@ def test_paramodular_bad_range_is_usage_error(capsys, text):
     assert out == ""
 
 
-def test_paramodular_range_tests_each_candidate_once(capsys, monkeypatch):
+def count_primality_tests(monkeypatch, modules) -> list[int]:
+    """Record each n that the primality test is asked about through the
+    `_is_prime` binding of any of `modules`."""
     calls = []
 
-    def counted(n, _is_prime=cli._is_prime):
+    def counted(n, _is_prime=paramodular._is_prime):
         calls.append(n)
         return _is_prime(n)
 
-    for module in (cli, paramodular):
-        monkeypatch.setattr(module, "_is_prime", counted)
+    for module in modules:
+        if hasattr(module, "_is_prime"):
+            monkeypatch.setattr(module, "_is_prime", counted)
+    return calls
+
+
+def test_paramodular_range_tests_each_candidate_once(capsys, monkeypatch):
+    calls = count_primality_tests(monkeypatch, [paramodular])
     code, out, err = run(capsys, "paramodular", "--range", "2..200")
     assert code == 0
     primes = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
@@ -136,11 +193,11 @@ def test_paramodular_range_lists_every_prime(capsys):
     code, out, err = run(capsys, "paramodular", "--range", "2..10000")
     assert code == 0
     listed = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
-    assert listed == [n for n in range(2, 10001) if cli._is_prime(n)]
+    assert listed == primes_upto(10000)
     for text, want in (("-5..10", [2, 3, 5, 7]), ("0..1", []), ("24..28", []),
                        ("49..53", [53]), ("10000000000..10000000100",
                                           [n for n in range(10**10, 10**10 + 101)
-                                           if cli._is_prime(n)])):
+                                           if is_prime(n)])):
         code, out, err = run(capsys, "paramodular", f"--range={text}")
         assert code == 0, text
         assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == want, text
@@ -150,6 +207,14 @@ def test_paramodular_rejects_composite(capsys):
     code, out, err = run(capsys, "paramodular", "--prime", "4")
     assert code == 2
     assert "not prime" in err
+
+
+def test_paramodular_prime_is_tested_once(capsys, monkeypatch):
+    # dim_S3 tests --prime where it enters; the CLI does not test it again
+    calls = count_primality_tests(monkeypatch, package_modules())
+    code, out, err = run(capsys, "paramodular", "--prime", "5")
+    assert code == 0
+    assert calls == [5]
 
 
 def test_paramodular_with_gritsenko(tmp_path, capsys):
@@ -462,7 +527,7 @@ def test_field_prime_below_floor_is_usage_error(capsys, monkeypatch, argv, via):
     assert out == ""
 
 
-def test_threads_flag_same_output(capsys):
+def test_repeated_modsym_run_prints_same_json(capsys):
     _, out1, _ = run(capsys, "modsym", "--level", "11", "--weight", "2",
                      "--primes", "2,3", "--format", "json")
     _, out2, _ = run(capsys, "modsym", "--level", "11", "--weight", "2",

@@ -1,5 +1,6 @@
 """The pinned outputs of tests/golden.json, each run through cli.main in
-process.  CI's packaging step runs the same pins with the installed
+process: exit code, standard output and, where a pin gives it, standard
+error.  CI's packaging step runs the same pins with the installed
 `heckeledger` command, so one file holds every output pin.
 
 The level-150 census, the slowest pin at a few seconds, runs here too: a
@@ -27,12 +28,16 @@ def test_golden_output(pin, tmp_path, monkeypatch, capsys):
     for key, value in pin.get("env", {}).items():
         monkeypatch.setenv(key, value)
     start = time.perf_counter()
-    out = ""
+    out = err = ""
     for argv in pin["argv"]:
         assert main(list(argv)) == pin["exit"], argv
-        out += capsys.readouterr().out
+        captured = capsys.readouterr()
+        out += captured.out
+        err += captured.err
     assert time.perf_counter() - start < pin.get("timeout", float("inf"))
     if "stdout" in pin:
         assert out == pin["stdout"]
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
+    if "stderr" in pin:
+        assert err == pin["stderr"]
