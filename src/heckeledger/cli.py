@@ -179,13 +179,7 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 
 def _load_gritsenko(path: Optional[str]) -> Optional[dict[int, int]]:
-    if not path:
-        return None
-    text = _read_text(path)
-    try:
-        return load_gritsenko_csv(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return load_gritsenko_csv(_read_text(path)) if path else None
 
 
 def cmd_paramodular(args) -> int:

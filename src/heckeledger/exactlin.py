@@ -11,11 +11,13 @@ The main objects are :class:`FieldMatrix` (sparse, row-major dicts)
 and :class:`Subspace` (its reduced row echelon basis, as sparse
 vectors).  On top of those sit one row-insertion elimination for every
 matrix, sparse or dense, in two steps: its forward phase gives a row
-echelon form (`echelonize`, which the Manin presentation keeps) and
-back-substitution finishes it to the reduced form (`reduced_echelon`).
-The forward phase reads any integer representatives and carries signed
-least residues, in (-p/2, p/2), so the Manin relations' small
-coefficients stay small integers and a lead of -1 costs a negation.
+echelon form (`echelonize`) and back-substitution finishes it to the
+reduced form (`reduced_echelon`).  The forward phase reads any integer
+representatives and carries signed least residues, in (-p/2, p/2), so
+small coefficients stay small integers and a lead of -1 costs a
+negation.  The Manin relations are not echelonized here: they have an
+echelon of their own, over Z and for every prime at once
+(`modsym.echelonize`).
 Only the forward echelon rows are signed: back-substitution, and so
 every reduced form, kernel basis and `Subspace`, is in [0, p).  Then come
 rank and a kernel basis that one reduced echelon gives already
@@ -458,8 +460,7 @@ def echelonize(m: FieldMatrix) -> tuple[list[int], list[dict[int, int]]]:
     sparse or dense.  Rows go in one at a time; each is reduced against
     the pivot rows found so far, and its leftmost surviving column
     becomes a new pivot with entry 1.  m's entries may be any integer
-    representatives (the Manin presentation hands over small signed
-    integers), and every returned entry is a nonzero signed least
+    representatives, and every returned entry is a nonzero signed least
     residue, in (-p/2, p/2): a row with lead +-1 is normalized by at
     most a negation, and only other leads pay for an inverse.  Each
     returned row is 1 at its pivot and zero left of it; it may be

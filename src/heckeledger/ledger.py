@@ -23,6 +23,8 @@ from . import heckepoly
 from .exactlin import FieldContext, InputError, _is_prime, frac_str
 from .heckepoly import HeckePolynomial, LiftClass, SL3Datum, poly_to_json
 from .modsym import (
+    BadLevel,
+    BadPrime,
     CuspidalSplit,
     EigenSystem,
     build_space,
@@ -55,10 +57,6 @@ class CuspRangeUnknown(InputError):
 
 class FormatError(InputError):
     """External polynomial data does not parse as the documented format."""
-
-
-class BadLevel(InputError):
-    """The ledger level is not prime."""
 
 
 # Tabulated cuspidal range (top, bottom) for subgroups of SL_n(Z), n = 2..9.
@@ -227,7 +225,7 @@ def build_report(
         raise BadLevel(f"level {level} is not prime")
     primes = sorted(set(int(l) for l in primes))
     if not primes:
-        raise ValueError("need at least one Hecke prime")
+        raise BadPrime("need at least one Hecke prime")
 
     caveats: list[str] = []
     constituents: list[Constituent] = []

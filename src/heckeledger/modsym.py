@@ -6,14 +6,18 @@ relation (from the order-4 element S) and the triangle relation (from
 the order-3 element sigma).  The presentation is the two-term quotient
 first (each S pair of generators collapses to one representative, or
 to zero) followed by one set of three-term relations per sigma-orbit
-of P^1(Z/N), brought to row echelon form on the representatives (the
+of P^1(Z/N), brought to row echelon form over Z on the representatives
+(`echelonize`: fraction-free, each row divided by its content, the
 forward phase only, no back-substitution); its free generators are
 those of the full relation matrix, and each pivot's row, negated, is a
-list of pushes to free columns and to later pivots, which, followed in
-ascending pivot order, give the expressions of the full relation matrix.
-The two-term quotient, the triangle rows and the Heilbronn images of the
-free generators are small integers that do not depend on the prime: a
-space and its partner at the other working prime share them.
+list of integer pushes to free columns and to later pivots, which,
+scaled by the inverse of the pivot's lead mod p and followed in
+ascending pivot order, give the expressions of the full relation
+matrix.  The two-term quotient, the echelon and the Heilbronn images of
+the free generators are integers that do not depend on the prime (the
+prime-free quotient): a space and its partner at the other working
+prime share them, and each prime only checks that it divides none of
+the echelon's leads (`UnluckyPrime`).
 Every projection onto the quotient basis is one call of
 `ManinBasisSpace._project`, which pushes integer combinations of Manin
 generators, one per column, through the pushes together: one transposed
@@ -61,6 +65,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -74,7 +79,6 @@ from .exactlin import (
     PrimeField,
     Subspace,
     _is_prime,
-    echelonize,
     eigen_step,
     frac_str,
     rank_and_kernel,
@@ -94,9 +98,11 @@ __all__ = [
     "EigenSystem",
     "CuspidalSplit",
     "UnsupportedWeight",
+    "BadLevel",
     "BadPrime",
     "MultiPrimeMismatch",
     "HalvesMismatch",
+    "UnluckyPrime",
     "determinant",
     "unimodularize",
     "build_space",
@@ -113,8 +119,13 @@ class UnsupportedWeight(InputError):
     """Raised for coefficient modules this implementation does not cover."""
 
 
+class BadLevel(InputError):
+    """A level that is not positive, or, for the ledger, not prime."""
+
+
 class BadPrime(InputError):
-    """Hecke operator requested at a prime dividing the level, or not prime."""
+    """Hecke operator requested at a prime dividing the level, or not
+    prime, or a ledger asked for with no Hecke prime."""
 
 
 class MultiPrimeMismatch(ComputationError):
@@ -125,6 +136,11 @@ class HalvesMismatch(ComputationError):
     """The sign quotients are not halves of the dimensions that the
     classical formula gives the whole space, or the whole space pairs
     the winding symbol to zero where its sign quotient does not."""
+
+
+class UnluckyPrime(ComputationError):
+    """The working prime divides a lead of the integer relation echelon,
+    so the echelon's row operations are not invertible modulo it."""
 
 
 # Height bound for lifting winding pairings back to Q; only the winding
@@ -493,28 +509,100 @@ class CuspidalSplit:
     unresolved: dict[str, int]
 
 
+def echelonize(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]],
+                                                      list[int]]:
+    """(pivots, echelon, leads): a row echelon form over Z of the integer
+    rows, which are left unmodified, by fraction-free elimination with
+    each row's content removed (integer-preserving elimination: Bareiss,
+    Math. Comp. 22, 1968).
+
+    Rows go in one at a time.  Pivot columns are cleared smallest first,
+    as in `exactlin.echelonize`: at pivot column c, whose row has lead u,
+    a working row with entry v there becomes (u/g) row - (v/g) (pivot
+    row), g = gcd(u, v).  A row that survives is divided by the gcd of
+    its entries, signed so that its lead is positive, and its leftmost
+    column becomes a new pivot; the lead stays as it is.  Nothing is
+    reduced modulo a prime and no inverse is taken.  `pivots` ascend,
+    `echelon[i]` is the primitive row of pivots[i], a new dict, and
+    `leads[i]` is its lead before the content was removed.
+
+    Every scale factor u/g and every content divides some such lead, so
+    modulo a prime p that divides none of `leads` every step is an
+    invertible row operation: the pivots are those at p, and each row,
+    divided by its lead mod p, is the row `exactlin.echelonize` gives at
+    p for the same rows in the same order.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    raw_leads: dict[int, int] = {}
+    for src in rows:
+        acc = dict(src)
+        heap = [j for j in acc if j in pivot_rows]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            v = acc[col]
+            if not v:
+                continue
+            row = pivot_rows[col]
+            u = row[col]
+            g = gcd(u, v)
+            if g != u:
+                scale = u // g
+                acc = {j: scale * x for j, x in acc.items()}
+            m = v // g
+            for j, w in row.items():
+                x = acc.get(j)
+                if x is None:
+                    acc[j] = -m * w
+                    if j in pivot_rows:
+                        heappush(heap, j)
+                else:
+                    acc[j] = x - m * w
+        acc = {j: x for j, x in acc.items() if x}
+        if acc:
+            lead = min(acc)
+            g = gcd(*acc.values())
+            if acc[lead] < 0:
+                g = -g
+            raw_leads[lead] = acc[lead]
+            pivot_rows[lead] = acc if g == 1 else {j: x // g for j, x in acc.items()}
+    pivots = sorted(pivot_rows)
+    return pivots, [pivot_rows[c] for c in pivots], [raw_leads[c] for c in pivots]
+
+
 @dataclass(frozen=True)
 class Presentation:
-    """A space's presentation at its prime (`ManinBasisSpace._present`): the
-    free generators, in the order of the quotient basis; the position of
-    each free representative column among them; (representative column,
-    +-1) of every generator that survives the two-term relations; the
-    pushes of each pivot column, ascending, to free positions and to later
-    pivots; the boundary map on the free generators, and its kernel."""
+    """A space's presentation at its prime (`ManinBasisSpace._present`).
+
+    The first five fields are the prime-free quotient
+    (`ManinBasisSpace._quotient`), the same objects at both primes, valid
+    at every working prime that divides none of `guard_leads`: the free
+    generators, in the order of the quotient basis; the position of each
+    free representative column among them; (representative column, +-1)
+    of every generator that survives the two-term relations; for each
+    pivot column, ascending, its primitive echelon row's lead u > 0 and
+    its integer pushes to free positions and to later pivots,
+    x_c = (1/u) (sum of the pushes' m x_j); and the distinct leads other
+    than 1 that the echelon's rows had before their content was removed.
+    Then come the inverse mod p of each pivot lead other than 1, and the
+    boundary map on the free generators with its kernel.
+    """
 
     free_columns: list[int]
     free_pos: dict[int, int]
     rep_of: dict[int, tuple[int, int]]
-    pushes: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
+    pushes: dict[int, tuple[int, list[tuple[int, int]], list[tuple[int, int]]]]
+    guard_leads: tuple[int, ...]
+    inverse: dict[int, int]
     boundary_matrix: FieldMatrix
     cuspidal_subspace: Subspace
 
 
 class PrimeFreeCache:
     """The prime-free half of the presentations of a space and its partner,
-    one object both hold: the integer relations (key "relations") and the
-    image columns of T_l (key (l, free columns)).  The first space to need
-    an entry builds it and, while `keep` holds (on a sign quotient, whose
+    one object both hold: the prime-free quotient (key "quotient") and
+    the image columns of T_l (key (l, free columns)).  The first space to
+    need an entry builds it and, while `keep` holds (on a sign quotient, whose
     partner the census may build, or once a partner exists), keeps it for
     the other, which takes it out; `release` keeps nothing more."""
 
@@ -547,9 +635,9 @@ class ManinBasisSpace:
     built the first time it is read, by whatever needs it first, and
     Hecke matrices are cached per operator index.  The space and its
     partner share P^1 and one `PrimeFreeCache` (`prime_free`) for the
-    integer relations and the Hecke image columns; the echelon, the
-    boundary, the cuspidal kernel and every projection run at each
-    space's own prime.
+    prime-free quotient, relation echelon included, and the Hecke image
+    columns; the lead inverses, the boundary, the cuspidal kernel and
+    every projection are taken at each space's own prime.
     """
 
     def __init__(self, level: int, module: CoefficientModule, field: PrimeField,
@@ -685,19 +773,17 @@ class ManinBasisSpace:
         rows.sort(key=lambda r: (len(r), -max(r), -min(r)))
         return rep, reps, rows
 
-    def _present(self) -> Presentation:
-        """The presentation at this space's prime, in one step: the integer
-        relations from `prime_free`, their echelon, the boundary map and
-        the cuspidal kernel.  The small integers go into the echelon as they
-        are, with no reduction mod p, and only its forward phase runs: pivot
-        c's row, 1 at c and u_j at columns j > c, gives the pushes (free
-        position, -u_j) and (later pivot column, -u_j), signed least
-        residues as `echelonize` returns them, so x_c = sum of -u_j x_j, and
-        following them in ascending pivot order ends on the free columns.
+    def _quotient(self) -> tuple:
+        """The prime-free quotient, the first five fields of `Presentation`:
+        the integer relations and their echelon over Z (`echelonize`).
+        Pivot c's primitive row, u > 0 at c and u_j at columns j > c,
+        gives the pushes (free position, -u_j) and (later pivot column,
+        -u_j), so u x_c = sum of -u_j x_j, and following them in
+        ascending pivot order ends on the free columns.
         """
-        rep, reps, rows = self.prime_free.take("relations", self._integer_relations)
-        pivots, echelon = echelonize(FieldMatrix(self.field, len(rows), len(reps), rows))
-
+        rep, reps, rows = self._integer_relations()
+        pivots, echelon, leads = echelonize(rows)
+        del rows  # freed before the pushes are built, for peak memory
         pivot_set = set(pivots)
         free_cols = [t for t in range(len(reps)) if t not in pivot_set]
         free_pos = {t: pos for pos, t in enumerate(free_cols)}
@@ -711,12 +797,29 @@ class ManinBasisSpace:
                         to_pivots.append((j, -u))
                     else:
                         to_free.append((pos, -u))
-            pushes[c] = (to_free, to_pivots)
-        free_columns = [reps[t] for t in free_cols]
-        del rows, echelon  # freed before the boundary's kernel is taken, for peak memory
+            pushes[c] = (row[c], to_free, to_pivots)
+        guard_leads = tuple(sorted({abs(u) for u in leads} - {1}))
+        return [reps[t] for t in free_cols], free_pos, rep, pushes, guard_leads
+
+    def _present(self) -> Presentation:
+        """The presentation at this space's prime: the prime-free quotient
+        from `prime_free`, which a partner may have built, then the
+        inverses of its pivot leads, the boundary map and the cuspidal
+        kernel.  UnluckyPrime if the prime divides one of the echelon's
+        leads, where its integer row operations are not invertible.
+        """
+        quotient = self.prime_free.take("quotient", self._quotient)
+        free_columns, _, _, pushes, guard_leads = quotient
+        p = self.field.p
+        for u in guard_leads:
+            if u % p == 0:
+                raise UnluckyPrime(
+                    f"the field prime {p} divides the relation echelon lead {u} at level "
+                    f"{self.level}, weight {self.module.weight}")
+        inverse = {u: pow(u, -1, p) for u in {u for u, _, _ in pushes.values()} - {1}}
         boundary = self._build_boundary(free_columns)
         _, cuspidal = rank_and_kernel(boundary)
-        return Presentation(free_columns, free_pos, rep, pushes, boundary, cuspidal)
+        return Presentation(*quotient, inverse, boundary, cuspidal)
 
     def _build_boundary(self, free_columns: list[int]) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
@@ -766,18 +869,21 @@ class ManinBasisSpace:
         matrix, kept as dense columns, a pivot's into a sparse
         {column: value} accumulator (killed generators drop out).  The
         pivots are then visited in ascending order, and each accumulator
-        is pushed along its row of the expression table, reduced to signed
-        residues first if an earlier pivot pushed into it; each of its
-        columns takes the whole row's pushes to free positions in one
-        dense column.  That is M = A_F - U_PF^T (U_PP^-T A_P) for the
-        echelon rows U and the coefficients A on the free (F) and pivot
-        (P) columns: one transposed unit-triangular solve (Stein, Modular
-        Forms, 8.3), each echelon entry read once.
+        is pushed along its row of the expression table, after it is
+        scaled by u^-1 mod p to signed residues, u the pivot's lead, or,
+        when u = 1, reduced to signed residues if an earlier pivot pushed
+        into it; each of its columns takes the whole row's pushes to free
+        positions in one dense column.  That is
+        M = A_F - U_PF^T (U_PP^-T A_P) for the echelon rows U and the
+        coefficients A on the free (F) and pivot (P) columns: one
+        transposed triangular solve (Stein, Modular Forms, 8.3), each
+        echelon entry read once.
         """
         p = self.field.p
         half = p // 2
         pres = self.presentation
-        rep_of, free_pos, dim = pres.rep_of, pres.free_pos, len(pres.free_columns)
+        rep_of, free_pos, inverse = pres.rep_of, pres.free_pos, pres.inverse
+        dim = len(pres.free_columns)
         dense = [[0] * dim for _ in columns]  # dense[pos][r]: column pos, row r
         pending: dict[int, dict[int, int]] = {}  # pivot column -> {column: value}
         for pos, (column, acc) in enumerate(zip(dense, columns)):
@@ -799,11 +905,14 @@ class ManinBasisSpace:
                 else:
                     pending[h] = {pos: v * sign}
         pushed = set()
-        for c, (to_free, to_pivots) in pres.pushes.items():
+        for c, (u, to_free, to_pivots) in pres.pushes.items():
             a = pending.pop(c, None)
             if a is None:
                 continue
-            if c in pushed:
+            if u != 1:
+                w = inverse[u]
+                a = {pos: v - p if v > half else v for pos, x in a.items() if (v := x * w % p)}
+            elif c in pushed:
                 a = {pos: v - p if v > half else v for pos, x in a.items() if (v := x % p)}
             for pos, v in a.items():
                 column = dense[pos]
@@ -946,7 +1055,7 @@ def build_space(level: int, k: int, *,
     only odd k is implemented, so weights 2 and 4 are k = 1 and k = 3.
     """
     if level < 1:
-        raise ValueError("level must be positive")
+        raise BadLevel("level must be positive")
     if k % 2 == 0:
         raise UnsupportedWeight(
             f"k = {k} (weight {k + 1}) not supported: only odd k is implemented"

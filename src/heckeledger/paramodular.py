@@ -118,7 +118,8 @@ def load_gritsenko_csv(text: str) -> dict[int, int]:
     """Parse the `p,dim_gritsenko` file; `#` starts a comment line.
 
     Validates primality of p, through `dim_S3`'s own test, and the bound
-    dim_gritsenko <= dim S3(p); each error names its line.
+    dim_gritsenko <= dim S3(p); each error is an `InputError` (a
+    `GritsenkoExceedsTotal` for the bound) that names its line.
     """
     out: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -129,16 +130,14 @@ def load_gritsenko_csv(text: str) -> dict[int, int]:
             continue
         parts = [s.strip() for s in line.split(",")]
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected `p,dim_gritsenko`, got {raw!r}")
+            raise InputError(f"line {lineno}: expected `p,dim_gritsenko`, got {raw!r}")
         try:
             p, g = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise InputError(f"line {lineno}: {exc}") from exc
         try:
             complement_dims(p, g)
-        except GritsenkoExceedsTotal as exc:
-            raise GritsenkoExceedsTotal(f"line {lineno}: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+        except InputError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
         out[p] = g
     return out

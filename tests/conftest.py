@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from heckeledger.exactlin import FieldMatrix, Subspace, reduced_echelon
+from heckeledger import modsym
 from heckeledger.modsym import ManinBasisSpace
 
 
@@ -34,12 +35,14 @@ def presentations(monkeypatch):
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of the prime-free builds made while the test runs, by name:
-    `ManinBasisSpace._integer_relations` and `ManinBasisSpace._hecke_images`."""
+    `ManinBasisSpace._integer_relations`, the relation echelon
+    `modsym.echelonize` and `ManinBasisSpace._hecke_images`."""
     calls = Counter()
-    for name in ("_integer_relations", "_hecke_images"):
-        def counted(space, *args, _name=name, _build=getattr(ManinBasisSpace, name)):
+    for owner, name in ((ManinBasisSpace, "_integer_relations"), (modsym, "echelonize"),
+                        (ManinBasisSpace, "_hecke_images")):
+        def counted(*args, _name=name, _build=getattr(owner, name)):
             calls[_name] += 1
-            return _build(space, *args)
+            return _build(*args)
 
-        monkeypatch.setattr(ManinBasisSpace, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls

@@ -28,6 +28,7 @@ from heckeledger.exactlin import (
     split_eigenspaces,
 )
 from heckeledger.modsym import build_space, hecke_operator
+from heckeledger.modsym import echelonize as echelonize_z
 
 from conftest import span
 from oracles import primes_upto
@@ -1063,16 +1064,16 @@ def reordered(m):
             for rows in (m.rows[::-1], shuffled, by_last)]
 
 
-def relation_matrices(monkeypatch):
-    """The triangle-row matrices that the Manin presentations echelonize:
-    the whole space and both sign quotients, at k in {1, 3, 5} and six
-    composite levels, with the rows in the order the presentation hands
-    them over."""
+def relation_rows(monkeypatch):
+    """The integer triangle rows that the Manin presentations echelonize
+    over Z through `modsym.echelonize`: the whole space and both sign
+    quotients, at k in {1, 3, 5} and six composite levels, with the rows
+    in the order the presentation hands them over."""
     seen = []
 
-    def recorded(m):
-        seen.append(FieldMatrix(m.field, m.nrows, m.ncols, [dict(r) for r in m.rows]))
-        return echelonize(m)
+    def recorded(rows):
+        seen.append([dict(r) for r in rows])
+        return echelonize_z(rows)
 
     monkeypatch.setattr(modsym, "echelonize", recorded)
     for k in (1, 3, 5):
@@ -1083,6 +1084,12 @@ def relation_matrices(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == 3 * 6 * 3
     return seen
+
+
+def as_matrix(rows, p):
+    """Integer rows as a FieldMatrix mod p, as wide as their last column."""
+    ncols = 1 + max((max(r) for r in rows), default=-1)
+    return FieldMatrix(PrimeField(p), len(rows), ncols, [dict(r) for r in rows])
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -1112,11 +1119,17 @@ def test_echelonize_independent_of_row_order(p):
 
 
 def test_relation_echelon_independent_of_row_order(monkeypatch):
-    for m in relation_matrices(monkeypatch):
+    # Over Z the pivots, and the row space the echelon rows span, depend
+    # only on the triangle rows' span: every reordering gives the same
+    # pivots, and its echelon rows the same reduced form at p.
+    for rows in relation_rows(monkeypatch):
+        m = as_matrix(rows, DEFAULT_PRIME)
         want = reduced_echelon(m)
         assert want[0]
         for other in reordered(m):
-            assert reduced_echelon(other) == want
+            pivots, echelon, _ = echelonize_z(other.rows)
+            assert pivots == want[0]
+            assert reduced_echelon(FieldMatrix(m.field, len(echelon), m.ncols, echelon)) == want
 
 
 def check_row_echelon(m):
@@ -1194,14 +1207,38 @@ def test_echelonize_reads_any_integer_representatives(p):
 
 
 def test_relation_row_echelon_contract(monkeypatch):
-    # The triangle rows' row echelon form is the presentation's
-    # expression table; rows that differ from their reduced rows are what
-    # the pushes to later pivots follow.
+    # The triangle rows' echelon over Z is the presentation's expression
+    # table at every working prime: each row is primitive, positive at
+    # its lead and zero left of it, its lead before the content came out
+    # is a multiple of its lead, and divided by its lead mod p it is the
+    # row `exactlin.echelonize` gives at p (whose own contract
+    # `check_row_echelon` checks against Gauss-Jordan at the default
+    # prime).  Rows that differ from their reduced rows are what the
+    # pushes to later pivots follow.
     chained = 0
-    for m in relation_matrices(monkeypatch):
-        rows = check_row_echelon(m)
-        pivots = {min(r) for r in rows}
-        chained += sum(len(pivots.intersection(r)) > 1 for r in rows)
+    for rows in relation_rows(monkeypatch):
+        before = [dict(r) for r in rows]
+        pivots, echelon, leads = echelonize_z(rows)
+        assert rows == before
+        assert pivots == sorted(set(pivots)) and len(echelon) == len(leads) == len(pivots)
+        for c, row, raw in zip(pivots, echelon, leads):
+            assert min(row) == c and row[c] > 0 and 0 not in row.values()
+            assert math.gcd(*row.values()) == 1
+            assert raw % row[c] == 0
+        for p in KERNEL_PRIMES:
+            assert all(raw % p for raw in leads)
+            m = as_matrix(rows, p)
+            want = check_row_echelon(m) if p == DEFAULT_PRIME else echelonize(m)[1]
+            assert echelonize(m)[0] == pivots
+            half = p // 2
+            normalized = []
+            for c, row in zip(pivots, echelon):
+                inv = pow(row[c], -1, p)
+                normalized.append({j: x - p if x > half else x
+                                   for j, v in row.items() if (x := v * inv % p)})
+            assert normalized == want, p
+        pivot_set = set(pivots)
+        chained += sum(len(pivot_set.intersection(r)) > 1 for r in echelon)
     assert chained
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckeledger import ledger
-from heckeledger.exactlin import FieldMatrix
+from heckeledger.exactlin import FieldMatrix, InputError
 from heckeledger.heckepoly import sl3_lifts, weight2_lifts
 from heckeledger.ledger import (
     CuspRangeUnknown,
@@ -17,7 +17,7 @@ from heckeledger.ledger import (
     report_families,
     report_to_json,
 )
-from heckeledger.modsym import BadPrime
+from heckeledger.modsym import BadLevel, BadPrime
 
 # Column-by-column transcription of the rank table used in the tests:
 # n, dim X, vcd, cusp top, cusp bottom.
@@ -142,13 +142,14 @@ def test_report_presents_only_the_sign_quotients(presentations):
 def test_report_builds_the_integer_relations_and_images_once_per_prime_pair(
         presentations, builds):
     # 80 sign quotients at the primary prime and 40 partners are
-    # presented; a partner takes its primary's integer relations and its
-    # T_2 and T_3 image columns, so only the primaries build them.
+    # presented; a partner takes its primary's prime-free quotient, the
+    # relation echelon included, and its T_2 and T_3 image columns, so
+    # only the primaries build them.
     for level in LEDGER_LEVELS:
         build_report(level, [2, 3])
     assert presentations[None] == 0
     assert presentations[1] + presentations[-1] == 120
-    assert builds == {"_integer_relations": 80, "_hecke_images": 160}
+    assert builds == {"_integer_relations": 80, "echelonize": 80, "_hecke_images": 160}
 
 
 def test_report_presents_the_whole_space_for_a_nonzero_winding(presentations):
@@ -252,6 +253,16 @@ def test_report_rejects_bad_level_and_primes():
         build_report(11, [2, 11])
     with pytest.raises(ValueError):
         build_report(11, [])
+
+
+def test_report_entry_checks_are_input_errors():
+    # build_report refuses a bad level or an empty prime list where they
+    # enter, as input errors with the messages the command line prints.
+    with pytest.raises(BadLevel, match="^level 12 is not prime$"):
+        build_report(12, [5])
+    with pytest.raises(BadPrime, match="^need at least one Hecke prime$"):
+        build_report(11, [])
+    assert issubclass(BadLevel, InputError) and issubclass(BadPrime, InputError)
 
 
 def test_report_json_roundtrip_and_schema():

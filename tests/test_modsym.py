@@ -9,6 +9,7 @@ from heckeledger.exactlin import (
     FamilyMismatch,
     FieldContext,
     FieldMatrix,
+    InputError,
     NonCommuting,
     NotInvariant,
     Subspace,
@@ -24,6 +25,7 @@ from heckeledger.exactlin import (
 )
 from heckeledger import modsym
 from heckeledger.modsym import (
+    BadLevel,
     BadPrime,
     Cusp,
     HalvesMismatch,
@@ -31,6 +33,7 @@ from heckeledger.modsym import (
     ModularSymbol,
     MultiPrimeMismatch,
     ProjectiveLine,
+    UnluckyPrime,
     UnsupportedWeight,
     _cusp_key,
     _heilbronn,
@@ -66,6 +69,12 @@ def project_generator(space, gen):
 def replace_presentation(space, **fields):
     """Give space its presentation with some fields replaced, to set off a guard."""
     space.presentation = dataclasses.replace(space.presentation, **fields)
+
+
+def push_bits(space):
+    """The widest integer push of space's relation echelon, in bits."""
+    return max((abs(m).bit_length() for _, to_free, to_pivots in space.presentation.pushes.values()
+                for _, m in to_free + to_pivots), default=0)
 
 
 def moebius(q, a, b, c, d):
@@ -593,6 +602,13 @@ def test_even_k_rejected():
         build_space(11, 2)
 
 
+@pytest.mark.parametrize("level", [0, -11])
+def test_nonpositive_level_is_an_input_error(level):
+    with pytest.raises(BadLevel, match="^level must be positive$") as info:
+        build_space(level, 1)
+    assert isinstance(info.value, InputError)
+
+
 # -- Hecke operators ---------------------------------------------------------
 
 
@@ -733,23 +749,74 @@ def test_hecke_matches_continued_fraction_reference(k):
 @pytest.mark.parametrize("level,k,l", [(90, 3, 7), (84, 3, 5), (96, 3, 5), (78, 3, 5)])
 def test_hecke_follows_long_push_chains(level, k, l):
     # The heaviest presentation-sparse items, where the expression table
-    # chains pivot to pivot nine to fourteen deep.  The reference acts by
-    # Merel's Heilbronn matrices and projects each image generator by the
-    # reduced echelon of the full relation matrix, sharing no code with
-    # the pushes; at N = 84 also on both sign quotients at both field primes.
+    # chains pivot to pivot nine to fourteen deep, through pivots whose
+    # integer leads are not 1 and are inverted at each prime on the way.
+    # The reference acts by Merel's Heilbronn matrices and projects each
+    # image generator by the reduced echelon of the full relation matrix,
+    # sharing no code with the pushes; at N = 84 also on both sign
+    # quotients at both field primes.
     whole = build_space(level, k)
     spaces = [whole]
     if level == 84:
         spaces += [s for e in (1, -1) for s in (whole.sign_quotient(e), whole.sign_quotient(e).partner())]
     for space in spaces:
-        depth = {}
-        for c, (_, to_pivots) in reversed(space.presentation.pushes.items()):
+        pushes = space.presentation.pushes
+        depth, scaled = {}, {}
+        for c, (u, _, to_pivots) in reversed(pushes.items()):
             depth[c] = 1 + max((depth[j] for j, _ in to_pivots), default=0)
+            scaled[c] = u != 1 or any(scaled[j] for j, _ in to_pivots)
         assert max(depth.values()) >= 4, (level, space.sign)
+        assert sum(scaled.values()) > len(pushes) // 4, (level, space.sign)
+        assert space.presentation.inverse == {
+            u: pow(u, -1, space.field.p) for u, _, _ in pushes.values() if u != 1}
         free, expr = reference_presentation(space)
         expr.update({g: {t: 1} for t, g in enumerate(free)})
         want = heilbronn_hecke_matrix(space, merel_heilbronn(l), expr.__getitem__)
         assert space.hecke_matrix(l) == want, (level, k, l, space.sign, space.field.p)
+
+
+@pytest.mark.parametrize("level,k,l", [(26, 9, 3), (29, 11, 2)])
+def test_hecke_with_pushes_wider_than_the_field_prime(level, k, l):
+    # At high weight the exact echelon rows grow: here the whole space
+    # has pushes of 77 bits, wider than either working prime.  T_l on V
+    # and on both sign quotients, at both primes, still equals the
+    # reference by Merel's Heilbronn matrices and the full relation
+    # matrix's reduced echelon.
+    whole = build_space(level, k)
+    assert push_bits(whole) > max(whole.context.primary.p, whole.context.secondary.p).bit_length()
+    spaces = [whole, whole.partner()] + [
+        s for e in (1, -1) for s in (whole.sign_quotient(e), whole.sign_quotient(e).partner())]
+    for space in spaces:
+        free, expr = reference_presentation(space)
+        assert space.presentation.free_columns == free, (level, space.sign)
+        expr.update({g: {t: 1} for t, g in enumerate(free)})
+        want = heilbronn_hecke_matrix(space, merel_heilbronn(l), expr.__getitem__)
+        assert space.hecke_matrix(l) == want, (level, k, l, space.sign, space.field.p)
+
+
+def test_a_lead_divisible_by_the_prime_is_unlucky(monkeypatch):
+    # The integer row operations are invertible mod p only when p divides
+    # none of the echelon's leads.  With one lead made a multiple of the
+    # primary prime, a space presented at that prime raises UnluckyPrime;
+    # at the secondary prime the same quotient is sound, and the partner
+    # that takes it presents as a space built fresh there does.
+    echelonize = modsym.echelonize
+
+    def spoilt(rows):
+        pivots, echelon, leads = echelonize(rows)
+        leads[len(leads) // 2] *= modsym._default_context().primary.p
+        return pivots, echelon, leads
+
+    monkeypatch.setattr(modsym, "echelonize", spoilt)
+    primary = build_space(37, 3).sign_quotient(1)
+    twin = primary.partner()
+    with pytest.raises(UnluckyPrime, match="divides the relation echelon lead"):
+        primary.presentation
+    got = twin.hecke_matrix(2)
+    monkeypatch.undo()
+    ref = build_space(37, 3, context=FieldContext.default(twin.field.p)).sign_quotient(1)
+    assert got == ref.hecke_matrix(2)
+    assert twin.presentation.cuspidal_subspace == ref.presentation.cuspidal_subspace
 
 
 def test_projected_generator_is_a_copy():
@@ -1425,11 +1492,11 @@ def test_census_releases_the_quotients_prime_free_cache(level, partners):
 @pytest.mark.parametrize("level", [11, 37, 89])
 def test_partner_shares_the_integer_relations(level, builds):
     # A partner presented after its primary builds nothing: it takes the
-    # very same integer relations (its representative table is the
-    # primary's object) and the primary's T_2 and T_3 image columns out
-    # of the cache they share, which then keeps nothing.  Its T_2, T_3
-    # and cuspidal subspace are those of a space built fresh at the
-    # partner prime.
+    # very same prime-free quotient, relation echelon included (its
+    # representative table is the primary's object) and the primary's
+    # T_2 and T_3 image columns out of the cache they share, which then
+    # keeps nothing.  Its T_2, T_3 and cuspidal subspace are those of a
+    # space built fresh at the partner prime.
     for k in (1, 3):
         whole = build_space(level, k)
         fresh = build_space(level, k, context=FieldContext.default(whole.context.secondary.p))
@@ -1451,19 +1518,41 @@ def test_partner_shares_the_integer_relations(level, builds):
 
 
 def test_partner_presents_first_without_presenting_its_primary(builds):
-    # Whichever space presents first builds the integer relations; the
-    # other takes them when it is presented, and not before.
+    # Whichever space presents first builds the prime-free quotient, and
+    # with it the one relation echelon of the pair; the other takes it
+    # when it is presented, and not before.
     primary = build_space(37, 3).sign_quotient(-1)
     twin = primary.partner()
     twin.hecke_matrix(2)
     assert "presentation" in vars(twin) and "presentation" not in vars(primary)
     assert set(primary.prime_free.entries) == {
-        "relations", (2, tuple(twin.presentation.free_columns))}
+        "quotient", (2, tuple(twin.presentation.free_columns))}
     got = primary.hecke_matrix(2)
-    assert builds == {"_integer_relations": 1, "_hecke_images": 1}
+    assert builds == {"_integer_relations": 1, "echelonize": 1, "_hecke_images": 1}
     assert primary.presentation.rep_of is twin.presentation.rep_of
     assert primary.prime_free.entries == {}
     assert got == build_space(37, 3).sign_quotient(-1).hecke_matrix(2)
+
+
+@pytest.mark.parametrize("level,k", [(37, 3), (61, 3), (26, 9)])
+def test_partner_presentation_equals_a_fresh_space_at_its_prime(level, k):
+    # The partner presents from its primary's prime-free quotient and
+    # runs no echelon of its own; its presentation, field by field, and
+    # its Hecke matrices equal those of a space built directly at the
+    # secondary prime with a cache of its own.  At (26, 9) the pushes are
+    # wider than either prime.
+    whole = build_space(level, k)
+    fresh = build_space(level, k, context=FieldContext.default(whole.context.secondary.p))
+    for sign in (None, 1, -1):
+        primary = whole if sign is None else whole.sign_quotient(sign)
+        ref = fresh if sign is None else fresh.sign_quotient(sign)
+        twin = primary.partner()
+        primary.hecke_matrix(5)
+        assert twin.field == ref.field and twin.prime_free is primary.prime_free
+        assert twin.presentation == ref.presentation, (level, k, sign)
+        assert twin.presentation.pushes is primary.presentation.pushes
+        for l in (5, 7, 11):
+            assert twin.hecke_matrix(l) == ref.hecke_matrix(l), (level, k, sign, l)
 
 
 def test_partner_builds_its_own_images_when_its_free_generators_differ(builds, monkeypatch):
@@ -1487,7 +1576,7 @@ def test_partner_builds_its_own_images_when_its_free_generators_differ(builds, m
 
 
 def test_prime_free_results_are_kept_only_for_a_partner_that_may_take_them():
-    # A whole space keeps no relations or image columns without a
+    # A whole space keeps no quotient or image columns without a
     # partner, and keeps them once it has one (the winding pairing builds
     # the whole space's partner before presenting it); a sign quotient
     # keeps them for the partner the census may build, and a census that
@@ -1500,13 +1589,13 @@ def test_prime_free_results_are_kept_only_for_a_partner_that_may_take_them():
     twin = whole.partner()
     whole.hecke_matrix(2)
     assert set(whole.prime_free.entries) == {
-        "relations", (2, tuple(whole.presentation.free_columns))}
+        "quotient", (2, tuple(whole.presentation.free_columns))}
     twin.hecke_matrix(2)
     assert whole.prime_free.entries == {}
     quotient = build_space(37, 3).sign_quotient(1)
     quotient.hecke_matrix(2)
     assert set(quotient.prime_free.entries) == {
-        "relations", (2, tuple(quotient.presentation.free_columns))}
+        "quotient", (2, tuple(quotient.presentation.free_columns))}
     space = build_space(23, 1)
     assert cuspidal_coverage(space, [2, 3]).systems == []
     for sign in (1, -1):

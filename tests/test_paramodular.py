@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from heckeledger import paramodular
+from heckeledger.exactlin import InputError
 from heckeledger.paramodular import (
     GritsenkoExceedsTotal,
     NonIntegralResult,
@@ -245,7 +246,25 @@ def test_load_gritsenko_tests_each_prime_once(monkeypatch):
 
 @pytest.mark.parametrize("row, p", [("4,0", 4), ("1,0", 1), ("-7,0", -7), ("91,1", 91)])
 def test_load_gritsenko_names_the_line_of_a_non_prime(row, p):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(InputError) as info:
         load_gritsenko_csv(f"p,dim_gritsenko\n2,0\n{row}\n")
-    assert type(info.value) is ValueError
+    assert type(info.value) is InputError
     assert str(info.value) == f"line 3: {p} is not prime"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("5,0,1", "expected `p,dim_gritsenko`, got '5,0,1'"),
+    ("5", "expected `p,dim_gritsenko`, got '5'"),
+    ("5,one", "invalid literal for int() with base 10: 'one'"),
+    ("x,0", "invalid literal for int() with base 10: 'x'"),
+])
+def test_load_gritsenko_names_the_line_of_a_malformed_row(row, message):
+    with pytest.raises(InputError) as info:
+        load_gritsenko_csv(f"p,dim_gritsenko\n2,0\n{row}\n")
+    assert type(info.value) is InputError
+    assert str(info.value) == f"line 3: {message}"
+
+
+def test_load_gritsenko_names_the_line_of_an_excess():
+    with pytest.raises(GritsenkoExceedsTotal, match="^line 2: Gritsenko dimension 3 "):
+        load_gritsenko_csv("2,0\n5,3\n")
