@@ -62,11 +62,10 @@ failed check behind those, which leaves a result uncertified.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "PrimeField",
@@ -117,6 +116,41 @@ class FamilyMismatch(ComputationError):
 
 class NoReconstruction(ComputationError):
     """No rational of the requested height lifts the field element."""
+
+
+class Record:
+    """Base of the records that check their fields at construction.
+
+    A subclass names its fields in `__slots__`, checks them in its own
+    `__init__` and then sets each with `object.__setattr__`.  Two
+    records are equal when they are of one class and their fields are
+    equal, the hash is that of the fields' tuple, the repr names every
+    field, and no field can be assigned afterwards.  The records that
+    check nothing are `NamedTuple`s.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # Fixed Mersenne prime, the default primary working prime.
@@ -208,8 +242,7 @@ class PrimeField:
         return x % self.p
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(NamedTuple):
     """The pair of working primes for the multi-prime protocol.
 
     Every eigenvalue the package reports has been computed modulo both
@@ -541,8 +574,7 @@ def _is_reduced_echelon(vectors: Sequence[dict[int, int]], n: int, p: int) -> bo
         for lead, v in zip(leads, vectors))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """The span of independent sparse vectors, kept as its reduced
     echelon basis.
 
@@ -557,15 +589,18 @@ class Subspace:
     entries at the pivot columns.
     """
 
+    __slots__ = ("ambient_dim", "basis", "field")
     ambient_dim: int
     basis: tuple[dict[int, int], ...]
     field: PrimeField
 
-    def __post_init__(self):
-        basis = tuple(self.basis)
-        if not _is_reduced_echelon(basis, self.ambient_dim, self.field.p):
+    def __init__(self, ambient_dim: int, basis: Iterable[dict[int, int]], field: PrimeField):
+        basis = tuple(basis)
+        if not _is_reduced_echelon(basis, ambient_dim, field.p):
             raise ValueError("basis is not the reduced echelon basis of independent vectors")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "field", field)
 
     @property
     def dim(self) -> int:
@@ -987,8 +1022,7 @@ def root_multiplicity(f: list[int], lam: int, p: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Eigenspace:
+class Eigenspace(NamedTuple):
     """A simultaneous eigenspace: its tuple of eigenvalues and its
     dimension in each family that was split (see split_eigenspaces)."""
 
@@ -1000,8 +1034,7 @@ class Eigenspace:
         return sum(self.dims)
 
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     """Outcome of a simultaneous eigenspace split.
 
     `eigenspaces` hold only genuine simultaneous eigenvectors.
@@ -1013,8 +1046,8 @@ class SplitResult:
     """
 
     eigenspaces: list[Eigenspace]
-    defective: list[tuple[tuple[int, ...], int]] = dataclass_field(default_factory=list)
-    unsplit_dim: int = 0
+    defective: list[tuple[tuple[int, ...], int]]
+    unsplit_dim: int
 
 
 def signed_lift(x: int, p: int) -> int:
@@ -1110,7 +1143,8 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
         _check_commuting(family, p, cyclic)
         root_polys.append(f)
 
-    result = SplitResult(eigenspaces=[])
+    defective: list[tuple[tuple[int, ...], int]] = []
+    unsplit_dim = 0
     current = [((), tuple(family[0].nrows for family in families), families)]
     for t, bound in enumerate(bounds):
         refined = []
@@ -1127,14 +1161,14 @@ def split_eigenspaces(ops: Sequence[FieldMatrix], bounds: Sequence[int],
                 alg = root_multiplicity(f, lam, p) * len(families)
                 covered += alg
                 if geo < alg:
-                    result.defective.append((prefix + (lam,), alg - geo))
+                    defective.append((prefix + (lam,), alg - geo))
                 refined.append((prefix + (lam,), tuple(ker.dim for ker, _ in steps),
                                 [rest for _, rest in steps]))
-            result.unsplit_dim += sum(dims) - covered
+            unsplit_dim += sum(dims) - covered
         current = refined
-    result.eigenspaces = [Eigenspace(values, dims) for values, dims, _ in sorted(
+    eigenspaces = [Eigenspace(values, dims) for values, dims, _ in sorted(
         current, key=lambda node: node[0])]
-    return result
+    return SplitResult(eigenspaces, defective, unsplit_dim)
 
 
 def rational_reconstruct(x: int, bound: int, field: PrimeField | int) -> Fraction:

@@ -13,11 +13,10 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .exactlin import frac_str
+from .exactlin import Record, frac_str
 
 __all__ = [
     "HeckePolynomial",
@@ -73,19 +72,22 @@ def linear_factor(l: int, e: int) -> list[Fraction]:
     return [Fraction(1), Fraction(-(l**e))]
 
 
-@dataclass(frozen=True)
-class HeckePolynomial:
+class HeckePolynomial(Record):
     """A polynomial in T, constant coefficient 1, attached to a prime l."""
 
+    __slots__ = ("prime_l", "coeffs", "n")
     prime_l: int
     coeffs: tuple[Fraction, ...]
     n: int
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __init__(self, prime_l: int, coeffs: tuple[Fraction, ...], n: int):
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("Hecke polynomials are normalized with constant term 1")
-        if len(self.coeffs) - 1 > self.n:
+        if len(coeffs) - 1 > n:
             raise ValueError("degree exceeds the rank parameter")
+        object.__setattr__(self, "prime_l", prime_l)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "n", n)
 
     @property
     def degree(self) -> int:
@@ -169,8 +171,7 @@ def check_factor_shape(kind: str, poly: HeckePolynomial) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SL3Datum:
+class SL3Datum(NamedTuple):
     """Hecke data of one rank-3 cuspidal class: l -> (gamma, gamma')."""
 
     level: int
@@ -180,20 +181,21 @@ class SL3Datum:
         return self.eigenvalues[l]
 
 
-@dataclass(frozen=True)
-class LiftClass:
+class LiftClass(Record):
     """One polynomial family of a lift, tagged with its kind and source."""
 
+    __slots__ = ("kind", "source", "polynomial_family")
     kind: str
     source: str
     polynomial_family: dict[int, HeckePolynomial]
 
-    def __post_init__(self):
-        for poly in self.polynomial_family.values():
-            if not check_factor_shape(self.kind, poly):
-                raise ValueError(
-                    f"{self.kind} polynomial at l={poly.prime_l} fails its factor shape"
-                )
+    def __init__(self, kind: str, source: str, polynomial_family: dict[int, HeckePolynomial]):
+        for poly in polynomial_family.values():
+            if not check_factor_shape(kind, poly):
+                raise ValueError(f"{kind} polynomial at l={poly.prime_l} fails its factor shape")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "polynomial_family", polynomial_family)
 
 
 # -- wire format -------------------------------------------------------------

@@ -15,9 +15,8 @@ eigensystems) degrade to caveat lines, never to silent omissions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import heckepoly
 from .exactlin import FieldContext, InputError, _is_prime, frac_str
@@ -72,8 +71,7 @@ _CUSP_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class RangeTable:
+class RangeTable(NamedTuple):
     """Symmetric-space dimension, vcd and cuspidal range for SL_n."""
 
     n: int
@@ -103,8 +101,7 @@ def range_table(n: int) -> RangeTable:
 # Report structure
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(NamedTuple):
     """One predicted summand with its polynomial families."""
 
     kind: str  # weight2 | weight4 | sl3 | paramodular
@@ -113,8 +110,7 @@ class Constituent:
     families: dict[str, dict[int, HeckePolynomial]]
 
 
-@dataclass
-class LedgerReport:
+class LedgerReport(NamedTuple):
     level: int
     primes: list[int]
     field_primes: tuple[int, int]
@@ -124,7 +120,7 @@ class LedgerReport:
     dim_predicted_nonEisenstein: Optional[int]
     counts: dict
     spaces: dict
-    caveats: list[str] = dataclass_field(default_factory=list)
+    caveats: list[str]
 
 
 EISENSTEIN_KINDS = ("weight2", "weight4", "sl3")

@@ -62,12 +62,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .eichler_selberg import dim_cusp_forms, num_cusps
 from .exactlin import (
@@ -77,6 +76,7 @@ from .exactlin import (
     InputError,
     NoReconstruction,
     PrimeField,
+    Record,
     Subspace,
     _is_prime,
     eigen_step,
@@ -291,15 +291,16 @@ class HomogeneousPoly:
         return f"HomogeneousPoly({list(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class CoefficientModule:
+class CoefficientModule(Record):
     """The k-dimensional module of degree k-1 polynomials (weight k+1 forms)."""
 
+    __slots__ = ("k",)
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise ValueError("k must be at least 1")
+        object.__setattr__(self, "k", k)
 
     @property
     def weight(self) -> int:
@@ -309,8 +310,7 @@ class CoefficientModule:
         return [HomogeneousPoly.monomial(self.k, i) for i in range(self.k)]
 
 
-@dataclass(frozen=True)
-class ModularSymbol:
+class ModularSymbol(NamedTuple):
     """The geometric generator [q1, q2] tensor a coefficient polynomial."""
 
     q1: Cusp
@@ -473,8 +473,7 @@ def _heilbronn(l: int) -> list[tuple[int, int, int, int]]:
 # The Manin basis space
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """A two-prime-confirmed rational Hecke eigensystem."""
 
     level: int
@@ -484,8 +483,7 @@ class EigenSystem:
     dim: int
 
 
-@dataclass
-class CuspidalSplit:
+class CuspidalSplit(NamedTuple):
     """Eigensystem census of the cuspidal subspace at a list of primes.
 
     `systems` carry eigenvalues confirmed at both working primes.
@@ -570,8 +568,7 @@ def echelonize(rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int
     return pivots, [pivot_rows[c] for c in pivots], [raw_leads[c] for c in pivots]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A space's presentation at its prime (`ManinBasisSpace._present`).
 
     The first five fields are the prime-free quotient

@@ -9,11 +9,10 @@ are ingested from a CSV file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactlin import ComputationError, InputError, _is_prime
+from .exactlin import ComputationError, InputError, Record, _is_prime
 
 __all__ = [
     "ParamodularDims",
@@ -87,19 +86,24 @@ def dim_S3(p: int) -> int:
     return total // 2880
 
 
-@dataclass(frozen=True)
-class ParamodularDims:
+class ParamodularDims(Record):
     """The dimension split at one prime; None marks unknown data."""
 
+    __slots__ = ("p", "dim_S3", "dim_gritsenko", "dim_nonGritsenko")
     p: int
     dim_S3: int
     dim_gritsenko: Optional[int]
     dim_nonGritsenko: Optional[int]
 
-    def __post_init__(self):
-        if self.dim_gritsenko is not None and self.dim_nonGritsenko is not None:
-            if self.dim_S3 != self.dim_gritsenko + self.dim_nonGritsenko:
+    def __init__(self, p: int, dim_S3: int, dim_gritsenko: Optional[int],
+                 dim_nonGritsenko: Optional[int]):
+        if dim_gritsenko is not None and dim_nonGritsenko is not None:
+            if dim_S3 != dim_gritsenko + dim_nonGritsenko:
                 raise ValueError("dimension split does not add up")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dim_S3", dim_S3)
+        object.__setattr__(self, "dim_gritsenko", dim_gritsenko)
+        object.__setattr__(self, "dim_nonGritsenko", dim_nonGritsenko)
 
 
 def complement_dims(p: int, gritsenko: Optional[int]) -> ParamodularDims:

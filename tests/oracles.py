@@ -5,7 +5,8 @@ form spaces come from the classical index/elliptic-point/cusp counts
 for X_0(N); eigenvalues of the level-11 weight-2 form come from point
 counts on a stored Weierstrass equation; traces of Hecke operators come
 from the Eichler-Selberg trace formula, with class numbers counted from
-reduced binary quadratic forms.
+reduced binary quadratic forms; dimensions of Jacobi forms come from
+Eichler and Zagier's floor sums over level-one modular forms.
 """
 
 from fractions import Fraction
@@ -115,6 +116,22 @@ def dim_eisenstein(n: int, weight: int) -> int:
     if weight == 2:
         return num_cusps(n) - 1
     return num_cusps(n)
+
+
+def dim_modular_forms_level1(weight: int) -> int:
+    """dim M_weight(SL2(Z)): 0 for odd, negative or weight 2."""
+    if weight < 0 or weight % 2 or weight == 2:
+        return 0
+    return weight // 12 + (weight % 12 != 2)
+
+
+def dim_jacobi(k: int, m: int) -> int:
+    """dim J_{k,m} for odd k and index m >= 1 (Eichler and Zagier, The
+    Theory of Jacobi Forms, 1985): the sum over 1 <= j <= m - 1 of
+    dim M_{k+2j-1}(SL2(Z)) - ceil(j^2 / 4m)."""
+    assert k % 2 == 1 and m >= 1
+    return sum(dim_modular_forms_level1(k + 2 * j - 1) - -(-j * j // (4 * m))
+               for j in range(1, m))
 
 
 # Weierstrass equations:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -68,7 +67,7 @@ def project_generator(space, gen):
 
 def replace_presentation(space, **fields):
     """Give space its presentation with some fields replaced, to set off a guard."""
-    space.presentation = dataclasses.replace(space.presentation, **fields)
+    space.presentation = space.presentation._replace(**fields)
 
 
 def push_bits(space):

@@ -15,7 +15,7 @@ from heckeledger.paramodular import (
     load_gritsenko_csv,
 )
 
-from oracles import legendre_via_squares, primes_upto
+from oracles import dim_jacobi, legendre_via_squares, primes_upto
 
 
 def kronecker_reciprocity(a, p):
@@ -180,6 +180,29 @@ def test_known_nonzero_value():
     # First computed by this implementation, kept as a regression anchor
     # after checking integrality and the growth envelope.
     assert dim_S3(37) == 4
+
+
+# dim_S3(p) - dim J_{3,p} for 61 <= p < 200: a difference of two
+# formulas, computed here and pinned as that, not taken from the
+# literature.
+JACOBI_EXCESS = {61: 1, 73: 1, 79: 1, 89: 1, 97: 2, 101: 2, 103: 2, 109: 3, 113: 1,
+                 127: 3, 131: 2, 137: 2, 139: 4, 149: 4, 151: 5, 157: 7, 163: 4, 167: 4,
+                 173: 6, 179: 4, 181: 10, 191: 6, 193: 10, 197: 7, 199: 10}
+
+
+def test_dim_bounded_below_by_jacobi_forms():
+    # Gritsenko's lift embeds the Jacobi cusp forms J_{3,p} into S_3(K(p)),
+    # so dim S_3(K(p)) >= dim J_{3,p}; the Jacobi count shares nothing
+    # with Ibukiyama's sum.
+    excess = {}
+    for p in primes_upto(10**4):
+        if p >= 5:
+            excess[p] = dim_S3(p) - dim_jacobi(3, p)
+            assert excess[p] >= 0, p
+    assert all(excess[p] == 0 for p in excess if p < 61)
+    assert {p: d for p, d in excess.items() if 61 <= p < 200 and d} == JACOBI_EXCESS
+    # dim_S3(37) = 4 is the Jacobi count with no excess.
+    assert dim_jacobi(3, 37) == 4 and excess[37] == 0
 
 
 # -- the complement split ----------------------------------------------------
