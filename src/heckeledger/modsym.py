@@ -39,7 +39,8 @@ lockstep and their counts are summed.  Each cuspidal part is one copy
 of S_w(Gamma0(N)), which the classical dimension formula of
 `eichler_selberg` checks.  `build_space` returns the whole space, whose
 `presentation` is built only when something reads it: its dimensions,
-its Hecke matrices or the value of a nonzero winding pairing.
+its Hecke matrices or the value of a nonzero winding pairing; its
+`cuspidal_subspace`, the boundary map's kernel, only when that is read.
 
 Conventions, fixed once and used everywhere:
 
@@ -332,6 +333,14 @@ def _nearest_quotient(a: int, b: int) -> int:
     return -((b - 2 * a) // (2 * b))
 
 
+def _nearest_even(a: int, b: int) -> int:
+    # round(a/b) with ties to even; b != 0
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(2 * a + b, 2 * b)
+    return q - 1 if r == 0 and q % 2 else q
+
+
 def _convergent_chain(q: Cusp) -> list[Cusp]:
     """Cusps [oo, c_0, ..., q]: consecutive pairs are unimodular.
 
@@ -463,7 +472,7 @@ def _heilbronn(l: int) -> list[tuple[int, int, int, int]]:
         x1, x2, y1, y2, a, b = l, -r, 0, 1, -l, r
         out.append((x1, x2, y1, y2))
         while b:
-            q = round(Fraction(a, b))  # the integer nearest a/b, ties to even
+            q = _nearest_even(a, b)
             a, b, x1, x2, y1, y2 = -b, a - q * b, x2, q * x2 - x1, y2, q * y2 - y1
             out.append((x1, x2, y1, y2))
     return out
@@ -581,8 +590,9 @@ class Presentation(NamedTuple):
     its integer pushes to free positions and to later pivots,
     x_c = (1/u) (sum of the pushes' m x_j); and the distinct leads other
     than 1 that the echelon's rows had before their content was removed.
-    Then come the inverse mod p of each pivot lead other than 1, and the
-    boundary map on the free generators with its kernel.
+    Last comes the inverse mod p of each pivot lead other than 1.  The
+    boundary map and its kernel are not part of it: they are
+    `ManinBasisSpace.cuspidal_subspace`, built when first read.
     """
 
     free_columns: list[int]
@@ -591,8 +601,6 @@ class Presentation(NamedTuple):
     pushes: dict[int, tuple[int, list[tuple[int, int]], list[tuple[int, int]]]]
     guard_leads: tuple[int, ...]
     inverse: dict[int, int]
-    boundary_matrix: FieldMatrix
-    cuspidal_subspace: Subspace
 
 
 class PrimeFreeCache:
@@ -628,13 +636,14 @@ class ManinBasisSpace:
     iota (X^i Y^(k-1-i), (c:d)) = (-1)^i (X^i Y^(k-1-i), (-c:d)), which
     commutes with every T_l.  As p is odd, V_e is isomorphic to the
     e-eigenspace of iota, so the two quotients' dimensions, cuspidal
-    parts and Hecke eigenvalues add up to those of V.  `presentation` is
-    built the first time it is read, by whatever needs it first, and
-    Hecke matrices are cached per operator index.  The space and its
-    partner share P^1 and one `PrimeFreeCache` (`prime_free`) for the
-    prime-free quotient, relation echelon included, and the Hecke image
-    columns; the lead inverses, the boundary, the cuspidal kernel and
-    every projection are taken at each space's own prime.
+    parts and Hecke eigenvalues add up to those of V.  `presentation` and
+    `cuspidal_subspace` (the boundary map's kernel, which no Hecke matrix
+    needs) are each built the first time they are read, and Hecke
+    matrices are cached per operator index.  The space and its partner
+    share P^1 and one `PrimeFreeCache` (`prime_free`) for the prime-free
+    quotient, relation echelon included, and the Hecke image columns;
+    the lead inverses, the boundary, the cuspidal kernel and every
+    projection are taken at each space's own prime.
     """
 
     def __init__(self, level: int, module: CoefficientModule, field: PrimeField,
@@ -663,9 +672,15 @@ class ManinBasisSpace:
     def dim(self) -> int:
         return len(self.presentation.free_columns)
 
+    @cached_property
+    def cuspidal_subspace(self) -> Subspace:
+        """The kernel of the boundary map (`_build_boundary`) on the
+        quotient basis."""
+        return rank_and_kernel(self._build_boundary())[1]
+
     @property
     def cuspidal_dim(self) -> int:
-        return self.presentation.cuspidal_subspace.dim
+        return self.cuspidal_subspace.dim
 
     def _integer_relations(self) -> tuple[dict[int, tuple[int, int]], list[int],
                                           list[dict[int, int]]]:
@@ -801,12 +816,12 @@ class ManinBasisSpace:
     def _present(self) -> Presentation:
         """The presentation at this space's prime: the prime-free quotient
         from `prime_free`, which a partner may have built, then the
-        inverses of its pivot leads, the boundary map and the cuspidal
-        kernel.  UnluckyPrime if the prime divides one of the echelon's
-        leads, where its integer row operations are not invertible.
+        inverses of its pivot leads.  UnluckyPrime if the prime divides
+        one of the echelon's leads, where its integer row operations are
+        not invertible.
         """
         quotient = self.prime_free.take("quotient", self._quotient)
-        free_columns, _, _, pushes, guard_leads = quotient
+        _, _, _, pushes, guard_leads = quotient
         p = self.field.p
         for u in guard_leads:
             if u % p == 0:
@@ -814,11 +829,9 @@ class ManinBasisSpace:
                     f"the field prime {p} divides the relation echelon lead {u} at level "
                     f"{self.level}, weight {self.module.weight}")
         inverse = {u: pow(u, -1, p) for u in {u for u, _, _ in pushes.values()} - {1}}
-        boundary = self._build_boundary(free_columns)
-        _, cuspidal = rank_and_kernel(boundary)
-        return Presentation(*quotient, inverse, boundary, cuspidal)
+        return Presentation(*quotient, inverse)
 
-    def _build_boundary(self, free_columns: list[int]) -> FieldMatrix:
+    def _build_boundary(self) -> FieldMatrix:
         """Boundary of each free generator on Gamma0(N)-classes of cusps.
 
         For the Manin generator (X^i Y^(k-1-i), (c:d)) the boundary is
@@ -834,6 +847,7 @@ class ManinBasisSpace:
         sign = self.sign
         level = self.level
         npts = len(self.p1)
+        free_columns = self.presentation.free_columns
         classes: dict[tuple[int, int], Optional[tuple[int, int]]] = {}  # key -> (row, sign)
         nrows = 0
         entries = []
@@ -1139,8 +1153,7 @@ def cuspidal_coverage(space: ManinBasisSpace, primes: Sequence[int]) -> Cuspidal
     cuspidal_dim = sum(q.cuspidal_dim for q in quotients)
 
     def cuspidal_ops(q: ManinBasisSpace) -> list[FieldMatrix]:
-        return restrict_operator([q.hecke_matrix(l) for l in primes],
-                                 q.presentation.cuspidal_subspace)
+        return restrict_operator([q.hecke_matrix(l) for l in primes], q.cuspidal_subspace)
 
     def eigenspace_dim(ops: list[FieldMatrix], values: Iterable[int]) -> int:
         for lam in values:

@@ -46,3 +46,24 @@ def builds(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.fixture
+def cuspidal_builds(monkeypatch):
+    """Counts of the cuspidal subspaces built while the test runs:
+    `ManinBasisSpace._build_boundary` calls by (sign, field prime), and
+    `modsym.rank_and_kernel` calls under "rank_and_kernel"."""
+    calls = Counter()
+    boundary, kernel = ManinBasisSpace._build_boundary, modsym.rank_and_kernel
+
+    def counted_boundary(space):
+        calls[space.sign, space.field.p] += 1
+        return boundary(space)
+
+    def counted_kernel(matrix):
+        calls["rank_and_kernel"] += 1
+        return kernel(matrix)
+
+    monkeypatch.setattr(ManinBasisSpace, "_build_boundary", counted_boundary)
+    monkeypatch.setattr(modsym, "rank_and_kernel", counted_kernel)
+    return calls

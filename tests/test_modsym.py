@@ -681,6 +681,30 @@ def test_cremona_heilbronn_sizes_and_determinants():
         assert all(a * f - b * e == l for a, b, e, f in got), l
 
 
+def fraction_heilbronn(l):
+    """`_heilbronn` with each nearest-integer quotient taken as
+    round(Fraction(a, b)), ties to even: the reference form."""
+    if l == 2:
+        return [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    out = [(1, 0, 0, l)]
+    for r in range(-(l // 2), l // 2 + 1):
+        x1, x2, y1, y2, a, b = l, -r, 0, 1, -l, r
+        out.append((x1, x2, y1, y2))
+        while b:
+            q = round(Fraction(a, b))
+            a, b, x1, x2, y1, y2 = -b, a - q * b, x2, q * x2 - x1, y2, q * y2 - y1
+            out.append((x1, x2, y1, y2))
+    return out
+
+
+def test_cremona_heilbronn_matches_the_fraction_form():
+    # Integer rounding gives the very lists of round(Fraction(a, b)) at
+    # every prime below 2000; ties occur (at r = +-2, -l/2 is a
+    # half-integer), and both round them to even.
+    for l in primes_upto(1999):
+        assert _heilbronn(l) == fraction_heilbronn(l), l
+
+
 def test_every_cremona_heilbronn_matrix_counts(monkeypatch):
     # Dropping any one matrix of the list changes T_l on one of three
     # spaces, so a list that lost a matrix cannot pass for T_l.
@@ -815,7 +839,7 @@ def test_a_lead_divisible_by_the_prime_is_unlucky(monkeypatch):
     monkeypatch.undo()
     ref = build_space(37, 3, context=FieldContext.default(twin.field.p)).sign_quotient(1)
     assert got == ref.hecke_matrix(2)
-    assert twin.presentation.cuspidal_subspace == ref.presentation.cuspidal_subspace
+    assert twin.cuspidal_subspace == ref.cuspidal_subspace
 
 
 def test_projected_generator_is_a_copy():
@@ -858,7 +882,7 @@ def test_level11_cuspidal_scalars_match_point_counts():
     p = space.field.p
     for l in (2, 3, 5, 7, 13):
         t = restrict_operator([hecke_operator(space, l)],
-                              space.presentation.cuspidal_subspace)[0]
+                              space.cuspidal_subspace)[0]
         want = scaled(FieldMatrix.identity(space.field, 2), curve11_ap(l) % p)
         assert t == want
 
@@ -868,7 +892,7 @@ def test_restrict_to_eigenline_is_1x1():
     space = build_space(11, 1)
     p = space.field.p
     t2 = hecke_operator(space, 2)
-    line_vec = space.presentation.cuspidal_subspace.basis[0]
+    line_vec = space.cuspidal_subspace.basis[0]
     from heckeledger.exactlin import Subspace
 
     line = Subspace(space.dim, (line_vec,), space.field)
@@ -891,7 +915,7 @@ def test_cuspidal_subspace_hecke_stable():
         space = build_space(level, k)
         for l in (2, 3):
             # would raise NotInvariant on failure
-            restrict_operator([hecke_operator(space, l)], space.presentation.cuspidal_subspace)[0]
+            restrict_operator([hecke_operator(space, l)], space.cuspidal_subspace)[0]
 
 
 @pytest.mark.parametrize(
@@ -917,7 +941,7 @@ def test_hecke_trace_matches_eichler_selberg(weight, levels):
             if level % l == 0:
                 continue
             t = restrict_operator([hecke_operator(space, l)],
-                                  space.presentation.cuspidal_subspace)[0]
+                                  space.cuspidal_subspace)[0]
             got = sum(t.rows[i].get(i, 0) for i in range(t.nrows)) % p
             assert got == 2 * hecke_trace(l, level, weight) % p, (level, weight, l)
 
@@ -931,7 +955,7 @@ def test_eisenstein_boundary_eigenvalue():
             if level % l == 0:
                 continue
             t = hecke_operator(space, l)
-            boundary = space.presentation.boundary_matrix
+            boundary = space._build_boundary()
             assert boundary.matmul(t) == scaled(boundary, l + 1)
 
 
@@ -990,7 +1014,7 @@ def test_weight4_level5_system_and_recursion():
     assert s.eigenvalues[3] == Fraction(2)
     # Hecke recursion at weight 4: T_4 = T_2^2 - 8 on the cuspidal part.
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.presentation.cuspidal_subspace)
+                               space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
 
 
@@ -1004,7 +1028,7 @@ def test_weight4_level11_irrational_orbit():
     assert cov.systems == []
     assert cov.unresolved_dim == 4
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.presentation.cuspidal_subspace)
+                               space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -8)
     from heckeledger.exactlin import charpoly
 
@@ -1035,7 +1059,7 @@ def test_level61_rank_one_curve_system():
     assert s.eigenvalues == {2: Fraction(-1), 3: Fraction(-2), 5: Fraction(-3)}
     assert cov.unresolved_dim == 6 and cov.cuspidal_dim == 8
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.presentation.cuspidal_subspace)
+                               space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -2)
 
 
@@ -1047,7 +1071,7 @@ def test_level199_all_orbits_irrational():
 
     space = build_space(199, 1)
     for sp in (space, space.partner()):
-        t2 = restrict_operator([sp.hecke_matrix(2)], sp.presentation.cuspidal_subspace)[0]
+        t2 = restrict_operator([sp.hecke_matrix(2)], sp.cuspidal_subspace)[0]
         f, _ = charpoly(t2)
         p = sp.field.p
         for a in range(-2, 3):
@@ -1070,7 +1094,7 @@ def test_discriminant_form_tau_values():
         5: Fraction(4830),
     }
     t2, t4 = restrict_operator([space.hecke_matrix(2), merel_t4(space)],
-                               space.presentation.cuspidal_subspace)
+                               space.cuspidal_subspace)
     assert t4 == t2.matmul(t2).add_scaled(FieldMatrix.identity(space.field, t2.nrows), -2**11)
 
 
@@ -1190,7 +1214,7 @@ def test_sign_quotients_match_dimension_and_trace_formulas(levels, k):
             for l in (2, 3, 5, 7, 11, 13):
                 if level % l == 0:
                     continue
-                t = restrict_operator([q.hecke_matrix(l)], q.presentation.cuspidal_subspace)[0]
+                t = restrict_operator([q.hecke_matrix(l)], q.cuspidal_subspace)[0]
                 got = sum(t.rows[i].get(i, 0) for i in range(t.nrows)) % p
                 assert got == hecke_trace(l, level, k + 1) % p, (level, k, q.sign, l)
 
@@ -1249,7 +1273,7 @@ def _stacked_kernel(ops, values, boundary):
 
 def _star_halves(space):
     star = _star_involution(space)
-    return [_stacked_kernel([star], [sign], space.presentation.boundary_matrix) for sign in (1, -1)]
+    return [_stacked_kernel([star], [sign], space._build_boundary()) for sign in (1, -1)]
 
 
 def _halves_coverage(space, primes):
@@ -1267,7 +1291,7 @@ def _halves_coverage(space, primes):
     confirmed = sorted(
         (fracs, dim) for fracs, dim in candidates
         if _stacked_kernel(twin_ops, [twin.field.elem(f) for f in fracs],
-                           twin.presentation.boundary_matrix).dim == dim
+                           twin._build_boundary()).dim == dim
     )
     covered = sum(dim for _, dim in confirmed)
     return confirmed, {
@@ -1303,7 +1327,7 @@ def test_star_involution_halves(level, k):
             if level % l:
                 on_half = restrict_operator([hecke_operator(space, l)], half)[0]
                 on_quotient = restrict_operator([quotient.hecke_matrix(l)],
-                                                quotient.presentation.cuspidal_subspace)[0]
+                                                quotient.cuspidal_subspace)[0]
                 assert charpoly(on_half)[0] == charpoly(on_quotient)[0], l
 
 
@@ -1330,9 +1354,8 @@ def test_coverage_matches_halves_reference(level, k, primes):
 
 def _shrink_cuspidal(quotient, by):
     """Drop the last `by` basis vectors of a quotient's cuspidal subspace."""
-    cusp = quotient.presentation.cuspidal_subspace
-    replace_presentation(quotient, cuspidal_subspace=Subspace(
-        cusp.ambient_dim, cusp.basis[:cusp.dim - by], cusp.field))
+    cusp = quotient.cuspidal_subspace
+    quotient.cuspidal_subspace = Subspace(cusp.ambient_dim, cusp.basis[:cusp.dim - by], cusp.field)
 
 
 def test_star_halves_are_checked():
@@ -1357,8 +1380,8 @@ def test_quotient_operator_guards_fire():
     # own operators, so each guard fires there.
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    lead = min(plus.presentation.cuspidal_subspace.basis[0])
-    off = next(j for row in plus.presentation.boundary_matrix.rows for j in row)
+    lead = min(plus.cuspidal_subspace.basis[0])
+    off = next(j for row in plus._build_boundary().rows for j in row)
     bent = scaled(plus.hecke_matrix(2), 1)
     bent.add_at(off, lead, 1)
     plus._hecke_cache[2] = bent
@@ -1366,7 +1389,7 @@ def test_quotient_operator_guards_fire():
         cuspidal_coverage(space, [2])
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    first, second = plus.presentation.cuspidal_subspace.basis
+    first, second = plus.cuspidal_subspace.basis
     bent = scaled(plus.hecke_matrix(3), 1)
     for r, v in first.items():  # + first * (coordinate at second's lead)
         bent.add_at(r, min(second), v)
@@ -1382,8 +1405,8 @@ def test_partner_cuspidal_subspace_must_be_stable():
     # of counting as a prime disagreement.
     space = build_space(11, 1)
     twin = space.sign_quotient(1).partner()
-    lead = min(twin.presentation.cuspidal_subspace.basis[0])
-    off = next(j for row in twin.presentation.boundary_matrix.rows for j in row)
+    lead = min(twin.cuspidal_subspace.basis[0])
+    off = next(j for row in twin._build_boundary().rows for j in row)
     bent = scaled(twin.hecke_matrix(2), 1)
     bent.add_at(off, lead, 1)
     twin._hecke_cache[2] = bent
@@ -1400,10 +1423,9 @@ def test_sign_quotient_halves_must_be_equal():
     # column-space step the census no longer has.
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    eisenstein = {next(j for row in plus.presentation.boundary_matrix.rows for j in row): 1}
-    cusp = plus.presentation.cuspidal_subspace
-    replace_presentation(plus, cuspidal_subspace=span(
-        cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field))
+    eisenstein = {next(j for row in plus._build_boundary().rows for j in row): 1}
+    cusp = plus.cuspidal_subspace
+    plus.cuspidal_subspace = span(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
     _shrink_cuspidal(space.sign_quotient(-1), 1)
     assert plus.cuspidal_dim + space.sign_quotient(-1).cuspidal_dim == space.cuspidal_dim
     with pytest.raises(HalvesMismatch, match="halves"):
@@ -1416,10 +1438,9 @@ def test_space_summary_checks_the_halves(monkeypatch):
     # quotient whose cuspidal subspace gains an Eisenstein vector ...
     space = build_space(37, 1)
     plus = space.sign_quotient(1)
-    eisenstein = {next(j for row in plus.presentation.boundary_matrix.rows for j in row): 1}
-    cusp = plus.presentation.cuspidal_subspace
-    replace_presentation(plus, cuspidal_subspace=span(
-        cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field))
+    eisenstein = {next(j for row in plus._build_boundary().rows for j in row): 1}
+    cusp = plus.cuspidal_subspace
+    plus.cuspidal_subspace = span(cusp.ambient_dim, list(cusp.basis) + [eisenstein], cusp.field)
     with pytest.raises(HalvesMismatch, match="halves"):
         space_summary(space)
     # ... and quotients whose dimensions do not add up to 2 dim S_w plus
@@ -1446,6 +1467,44 @@ def test_census_does_not_present_the_whole_space(presentations):
     assert vars(space)["presentation"] is space.presentation
     with pytest.raises(AttributeError):
         space.not_an_attribute
+
+
+def test_a_hecke_matrix_builds_no_boundary(cuspidal_builds):
+    # T_l on the whole space needs only its quotient: the boundary map
+    # and the cuspidal kernel are built once, when the cuspidal subspace
+    # is first read, and not again.
+    space = build_space(37, 3)
+    space.hecke_matrix(2)
+    assert "presentation" in vars(space)
+    assert cuspidal_builds == {}
+    once = {(None, space.field.p): 1, "rank_and_kernel": 1}
+    assert space.cuspidal_dim == 2 * dim_cusp_forms(37, 4)
+    assert cuspidal_builds == once
+    assert space.cuspidal_dim == 2 * dim_cusp_forms(37, 4)
+    assert cuspidal_builds == once
+
+
+@pytest.mark.parametrize("level, partners", [(11, True), (23, False)])
+def test_census_builds_one_cuspidal_kernel_per_quotient_and_prime(level, partners,
+                                                                   cuspidal_builds):
+    # Weight 2: at level 11 the census confirms 11a at the partner prime,
+    # at level 23 (a_2 irrational) it has no candidate and no partner.
+    space = build_space(level, 1)
+    assert bool(cuspidal_coverage(space, [2, 3]).systems) == partners
+    primes = [space.context.primary.p] + [space.context.secondary.p] * partners
+    want = {(sign, p): 1 for sign in (1, -1) for p in primes}
+    assert cuspidal_builds == {**want, "rank_and_kernel": len(want)}
+
+
+def test_winding_pairing_builds_no_cuspidal_kernel(cuspidal_builds):
+    # A nonzero pairing presents the whole space and its partner, and
+    # reads their Hecke matrices only.
+    space = build_space(11, 1)
+    (system,) = eigensystems(space, [2, 3])
+    cuspidal_builds.clear()
+    assert winding_pairing(space, system) != 0
+    assert "presentation" in vars(space) and "presentation" in vars(space.partner())
+    assert cuspidal_builds == {}
 
 
 _READS = {
@@ -1512,8 +1571,8 @@ def test_partner_shares_the_integer_relations(level, builds):
             ref = fresh.sign_quotient(sign)
             assert twin.field == ref.field
             assert got == [ref.hecke_matrix(l) for l in (2, 3)], (level, k, sign)
-            assert (twin.presentation.cuspidal_subspace
-                    == ref.presentation.cuspidal_subspace), (level, k, sign)
+            assert (twin.cuspidal_subspace
+                    == ref.cuspidal_subspace), (level, k, sign)
 
 
 def test_partner_presents_first_without_presenting_its_primary(builds):
@@ -1549,6 +1608,7 @@ def test_partner_presentation_equals_a_fresh_space_at_its_prime(level, k):
         primary.hecke_matrix(5)
         assert twin.field == ref.field and twin.prime_free is primary.prime_free
         assert twin.presentation == ref.presentation, (level, k, sign)
+        assert twin.cuspidal_subspace == ref.cuspidal_subspace, (level, k, sign)
         assert twin.presentation.pushes is primary.presentation.pushes
         for l in (5, 7, 11):
             assert twin.hecke_matrix(l) == ref.hecke_matrix(l), (level, k, sign, l)
@@ -1622,7 +1682,7 @@ def _reference_coverage(space, primes):
     censuses = []
     for sp in (space, space.partner()):
         ops = restrict_operator([hecke_operator(sp, l) for l in primes],
-                                sp.presentation.cuspidal_subspace)
+                                sp.cuspidal_subspace)
         height = math.isqrt(sp.field.p // 2)
         census = set()
         for eig in split_eigenspaces(ops, [sp.field.p // 2] * len(ops)).eigenspaces:
@@ -1673,7 +1733,7 @@ def test_coverage_matches_split_reference(level, k, primes):
     w = space.module.weight
     whole = split_eigenspaces(
         restrict_operator([hecke_operator(space, l) for l in primes],
-                          space.presentation.cuspidal_subspace),
+                          space.cuspidal_subspace),
         [math.isqrt(4 * l ** (w - 1)) for l in primes],
     )
     assert cov.unresolved == {
