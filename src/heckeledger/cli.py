@@ -5,7 +5,10 @@ the library function that first receives it (`build_report`,
 `parse_external`, `dim_S3`, `cuspidal_coverage`, `winding_pairing`,
 `hecke_matrix`); the code behind trusts it.  A Hecke prime l is checked
 by `modsym._check_hecke_primes` at every entry point, so its error is
-always `l is not prime` or `l divides the level N`.
+always `l is not prime` or `l divides the level N`.  A level and a
+weight are checked by `modsym._check_space`, which `build_space` calls
+too; the `modsym` subcommand calls it before the Hecke primes are
+checked and the space is built, so its errors read as the library's.
 
 Exit codes: 0 success, 2 usage or validation error, 1 computation
 error.  Each error declares its kind where it is defined: an
@@ -39,6 +42,7 @@ from .ledger import (
 )
 from .modsym import (
     _check_hecke_primes,
+    _check_space,
     build_space,
     eigensystems,
     eigensystems_csv,
@@ -107,15 +111,9 @@ def _context(args) -> Optional[FieldContext]:
 
 def cmd_modsym(args) -> int:
     context = _context(args)
-    weight = args.weight
-    k = weight - 1
-    if k < 1 or k % 2 == 0:
-        raise UsageError(
-            f"weight {weight} means k = {k}, which is not supported (even weights only)"
-        )
+    k = args.weight - 1
+    _check_space(args.level, k)
     primes = _parse_primes(args.primes) if args.primes else []
-    if args.level < 1:
-        raise UsageError("level must be positive")
     _check_hecke_primes(args.level, primes)
     space = build_space(args.level, k, context=context)
     summary = space_summary(space)

@@ -21,8 +21,10 @@ echelon of their own, over Z and for every prime at once
 Only the forward echelon rows are signed: back-substitution, and so
 every reduced form, kernel basis and `Subspace`, is in [0, p).  Then come
 rank and a kernel basis that one reduced echelon gives already
-reduced, restriction of operators to an invariant subspace by reading
-the images at the basis's pivot coordinates, one step down a joint
+reduced, restriction of operators to an invariant subspace (the basis
+is the identity at its leads, so an image's coordinates are the
+operator's entries there plus a packed combination of the basis rows
+off the leads, and only those rows are packed), one step down a joint
 eigenspace (`eigen_step`: the kernel of one operator minus a value,
 with the other operators restricted to it, so that a tuple of values
 is followed down without leaving the current node's coordinates),
@@ -64,6 +66,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -269,13 +272,13 @@ class FieldContext(NamedTuple):
 # tested for zero mod p all at once (`_vanishes`).
 
 
-def _slot_bytes(p: int, terms: int) -> int:
+def _slot_bytes(p: int, terms: int, factors: int = 2) -> int:
     """Slot width, in whole bytes, that holds a sum of `terms` products of
-    two elements of [0, p) with a spare bit.
+    `factors` elements of [0, p) with a spare bit.
 
     The spare bit is load-bearing: it keeps every such sum below
     2^(w-1) for a slot of w bits, which `_vanishes` needs."""
-    return (2 * p.bit_length() + terms.bit_length() + 1 + 7) // 8
+    return (factors * p.bit_length() + terms.bit_length() + 1 + 7) // 8
 
 
 def _pack(values: Sequence[int], nb: int) -> int:
@@ -637,18 +640,26 @@ def restrict_operator(ops: Sequence[FieldMatrix], s: Subspace) -> list[FieldMatr
     """The matrix of each op in the basis of s; NotInvariant unless s is
     stable under every one.
 
-    With B the basis of s as columns (n x d), each row of B is packed
-    once for all the ops (see :func:`_pack`), and each op's images op B
-    are formed packed, one multiply-add per stored entry of op.  The
-    basis is in reduced echelon form, so the coordinates of an image
-    that lies in s are its entries at the pivot columns: row t of a
-    result is row pivot_t of op B, unpacked (the only unpacks, d per
-    op).  B times the result agrees with op B on the pivot rows by
+    With B the basis of s as columns (n x d), the basis is reduced: the
+    row of B at the lead c_t of its t-th vector is the unit vector e_t.
+    So row i of op B is op's own entries at the leads plus the
+    combination of B's other n - d rows by op's entries off the leads.
+    Only those rows of B are packed (see :func:`_pack`), once for all
+    the ops, and a row of op B is formed packed: its lead part packed,
+    plus one multiply-add per column off the leads.  The coordinates of
+    an image that lies in s are its entries at the leads: row t of a
+    result is row c_t of op B, unpacked, or op's lead part itself where
+    the combination off the leads is 0 (the only unpacks, at most d per
+    op).  B times the result agrees with op B on the lead rows by
     construction, and on every other row i exactly when the packed
-    residual (op B)_i + sum_t (p - b_it) result_t vanishes in every
+    residual (op B)_i + sum_t (p - b_it) (op B)_(c_t) vanishes in every
     slot, which one exact division tests (`_vanishes`); that holds for
-    all of them exactly when every image lies in the span of B.  A
-    subspace that is the whole space has the identity as its basis,
+    all of them exactly when every image lies in the span of B.  The
+    packed rows of op B are not reduced, so a residual's slot holds a
+    sum of products of three field elements.  A cuspidal subspace has
+    codimension e <= 2 at prime level, and an op then costs about e n
+    packed multiply-adds, where multiplying by all of B would cost n^2.
+    A subspace that is the whole space has the identity as its basis,
     and the ops themselves are the answer.
     """
     n = s.ambient_dim
@@ -657,22 +668,37 @@ def restrict_operator(ops: Sequence[FieldMatrix], s: Subspace) -> list[FieldMatr
     if s.dim == n or not ops:
         return list(ops)
     p, d = s.field.p, s.dim
-    pivots = [min(v) for v in s.basis]
-    pivset = set(pivots)
-    b = FieldMatrix(s.field, d, n, list(s.basis)).transpose()
-    nb = _slot_bytes(p, n + d)  # an image's n terms plus a residual's d
-    packed_b = _packed_rows(b, nb)
+    leads = [min(v) for v in s.basis]
+    lead_set = set(leads)
+    off = [i for i in range(n) if i not in lead_set]
+    b_rows = FieldMatrix(s.field, d, n, list(s.basis)).transpose().rows
+    off_rows = [b_rows[i] for i in off]
+    # A row of op B is below (n - d + 1) p^2 in every slot, and a
+    # residual adds d products of an element with such a row.
+    nb = _slot_bytes(p, (d + 1) * (n - d + 1), factors=3)
+    packed_off = _packed_rows(FieldMatrix(s.field, n - d, d, off_rows), nb)
     high = _slot_high(p, d, nb)
+    zeros = repeat(0)
+
+    def split(row: dict[int, int]) -> tuple[list[int], int]:
+        """row's entries at the leads, and B's rows off them combined by
+        row's entries there, packed."""
+        return (list(map(row.get, leads, zeros)),
+                sum(map(mul, map(row.get, off, zeros), packed_off)))
+
     restricted = []
     for op in ops:
-        images = [_combination(row, packed_b) for row in op.rows]
-        result = [_unpack(images[c], d, nb, p) for c in pivots]
-        packed_result = [_pack(r, nb) for r in result]
-        for i, coords in enumerate(b.rows):
-            if i not in pivset and not _vanishes(images[i], coords, packed_result, high, p):
+        images, result = [], []
+        for c in leads:
+            lead, rest = split(op.rows[c])
+            images.append(_pack(lead, nb) + rest)
+            result.append(_unpack(images[-1], d, nb, p) if rest else lead)
+        for i, coords in zip(off, off_rows):
+            lead, rest = split(op.rows[i])
+            if not _vanishes(_pack(lead, nb) + rest, coords, images, high, p):
                 raise NotInvariant("image leaves the span of the subspace basis")
         restricted.append(FieldMatrix(s.field, d, d,
-                                      [{c: v for c, v in enumerate(r) if v} for r in result]))
+                                      [{t: v for t, v in enumerate(r) if v} for r in result]))
     return restricted
 
 
@@ -695,8 +721,10 @@ def eigen_step(ops: Sequence[FieldMatrix], value: int) -> tuple[Subspace, list[F
     head = ops[0]
     if head.nrows != head.ncols:
         raise ValueError("operators must be square")
-    kernel = rank_and_kernel(head.add_scaled(FieldMatrix.identity(head.field, head.ncols),
-                                             -value))[1]
+    shifted = FieldMatrix(head.field, head.nrows, head.ncols, [dict(r) for r in head.rows])
+    for i in range(head.nrows):
+        shifted.add_at(i, i, -value)
+    kernel = rank_and_kernel(shifted)[1]
     return kernel, restrict_operator(ops[1:], kernel)
 
 

@@ -1065,14 +1065,20 @@ def build_space(level: int, k: int, *,
     k is the dimension of the coefficient module (weight k+1 forms);
     only odd k is implemented, so weights 2 and 4 are k = 1 and k = 3.
     """
-    if level < 1:
-        raise BadLevel("level must be positive")
-    if k % 2 == 0:
-        raise UnsupportedWeight(
-            f"k = {k} (weight {k + 1}) not supported: only odd k is implemented"
-        )
+    _check_space(level, k)
     ctx = context if context is not None else _default_context()
     return ManinBasisSpace(level, CoefficientModule(k), ctx.primary, ctx)
+
+
+def _check_space(level: int, k: int) -> None:
+    """BadLevel unless level is positive, then UnsupportedWeight unless
+    k is odd and positive (an even weight k + 1)."""
+    if level < 1:
+        raise BadLevel("level must be positive")
+    if k < 1 or k % 2 == 0:
+        raise UnsupportedWeight(
+            f"weight {k + 1} means k = {k}, which is not supported (even weights only)"
+        )
 
 
 def _check_hecke_primes(level: int, primes: Iterable[int]) -> None:

@@ -267,10 +267,13 @@ def test_restrict_raises_not_invariant():
 
 def test_restrict_packs_the_basis_once(monkeypatch):
     # Several operators restricted to one subspace share one packing of
-    # its basis, and each comes out as it would alone.
+    # its basis, and each comes out as it would alone.  The basis is
+    # reduced, so its rows at the leads are unit vectors and only the
+    # other n - d rows are packed: 2 of V's 20 at N = 37, k = 3.
     space = build_space(37, 3)
     ops = [hecke_operator(space, l) for l in (2, 3, 5)]
     cusp = space.cuspidal_subspace
+    assert (space.dim, cusp.dim) == (20, 18)
     packed = []
     packed_rows = exactlin._packed_rows
 
@@ -280,7 +283,7 @@ def test_restrict_packs_the_basis_once(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_packed_rows", counted)
     together = restrict_operator(ops, cusp)
-    assert packed == [space.dim]
+    assert packed == [space.dim - cusp.dim]
     assert together == [restrict_operator([op], cusp)[0] for op in ops]
     assert restrict_operator([], cusp) == []
 
@@ -1471,6 +1474,93 @@ def test_restrict_checks_the_last_non_pivot_row(p):
         ref_restrict(bad, s)
     with pytest.raises(NotInvariant):
         restrict_operator([bad], s)
+
+
+# -- restriction against B+ op B in plain dicts ------------------------------
+
+
+def ref_lead_restrict(op, s):
+    """B+ op B by plain dict arithmetic, with B the basis of s as columns
+    and B+ the left inverse of B that reads a vector at the leads: the
+    rows of op B at the leads.  NotInvariant unless B (B+ op B) = op B
+    on every row, that is, unless every image lies in s."""
+    p = op.field.p
+    images = [{} for _ in range(op.nrows)]
+    for i, row in enumerate(op.rows):
+        for t, vec in enumerate(s.basis):
+            x = sum(v * vec[j] for j, v in row.items() if j in vec) % p
+            if x:
+                images[i][t] = x
+    result = [images[min(vec)] for vec in s.basis]
+    for i in range(op.nrows):
+        back = {}
+        for t, vec in enumerate(s.basis):
+            for u, x in result[t].items():
+                back[u] = (back.get(u, 0) + vec.get(i, 0) * x) % p
+        if {u: x for u, x in back.items() if x} != images[i]:
+            raise NotInvariant("image leaves the span")
+    return result
+
+
+@pytest.mark.parametrize("level, k", [(11, 1), (11, 3), (37, 1), (37, 3), (97, 1), (97, 3)])
+def test_restrict_equals_the_plain_product_on_cuspidal_subspaces(level, k):
+    # T_2 and T_3 on the cuspidal subspace of each sign quotient, and the
+    # eigen_step kernels of its split, of codimension n - 1 when an
+    # eigenvalue is simple.
+    space = build_space(level, k)
+    codims = set()
+    for sign in (1, -1):
+        q = space.sign_quotient(sign)
+        ops = [q.hecke_matrix(l) for l in (2, 3)]
+        cusp = q.cuspidal_subspace
+        codims.add(q.dim - cusp.dim)
+        restricted = restrict_operator(ops, cusp)
+        for op, got in zip(ops, restricted):
+            assert (got.nrows, got.ncols) == (cusp.dim, cusp.dim)
+            assert got.rows == ref_lead_restrict(op, cusp), (level, k, sign)
+        for e in split_eigenspaces(restricted, [q.field.p // 2] * 2).eigenspaces:
+            kernel, (rest,) = eigen_step(restricted, e.values[0])
+            assert rest.rows == ref_lead_restrict(restricted[1], kernel)
+    assert codims <= {0, 1, 2} and codims - {0}
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_restrict_equals_the_plain_product_by_codimension(p):
+    # Random invariant subspaces of codimension 1, 2 and n - 1.
+    fld = PrimeField(p)
+    rng = random.Random(p % 983)
+    for n in (2, 3, 6, 11):
+        for d in sorted({n - 1, n - 2, 1} - {0}):
+            vectors, dense_op = invariant_pair(fld, rng, n, d)
+            s = span(n, vectors, fld)
+            ops = [from_dense(fld, dense_op), from_dense(fld, ref_dense_mul(dense_op, dense_op, p))]
+            got = restrict_operator(ops, s)
+            assert [r.rows for r in got] == [ref_lead_restrict(op, s) for op in ops], (n, d)
+
+
+@pytest.mark.parametrize("level, k, sign", [(37, 1, 1), (97, 3, 1), (37, 3, None)])
+def test_restrict_checks_every_row_off_the_leads(level, k, sign):
+    # 1 added to T_2 at a lead column c of a row off the leads: the rows
+    # at the leads, and so the restricted matrix, are unchanged, while
+    # the image of the basis vector with lead c leaves the subspace.
+    # A restriction that skipped any row off the leads would miss it.
+    space = build_space(level, k)
+    q = space if sign is None else space.sign_quotient(sign)
+    op, cusp = q.hecke_matrix(2), q.cuspidal_subspace
+    leads = [min(v) for v in cusp.basis]
+    off = [i for i in range(q.dim) if i not in set(leads)]
+    assert 1 <= len(off) <= 2
+    for i in off:
+        for c in (leads[0], leads[-1]):
+            bad = FieldMatrix(op.field, op.nrows, op.ncols, [dict(r) for r in op.rows])
+            bad.add_at(i, c, 1)
+            assert [bad.rows[j] for j in leads] == [op.rows[j] for j in leads]
+            with pytest.raises(NotInvariant):
+                ref_lead_restrict(bad, cusp)
+            with pytest.raises(NotInvariant):
+                restrict_operator([bad], cusp)
+            with pytest.raises(NotInvariant):
+                restrict_operator([op, bad], cusp)
 
 
 # -- the packed zero test ----------------------------------------------------

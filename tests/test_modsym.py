@@ -601,6 +601,16 @@ def test_even_k_rejected():
         build_space(11, 2)
 
 
+@pytest.mark.parametrize("k", [2, 0, -1, -2])
+def test_unsupported_k_is_an_input_error(k):
+    # Every k below 1 as well as every even k, with the CLI's message.
+    with pytest.raises(UnsupportedWeight) as info:
+        build_space(11, k)
+    assert isinstance(info.value, InputError)
+    assert str(info.value) == (
+        f"weight {k + 1} means k = {k}, which is not supported (even weights only)")
+
+
 @pytest.mark.parametrize("level", [0, -11])
 def test_nonpositive_level_is_an_input_error(level):
     with pytest.raises(BadLevel, match="^level must be positive$") as info:
